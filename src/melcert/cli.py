@@ -578,7 +578,7 @@ def _load_spec(args) -> InstanceSpec:
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
     if getattr(args, "eps", None) is not None:
-        spec.eps = Fraction(args.eps)
+        spec.eps = _rational("command line", "--eps", args.eps)
         if spec.eps == 0:
             raise SpecError("--eps must be nonzero")
     if getattr(args, "precision", None) is not None:
@@ -630,36 +630,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (report builder, text renderer); --format json dumps the report
+REPORTS = {
+    "normal-form": (report_normal_form, render_normal_form),
+    "zeros": (report_zeros, render_zeros),
+    "verify": (report_verify, render_verify),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         spec = _load_spec(args)
-        if args.command == "normal-form":
-            report = report_normal_form(spec)
+        if args.command in REPORTS:
+            build, render = REPORTS[args.command]
+            report = build(spec)
             text = (
                 json.dumps(report, indent=2) + "\n"
                 if args.format == "json"
-                else render_normal_form(report)
+                else render(report)
             )
             _emit(text, args.out)
-        elif args.command == "zeros":
-            report = report_zeros(spec)
-            text = (
-                json.dumps(report, indent=2) + "\n"
-                if args.format == "json"
-                else render_zeros(report)
-            )
-            _emit(text, args.out)
-        elif args.command == "verify":
-            report = report_verify(spec)
-            text = (
-                json.dumps(report, indent=2) + "\n"
-                if args.format == "json"
-                else render_verify(report)
-            )
-            _emit(text, args.out)
-            if report["verdict"] == "mismatch":
+            if report.get("verdict") == "mismatch":
                 print("verification mismatch", file=sys.stderr)
                 return 2
         elif args.command == "scan":
@@ -678,13 +671,7 @@ def main(argv=None) -> int:
         elif args.command == "sample-curve":
             text = sample_curve_csv(spec, spec.points)
             _emit(text, args.out)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FlowError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FlowError, QuadratureError) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -156,7 +156,3 @@ def poly_range(p: Polynomial, x: RatInterval) -> RatInterval:
     for c in reversed(p.coeffs):
         acc = acc * x + RatInterval.point(c)
     return acc
-
-
-def poly_at(p: Polynomial, x) -> RatInterval:
-    return RatInterval.point(p.eval(x))

@@ -480,22 +480,6 @@ def scaled_value(nf, h: RatInterval, bits: int) -> RatInterval:
     return total
 
 
-def certified_sign(nf, h, max_bits: int = 4096):
-    """Sign of the normal form at rational h (pi dropped), or None if the
-    enclosure still straddles zero at the bit cap."""
-    point = RatInterval.point(as_rational(h))
-    bits = 64
-    while bits <= max_bits:
-        try:
-            s = scaled_value(nf, point, bits).sign()
-        except ZeroDivisionError:
-            s = None
-        if s is not None:
-            return s
-        bits *= 2
-    return None
-
-
 def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:
     """Rigorous enclosure of the integral value (pi included) at rational h,
     of width at most 10**-precision."""

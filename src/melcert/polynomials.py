@@ -1,8 +1,11 @@
 """Exact univariate polynomial algebra over the rationals.
 
 Coefficients are `fractions.Fraction` throughout and nothing in this module
-touches floating point: root counts are certified integers obtained from
-Sturm chains, and isolating intervals have exact rational endpoints.
+touches floating point.  `SturmChain` is the one root isolator: built once
+from a squarefree polynomial, it counts roots on half-open windows,
+isolates them with exact rational endpoints and refines them by
+bisection.  `count_real_roots`, `isolate_roots` and `refine_root` are
+entry points that build one chain for an arbitrary polynomial.
 """
 
 from __future__ import annotations
@@ -251,10 +254,6 @@ class Polynomial:
         num = math.gcd(*(abs(c.numerator) for c in self.coeffs))
         return self.scale(Fraction(den, num))
 
-    def int_coeffs(self) -> list:
-        """Primitive integer coefficient list (requires the scaled form)."""
-        return [c.numerator for c in self.primitive().coeffs]
-
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor (1 for coprime, 0 only if both zero)."""
@@ -314,8 +313,14 @@ def _sign_changes(values: Sequence[int]) -> int:
 
 
 class SturmChain:
-    """Sturm chain of a squarefree polynomial, held as primitive integer
-    coefficient lists for fast exact sign evaluation at rationals."""
+    """Sturm chain of a squarefree polynomial: the one root isolator.
+
+    Built once per polynomial and held as primitive integer coefficient
+    lists for fast exact sign evaluation at rationals.  V(lo) - V(hi)
+    counts the roots in (lo, hi] even when an endpoint is a root: at a
+    root of a squarefree polynomial the variation count V already takes
+    its value from the right.
+    """
 
     def __init__(self, squarefree: Polynomial):
         if squarefree.is_zero:
@@ -334,172 +339,149 @@ class SturmChain:
 
     @staticmethod
     def _isign_at(ic: list, num: int, den: int) -> int:
-        # sign of sum(ic[k] * (num/den)**k) == sign of sum(ic[k]*num**k*den**(d-k))
-        acc = 0
-        pw = 1
-        d = len(ic) - 1
-        for k, c in enumerate(ic):
-            if c:
-                acc += c * pw * den ** (d - k)
-            pw *= num
+        # sign of sum(ic[k] * (num/den)**k) == sign of the homogenised
+        # sum(ic[k] * num**k * den**(d-k)), by Horner from the top
+        acc = ic[-1]
+        dpow = 1
+        for c in reversed(ic[:-1]):
+            dpow *= den
+            acc = acc * num + c * dpow
         return (acc > 0) - (acc < 0)
 
+    def sign_at(self, x: Fraction) -> int:
+        """Sign of the squarefree polynomial at x."""
+        return self._isign_at(self._chain[0], x.numerator, x.denominator)
+
     def variations_at(self, x: Fraction) -> int:
-        key = x
-        cached = self._variation_cache.get(key)
-        if cached is not None:
-            return cached
-        num, den = x.numerator, x.denominator
-        signs = [self._isign_at(ic, num, den) for ic in self._chain]
-        v = _sign_changes(signs)
-        self._variation_cache[key] = v
-        return v
+        cached = self._variation_cache.get(x)
+        if cached is None:
+            num, den = x.numerator, x.denominator
+            cached = _sign_changes([self._isign_at(ic, num, den) for ic in self._chain])
+            self._variation_cache[x] = cached
+        return cached
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
-        """Distinct roots in (lo, hi); endpoints must not be roots."""
+        """Distinct roots in (lo, hi]; either endpoint may be a root."""
         if lo >= hi:
             return 0
         return self.variations_at(lo) - self.variations_at(hi)
 
+    def isolate(self, lo: Fraction, hi: Fraction) -> list:
+        """Disjoint isolating intervals, one per root in (lo, hi], sorted.
 
-def _strip_endpoint_roots(sf: Polynomial, iv: Interval):
-    """Remove simple roots of the squarefree poly at iv endpoints.
+        A root at hi comes back as the degenerate [hi, hi], and so does
+        every root that a bisection midpoint hits exactly; every other
+        interval holds exactly one root, strictly inside.
+        """
+        found = []
+        if lo >= hi:
+            return found
 
-    Returns (stripped, hi_is_root): a root at lo is discarded (excluded by
-    the half-open convention), a root at hi is reported separately.
-    """
-    work = sf
-    if work.degree >= 0 and work.eval(iv.lo) == 0:
-        work = work.exact_div(Polynomial((-iv.lo, 1)))
-    hi_is_root = False
-    if iv.hi != iv.lo and work.degree >= 0 and work.eval(iv.hi) == 0:
-        hi_is_root = True
-        work = work.exact_div(Polynomial((-iv.hi, 1)))
-    return work, hi_is_root
+        def inside(a, b):  # roots in the open (a, b)
+            return self.count(a, b) - (self.sign_at(b) == 0)
+
+        def split(a: Fraction, b: Fraction):
+            n = inside(a, b)
+            if n == 0:
+                return
+            if n == 1:
+                found.append(Interval(a, b))
+                return
+            mid = (a + b) / 2
+            if self.sign_at(mid) != 0:
+                split(a, mid)
+                split(mid, b)
+                return
+            found.append(Interval(mid, mid))
+            # retreat to nearby non-root cut points around the exact hit
+            delta = (b - a) / 4
+            while True:
+                left, right = mid - delta, mid + delta
+                if (
+                    self.sign_at(left) != 0
+                    and self.sign_at(right) != 0
+                    and self.count(left, right) == 1
+                ):
+                    break
+                delta /= 2
+            split(a, left)
+            split(right, b)
+
+        split(lo, hi)
+        if self.sign_at(hi) == 0:
+            found.append(Interval(hi, hi))
+        found.sort(key=lambda r: (r.lo, r.hi))
+        return found
+
+    def refine(self, iv: Interval, width) -> Interval:
+        """Bisect an isolating interval down to the requested width.
+
+        The interval must be degenerate or hold exactly one root strictly
+        inside; either endpoint may itself be a root.  A midpoint that hits
+        the root exactly comes back as a degenerate interval.
+        """
+        lo, hi = iv.lo, iv.hi
+        s_hi = self.sign_at(hi)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            s = self.sign_at(mid)
+            if s == 0:
+                return Interval(mid, mid)
+            # a simple root lies left of mid iff mid has hi's sign; while
+            # hi is itself a root the count decides instead
+            if s == s_hi or (s_hi == 0 and self.count(lo, mid) == 1):
+                hi, s_hi = mid, s
+            else:
+                lo = mid
+        return Interval(lo, hi)
 
 
 def count_real_roots(p: Polynomial, iv: Interval) -> int:
     """Exact number of distinct real roots of p in (iv.lo, iv.hi]."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    if p.degree == 0 or iv.lo == iv.hi:
-        return 0
-    sf = squarefree_part(p)
-    work, hi_root = _strip_endpoint_roots(sf, iv)
-    extra = 1 if hi_root else 0
-    if work.degree <= 0:
-        return extra
-    return SturmChain(work).count(iv.lo, iv.hi) + extra
+    return SturmChain(squarefree_part(p)).count(iv.lo, iv.hi)
 
 
 def count_real_roots_with_multiplicity(p: Polynomial, iv: Interval) -> int:
     """Roots in (iv.lo, iv.hi] counted with their multiplicities."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    total = 0
-    for factor, mult in squarefree_decomposition(p):
-        total += mult * count_real_roots(factor, iv)
-    return total
+    return sum(
+        mult * SturmChain(factor).count(iv.lo, iv.hi)
+        for factor, mult in squarefree_decomposition(p)
+    )
 
 
 def isolate_roots(p: Polynomial, iv: Interval) -> list:
-    """Disjoint isolating intervals, one per distinct root of p in (lo, hi].
+    """Isolating intervals, one per distinct root of p in (lo, hi], sorted.
 
-    Returned intervals are either degenerate (an exact rational root) or
-    carry exactly one root in their half-open (lo, hi] span.
+    Returned intervals are either degenerate (an exact rational root, or
+    the root at hi) or hold exactly one root strictly inside.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if p.degree == 0 or iv.lo == iv.hi:
-        return []
-    sf = squarefree_part(p)
-    work, hi_root = _strip_endpoint_roots(sf, iv)
-    found = []
-    if work.degree > 0:
-        chain = SturmChain(work)
-
-        def split(lo: Fraction, hi: Fraction):
-            n = chain.count(lo, hi)
-            if n == 0:
-                return
-            if n == 1:
-                found.append(Interval(lo, hi))
-                return
-            mid = (lo + hi) / 2
-            if work.eval(mid) == 0:
-                found.append(Interval(mid, mid))
-                # retreat to nearby non-root cut points around the exact hit
-                delta = (hi - lo) / 4
-                while True:
-                    a = mid - delta
-                    b = mid + delta
-                    if (
-                        work.eval(a) != 0
-                        and work.eval(b) != 0
-                        and chain.count(a, b) == 1
-                    ):
-                        break
-                    delta /= 2
-                split(lo, a)
-                split(b, hi)
-            else:
-                split(lo, mid)
-                split(mid, hi)
-
-        split(iv.lo, iv.hi)
-    if hi_root:
-        found.append(Interval(iv.hi, iv.hi))
-    found.sort(key=lambda r: (r.lo, r.hi))
-    return found
+    return SturmChain(squarefree_part(p)).isolate(iv.lo, iv.hi)
 
 
 def refine_root(p: Polynomial, iv: Interval, width) -> Interval:
     """Shrink an isolating interval by bisection to the requested width.
 
-    The input must isolate a single root: either p changes sign across the
-    endpoints or the squarefree Sturm count over (lo, hi] is exactly 1.
+    The input must isolate a single root: p has exactly one distinct root
+    in (lo, hi], whether or not p changes sign across the endpoints.
     """
     if p.is_zero:
         raise ValueError("cannot refine a root of the zero polynomial")
-    width = as_rational(width)
     if iv.lo == iv.hi:
         if p.eval(iv.lo) != 0:
             raise ValueError("degenerate interval does not contain a root")
         return iv
-
-    lo, hi = iv.lo, iv.hi
-    s_lo = p.eval(lo)
-    s_hi = p.eval(hi)
-    sign_bracketed = s_lo * s_hi < 0
-
-    sf = squarefree_part(p)
-    chain = None
-    if not sign_bracketed:
-        work, hi_root = _strip_endpoint_roots(sf, iv)
-        base = 1 if hi_root else 0
-        inner = SturmChain(work).count(lo, hi) if work.degree > 0 else 0
-        if inner + base != 1:
-            raise ValueError("interval does not isolate exactly one root")
-        if base == 1 and inner == 0:
-            return Interval(iv.hi, iv.hi)
-        chain = SturmChain(work)
-
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = p.eval(mid)
-        if v == 0:
-            return Interval(mid, mid)
-        if sign_bracketed:
-            if s_lo * v < 0:
-                hi, s_hi = mid, v
-            else:
-                lo, s_lo = mid, v
-        else:
-            if chain.count(lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-    return Interval(lo, hi)
+    chain = SturmChain(squarefree_part(p))
+    if chain.count(iv.lo, iv.hi) != 1:
+        raise ValueError("interval does not isolate exactly one root")
+    if chain.sign_at(iv.hi) == 0:
+        return Interval(iv.hi, iv.hi)
+    return chain.refine(iv, as_rational(width))
 
 
 def descartes_bound(p: Polynomial) -> int:

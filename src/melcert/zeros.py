@@ -31,12 +31,9 @@ from .melnikov import (
 from .polynomials import (
     Interval,
     Polynomial,
+    SturmChain,
     as_rational,
-    count_real_roots,
-    isolate_roots,
-    refine_root,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 
@@ -187,51 +184,17 @@ class ZeroReport:
         return self.count_lo == self.count_hi
 
 
-def _isolate_open(p: Polynomial, lo: Fraction, hi: Fraction) -> list:
-    """Isolating intervals for roots strictly inside (lo, hi)."""
-    out = []
-    for iv in isolate_roots(p, Interval(lo, hi)):
-        if iv.lo == iv.hi == hi:
-            continue
-        out.append(iv)
-    return out
+def certified_sign(nf, h: Interval, bits: int, max_bits: int):
+    """Sign of the normal form (pi dropped) on the whole h-interval.
 
-
-def _shrink_inside(sf: Polynomial, iv: Interval, lo: Fraction, hi: Fraction) -> Interval:
-    """Refine until the interval sits strictly inside (lo, hi)."""
-    width = iv.width
-    while iv.lo <= lo or iv.hi >= hi:
-        width = width / 4 if width > 0 else width
-        iv = refine_root(sf, iv, width)
-        if iv.lo == iv.hi:
-            break
-    return iv
-
-
-def _root_multiplicity(decomp, iv: Interval) -> int:
-    for factor, mult in decomp:
-        if iv.lo == iv.hi:
-            if factor.eval(iv.lo) == 0:
-                return mult
-        elif count_real_roots(factor, iv) == 1:
-            return mult
-    return 1
-
-
-def _interval_sign(nf, h_iv: Interval, bits: int):
-    box = RatInterval(h_iv.lo, h_iv.hi)
-    try:
-        return scaled_value(nf, box, bits).sign()
-    except ZeroDivisionError:
-        return None
-
-
-def _endpoint_sign(nf, h, max_bits: int = 1 << 14):
-    point = RatInterval.point(as_rational(h))
-    bits = 64
+    Tries enclosures at bits, 2*bits, ... up to max_bits and returns the
+    first settled sign: +1/-1, or 0 for an exact zero at a point.  None
+    means every enclosure still straddled zero.
+    """
+    box = RatInterval(h.lo, h.hi)
     while bits <= max_bits:
         try:
-            s = scaled_value(nf, point, bits).sign()
+            s = scaled_value(nf, box, bits).sign()
         except ZeroDivisionError:
             s = None
         if s is not None:
@@ -240,25 +203,58 @@ def _endpoint_sign(nf, h, max_bits: int = 1 << 14):
     return None
 
 
+def _isolate_open(chain: SturmChain, lo: Fraction, hi: Fraction) -> list:
+    """Isolating intervals for roots strictly inside (lo, hi)."""
+    return [iv for iv in chain.isolate(lo, hi) if iv.lo != hi]
+
+
+def _shrink_inside(chain: SturmChain, iv: Interval, lo: Fraction, hi: Fraction) -> Interval:
+    """Refine until the interval sits strictly inside (lo, hi)."""
+    width = iv.width
+    while iv.lo <= lo or iv.hi >= hi:
+        width = width / 4
+        iv = chain.refine(iv, width)
+    return iv
+
+
+def _root_multiplicity(decomp, iv: Interval) -> int:
+    # the endpoints are not roots, so exactly one Yun factor changes sign
+    # across the interval (or vanishes at a degenerate one)
+    for factor, mult in decomp:
+        if factor.eval(iv.lo) * factor.eval(iv.hi) <= 0:
+            return mult
+    return 1
+
+
+def _candidates(p: Polynomial, lo: Fraction, hi: Fraction):
+    """One Sturm chain of p's squarefree part, and (interval, multiplicity)
+    for every root of p strictly inside (lo, hi), each interval shrunk
+    strictly inside too.
+
+    One Yun decomposition gives both the multiplicities and, as the
+    product of its factors, the squarefree part.
+    """
+    decomp = squarefree_decomposition(p)
+    chain = SturmChain(math.prod((f for f, _m in decomp), start=Polynomial.one()))
+    out = []
+    for iv in _isolate_open(chain, lo, hi):
+        iv = _shrink_inside(chain, iv, lo, hi)
+        out.append((iv, _root_multiplicity(decomp, iv)))
+    return chain, out
+
+
 def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     fam = nf.family
     pr_reduced = nf.pr.exact_div(Polynomial((1, -1)))  # forced root at r = 1
-    sf = squarefree_part(pr_reduced) if pr_reduced.degree > 0 else pr_reduced
-    decomp = squarefree_decomposition(pr_reduced) if pr_reduced.degree > 0 else []
+    alpha2 = fam.alpha1**2
+    report_width = Fraction(1, 1 << 20)
+    chain, candidates = _candidates(pr_reduced, Fraction(0), Fraction(1))
     zeros = []
-    mult_flag = False
-    if pr_reduced.degree > 0:
-        alpha2 = fam.alpha1**2
-        report_width = Fraction(1, 1 << 20)
-        for iv in _isolate_open(pr_reduced, Fraction(0), Fraction(1)):
-            iv = _shrink_inside(sf, iv, Fraction(0), Fraction(1))
-            if iv.lo != iv.hi:
-                iv = refine_root(sf, iv, report_width)
-            if _root_multiplicity(decomp, iv) > 1:
-                mult_flag = True
-            # map the r-interval back to h (h decreases as r grows)
-            h_iv = Interval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
-            zeros.append(CertifiedZero(h_iv, True))
+    for iv, _mult in candidates:
+        iv = chain.refine(iv, report_width)
+        # map the r-interval back to h (h decreases as r grows)
+        h_iv = Interval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
+        zeros.append(CertifiedZero(h_iv, True))
     zeros.sort(key=lambda z: (z.interval.lo, z.interval.hi))
     n = len(zeros)
     return ZeroReport(
@@ -270,7 +266,7 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
         certified=zeros,
         count_lo=n,
         count_hi=n,
-        multiplicity_suspected=mult_flag,
+        multiplicity_suspected=any(mult > 1 for _iv, mult in candidates),
     )
 
 
@@ -302,30 +298,22 @@ def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
         eliminant_var="h",
         eliminant_degree=elim.degree,
     )
-    if reduced.degree <= 0:
-        return report
-    sf = squarefree_part(reduced)
-    decomp = squarefree_decomposition(reduced)
     width_cap = h_max / Fraction(10**30)
     report_width = h_max / Fraction(1 << 20)
 
-    for iv in _isolate_open(reduced, Fraction(0), h_max):
-        iv = _shrink_inside(sf, iv, Fraction(0), h_max)
-        mult = _root_multiplicity(decomp, iv)
+    chain, candidates = _candidates(reduced, Fraction(0), h_max)
+    for iv, mult in candidates:
         if mult > 1:
             report.multiplicity_suspected = True
+        iv = chain.refine(iv, min(iv.width / 16, report_width))
         if iv.lo == iv.hi:
             # exact rational candidate: decide algebraically
             if exact_zero_at(nf, iv.lo):
                 report.certified.append(CertifiedZero(iv, True))
             continue
-        iv = refine_root(sf, iv, min(iv.width / 16, report_width))
-        if iv.lo == iv.hi:
-            if exact_zero_at(nf, iv.lo):
-                report.certified.append(CertifiedZero(iv, True))
-            continue
-        s_lo = _endpoint_sign(nf, iv.lo, max_bits)
-        s_hi = _endpoint_sign(nf, iv.hi, max_bits)
+        s_lo = certified_sign(nf, Interval(iv.lo, iv.lo), 64, max_bits)
+        s_hi = certified_sign(nf, Interval(iv.hi, iv.hi), 64, max_bits)
+        decided = False
         if s_lo in (1, -1) and s_hi in (1, -1):
             if s_lo * s_hi < 0:
                 report.certified.append(CertifiedZero(iv, True))
@@ -335,13 +323,10 @@ def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
                 # eliminant root: a sign-preserving zero would have made
                 # the root multiple, so this candidate is an artifact
                 continue
-        decided = False
-        if s_lo in (1, -1) and s_hi in (1, -1):
             bits = 256
             while iv.width > width_cap:
-                iv = refine_root(sf, iv, iv.width / Fraction(256))
-                s = _interval_sign(nf, iv, bits)
-                if s in (1, -1):
+                iv = chain.refine(iv, iv.width / Fraction(256))
+                if certified_sign(nf, iv, bits, bits) in (1, -1):
                     decided = True  # rigorously nonzero on the whole interval
                     break
                 bits = min(bits * 2, max_bits)

@@ -295,3 +295,12 @@ class TestCommands:
         bad.write_text("[family]\nalpha1 = 0\nalpha2 = 1\nm1 = 1\nm2 = 1\n[perturbation]\nn = 1\n")
         rc = main(["zeros", "--spec", str(bad)])
         assert rc == 1
+
+    def test_unparsable_eps_exits_nonzero(self, capsys):
+        rc = main(
+            ["verify", "--spec", str(INSTANCES / "two_zeros.spec"), "--eps", "1/0"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--eps" in err
+        assert "Traceback" not in err

@@ -210,6 +210,13 @@ class TestIsolation:
         assert len(out) == 1
         assert out[0].contains(F(1, 2))
 
+    def test_root_at_hi_is_degenerate_and_root_at_lo_excluded(self):
+        p = Polynomial.from_roots([F(0), F(1, 3), F(1)])
+        out = isolate_roots(p, Interval(0, 1))
+        assert len(out) == 2  # nothing reported for the root at lo = 0
+        assert out[0].lo < F(1, 3) < out[0].hi
+        assert out[1] == Interval(1, 1)
+
 
 # ---------------------------------------------------------------- refinement
 
@@ -240,6 +247,13 @@ class TestRefinement:
     def test_rejects_two_roots(self):
         with pytest.raises(ValueError):
             refine_root(poly(-1, 0, 1), Interval(-2, 2), F(1, 10))
+        # a sign change across the window does not excuse extra roots
+        with pytest.raises(ValueError):
+            refine_root(Polynomial.from_roots([1, 2, 3]), Interval(0, 4), F(1, 10))
+
+    def test_root_at_hi_comes_back_degenerate(self):
+        p = Polynomial.from_roots([F(0), F(1)])
+        assert refine_root(p, Interval(0, 1), F(1, 10)) == Interval(1, 1)
 
     def test_rejects_rootless(self):
         with pytest.raises(ValueError):

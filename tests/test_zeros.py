@@ -14,14 +14,18 @@ from melcert.melnikov import (
     assemble_confluent,
     assemble_melnikov,
 )
+from melcert import polynomials
 from melcert.polynomials import (
     Interval,
     Polynomial,
+    SturmChain,
     count_real_roots,
     descartes_bound,
+    squarefree_decomposition,
 )
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 from melcert.zeros import (
+    certified_sign,
     count_zeros,
     eliminate_radicals,
     exact_zero_at,
@@ -138,8 +142,6 @@ class TestExactZeroDecision:
         # whenever the algebraic decision says "nonzero", the interval
         # refinement must settle on a definite sign (and vice versa a
         # certified sign excludes an exact zero)
-        from melcert.melnikov import certified_sign
-
         for seed in range(15):
             rng = rng_for(71, seed)
             fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 2))
@@ -149,7 +151,7 @@ class TestExactZeroDecision:
             for num in (1, 3, 7):
                 h = fam.h_max * num / 8
                 is_zero = exact_zero_at(nf, h)
-                sign = certified_sign(nf, h)
+                sign = certified_sign(nf, Interval(h, h), 64, 4096)
                 if is_zero:
                     assert sign is None or sign == 0
                 else:
@@ -271,6 +273,47 @@ class TestCountZeros:
         iv = report.undecided[0]
         assert iv.lo**2 <= 2 <= iv.hi**2  # brackets sqrt(2) exactly
         assert iv.width <= FAM.h_max / 10**30
+
+    def test_one_gcd_and_one_chain_per_squarefree_eliminant(self, monkeypatch):
+        # gcd(p, p') inside the Yun decomposition is the only gcd of two
+        # nonzero polynomials; isolation, refinement and multiplicities
+        # all reuse one Sturm chain
+        nf = assemble_melnikov(FAM, draw_coeffs(rng_for(88, 5), 2))
+        elim = eliminate_radicals(nf)
+        reduced = Polynomial(elim.coeffs[1:])  # one forced root at h = 0
+        assert reduced.eval(0) != 0
+        assert [m for _f, m in squarefree_decomposition(reduced)] == [1]
+
+        gcds, chains = [], []
+        real_gcd, real_init = polynomials.poly_gcd, SturmChain.__init__
+
+        def counting_gcd(a, b):
+            gcds.append(not a.is_zero and not b.is_zero)
+            return real_gcd(a, b)
+
+        def counting_init(chain, squarefree):
+            chains.append(squarefree)
+            real_init(chain, squarefree)
+
+        monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(SturmChain, "__init__", counting_init)
+        report = count_zeros(nf)
+        assert report.count_lo == report.count_hi == 2
+        assert sum(gcds) <= 1
+        assert len(chains) == 1
+
+    def test_eliminant_root_at_annulus_edge(self):
+        # rad1 vanishes at h_max = 4, so the eliminant does too; the zero
+        # inside the annulus sits in the isolating interval that ends at
+        # that root and must still be found
+        rad1 = Polynomial.from_roots([FAM.h_max])
+        nf = MelnikovNormalForm(FAM, rad1, Polynomial.constant(1), Polynomial.zero())
+        assert eliminate_radicals(nf).eval(FAM.h_max) == 0
+        report = count_zeros(nf)
+        assert report.count_lo == report.count_hi == 1
+        iv = report.certified[0].interval
+        assert 0 < iv.lo < iv.hi < FAM.h_max
+        assert float_value(nf, float(iv.lo)) * float_value(nf, float(iv.hi)) < 0
 
     def test_confluent_descartes_sparsity(self):
         # the cleared polynomial keeps at most 2s+1 terms after dividing
