@@ -52,6 +52,13 @@ from .sampling import draw_coeffs, rng_for
 from .zeros import count_zeros, theorem_bound
 
 
+# Largest accepted exponents and perturbation degree.  Assembly time grows
+# steeply with both (normal-form takes about 2 s at either limit), so larger
+# specs are refused up front instead of running for minutes.
+MAX_M = 16
+MAX_N = 32
+
+
 class SpecError(ValueError):
     """Instance file failed to parse or validate."""
 
@@ -85,6 +92,13 @@ def _integer(section: str, key: str, raw: str) -> int:
         raise SpecError(f"[{section}] {key}: not an integer: {raw!r}") from exc
 
 
+def _at_most(section: str, key: str, raw: str, limit: int) -> int:
+    value = _integer(section, key, raw)
+    if value > limit:
+        raise SpecError(f"[{section}] {key}: {value} exceeds the limit {limit}")
+    return value
+
+
 def parse_spec(text: str) -> InstanceSpec:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
@@ -100,20 +114,17 @@ def parse_spec(text: str) -> InstanceSpec:
     for key in ("alpha1", "alpha2", "m1", "m2"):
         if key not in fam_sec:
             raise SpecError(f"[family] {key}: missing")
+    alphas = [_rational("family", key, fam_sec[key]) for key in ("alpha1", "alpha2")]
+    ms = [_at_most("family", key, fam_sec[key], MAX_M) for key in ("m1", "m2")]
     try:
-        family = SystemFamily(
-            _rational("family", "alpha1", fam_sec["alpha1"]),
-            _rational("family", "alpha2", fam_sec["alpha2"]),
-            _integer("family", "m1", fam_sec["m1"]),
-            _integer("family", "m2", fam_sec["m2"]),
-        )
+        family = SystemFamily(*alphas, *ms)
     except ValueError as exc:
         raise SpecError(f"[family] invalid: {exc}") from exc
 
     pert = parser["perturbation"]
     if "n" not in pert:
         raise SpecError("[perturbation] n: missing")
-    n = _integer("perturbation", "n", pert["n"])
+    n = _at_most("perturbation", "n", pert["n"], MAX_N)
     box = _rational("perturbation", "box", pert.get("box", "1"))
     a, b = {}, {}
     for key, raw in pert.items():

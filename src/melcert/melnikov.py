@@ -213,14 +213,13 @@ def _radial_numerator(m: int) -> Polynomial:
     """
     if m < 1:
         raise ValueError("radical power must be >= 1")
-    if m in (1, 2):
-        return Polynomial.constant(2)
     w = Polynomial.x()
-    u_prev2 = _radial_numerator(m - 2)
-    u_prev1 = _radial_numerator(m - 1)
-    return (u_prev1.scale(2 * m - 3) - (w * u_prev2).scale(m - 2)).scale(
-        Fraction(1, m - 1)
-    )
+    u_prev2 = u_prev1 = Polynomial.constant(2)  # U_1, U_2
+    for k in range(3, m + 1):
+        u_prev2, u_prev1 = u_prev1, (
+            u_prev1.scale(2 * k - 3) - (w * u_prev2).scale(k - 2)
+        ).scale(Fraction(1, k - 1))
+    return u_prev1
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """Exact univariate polynomial algebra over the rationals.
 
-Coefficients are `fractions.Fraction` throughout and nothing in this module
-touches floating point.  `SturmChain` is the one root isolator: built once
-from a squarefree polynomial, it counts roots on half-open windows,
-isolates them with exact rational endpoints and refines them by
-bisection.  `count_real_roots`, `isolate_roots` and `refine_root` are
-entry points that build one chain for an arbitrary polynomial.
+`Polynomial` holds `fractions.Fraction` coefficients, and nothing in this
+module touches floating point.  The root core works in plain ints: one
+pseudo-remainder routine builds the primitive remainder sequence over Z
+that serves both `poly_gcd` and `SturmChain`.  `SturmChain` is the one
+root isolator: built once per polynomial, it certifies on the way whether
+the polynomial is squarefree, counts roots on half-open windows, isolates
+them with exact rational endpoints and refines them by bisection.
+`count_real_roots`, `isolate_roots` and `refine_root` are entry points
+that build one chain for an arbitrary polynomial, falling back to its
+squarefree part only when it has a multiple root.
 """
 
 from __future__ import annotations
@@ -248,20 +252,69 @@ class Polynomial:
 
     def primitive(self) -> "Polynomial":
         """Scale by a positive rational so coefficients are coprime integers."""
-        if self.is_zero:
-            return self
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        num = math.gcd(*(abs(c.numerator) for c in self.coeffs))
-        return self.scale(Fraction(den, num))
+        return Polynomial(_primitive_ints(self)) if self.coeffs else self
+
+
+def _content_free(ic: list) -> list:
+    """Divide an int coefficient list by its positive content."""
+    g = math.gcd(*ic)
+    return ic if g <= 1 else [c // g for c in ic]
+
+
+def _primitive_ints(p: Polynomial) -> list:
+    """Coefficients of p.primitive() as plain ints (p nonzero)."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _neg_prem(a: list, b: list) -> list:
+    """A positive multiple of -(a mod b), computed in plain ints.
+
+    Pseudo-divides lc(b)**(d+1) * a by b, d = deg a - deg b >= 0, which
+    keeps every step integral, then multiplies by -sign(lc b)**(d+1) so
+    the result has the sign of the rational -(a mod b).  Lists run from
+    the constant term up; the zero polynomial is the empty list.
+    """
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    steps = len(a) - db
+    for k in range(steps - 1, -1, -1):
+        # r <- lb * r - top * x**k * b, whose x**(k+db) term cancels
+        top = r.pop()
+        r = [lb * c for c in r[:k]] + [lb * c - top * bj for c, bj in zip(r[k:], b)]
+    if lb > 0 or steps % 2 == 0:
+        r = [-c for c in r]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _primitive_prs(a: list, b: list) -> list:
+    """Primitive Sturm remainder sequence of a, b over Z (deg a >= deg b).
+
+    [a, b, r2, r3, ...] with r(k+1) the primitive part of -(r(k-1) mod
+    r(k)), ending at a constant or where the next remainder vanishes: the
+    last member is gcd(a, b) up to a nonzero factor (Collins 1967; Brown
+    1971).  Every member is a primitive, positive multiple of what the
+    rational remainder sequence gives, so signs at any point agree.
+    """
+    prs = [a, b]
+    while len(prs[-1]) > 1:
+        r = _neg_prem(prs[-2], prs[-1])
+        if not r:
+            break
+        prs.append(_content_free(r))
+    return prs
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor (1 for coprime, 0 only if both zero)."""
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic() if not a.is_zero else a
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    ia, ib = _primitive_ints(a), _primitive_ints(b)
+    if len(ia) < len(ib):
+        ia, ib = ib, ia
+    return Polynomial(_primitive_prs(ia, ib)[-1]).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -313,29 +366,33 @@ def _sign_changes(values: Sequence[int]) -> int:
 
 
 class SturmChain:
-    """Sturm chain of a squarefree polynomial: the one root isolator.
+    """Sturm chain of a polynomial: the one root isolator.
 
-    Built once per polynomial and held as primitive integer coefficient
-    lists for fast exact sign evaluation at rationals.  V(lo) - V(hi)
-    counts the roots in (lo, hi] even when an endpoint is a root: at a
-    root of a squarefree polynomial the variation count V already takes
-    its value from the right.
+    Built once per polynomial, as the primitive remainder sequence of
+    (p, p') over Z, and held as integer coefficient lists for fast exact
+    sign evaluation at rationals.  The chain ends in gcd(p, p'), so it
+    certifies on the way whether p is `squarefree`; counting, isolation
+    and refinement need a squarefree p.  V(lo) - V(hi) then counts the
+    roots in (lo, hi] even when an endpoint is a root: at a root of a
+    squarefree polynomial the variation count V already takes its value
+    from the right.
     """
 
-    def __init__(self, squarefree: Polynomial):
-        if squarefree.is_zero:
+    def __init__(self, p: Polynomial):
+        if p.is_zero:
             raise ValueError("Sturm chain of the zero polynomial")
-        chain = [squarefree.primitive()]
-        d = squarefree.derivative()
-        if not d.is_zero:
-            chain.append(d.primitive())
-            while chain[-1].degree > 0:
-                r = -(chain[-2] % chain[-1])
-                if r.is_zero:
-                    break
-                chain.append(r.primitive())
-        self._chain = [[c.numerator for c in p.coeffs] for p in chain]
+        ic = _primitive_ints(p)
+        if len(ic) == 1:
+            self._chain = [ic]
+        else:
+            d = _content_free([k * c for k, c in enumerate(ic)][1:])
+            self._chain = _primitive_prs(ic, d)
         self._variation_cache: dict = {}
+
+    @property
+    def squarefree(self) -> bool:
+        """True iff gcd(p, p') is constant, i.e. the chain ends in one."""
+        return len(self._chain[-1]) == 1
 
     @staticmethod
     def _isign_at(ic: list, num: int, den: int) -> int:
@@ -436,11 +493,18 @@ class SturmChain:
         return Interval(lo, hi)
 
 
+def _squarefree_chain(p: Polynomial) -> SturmChain:
+    """Chain of p itself, or of its squarefree part when p has a multiple
+    root (only then is a gcd computed)."""
+    chain = SturmChain(p)
+    return chain if chain.squarefree else SturmChain(squarefree_part(p))
+
+
 def count_real_roots(p: Polynomial, iv: Interval) -> int:
     """Exact number of distinct real roots of p in (iv.lo, iv.hi]."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    return SturmChain(squarefree_part(p)).count(iv.lo, iv.hi)
+    return _squarefree_chain(p).count(iv.lo, iv.hi)
 
 
 def count_real_roots_with_multiplicity(p: Polynomial, iv: Interval) -> int:
@@ -461,7 +525,7 @@ def isolate_roots(p: Polynomial, iv: Interval) -> list:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return SturmChain(squarefree_part(p)).isolate(iv.lo, iv.hi)
+    return _squarefree_chain(p).isolate(iv.lo, iv.hi)
 
 
 def refine_root(p: Polynomial, iv: Interval, width) -> Interval:
@@ -476,7 +540,7 @@ def refine_root(p: Polynomial, iv: Interval, width) -> Interval:
         if p.eval(iv.lo) != 0:
             raise ValueError("degenerate interval does not contain a root")
         return iv
-    chain = SturmChain(squarefree_part(p))
+    chain = _squarefree_chain(p)
     if chain.count(iv.lo, iv.hi) != 1:
         raise ValueError("interval does not isolate exactly one root")
     if chain.sign_at(iv.hi) == 0:

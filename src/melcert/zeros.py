@@ -219,11 +219,12 @@ def _shrink_inside(chain: SturmChain, iv: Interval, lo: Fraction, hi: Fraction) 
 
 def _root_multiplicity(decomp, iv: Interval) -> int:
     # the endpoints are not roots, so exactly one Yun factor changes sign
-    # across the interval (or vanishes at a degenerate one)
-    for factor, mult in decomp:
+    # across the interval (or vanishes at a degenerate one): if none of
+    # the others does, it is the last
+    for factor, mult in decomp[:-1]:
         if factor.eval(iv.lo) * factor.eval(iv.hi) <= 0:
             return mult
-    return 1
+    return decomp[-1][1]
 
 
 def _candidates(p: Polynomial, lo: Fraction, hi: Fraction):
@@ -231,11 +232,15 @@ def _candidates(p: Polynomial, lo: Fraction, hi: Fraction):
     for every root of p strictly inside (lo, hi), each interval shrunk
     strictly inside too.
 
-    One Yun decomposition gives both the multiplicities and, as the
-    product of its factors, the squarefree part.
+    The chain of p itself certifies whether p is squarefree; only when it
+    is not does a Yun decomposition supply the multiplicities and, as the
+    product of its factors, the squarefree part for a second chain.
     """
-    decomp = squarefree_decomposition(p)
-    chain = SturmChain(math.prod((f for f, _m in decomp), start=Polynomial.one()))
+    chain = SturmChain(p)
+    decomp = [(p, 1)]
+    if not chain.squarefree:
+        decomp = squarefree_decomposition(p)
+        chain = SturmChain(math.prod((f for f, _m in decomp), start=Polynomial.one()))
     out = []
     for iv in _isolate_open(chain, lo, hi):
         iv = _shrink_inside(chain, iv, lo, hi)

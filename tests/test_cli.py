@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from melcert.cli import (
+    MAX_M,
+    MAX_N,
     InstanceSpec,
     SpecError,
     decimal_str,
@@ -65,6 +67,19 @@ class TestParsing:
                 "[family]\nalpha1 = 1/2\nalpha2 = 1\nm1 = 1\nm2 = 1\n"
                 "[perturbation]\nn = 1\nbox = 1\na_0_0 = 3/2\n"
             )
+
+    def test_oversized_exponents_and_degree_rejected(self):
+        family = "[family]\nalpha1 = 1/2\nalpha2 = 1\nm1 = {m1}\nm2 = {m2}\n"
+        pert = "[perturbation]\nn = {n}\n"
+        at_limit = parse_spec(family.format(m1=MAX_M, m2=MAX_M) + pert.format(n=MAX_N))
+        assert (at_limit.family.m1, at_limit.coeffs.n) == (MAX_M, MAX_N)
+        for m1, m2, n, where in (
+            (MAX_M + 1, 1, 1, r"\[family\] m1"),
+            (1, 1000, 1, r"\[family\] m2"),
+            (1, 1, MAX_N + 1, r"\[perturbation\] n"),
+        ):
+            with pytest.raises(SpecError, match=where):
+                parse_spec(family.format(m1=m1, m2=m2) + pert.format(n=n))
 
     def test_malformed_key_rejected(self):
         with pytest.raises(SpecError, match="a_i_j"):
@@ -295,6 +310,18 @@ class TestCommands:
         bad.write_text("[family]\nalpha1 = 0\nalpha2 = 1\nm1 = 1\nm2 = 1\n[perturbation]\nn = 1\n")
         rc = main(["zeros", "--spec", str(bad)])
         assert rc == 1
+
+    def test_oversized_spec_exits_1_with_message(self, tmp_path, capsys):
+        big = tmp_path / "big.spec"
+        big.write_text(
+            "[family]\nalpha1 = 1/2\nalpha2 = -1/3\nm1 = 1000\nm2 = 1\n"
+            "[perturbation]\nn = 2\na_0_0 = 1\n"
+        )
+        rc = main(["normal-form", "--spec", str(big)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [family] m1: ")
+        assert "Traceback" not in err
 
     def test_unparsable_eps_exits_nonzero(self, capsys):
         rc = main(

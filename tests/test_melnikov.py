@@ -8,6 +8,7 @@ error everywhere these tests evaluate.
 """
 
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -118,6 +119,21 @@ class TestPurePowerIntegral:
             u = _radial_numerator(m)
             assert u.degree == (m - 1) // 2
             assert all(c != 0 for c in u.coeffs)
+
+    def test_radial_numerator_needs_no_recursion(self):
+        # a recursive recurrence would need about m stack frames; large m
+        # must not raise RecursionError
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        _radial_numerator.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            u = _radial_numerator(150)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert u.degree == 74
 
 
 class TestMonomialPowerIntegral:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from melcert.polynomials import (
     Interval,
     Polynomial,
+    SturmChain,
     cauchy_root_bound,
     count_positive_roots_with_multiplicity,
     count_real_roots,
@@ -27,7 +28,7 @@ from melcert.polynomials import (
     squarefree_part,
 )
 
-from oracles import grid_scan_count
+from oracles import grid_scan_count, oracle_gcd, oracle_sturm_chain, oracle_yun
 
 X = Polynomial.x()
 ONE = Polynomial.one()
@@ -126,6 +127,102 @@ class TestSquarefree:
         # equal up to the leading constant
         assert rebuilt.monic() == p.monic()
         assert sorted(m for _, m in parts) == [1, 2, 3]
+
+
+# ------------------------------------------------ integer remainder sequence
+
+
+def _random_poly(rng, max_degree, sparse=False):
+    """Random nonzero rational polynomial; either leading sign, optionally
+    with most middle coefficients zero so remainder degrees drop by >= 2."""
+    degree = rng.randint(0, max_degree)
+    coeffs = []
+    for k in range(degree + 1):
+        if sparse and 0 < k < degree and rng.random() < 0.7:
+            coeffs.append(F(0))
+        else:
+            coeffs.append(F(rng.randint(-12, 12), rng.randint(1, 9)))
+    if coeffs[-1] == 0:
+        coeffs[-1] = F(rng.choice([-5, -1, 1, 3]), rng.randint(1, 4))
+    return Polynomial(coeffs)
+
+
+def _prs_cases(count, seed):
+    """Seeded polynomials: dense, sparse, and products with repeated factors."""
+    import random
+
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        kind = k % 3
+        if kind == 0:
+            p = _random_poly(rng, 10)
+        elif kind == 1:
+            p = _random_poly(rng, 12, sparse=True)
+        else:
+            p = _random_poly(rng, 3) ** rng.randint(1, 3) * _random_poly(rng, 4)
+            p = p * Polynomial.constant(rng.choice([-1, 1]))
+        cases.append(p)
+    return cases
+
+
+class TestIntegerRemainderSequence:
+    """The integer pseudo-remainder sequence against the Fraction oracles."""
+
+    CASES = _prs_cases(360, seed=20240)
+
+    def test_chain_equals_fraction_chain(self):
+        drops = 0
+        for p in self.CASES:
+            chain = SturmChain(p)._chain
+            assert chain == oracle_sturm_chain(p), p
+            # r(k-1) mod r(k) is taken for every non-constant r(k)
+            degrees = [len(ic) - 1 for ic in chain]
+            drops += any(a - b >= 2 for a, b in zip(degrees[1:], degrees[2:-1]))
+        assert drops >= 30  # pseudo-remainders with deg a - deg b >= 2 occur
+        assert sum(p.leading < 0 for p in self.CASES) >= 100
+        assert sum(p.degree <= 1 for p in self.CASES) >= 20
+
+    def test_squarefree_flag_matches_yun(self):
+        repeated = 0
+        for p in self.CASES:
+            expected = all(m == 1 for _f, m in oracle_yun(p))
+            assert SturmChain(p).squarefree == expected, p
+            repeated += not expected
+        assert repeated >= 60
+
+    def test_gcd_equals_fraction_gcd(self):
+        import random
+
+        rng = random.Random(7)
+        wide = 0
+        for p in self.CASES:
+            common = _random_poly(rng, 3)
+            a, b = p * common, _random_poly(rng, 5, sparse=True) * common
+            if rng.random() < 0.5:
+                a, b = b, a
+            assert poly_gcd(a, b) == oracle_gcd(a, b), (a, b)
+            wide += abs(a.degree - b.degree) >= 2
+        assert wide >= 60
+
+    def test_gcd_with_zero_and_constant_arguments(self):
+        zero, p = Polynomial.zero(), poly(F(-2, 3), 0, -4)
+        assert poly_gcd(zero, zero).is_zero
+        assert poly_gcd(p, zero) == poly_gcd(zero, p) == p.monic()
+        assert poly_gcd(p, Polynomial.constant(-3)) == ONE
+        assert poly_gcd(X, X.scale(-2)) == X
+
+    def test_low_degree_chains(self):
+        for p in (Polynomial.constant(F(-7, 2)), poly(3, -6), poly(F(1, 2), F(-1, 3))):
+            chain = SturmChain(p)
+            assert chain._chain == oracle_sturm_chain(p)
+            assert chain.squarefree
+        assert SturmChain(Polynomial.constant(-5))._chain == [[-1]]
+        assert SturmChain(poly(3, -6))._chain == [[1, -2], [-1]]
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            SturmChain(Polynomial.zero())
 
 
 # ---------------------------------------------------------------- counting

@@ -14,14 +14,13 @@ from melcert.melnikov import (
     assemble_confluent,
     assemble_melnikov,
 )
-from melcert import polynomials
+from melcert import polynomials, zeros
 from melcert.polynomials import (
     Interval,
     Polynomial,
     SturmChain,
     count_real_roots,
     descartes_bound,
-    squarefree_decomposition,
 )
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 from melcert.zeros import (
@@ -32,6 +31,8 @@ from melcert.zeros import (
     prescribe_zeros,
     theorem_bound,
 )
+
+from oracles import oracle_sturm_chain, oracle_yun
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 
@@ -274,33 +275,77 @@ class TestCountZeros:
         assert iv.lo**2 <= 2 <= iv.hi**2  # brackets sqrt(2) exactly
         assert iv.width <= FAM.h_max / 10**30
 
-    def test_one_gcd_and_one_chain_per_squarefree_eliminant(self, monkeypatch):
-        # gcd(p, p') inside the Yun decomposition is the only gcd of two
-        # nonzero polynomials; isolation, refinement and multiplicities
-        # all reuse one Sturm chain
+    @staticmethod
+    def _count_root_core_calls(monkeypatch):
+        """Record every poly_gcd call, Yun decomposition and Sturm chain."""
+        calls = {"gcd": 0, "yun": 0, "chains": []}
+        real_gcd, real_init = polynomials.poly_gcd, SturmChain.__init__
+        real_yun = zeros.squarefree_decomposition
+
+        def counting_gcd(a, b):
+            calls["gcd"] += 1
+            return real_gcd(a, b)
+
+        def counting_yun(p):
+            calls["yun"] += 1
+            return real_yun(p)
+
+        def counting_init(chain, p):
+            calls["chains"].append(p)
+            real_init(chain, p)
+
+        monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(zeros, "squarefree_decomposition", counting_yun)
+        monkeypatch.setattr(SturmChain, "__init__", counting_init)
+        return calls
+
+    def test_no_gcd_and_one_chain_per_squarefree_eliminant(self, monkeypatch):
+        # the chain of the eliminant itself certifies that it is squarefree,
+        # so no gcd and no Yun decomposition run; isolation, refinement and
+        # multiplicities all reuse that one chain
         nf = assemble_melnikov(FAM, draw_coeffs(rng_for(88, 5), 2))
         elim = eliminate_radicals(nf)
         reduced = Polynomial(elim.coeffs[1:])  # one forced root at h = 0
         assert reduced.eval(0) != 0
-        assert [m for _f, m in squarefree_decomposition(reduced)] == [1]
+        assert [m for _f, m in oracle_yun(reduced)] == [1]
 
-        gcds, chains = [], []
-        real_gcd, real_init = polynomials.poly_gcd, SturmChain.__init__
-
-        def counting_gcd(a, b):
-            gcds.append(not a.is_zero and not b.is_zero)
-            return real_gcd(a, b)
-
-        def counting_init(chain, squarefree):
-            chains.append(squarefree)
-            real_init(chain, squarefree)
-
-        monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
-        monkeypatch.setattr(SturmChain, "__init__", counting_init)
+        calls = self._count_root_core_calls(monkeypatch)
         report = count_zeros(nf)
         assert report.count_lo == report.count_hi == 2
-        assert sum(gcds) <= 1
-        assert len(chains) == 1
+        assert not report.multiplicity_suspected
+        assert calls["gcd"] == calls["yun"] == 0
+        assert calls["chains"] == [reduced]
+
+    @pytest.mark.parametrize(
+        "rad1, certified, undecided",
+        [
+            (Polynomial.from_roots([F(1), F(1)]), 1, 0),
+            (Polynomial((-2, 0, 1)) ** 2, 0, 1),
+        ],
+        ids=["touch_rational", "touch_irrational"],
+    )
+    def test_yun_fallback_only_for_multiple_roots(self, monkeypatch, rad1, certified, undecided):
+        # a touching zero makes the eliminant non-squarefree: the first
+        # chain says so, and one Yun decomposition then supplies the
+        # multiplicities and the squarefree part for a second chain
+        nf = MelnikovNormalForm(FAM, rad1, Polynomial.zero(), Polynomial.zero())
+        calls = self._count_root_core_calls(monkeypatch)
+        report = count_zeros(nf)
+        assert calls["yun"] == 1
+        assert len(calls["chains"]) == 2
+        assert report.multiplicity_suspected
+        assert (len(report.certified), len(report.undecided)) == (certified, undecided)
+        assert (report.count_lo, report.count_hi) == (certified, certified + undecided)
+
+    def test_chain_equals_fraction_chain_on_eliminants(self):
+        # eliminants of the acceptance sweep configurations, up to degree 13
+        for idx, (n, m1, m2) in enumerate([(2, 1, 1), (3, 1, 1), (2, 1, 2), (4, 2, 1)] * 3):
+            rng = rng_for(303, idx)
+            nf = assemble_melnikov(draw_family(rng, m1, m2), draw_coeffs(rng, n, box=F(1)))
+            if nf.is_zero:
+                continue
+            elim = eliminate_radicals(nf)
+            assert SturmChain(elim)._chain == oracle_sturm_chain(elim)
 
     def test_eliminant_root_at_annulus_edge(self):
         # rad1 vanishes at h_max = 4, so the eliminant does too; the zero
