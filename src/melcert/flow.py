@@ -2,16 +2,15 @@
 integration of the perturbed system with section-return cycle detection.
 
 Everything here is double precision by design; it is the oracle and the
-detector that exercise the exact pipeline, never the certifier.
+detector that exercise the exact pipeline, never the certifier.  numpy and
+scipy are imported on the first numeric call, so importing this module (and
+the exact pipeline that never makes such a call) does not load them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.integrate import solve_ivp
 
 from .melnikov import PerturbCoeffs, SystemFamily
 
@@ -57,6 +56,13 @@ class CycleReport:
     failures: dict = field(default_factory=dict)  # grid index -> message
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _float_tables(family: SystemFamily, coeffs: PerturbCoeffs):
     a1, a2 = float(family.alpha1), float(family.alpha2)
     terms_a = [(i, j, float(v)) for (i, j), v in sorted(coeffs.a.items())]
@@ -83,6 +89,8 @@ def numeric_melnikov(
         raise ValueError("orbit label outside the annulus")
     if nodes < 4 or nodes & (nodes - 1):
         raise ValueError("node count must be a power of two >= 4")
+    import numpy as np
+
     a1, a2, terms_a, terms_b = _float_tables(family, coeffs)
     m1, m2 = family.m1, family.m2
     root_h = math.sqrt(h)

@@ -364,46 +364,44 @@ def _pure_monomial_integral(k: int, family: SystemFamily) -> tuple:
     return rad1, rad2, tail
 
 
+def _reduce_y_powers(i: int, j: int, parts: int, pure) -> tuple:
+    """The `parts` h-polynomials of the loop integral of x**i * y**j.
+
+    pure(k) gives the same parts for x**k alone.  Odd powers of y integrate
+    to zero by the t -> pi - t symmetry; even powers expand binomially
+    through y**2 = h - x**2.
+    """
+    sums = [Polynomial.zero()] * parts
+    if j % 2 == 1:
+        return tuple(sums)
+    kk = j // 2
+    for l in range(kk + 1):
+        hpow = Polynomial.monomial(kk - l, Fraction((-1) ** l * math.comb(kk, l)))
+        sums = [total + part * hpow for total, part in zip(sums, pure(i + 2 * l))]
+    return tuple(sums)
+
+
 @lru_cache(maxsize=None)
 def monomial_integral(i: int, j: int, family: SystemFamily) -> MelnikovNormalForm:
-    """Loop integral of x**i * y**j / W dt in normal form (alpha1 != alpha2).
-
-    Odd powers of y integrate to zero by the t -> pi - t symmetry; even
-    powers reduce through y**2 = h - x**2.
-    """
+    """Loop integral of x**i * y**j / W dt in normal form (alpha1 != alpha2)."""
     if family.is_confluent:
         raise AssemblyError("confluent family: use the single-radical path")
     if i < 0 or j < 0:
         raise ValueError("exponents must be >= 0")
-    zero = Polynomial.zero()
-    if j % 2 == 1:
-        return MelnikovNormalForm(family, zero, zero, zero, family.is_mirror)
-    kk = j // 2
-    rad1 = rad2 = tail = zero
-    for l in range(kk + 1):
-        c = Fraction((-1) ** l * math.comb(kk, l))
-        hpow = Polynomial.monomial(kk - l, c)
-        r1, r2, t = _pure_monomial_integral(i + 2 * l, family)
-        rad1 = rad1 + r1 * hpow
-        rad2 = rad2 + r2 * hpow
-        tail = tail + t * hpow
+    rad1, rad2, tail = _reduce_y_powers(
+        i, j, 3, lambda k: _pure_monomial_integral(k, family)
+    )
     return MelnikovNormalForm(family, rad1, rad2, tail, family.is_mirror)
 
 
 @lru_cache(maxsize=None)
 def _confluent_monomial(i: int, j: int, m: int, alpha) -> tuple:
     """(rad, tail) in h for the loop integral of x**i y**j/(1-alpha*x)**m dt."""
-    if j % 2 == 1:
-        return Polynomial.zero(), Polynomial.zero()
-    kk = j // 2
-    rad = tail = Polynomial.zero()
-    for l in range(kk + 1):
-        c = Fraction((-1) ** l * math.comb(kk, l))
-        hpow = Polynomial.monomial(kk - l, c)
-        sf = monomial_power_integral(i + 2 * l, m, alpha)
-        rad = rad + sf.rad * hpow
-        tail = tail + sf.tail * hpow
-    return rad, tail
+    def pure(k):
+        sf = monomial_power_integral(k, m, alpha)
+        return sf.rad, sf.tail
+
+    return _reduce_y_powers(i, j, 2, pure)
 
 
 def assemble_melnikov(family: SystemFamily, coeffs: PerturbCoeffs) -> MelnikovNormalForm:

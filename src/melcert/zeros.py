@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .intervals import RatInterval
 from .melnikov import (
     ConfluentNormalForm,
@@ -415,6 +413,8 @@ def prescribe_zeros(
             if report.status == "ok" and report.count_lo == report.count_hi == 0:
                 return coeffs
         raise PrescribeError("no single-slot instance verified as zero-free")
+
+    import numpy as np  # only the float SVD below needs it
 
     for bits, denom_cap in ((256, 1 << 48), (512, 1 << 80), (768, 1 << 120)):
         rows = []

@@ -1,0 +1,77 @@
+"""Metamorphic properties of count_zeros under coefficient symmetries.
+
+The zero set of the averaged integral is unchanged when every perturbation
+coefficient is multiplied by the same nonzero rational, because the normal
+form is linear in them.  So the certified counts must not move, and for a
+positive factor neither may the isolating intervals.
+"""
+
+import pathlib
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings, strategies as st
+
+from melcert.cli import parse_spec
+from melcert.melnikov import PerturbCoeffs, assemble
+from melcert.sampling import draw_coeffs, draw_family, rng_for
+from melcert.zeros import count_zeros
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+SETTINGS = settings(derandomize=True, max_examples=15, deadline=None)
+
+
+def _drawn(seed: int):
+    rng = rng_for(4711, seed)
+    n = rng.randint(1, 3)
+    confluent = rng.random() < 0.25
+    family = draw_family(rng, rng.randint(1, 2), rng.randint(1, 2), confluent)
+    return family, draw_coeffs(rng, n)
+
+
+def _spec(name: str):
+    spec = parse_spec((INSTANCES / name).read_text())
+    return spec.family, spec.coeffs
+
+
+def _scaled(coeffs: PerturbCoeffs, c: F) -> PerturbCoeffs:
+    return PerturbCoeffs(
+        n=coeffs.n,
+        a={k: c * v for k, v in coeffs.a.items()},
+        b={k: c * v for k, v in coeffs.b.items()},
+        box=abs(c) * coeffs.box,
+    )
+
+
+def _counts(family, coeffs):
+    report = count_zeros(assemble(family, coeffs), n=coeffs.n)
+    return report, (report.status, report.count_lo, report.count_hi)
+
+
+def _intervals(report):
+    certified = [(z.interval.lo, z.interval.hi, z.sign_verified) for z in report.certified]
+    return certified, [(u.lo, u.hi) for u in report.undecided]
+
+
+instances = st.integers(0, 2**32).map(_drawn)
+factors = st.fractions(min_value=F(1, 10**9), max_value=F(10**9), max_denominator=10**9)
+
+
+@SETTINGS
+@given(instance=instances, c=factors)
+@example(instance=_spec("two_zeros.spec"), c=F(3, 7))
+@example(instance=_spec("confluent_n3.spec"), c=F(10**6, 3))
+def test_positive_scaling_keeps_counts_and_intervals(instance, c):
+    family, coeffs = instance
+    report, counts = _counts(family, coeffs)
+    scaled, scaled_counts = _counts(family, _scaled(coeffs, c))
+    assert scaled_counts == counts
+    assert _intervals(scaled) == _intervals(report)
+
+
+@SETTINGS
+@given(instance=instances)
+@example(instance=_spec("two_zeros.spec"))
+@example(instance=_spec("confluent_n3.spec"))
+def test_global_sign_flip_keeps_counts(instance):
+    family, coeffs = instance
+    assert _counts(family, _scaled(coeffs, F(-1)))[1] == _counts(family, coeffs)[1]
