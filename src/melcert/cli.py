@@ -53,10 +53,14 @@ from .zeros import count_zeros, theorem_bound
 
 
 # Largest accepted exponents and perturbation degree.  Assembly time grows
-# steeply with both (normal-form takes about 2 s at either limit), so larger
+# steeply with both (normal-form on a 2-core Xeon, Python 3.11: 0.25 s at
+# m1 = m2 = 16, 1 s at n = 32 with a full grid, 2.3 s at both), so larger
 # specs are refused up front instead of running for minutes.
 MAX_M = 16
 MAX_N = 32
+# Largest accepted digit count: one sample-curve point takes about 0.1 s at
+# 1000 digits and about 1.6 s at 4000 (same machine).
+MAX_PRECISION = 1000
 
 
 class SpecError(ValueError):
@@ -147,9 +151,11 @@ def parse_spec(text: str) -> InstanceSpec:
             spec.eps = _rational("settings", "eps", st["eps"])
             if spec.eps == 0:
                 raise SpecError("[settings] eps: must be nonzero")
-        for key in ("precision", "points", "grid", "seed", "samples"):
+        for key in ("points", "grid", "seed", "samples"):
             if key in st:
                 setattr(spec, key, _integer("settings", key, st[key]))
+        if "precision" in st:
+            spec.precision = _at_most("settings", "precision", st["precision"], MAX_PRECISION)
         for key in ("precision", "points", "grid"):
             if getattr(spec, key) < 1:
                 raise SpecError(f"[settings] {key}: must be >= 1")
@@ -190,22 +196,31 @@ def decimal_str(q: Fraction, digits: int) -> str:
     return f"{sign}{ip}.{str(frac).zfill(digits)}"
 
 
+def _at_least_power(n: int, d: int, e: int) -> bool:
+    """n/d >= 10**e for positive n, d."""
+    return n >= d * 10**e if e >= 0 else n * 10**-e >= d
+
+
 def sci_str(q: Fraction, sig: int = 3) -> str:
-    """Exact scientific notation with `sig` significant digits."""
+    """Exact scientific notation with `sig` significant digits, truncated.
+
+    The decimal exponent comes from integer comparisons, never from the
+    digit strings, so numerators and denominators of any size format.
+    """
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""
     n, d = abs(q.numerator), q.denominator
-    exp = len(str(n)) - len(str(d))
-    scaled = n * 10 ** (sig - exp) // d if exp <= sig else n // (d * 10 ** (exp - sig))
-    while scaled >= 10**sig:
-        scaled //= 10
-        exp += 1
-    while scaled < 10 ** (sig - 1):
-        scaled *= 10
+    # floor(log10(n/d)): the bit lengths give it to within one
+    exp = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while not _at_least_power(n, d, exp):
         exp -= 1
+    while _at_least_power(n, d, exp + 1):
+        exp += 1
+    shift = sig - 1 - exp
+    scaled = n * 10**shift // d if shift >= 0 else n // (d * 10**-shift)
     digits = str(scaled)
-    return f"{sign}{digits[0]}.{digits[1:]}e{exp - 1:+03d}"
+    return f"{sign}{digits[0]}.{digits[1:]}e{exp:+03d}"
 
 
 def _family_dict(family: SystemFamily) -> dict:
@@ -595,6 +610,8 @@ def _load_spec(args) -> InstanceSpec:
     if getattr(args, "precision", None) is not None:
         if args.precision < 1:
             raise SpecError("--precision must be >= 1")
+        if args.precision > MAX_PRECISION:
+            raise SpecError(f"--precision: {args.precision} exceeds the limit {MAX_PRECISION}")
         spec.precision = args.precision
     if getattr(args, "points", None) is not None:
         spec.points = args.points

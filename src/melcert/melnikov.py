@@ -237,77 +237,120 @@ def _u_poly(alpha: Fraction) -> Polynomial:
     return Polynomial((1, -(alpha * alpha)))
 
 
+def _pole_weights(k: int, alpha: Fraction, m: int, beta: Fraction, mb: int) -> tuple:
+    """Weights of 1/(1-alpha*x)**j, j = 1..m, in x**k/((1-alpha*x)**m*(1-beta*x)**mb).
+
+    With t = 1 - alpha*x the function is
+    alpha**(mb-k) * (1-t)**k * (c + d*t)**-mb / t**m, c = alpha - beta,
+    d = beta, so the weight of 1/t**j is the Taylor coefficient of t**(m-j)
+    in the numerator.  mb = 0 is the single-factor case.
+    """
+    c = alpha - beta
+    ratio = -beta / c
+    # (1 + (d/c)*t)**-mb, then times (1-t)**k, both truncated at t**(m-1)
+    inverse = [Fraction(1)]
+    for i in range(1, m):
+        inverse.append(inverse[-1] * (mb + i - 1) * ratio / i)
+    taylor = [
+        sum((-1) ** l * math.comb(k, l) * inverse[i - l] for l in range(min(i, k) + 1))
+        for i in range(m)
+    ]
+    scale = alpha ** (mb - k) / c**mb
+    return tuple(scale * taylor[m - j] for j in range(1, m + 1))
+
+
+def _expand(k: int, poles: tuple) -> tuple:
+    """Partial fractions of x**k over the product of (1-alpha*x)**m for the
+    one or two (alpha, m) in poles: the weights at each pole, then the
+    coefficients of the polynomial part x**k // denominator."""
+    weights = []
+    denominator = Polynomial.one()
+    for idx, (alpha, m) in enumerate(poles):
+        beta, mb = poles[1 - idx] if len(poles) == 2 else (Fraction(0), 0)
+        weights.append(_pole_weights(k, alpha, m, beta, mb))
+        denominator = denominator * Polynomial((1, -alpha)) ** m
+    return (*weights, (Polynomial.monomial(k) // denominator).coeffs)
+
+
+@lru_cache(maxsize=None)
+def _lift(j: int, m: int, alpha: Fraction) -> Polynomial:
+    """U_j(u) * u**(m-j) with u = 1 - alpha**2*h: the loop integral of
+    dt/(1-alpha*x)**j over the common denominator r**(2m-1)."""
+    u = _u_poly(alpha)
+    return _radial_numerator(j).compose(u) * u ** (m - j)
+
+
+@lru_cache(maxsize=None)
+def _pure_integral(k: int, poles: tuple) -> tuple:
+    """Loop integral of x**k over the poles' product, dt: one radical
+    numerator per pole, then the polynomial tail in h."""
+    *weights, quotient = _expand(k, poles)
+    parts = []
+    for pole_weights, (alpha, m) in zip(weights, poles):
+        rad = Polynomial.zero()
+        for j, c in enumerate(pole_weights, start=1):
+            if c:
+                rad = rad + _lift(j, m, alpha).scale(c)
+        parts.append(rad)
+    tail = Polynomial.zero()
+    for i, c in enumerate(quotient):
+        if c:
+            tail = tail + circle_moment(i, 0).scale(c)
+    return (*parts, tail)
+
+
+@lru_cache(maxsize=None)
+def _monomial_parts(i: int, j: int, poles: tuple) -> tuple:
+    """The parts of the loop integral of x**i * y**j over the poles' product.
+
+    Odd powers of y integrate to zero by the t -> pi - t symmetry; even
+    powers expand binomially through y**2 = h - x**2.
+    """
+    sums = [Polynomial.zero()] * (len(poles) + 1)
+    if j % 2 == 1:
+        return tuple(sums)
+    kk = j // 2
+    for l in range(kk + 1):
+        hpow = Polynomial.monomial(kk - l, Fraction((-1) ** l * math.comb(kk, l)))
+        parts = _pure_integral(i + 2 * l, poles)
+        sums = [total + part * hpow for total, part in zip(sums, parts)]
+    return tuple(sums)
+
+
+def _integrate(coeffs: PerturbCoeffs, poles: tuple) -> list:
+    """The parts of the first-order integral, linear in the coefficients:
+    a[i,j] weights the x**(i+1)*y**j integrand monomial and b[i,j] the
+    x**i*y**(j+1) one."""
+    sums = [Polynomial.zero()] * (len(poles) + 1)
+    terms = [((i + 1, j), v) for (i, j), v in coeffs.a.items()]
+    terms += [((i, j + 1), v) for (i, j), v in coeffs.b.items()]
+    for (i, j), value in terms:
+        parts = _monomial_parts(i, j, poles)
+        sums = [total + part.scale(value) for total, part in zip(sums, parts)]
+    return sums
+
+
+def _poles(family: SystemFamily) -> tuple:
+    return ((family.alpha1, family.m1), (family.alpha2, family.m2))
+
+
 def pure_power_integral(m: int, alpha) -> SingleFactorIntegral:
     """Loop integral of dt / (1 - alpha*x)**m, m >= 1, in closed form."""
     alpha = as_rational(alpha)
     if m < 1:
         raise ValueError("power must be >= 1")
-    rad = _radial_numerator(m).compose(_u_poly(alpha))
-    return SingleFactorIntegral(alpha, m, rad, Polynomial.zero())
+    return SingleFactorIntegral(alpha, m, _lift(m, m, alpha), Polynomial.zero())
 
 
-def power_moment(p: int, alpha) -> Polynomial:
-    """Loop integral of (1 - alpha*x)**p dt for p >= 0 (a polynomial in h)."""
-    alpha = as_rational(alpha)
-    if p < 0:
-        raise ValueError("moment power must be >= 0")
-    out = Polynomial.zero()
-    for q in range(0, p + 1, 2):
-        c = (
-            Fraction(2 * math.comb(p, q) * _double_factorial(q - 1), _double_factorial(q))
-            * alpha**q
-        )
-        out = out + Polynomial.monomial(q // 2, c)
-    return out
-
-
-@lru_cache(maxsize=None)
 def monomial_power_integral(k: int, m: int, alpha) -> SingleFactorIntegral:
-    """Loop integral of x**k / (1 - alpha*x)**m dt.
-
-    Reduces through x = (1 - (1-alpha*x))/alpha: residual negative powers
-    feed the pure power integral, nonnegative ones are plain moments.  The
-    1/alpha**k prefactor produced by the substitution is included.
-    """
+    """Loop integral of x**k / (1 - alpha*x)**m dt."""
     alpha = as_rational(alpha)
     if k < 0 or m < 1:
         raise ValueError("need k >= 0 and m >= 1")
-    u = _u_poly(alpha)
-    rad = Polynomial.zero()
-    tail = Polynomial.zero()
-    scale = Fraction(1) / alpha**k
-    for j in range(k + 1):
-        c = scale * ((-1) ** j) * math.comb(k, j)
-        if j < m:
-            # lift 1/r**(2(m-j)-1) to the common denominator r**(2m-1)
-            rad = rad + (_radial_numerator(m - j).compose(u) * u**j).scale(c)
-        else:
-            tail = tail + power_moment(j - m, alpha).scale(c)
+    rad, tail = _pure_integral(k, ((alpha, m),))
     return SingleFactorIntegral(alpha, m, rad, tail)
 
 
-def _solve_linear(matrix: list, rhs: list) -> list:
-    """Exact Gaussian elimination; matrix is a list of rows."""
-    n = len(matrix)
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    cols = len(matrix[0])
-    if n != cols:
-        raise ValueError("linear system must be square")
-    for col in range(cols):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular partial-fraction system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][-1] for r in range(n)]
-
-
-@lru_cache(maxsize=None)
 def partial_fractions(k: int, family: SystemFamily) -> PartialFractionRow:
     """Expand x**k over the two distinct linear factors of the family.
 
@@ -318,107 +361,25 @@ def partial_fractions(k: int, family: SystemFamily) -> PartialFractionRow:
         raise AssemblyError("partial fractions need distinct alphas")
     if k < 0:
         raise ValueError("k must be >= 0")
-    m1, m2 = family.m1, family.m2
-    f1 = Polynomial((1, -family.alpha1))
-    f2 = Polynomial((1, -family.alpha2))
-    tail_len = max(0, k - m1 - m2 + 1)
-    # columns: multiplying each basis term by the full denominator
-    basis = []
-    for j in range(1, m1 + 1):
-        basis.append(f1 ** (m1 - j) * f2**m2)
-    for j in range(1, m2 + 1):
-        basis.append(f1**m1 * f2 ** (m2 - j))
-    full = f1**m1 * f2**m2
-    for j in range(tail_len):
-        basis.append(full.shift_up(j))
-    size = len(basis)
-    matrix = [[p.coeff(row) for p in basis] for row in range(size)]
-    rhs = [Fraction(1) if row == k else Fraction(0) for row in range(size)]
-    sol = _solve_linear(matrix, rhs)
-    return PartialFractionRow(
-        k,
-        tuple(sol[:m1]),
-        tuple(sol[m1 : m1 + m2]),
-        tuple(sol[m1 + m2 :]),
-    )
+    return PartialFractionRow(k, *_expand(k, _poles(family)))
 
 
-@lru_cache(maxsize=None)
-def _pure_monomial_integral(k: int, family: SystemFamily) -> tuple:
-    """(rad1, rad2, tail) for the loop integral of x**k / W dt, alpha1 != alpha2."""
-    row = partial_fractions(k, family)
-    u1 = _u_poly(family.alpha1)
-    u2 = _u_poly(family.alpha2)
-    rad1 = Polynomial.zero()
-    rad2 = Polynomial.zero()
-    for j, c in enumerate(row.tilde_a, start=1):
-        if c:
-            rad1 = rad1 + (_radial_numerator(j).compose(u1) * u1 ** (family.m1 - j)).scale(c)
-    for j, c in enumerate(row.tilde_b, start=1):
-        if c:
-            rad2 = rad2 + (_radial_numerator(j).compose(u2) * u2 ** (family.m2 - j)).scale(c)
-    tail = Polynomial.zero()
-    for j, c in enumerate(row.tail):
-        if c:
-            tail = tail + circle_moment(j, 0).scale(c)
-    return rad1, rad2, tail
-
-
-def _reduce_y_powers(i: int, j: int, parts: int, pure) -> tuple:
-    """The `parts` h-polynomials of the loop integral of x**i * y**j.
-
-    pure(k) gives the same parts for x**k alone.  Odd powers of y integrate
-    to zero by the t -> pi - t symmetry; even powers expand binomially
-    through y**2 = h - x**2.
-    """
-    sums = [Polynomial.zero()] * parts
-    if j % 2 == 1:
-        return tuple(sums)
-    kk = j // 2
-    for l in range(kk + 1):
-        hpow = Polynomial.monomial(kk - l, Fraction((-1) ** l * math.comb(kk, l)))
-        sums = [total + part * hpow for total, part in zip(sums, pure(i + 2 * l))]
-    return tuple(sums)
-
-
-@lru_cache(maxsize=None)
 def monomial_integral(i: int, j: int, family: SystemFamily) -> MelnikovNormalForm:
     """Loop integral of x**i * y**j / W dt in normal form (alpha1 != alpha2)."""
     if family.is_confluent:
         raise AssemblyError("confluent family: use the single-radical path")
     if i < 0 or j < 0:
         raise ValueError("exponents must be >= 0")
-    rad1, rad2, tail = _reduce_y_powers(
-        i, j, 3, lambda k: _pure_monomial_integral(k, family)
-    )
+    rad1, rad2, tail = _monomial_parts(i, j, _poles(family))
     return MelnikovNormalForm(family, rad1, rad2, tail, family.is_mirror)
 
 
-@lru_cache(maxsize=None)
-def _confluent_monomial(i: int, j: int, m: int, alpha) -> tuple:
-    """(rad, tail) in h for the loop integral of x**i y**j/(1-alpha*x)**m dt."""
-    def pure(k):
-        sf = monomial_power_integral(k, m, alpha)
-        return sf.rad, sf.tail
-
-    return _reduce_y_powers(i, j, 2, pure)
-
-
 def assemble_melnikov(family: SystemFamily, coeffs: PerturbCoeffs) -> MelnikovNormalForm:
-    """Exact normal form of the first-order integral, alpha1 != alpha2.
-
-    Linear in the coefficients: a[i,j] weights the x**(i+1)*y**j integrand
-    monomial and b[i,j] the x**i*y**(j+1) one.
-    """
+    """Exact normal form of the first-order integral, alpha1 != alpha2."""
     if family.is_confluent:
         raise AssemblyError("confluent family passed to the two-radical assembly")
-    zero = Polynomial.zero()
-    total = MelnikovNormalForm(family, zero, zero, zero, family.is_mirror)
-    for (i, j), value in sorted(coeffs.a.items()):
-        total = total + monomial_integral(i + 1, j, family).scale(value)
-    for (i, j), value in sorted(coeffs.b.items()):
-        total = total + monomial_integral(i, j + 1, family).scale(value)
-    return total
+    rad1, rad2, tail = _integrate(coeffs, _poles(family))
+    return MelnikovNormalForm(family, rad1, rad2, tail, family.is_mirror)
 
 
 def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> ConfluentNormalForm:
@@ -432,15 +393,7 @@ def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> Confluent
         raise AssemblyError("two distinct alphas passed to the confluent assembly")
     alpha = family.alpha1
     m = family.m1 + family.m2
-    rad = tail = Polynomial.zero()
-    for (i, j), value in sorted(coeffs.a.items()):
-        r, t = _confluent_monomial(i + 1, j, m, alpha)
-        rad = rad + r.scale(value)
-        tail = tail + t.scale(value)
-    for (i, j), value in sorted(coeffs.b.items()):
-        r, t = _confluent_monomial(i, j + 1, m, alpha)
-        rad = rad + r.scale(value)
-        tail = tail + t.scale(value)
+    rad, tail = _integrate(coeffs, ((alpha, m),))
     # substitute h = (1 - r**2)/alpha**2 and clear to a single polynomial in r
     subst = Polynomial((1 / alpha**2, 0, -1 / alpha**2))
     pr = rad.compose(subst) + tail.compose(subst).shift_up(2 * m - 1)

@@ -54,16 +54,36 @@ def theorem_bound(family: SystemFamily, n: int):
     return value if value >= 0 else None
 
 
+def _cleared_parts(nf: MelnikovNormalForm) -> tuple:
+    """Radical-free numerators of the two-radical form, polynomials in h.
+
+    With r**(2m-1) = (1-alpha**2 h)**(m-1) * r over a common denominator, a
+    mirror pair (one radical s = r1) is a positive multiple of p + q*s and
+    gives (p, q); otherwise the form is a positive multiple of
+    A*r2 + B*r1 + C*r1*r2 and this gives (A, B, C).
+    """
+    fam = nf.family
+    u1 = _u_poly(fam.alpha1)
+    u2 = _u_poly(fam.alpha2)
+    if nf.merged:
+        m_bar = max(fam.m1, fam.m2)
+        p = nf.rad1 * u1 ** (m_bar - fam.m1) + nf.rad2 * u1 ** (m_bar - fam.m2)
+        return p, nf.tail * u1 ** (m_bar - 1)
+    a = nf.rad1 * u2 ** (fam.m2 - 1)
+    b = nf.rad2 * u1 ** (fam.m1 - 1)
+    c = nf.tail * u1 ** (fam.m1 - 1) * u2 ** (fam.m2 - 1)
+    return a, b, c
+
+
 def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
     """Polynomial in h whose roots contain every zero of the normal form.
 
-    Writes r**(2m-1) = (1-alpha**2 h)**(m-1) * r, isolates the radical
-    terms and squares.  A mirror pair (alpha2 == -alpha1) shares one
-    radical, so a single squaring suffices; otherwise two squarings give
+    Isolates the radical terms of `_cleared_parts` and squares.  A mirror
+    pair needs a single squaring, p**2 - q**2 u1; otherwise two squarings
+    give
 
-        (C**2 u1 u2 - A**2 u2 - B**2 u1)**2 - 4 A**2 B**2 u1 u2
+        (C**2 u1 u2 - A**2 u2 - B**2 u1)**2 - 4 A**2 B**2 u1 u2.
 
-    with A, B, C the radical-free numerators over the common denominator.
     Squaring is one-directional: roots that are not zeros of the original
     function are expected and filtered downstream.
     """
@@ -72,14 +92,12 @@ def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
     fam = nf.family
     u1 = _u_poly(fam.alpha1)
     u2 = _u_poly(fam.alpha2)
+    parts = _cleared_parts(nf)
     if nf.merged:
-        m_bar = max(fam.m1, fam.m2)
-        g = nf.rad1 * u1 ** (m_bar - fam.m1) + nf.rad2 * u1 ** (m_bar - fam.m2)
-        elim = g * g - nf.tail * nf.tail * u1 ** (2 * m_bar - 1)
+        p, q = parts
+        elim = p * p - q * q * u1
     else:
-        a = nf.rad1 * u2 ** (fam.m2 - 1)
-        b = nf.rad2 * u1 ** (fam.m1 - 1)
-        c = nf.tail * u1 ** (fam.m1 - 1) * u2 ** (fam.m2 - 1)
+        a, b, c = parts
         inner = c * c * u1 * u2 - a * a * u2 - b * b * u1
         elim = inner * inner - (a * b * a * b * u1 * u2).scale(4)
     if elim.is_zero:
@@ -121,20 +139,15 @@ def exact_zero_at(nf, h) -> bool:
 
     u1 = Fraction(1) - fam.alpha1**2 * h
     u2 = Fraction(1) - fam.alpha2**2 * h
+    parts = [part.eval(h) for part in _cleared_parts(nf)]
     if nf.merged:
         # value scales to p + q*s with s = sqrt(u1) > 0
-        m_bar = max(fam.m1, fam.m2)
-        p = nf.rad1.eval(h) * u1 ** (m_bar - fam.m1) + nf.rad2.eval(h) * u1 ** (
-            m_bar - fam.m2
-        )
-        q = nf.tail.eval(h) * u1 ** (m_bar - 1)
+        p, q = parts
         if _is_square(u1):
             return p + q * _sqrt_exact(u1) == 0
         return p == 0 and q == 0
 
-    a = nf.rad1.eval(h) * u2 ** (fam.m2 - 1)
-    b = nf.rad2.eval(h) * u1 ** (fam.m1 - 1)
-    c = nf.tail.eval(h) * u1 ** (fam.m1 - 1) * u2 ** (fam.m2 - 1)
+    a, b, c = parts
     sq1, sq2 = _is_square(u1), _is_square(u2)
     if sq1 and sq2:
         return a * _sqrt_exact(u2) + b * _sqrt_exact(u1) + c * _sqrt_exact(u1 * u2) == 0

@@ -3,10 +3,16 @@
 The gcd, Yun decomposition and Sturm chain here use plain rational
 arithmetic (`Fraction` Euclid and `Fraction` remainders), not the integer
 pseudo-remainder sequence of `melcert.polynomials`, so they share no
-algorithm with the code under test.
+algorithm with the code under test.  The partial fractions here solve the
+dense linear system for the coefficients, and the single-factor expansion
+substitutes x = (1 - (1-alpha*x))/alpha binomially, where `melcert.melnikov`
+reads Taylor coefficients at each pole in closed form.
 """
 
 import math
+from fractions import Fraction
+
+from melcert.polynomials import Polynomial
 
 
 def oracle_gcd(a, b):
@@ -95,3 +101,63 @@ def grid_scan_count(p, lo, hi, steps):
                 prev = s
         total += count
     return total
+
+
+def _solve_linear(matrix, rhs):
+    """Exact Gauss-Jordan elimination on a square system of rows."""
+    n = len(matrix)
+    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][-1] for r in range(n)]
+
+
+def oracle_partial_fractions(k, alpha1, m1, alpha2, m2):
+    """(tilde_a, tilde_b, tail) for x**k / ((1-alpha1*x)**m1 (1-alpha2*x)**m2)
+    from the linear system that equates coefficients after clearing the
+    denominator; alpha1 != alpha2."""
+    f1 = Polynomial((1, -alpha1))
+    f2 = Polynomial((1, -alpha2))
+    basis = [f1 ** (m1 - j) * f2**m2 for j in range(1, m1 + 1)]
+    basis += [f1**m1 * f2 ** (m2 - j) for j in range(1, m2 + 1)]
+    full = f1**m1 * f2**m2
+    basis += [full.shift_up(j) for j in range(max(0, k - m1 - m2 + 1))]
+    size = len(basis)
+    matrix = [[p.coeff(row) for p in basis] for row in range(size)]
+    rhs = [Fraction(int(row == k)) for row in range(size)]
+    sol = _solve_linear(matrix, rhs)
+    return tuple(sol[:m1]), tuple(sol[m1 : m1 + m2]), tuple(sol[m1 + m2 :])
+
+
+def oracle_power_moment(p, alpha):
+    """Loop integral of (1 - alpha*x)**p dt / pi for p >= 0, a polynomial in
+    h, by the binomial expansion and the Wallis moments of sin**q."""
+    out = Polynomial.zero()
+    for q in range(0, p + 1, 2):
+        wallis = Fraction(
+            2 * math.comb(p, q) * math.prod(range(q - 1, 0, -2)), math.prod(range(q, 0, -2))
+        )
+        out = out + Polynomial.monomial(q // 2, wallis * alpha**q)
+    return out
+
+
+def oracle_single_factor(k, m, alpha):
+    """(weights, tail) for x**k / (1-alpha*x)**m: weights[j-1] multiplies
+    1/(1-alpha*x)**j, and tail is the loop integral of the polynomial part
+    in h.  Substitutes x = (1 - (1-alpha*x))/alpha and expands binomially."""
+    weights = [Fraction(0)] * m
+    tail = Polynomial.zero()
+    for j in range(k + 1):
+        c = (-1) ** j * math.comb(k, j) / alpha**k
+        if j < m:
+            weights[m - j - 1] = c
+        else:
+            tail = tail + oracle_power_moment(j - m, alpha).scale(c)
+    return tuple(weights), tail

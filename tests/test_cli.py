@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from melcert.cli import (
     MAX_M,
     MAX_N,
+    MAX_PRECISION,
     InstanceSpec,
     SpecError,
     decimal_str,
@@ -81,6 +83,12 @@ class TestParsing:
             with pytest.raises(SpecError, match=where):
                 parse_spec(family.format(m1=m1, m2=m2) + pert.format(n=n))
 
+    def test_oversized_precision_rejected(self):
+        text = BASIC.replace("precision = 30", "precision = {}")
+        assert parse_spec(text.format(MAX_PRECISION)).precision == MAX_PRECISION
+        with pytest.raises(SpecError, match=r"\[settings\] precision: .* exceeds the limit"):
+            parse_spec(text.format(MAX_PRECISION + 1))
+
     def test_malformed_key_rejected(self):
         with pytest.raises(SpecError, match="a_i_j"):
             parse_spec(
@@ -102,6 +110,33 @@ class TestFormatting:
         assert sci_str(F(1, 10**31)) == "1.00e-31"
         assert sci_str(F(0)) == "0"
         assert sci_str(F(-250)) == "-2.50e+02"
+
+    def test_scientific_matches_digit_count_reference(self):
+        # the former formatter, which read the exponent off the digit
+        # strings and so failed beyond 4300 digits
+        def by_digit_count(q, sig=3):
+            sign = "-" if q < 0 else ""
+            n, d = abs(q.numerator), q.denominator
+            exp = len(str(n)) - len(str(d))
+            scaled = n * 10 ** (sig - exp) // d if exp <= sig else n // (d * 10 ** (exp - sig))
+            while scaled >= 10**sig:
+                scaled //= 10
+                exp += 1
+            digits = str(scaled)
+            return f"{sign}{digits[0]}.{digits[1:]}e{exp - 1:+03d}"
+
+        rng = random.Random(1234)
+        values = [F(10**k) for k in range(-40, 41)] + [F(10**k - 1) for k in range(1, 40)]
+        for _ in range(2000):
+            num = rng.randrange(1, 10 ** rng.randint(1, 400)) * rng.choice((1, -1))
+            values.append(F(num, rng.randrange(1, 10 ** rng.randint(1, 400))))
+        for q in values:
+            for sig in (1, 3, 5):
+                assert sci_str(q, sig) == by_digit_count(q, sig), (q, sig)
+
+    def test_scientific_beyond_string_conversion_limit(self):
+        assert sci_str(F(3, 10**5000)) == "3.00e-5000"
+        assert sci_str(F(-(10**5000) * 7, 3)) == "-2.33e+5000"
 
 
 class TestReports:
@@ -258,6 +293,27 @@ class TestCommands:
         csv = sample_curve_csv(spec, 24)
         values = [float(line.split(",")[1]) for line in csv.strip().splitlines()[1:]]
         assert all(v > 0 for v in values) or all(v < 0 for v in values)
+
+    def test_sample_curve_at_high_precision(self, capsys):
+        # the enclosure widths here have numerators and denominators far
+        # beyond 4300 decimal digits
+        spec = str(INSTANCES / "n2_basic.spec")
+        rc = main(["sample-curve", "--spec", spec, "--precision", "400", "--points", "2"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            h, mid, width = row.split(",")
+            assert len(mid.partition(".")[2]) == 400
+            assert F(width.replace("e", "E")) <= F(1, 10**400)
+
+    def test_precision_above_limit_exits_1(self, capsys):
+        spec = str(INSTANCES / "n2_basic.spec")
+        too_many = MAX_PRECISION + 1
+        rc = main(["sample-curve", "--spec", spec, "--precision", str(too_many)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --precision: {too_many} exceeds the limit {MAX_PRECISION}\n"
 
     def test_sample_curve_deterministic(self):
         spec = parse_spec(BASIC)

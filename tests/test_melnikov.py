@@ -4,7 +4,9 @@ The oracle here is a plain trapezoidal loop integral over the circle
 parametrization, written directly on numpy arrays; it shares no code with
 the exact pipeline it validates.  Smooth periodic integrands make the
 trapezoid rule spectrally accurate, so 2**14 nodes give ~1e-13 relative
-error everywhere these tests evaluate.
+error everywhere these tests evaluate.  The closed-form pole expansion is
+also checked member for member against the linear-system and binomial
+references in `oracles`.
 """
 
 import math
@@ -29,12 +31,12 @@ from melcert.melnikov import (
     monomial_integral,
     monomial_power_integral,
     partial_fractions,
-    power_moment,
     pure_power_integral,
     scaled_value,
 )
 from melcert.polynomials import Polynomial
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
+from oracles import oracle_partial_fractions, oracle_power_moment, oracle_single_factor
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 FAM_12 = SystemFamily(F(1, 2), F(-1, 3), 1, 2)
@@ -161,10 +163,47 @@ class TestMonomialPowerIntegral:
 
     def test_power_moment_small_cases(self):
         alpha = F(1, 2)
-        assert power_moment(0, alpha) == Polynomial.constant(2)
-        assert power_moment(1, alpha) == Polynomial.constant(2)
+        assert oracle_power_moment(0, alpha) == Polynomial.constant(2)
+        assert oracle_power_moment(1, alpha) == Polynomial.constant(2)
         # (1 - a sin)^2 integrates to 2*pi + pi*a**2: stored as 2 + alpha^2 h
-        assert power_moment(2, alpha) == Polynomial((2, F(1, 4)))
+        assert oracle_power_moment(2, alpha) == Polynomial((2, F(1, 4)))
+
+
+def _lifted(weights, m, alpha):
+    """sum_j weights[j-1] * U_j(u) * u**(m-j), u = 1 - alpha**2 h, built
+    here from the radial numerators alone."""
+    u = Polynomial((1, -alpha * alpha))
+    rad = Polynomial.zero()
+    for j, c in enumerate(weights, start=1):
+        rad = rad + (_radial_numerator(j).compose(u) * u ** (m - j)).scale(c)
+    return rad
+
+
+class TestPoleKernelAgainstOracles:
+    """The closed-form pole weights against the dense linear system and the
+    binomial substitution, over seeded families with k <= 20 and m <= 5."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_radical_rows_equal_linear_system(self, seed):
+        rng = rng_for(2024, seed)
+        fam = draw_family(rng, rng.randint(1, 5), rng.randint(1, 5))
+        tails = 0
+        for k in range(21):
+            row = partial_fractions(k, fam)
+            ref = oracle_partial_fractions(k, fam.alpha1, fam.m1, fam.alpha2, fam.m2)
+            assert (row.tilde_a, row.tilde_b, row.tail) == ref, f"k={k}"
+            tails += any(row.tail)
+        assert tails  # rows with a nonzero polynomial part were compared
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_single_factor_equals_binomial_expansion(self, m):
+        rng = rng_for(2025, m)
+        for alpha in (draw_alpha(rng), draw_alpha(rng), F(-3, 7)):
+            for k in range(21):
+                weights, tail = oracle_single_factor(k, m, alpha)
+                sf = monomial_power_integral(k, m, alpha)
+                assert sf.tail == tail, f"k={k}"
+                assert sf.rad == _lifted(weights, m, alpha), f"k={k}"
 
 
 class TestPartialFractions:

@@ -4,16 +4,22 @@ The zero set of the averaged integral is unchanged when every perturbation
 coefficient is multiplied by the same nonzero rational, because the normal
 form is linear in them.  So the certified counts must not move, and for a
 positive factor neither may the isolating intervals.
+
+On a mirror family (alpha2 == -alpha1) both radicals are the same, so the
+certified counts must also agree between the merged single-squaring
+eliminant and the generic two-squaring one, reached by clearing the
+`merged` flag of the same form.
 """
 
+import dataclasses
 import pathlib
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
 
 from melcert.cli import parse_spec
-from melcert.melnikov import PerturbCoeffs, assemble
-from melcert.sampling import draw_coeffs, draw_family, rng_for
+from melcert.melnikov import PerturbCoeffs, SystemFamily, assemble
+from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 from melcert.zeros import count_zeros
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -75,3 +81,23 @@ def test_positive_scaling_keeps_counts_and_intervals(instance, c):
 def test_global_sign_flip_keeps_counts(instance):
     family, coeffs = instance
     assert _counts(family, _scaled(coeffs, F(-1)))[1] == _counts(family, coeffs)[1]
+
+
+def _mirror(seed: int):
+    rng = rng_for(5150, seed)
+    alpha = draw_alpha(rng)
+    family = SystemFamily(alpha, -alpha, rng.randint(1, 3), rng.randint(1, 3))
+    return family, draw_coeffs(rng, rng.randint(1, 4))
+
+
+@SETTINGS
+@given(instance=st.integers(0, 2**32).map(_mirror))
+@example(instance=_mirror(21))  # two certified zeros, m = (3, 3)
+def test_mirror_merged_and_generic_elimination_agree(instance):
+    family, coeffs = instance
+    nf = assemble(family, coeffs)
+    assert nf.merged
+    merged = count_zeros(nf, n=coeffs.n)
+    generic = count_zeros(dataclasses.replace(nf, merged=False), n=coeffs.n)
+    assert generic.eliminant_degree > merged.eliminant_degree
+    assert (generic.count_lo, generic.count_hi) == (merged.count_lo, merged.count_hi)
