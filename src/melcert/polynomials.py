@@ -1,15 +1,17 @@
 """Exact univariate polynomial algebra over the rationals.
 
 `Polynomial` holds `fractions.Fraction` coefficients, and nothing in this
-module touches floating point.  The root core works in plain ints: one
-pseudo-remainder routine builds the primitive remainder sequence over Z
-that serves both `poly_gcd` and `SturmChain`.  `SturmChain` is the one
-root isolator: built once per polynomial, it certifies on the way whether
-the polynomial is squarefree, counts roots on half-open windows, isolates
-them with exact rational endpoints and refines them by bisection.
-`count_real_roots`, `isolate_roots` and `refine_root` are entry points
-that build one chain for an arbitrary polynomial, falling back to its
-squarefree part only when it has a multiple root.
+module touches floating point.  The root core works in plain ints and rests
+on Descartes' rule of signs.  `modular_squarefree` certifies a polynomial
+squarefree by gcd(p, p') modulo a prime that does not divide lc(p); only
+when that fails does the exact Yun decomposition run, over `poly_gcd` and
+its primitive remainder sequence over Z.  `DescartesIsolator` is the one
+root isolator: on a squarefree polynomial it counts roots on half-open
+windows, isolates them by Vincent-Collins-Akritas bisection with exact
+rational endpoints and refines them by bisection with exact integer signs.
+`count_real_roots`, `isolate_roots` and `refine_root` are entry points that
+build one isolator for an arbitrary polynomial, on its squarefree part when
+the certificate fails.
 """
 
 from __future__ import annotations
@@ -290,7 +292,8 @@ def _neg_prem(a: list, b: list) -> list:
 
 
 def _primitive_prs(a: list, b: list) -> list:
-    """Primitive Sturm remainder sequence of a, b over Z (deg a >= deg b).
+    """Primitive Sturm remainder sequence of a, b over Z (deg a >= deg b),
+    which `poly_gcd` runs on.
 
     [a, b, r2, r3, ...] with r(k+1) the primitive part of -(r(k-1) mod
     r(k)), ending at a constant or where the next remainder vanishes: the
@@ -365,106 +368,179 @@ def _sign_changes(values: Sequence[int]) -> int:
     return changes
 
 
-class SturmChain:
-    """Sturm chain of a polynomial: the one root isolator.
+# The squarefree certificate: gcd(p, p') modulo the first of these primes
+# that does not divide lc(p).  They are Mersenne primes, easy to check.
+_CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
 
-    Built once per polynomial, as the primitive remainder sequence of
-    (p, p') over Z, and held as integer coefficient lists for fast exact
-    sign evaluation at rationals.  The chain ends in gcd(p, p'), so it
-    certifies on the way whether p is `squarefree`; counting, isolation
-    and refinement need a squarefree p.  V(lo) - V(hi) then counts the
-    roots in (lo, hi] even when an endpoint is a root: at a root of a
-    squarefree polynomial the variation count V already takes its value
-    from the right.
+
+def _gcd_degree_mod(ic: list, q: int) -> int:
+    """Degree of gcd(p, p') over GF(q), by Euclid on residues; ic holds
+    p's int coefficients, constant term first."""
+    a = [c % q for c in ic]
+    b = [k * c % q for k, c in enumerate(a)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv, db = pow(b[-1], -1, q), len(b) - 1
+        for k in range(len(a) - 1 - db, -1, -1):
+            f = a[k + db] * inv % q
+            if f:
+                for j, c in enumerate(b):
+                    a[k + j] = (a[k + j] - f * c) % q
+        a = a[:db]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def modular_squarefree(p: Polynomial) -> bool:
+    """True when gcd(p, p') mod a prime q not dividing lc(p) is constant.
+
+    That certifies p squarefree over Q: a square factor g**2 of p would
+    reduce mod q to one of the same degree, since q does not divide lc(g),
+    and divide both p and p' there (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 6).  False gives no verdict: p has a multiple
+    root, or q divides its discriminant, or every prime divides lc(p).
+    """
+    if p.is_zero:
+        raise ValueError("squarefree certificate of the zero polynomial")
+    if p.degree == 0:
+        return True
+    ic = _primitive_ints(p)
+    q = next((q for q in _CERT_PRIMES if ic[-1] % q), None)
+    return q is not None and _gcd_degree_mod(ic, q) == 0
+
+
+def _isign_at(ic: list, num: int, den: int) -> int:
+    # sign of sum(ic[k] * (num/den)**k) == sign of the homogenised
+    # sum(ic[k] * num**k * den**(d-k)), by Horner from the top
+    acc = ic[-1]
+    dpow = 1
+    for c in reversed(ic[:-1]):
+        dpow *= den
+        acc = acc * num + c * dpow
+    return (acc > 0) - (acc < 0)
+
+
+def _taylor_shift(c: list, a: int) -> list:
+    """Coefficients of c(x + a), constant term first."""
+    c = list(c)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def _halve(c: list) -> list:
+    """2**d * c(x/2): c on the left half of (0, 1), mapped onto (0, 1)."""
+    d = len(c) - 1
+    return [ck << (d - k) for k, ck in enumerate(c)]
+
+
+def _variations01(c: list) -> int:
+    """Descartes' bound for the roots of c in (0, 1), capped at 2.
+
+    Counts the sign variations of (x + 1)**d c(1/(x + 1)), whose positive
+    roots are those of c in (0, 1); the count is exact when it is 0 or 1.
+    """
+    t = _taylor_shift(c[::-1], 1)
+    return min(_sign_changes([(a > 0) - (a < 0) for a in t]), 2)
+
+
+def _count01(c: list) -> int:
+    """Exact number of roots of the squarefree c in the open (0, 1)."""
+    v = _variations01(c)
+    if v < 2:
+        return v
+    left = _halve(c)
+    right = _taylor_shift(left, 1)
+    return _count01(left) + _count01(right) + (right[0] == 0)
+
+
+class DescartesIsolator:
+    """Real roots of a squarefree polynomial: the one root isolator.
+
+    Holds p as primitive ints.  A window (a, b) is mapped affinely onto
+    (0, 1) with integer coefficients, where Descartes' rule bounds the
+    roots and is exact for 0 or 1.  Isolation is Vincent-Collins-Akritas
+    bisection (Collins & Akritas 1976; Rouillier & Zimmermann 2004) on a
+    dyadic tree: halving is x -> x/2 and the right half a Taylor shift by
+    1.  It returns the intervals a Sturm-chain isolator would return on
+    that tree, the largest node around each root.  Refinement bisects by
+    exact integer signs.  Roots at window endpoints are allowed; counting,
+    isolation and refinement need p squarefree (`modular_squarefree`).
     """
 
     def __init__(self, p: Polynomial):
         if p.is_zero:
-            raise ValueError("Sturm chain of the zero polynomial")
-        ic = _primitive_ints(p)
-        if len(ic) == 1:
-            self._chain = [ic]
-        else:
-            d = _content_free([k * c for k, c in enumerate(ic)][1:])
-            self._chain = _primitive_prs(ic, d)
-        self._variation_cache: dict = {}
-
-    @property
-    def squarefree(self) -> bool:
-        """True iff gcd(p, p') is constant, i.e. the chain ends in one."""
-        return len(self._chain[-1]) == 1
-
-    @staticmethod
-    def _isign_at(ic: list, num: int, den: int) -> int:
-        # sign of sum(ic[k] * (num/den)**k) == sign of the homogenised
-        # sum(ic[k] * num**k * den**(d-k)), by Horner from the top
-        acc = ic[-1]
-        dpow = 1
-        for c in reversed(ic[:-1]):
-            dpow *= den
-            acc = acc * num + c * dpow
-        return (acc > 0) - (acc < 0)
+            raise ValueError("root isolation of the zero polynomial")
+        self._ic = _primitive_ints(p)
 
     def sign_at(self, x: Fraction) -> int:
-        """Sign of the squarefree polynomial at x."""
-        return self._isign_at(self._chain[0], x.numerator, x.denominator)
+        """Sign of the polynomial at x."""
+        return _isign_at(self._ic, x.numerator, x.denominator)
 
-    def variations_at(self, x: Fraction) -> int:
-        cached = self._variation_cache.get(x)
-        if cached is None:
-            num, den = x.numerator, x.denominator
-            cached = _sign_changes([self._isign_at(ic, num, den) for ic in self._chain])
-            self._variation_cache[x] = cached
-        return cached
+    def _window(self, a: Fraction, b: Fraction) -> list:
+        """A positive int multiple of p(a + (b - a) x): p on (a, b) as a
+        polynomial on (0, 1)."""
+        den = math.lcm(a.denominator, b.denominator)
+        na = a.numerator * (den // a.denominator)
+        w = b.numerator * (den // b.denominator) - na
+        d = len(self._ic) - 1
+        # den**d p(x/den), shifted by na, then x -> w x
+        c = [ck * den ** (d - k) for k, ck in enumerate(self._ic)]
+        if na:
+            c = _taylor_shift(c, na)
+        return [ck * w**k for k, ck in enumerate(c)]
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in (lo, hi]; either endpoint may be a root."""
         if lo >= hi:
             return 0
-        return self.variations_at(lo) - self.variations_at(hi)
+        return _count01(self._window(lo, hi)) + (self.sign_at(hi) == 0)
+
+    def _split(self, a: Fraction, b: Fraction, c: list) -> list:
+        """Isolating intervals for the roots in the open (a, b), c being p
+        on (a, b)."""
+        v = _variations01(c)
+        if v < 2:
+            return [Interval(a, b)] * v
+        mid = (a + b) / 2
+        left = _halve(c)
+        right = _taylor_shift(left, 1)
+        if right[0]:
+            found = self._split(a, mid, left) + self._split(mid, b, right)
+        else:
+            found = [Interval(mid, mid)]
+            # retreat to nearby non-root cut points around the exact hit
+            delta = (b - a) / 4
+            while True:
+                lo, hi = mid - delta, mid + delta
+                if (
+                    self.sign_at(lo)
+                    and self.sign_at(hi)
+                    and _count01(self._window(lo, hi)) == 1
+                ):
+                    break
+                delta /= 2
+            found += self._split(a, lo, self._window(a, lo))
+            found += self._split(hi, b, self._window(hi, b))
+        # a node that holds one root is that root's interval
+        return [Interval(a, b)] if len(found) == 1 else found
 
     def isolate(self, lo: Fraction, hi: Fraction) -> list:
         """Disjoint isolating intervals, one per root in (lo, hi], sorted.
 
         A root at hi comes back as the degenerate [hi, hi], and so does
-        every root that a bisection midpoint hits exactly; every other
-        interval holds exactly one root, strictly inside.
+        every root that a bisection midpoint hits exactly while its node
+        holds another root.  Every other interval holds exactly one root
+        strictly inside; only lo or hi themselves can be roots at its ends.
         """
-        found = []
         if lo >= hi:
-            return found
-
-        def inside(a, b):  # roots in the open (a, b)
-            return self.count(a, b) - (self.sign_at(b) == 0)
-
-        def split(a: Fraction, b: Fraction):
-            n = inside(a, b)
-            if n == 0:
-                return
-            if n == 1:
-                found.append(Interval(a, b))
-                return
-            mid = (a + b) / 2
-            if self.sign_at(mid) != 0:
-                split(a, mid)
-                split(mid, b)
-                return
-            found.append(Interval(mid, mid))
-            # retreat to nearby non-root cut points around the exact hit
-            delta = (b - a) / 4
-            while True:
-                left, right = mid - delta, mid + delta
-                if (
-                    self.sign_at(left) != 0
-                    and self.sign_at(right) != 0
-                    and self.count(left, right) == 1
-                ):
-                    break
-                delta /= 2
-            split(a, left)
-            split(right, b)
-
-        split(lo, hi)
+            return []
+        found = self._split(lo, hi, self._window(lo, hi))
         if self.sign_at(hi) == 0:
             found.append(Interval(hi, hi))
         found.sort(key=lambda r: (r.lo, r.hi))
@@ -478,43 +554,51 @@ class SturmChain:
         the root exactly comes back as a degenerate interval.
         """
         lo, hi = iv.lo, iv.hi
-        s_hi = self.sign_at(hi)
+        s_lo, s_hi = self.sign_at(lo), self.sign_at(hi)
         while hi - lo > width:
             mid = (lo + hi) / 2
             s = self.sign_at(mid)
             if s == 0:
                 return Interval(mid, mid)
-            # a simple root lies left of mid iff mid has hi's sign; while
-            # hi is itself a root the count decides instead
-            if s == s_hi or (s_hi == 0 and self.count(lo, mid) == 1):
+            # the simple root inside flips the sign: it lies left of mid
+            # iff mid has hi's sign, or lacks lo's; with both ends roots,
+            # count
+            if s_hi:
+                go_left = s == s_hi
+            elif s_lo:
+                go_left = s != s_lo
+            else:
+                go_left = _count01(self._window(lo, mid)) == 1
+            if go_left:
                 hi, s_hi = mid, s
             else:
-                lo = mid
+                lo, s_lo = mid, s
         return Interval(lo, hi)
 
 
-def _squarefree_chain(p: Polynomial) -> SturmChain:
-    """Chain of p itself, or of its squarefree part when p has a multiple
-    root (only then is a gcd computed)."""
-    chain = SturmChain(p)
-    return chain if chain.squarefree else SturmChain(squarefree_part(p))
+def _squarefree_isolator(p: Polynomial) -> DescartesIsolator:
+    """Isolator of p itself when certified squarefree, else of the product
+    of its Yun factors (only then is a gcd computed)."""
+    if modular_squarefree(p):
+        return DescartesIsolator(p)
+    return DescartesIsolator(
+        math.prod((f for f, _m in squarefree_decomposition(p)), start=Polynomial.one())
+    )
 
 
 def count_real_roots(p: Polynomial, iv: Interval) -> int:
     """Exact number of distinct real roots of p in (iv.lo, iv.hi]."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    return _squarefree_chain(p).count(iv.lo, iv.hi)
+    return _squarefree_isolator(p).count(iv.lo, iv.hi)
 
 
 def count_real_roots_with_multiplicity(p: Polynomial, iv: Interval) -> int:
     """Roots in (iv.lo, iv.hi] counted with their multiplicities."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    return sum(
-        mult * SturmChain(factor).count(iv.lo, iv.hi)
-        for factor, mult in squarefree_decomposition(p)
-    )
+    factors = [(p, 1)] if modular_squarefree(p) else squarefree_decomposition(p)
+    return sum(mult * DescartesIsolator(f).count(iv.lo, iv.hi) for f, mult in factors)
 
 
 def isolate_roots(p: Polynomial, iv: Interval) -> list:
@@ -525,27 +609,31 @@ def isolate_roots(p: Polynomial, iv: Interval) -> list:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return _squarefree_chain(p).isolate(iv.lo, iv.hi)
+    return _squarefree_isolator(p).isolate(iv.lo, iv.hi)
 
 
 def refine_root(p: Polynomial, iv: Interval, width) -> Interval:
     """Shrink an isolating interval by bisection to the requested width.
 
     The input must isolate a single root: p has exactly one distinct root
-    in (lo, hi], whether or not p changes sign across the endpoints.
+    in (lo, hi], whether or not p changes sign across the endpoints.  The
+    width must be positive.
     """
     if p.is_zero:
         raise ValueError("cannot refine a root of the zero polynomial")
+    width = as_rational(width)
+    if width <= 0:
+        raise ValueError(f"refinement width must be positive, got {width}")
     if iv.lo == iv.hi:
         if p.eval(iv.lo) != 0:
             raise ValueError("degenerate interval does not contain a root")
         return iv
-    chain = _squarefree_chain(p)
-    if chain.count(iv.lo, iv.hi) != 1:
+    core = _squarefree_isolator(p)
+    if core.count(iv.lo, iv.hi) != 1:
         raise ValueError("interval does not isolate exactly one root")
-    if chain.sign_at(iv.hi) == 0:
+    if core.sign_at(iv.hi) == 0:
         return Interval(iv.hi, iv.hi)
-    return chain.refine(iv, as_rational(width))
+    return core.refine(iv, width)
 
 
 def descartes_bound(p: Polynomial) -> int:

@@ -7,6 +7,12 @@ root is filtered by rigorous sign evaluation.  The collapsed single-radical
 form needs no squaring: its zeros are exactly the roots of a polynomial in
 r on (0, 1).  Counts are reported as a [count_lo, count_hi] range that
 collapses whenever every candidate is decided.
+
+Candidates come from the Descartes root core of `polynomials`: a gcd of the
+eliminant and its derivative modulo a prime usually certifies it
+squarefree, and one `DescartesIsolator` on it isolates and refines every
+root.  Only when that certificate fails does a Yun decomposition supply
+the multiplicities and the squarefree part to isolate.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ from .melnikov import (
     _u_poly,
 )
 from .polynomials import (
+    DescartesIsolator,
     Interval,
     Polynomial,
-    SturmChain,
     as_rational,
+    modular_squarefree,
     squarefree_decomposition,
 )
 
@@ -214,17 +221,17 @@ def certified_sign(nf, h: Interval, bits: int, max_bits: int):
     return None
 
 
-def _isolate_open(chain: SturmChain, lo: Fraction, hi: Fraction) -> list:
+def _isolate_open(core: DescartesIsolator, lo: Fraction, hi: Fraction) -> list:
     """Isolating intervals for roots strictly inside (lo, hi)."""
-    return [iv for iv in chain.isolate(lo, hi) if iv.lo != hi]
+    return [iv for iv in core.isolate(lo, hi) if iv.lo != hi]
 
 
-def _shrink_inside(chain: SturmChain, iv: Interval, lo: Fraction, hi: Fraction) -> Interval:
+def _shrink_inside(core: DescartesIsolator, iv: Interval, lo: Fraction, hi: Fraction) -> Interval:
     """Refine until the interval sits strictly inside (lo, hi)."""
     width = iv.width
     while iv.lo <= lo or iv.hi >= hi:
         width = width / 4
-        iv = chain.refine(iv, width)
+        iv = core.refine(iv, width)
     return iv
 
 
@@ -239,24 +246,26 @@ def _root_multiplicity(decomp, iv: Interval) -> int:
 
 
 def _candidates(p: Polynomial, lo: Fraction, hi: Fraction):
-    """One Sturm chain of p's squarefree part, and (interval, multiplicity)
-    for every root of p strictly inside (lo, hi), each interval shrunk
-    strictly inside too.
+    """One Descartes isolator of p's squarefree part, and (interval,
+    multiplicity) for every root of p strictly inside (lo, hi), each
+    interval shrunk strictly inside too.
 
-    The chain of p itself certifies whether p is squarefree; only when it
-    is not does a Yun decomposition supply the multiplicities and, as the
-    product of its factors, the squarefree part for a second chain.
+    The modular certificate usually shows p squarefree, and the isolator
+    is built on p itself; only when it does not does a Yun decomposition
+    supply the multiplicities and, as the product of its factors, the
+    squarefree part.
     """
-    chain = SturmChain(p)
-    decomp = [(p, 1)]
-    if not chain.squarefree:
+    if modular_squarefree(p):
+        decomp = [(p, 1)]
+        core = DescartesIsolator(p)
+    else:
         decomp = squarefree_decomposition(p)
-        chain = SturmChain(math.prod((f for f, _m in decomp), start=Polynomial.one()))
+        core = DescartesIsolator(math.prod((f for f, _m in decomp), start=Polynomial.one()))
     out = []
-    for iv in _isolate_open(chain, lo, hi):
-        iv = _shrink_inside(chain, iv, lo, hi)
+    for iv in _isolate_open(core, lo, hi):
+        iv = _shrink_inside(core, iv, lo, hi)
         out.append((iv, _root_multiplicity(decomp, iv)))
-    return chain, out
+    return core, out
 
 
 def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
@@ -264,10 +273,10 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     pr_reduced = nf.pr.exact_div(Polynomial((1, -1)))  # forced root at r = 1
     alpha2 = fam.alpha1**2
     report_width = Fraction(1, 1 << 20)
-    chain, candidates = _candidates(pr_reduced, Fraction(0), Fraction(1))
+    core, candidates = _candidates(pr_reduced, Fraction(0), Fraction(1))
     zeros = []
     for iv, _mult in candidates:
-        iv = chain.refine(iv, report_width)
+        iv = core.refine(iv, report_width)
         # map the r-interval back to h (h decreases as r grows)
         h_iv = Interval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
         zeros.append(CertifiedZero(h_iv, True))
@@ -317,11 +326,11 @@ def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
     width_cap = h_max / Fraction(10**30)
     report_width = h_max / Fraction(1 << 20)
 
-    chain, candidates = _candidates(reduced, Fraction(0), h_max)
+    core, candidates = _candidates(reduced, Fraction(0), h_max)
     for iv, mult in candidates:
         if mult > 1:
             report.multiplicity_suspected = True
-        iv = chain.refine(iv, min(iv.width / 16, report_width))
+        iv = core.refine(iv, min(iv.width / 16, report_width))
         if iv.lo == iv.hi:
             # exact rational candidate: decide algebraically
             if exact_zero_at(nf, iv.lo):
@@ -341,7 +350,7 @@ def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
                 continue
             bits = 256
             while iv.width > width_cap:
-                iv = chain.refine(iv, iv.width / Fraction(256))
+                iv = core.refine(iv, iv.width / Fraction(256))
                 if certified_sign(nf, iv, bits, bits) in (1, -1):
                     decided = True  # rigorously nonzero on the whole interval
                     break

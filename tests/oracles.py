@@ -3,7 +3,9 @@
 The gcd, Yun decomposition and Sturm chain here use plain rational
 arithmetic (`Fraction` Euclid and `Fraction` remainders), not the integer
 pseudo-remainder sequence of `melcert.polynomials`, so they share no
-algorithm with the code under test.  The partial fractions here solve the
+algorithm with the code under test.  `OracleSturm` counts, isolates and
+refines roots by Sturm's theorem, where `melcert.polynomials` uses
+Descartes' rule of signs.  The partial fractions here solve the
 dense linear system for the coefficients, and the single-factor expansion
 substitutes x = (1 - (1-alpha*x))/alpha binomially, where `melcert.melnikov`
 reads Taylor coefficients at each pole in closed form.
@@ -12,7 +14,7 @@ reads Taylor coefficients at each pole in closed form.
 import math
 from fractions import Fraction
 
-from melcert.polynomials import Polynomial
+from melcert.polynomials import Interval, Polynomial
 
 
 def oracle_gcd(a, b):
@@ -62,6 +64,93 @@ def oracle_sturm_chain(p):
     return [[c.numerator for c in q.coeffs] for q in chain]
 
 
+def _sign_at(ic, q):
+    """Sign of the int polynomial ic (constant term first) at the rational q."""
+    deg = len(ic) - 1
+    acc, pw = 0, 1
+    for k, c in enumerate(ic):
+        if c:
+            acc += c * pw * q.denominator ** (deg - k)
+        pw *= q.numerator
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(signs):
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+
+
+class OracleSturm:
+    """Sturm's theorem on `oracle_sturm_chain` of p's squarefree part.
+
+    V(lo) - V(hi) counts the distinct roots in (lo, hi], even when an
+    endpoint is a root.  Isolation bisects the window on the dyadic tree
+    and stops at the first node holding at most one root; a midpoint that
+    hits a root while its node holds another becomes a degenerate interval,
+    and the split retreats to the nearest cut points with no other root
+    between.  Refinement bisects by signs, or by counts while hi is a root.
+    """
+
+    def __init__(self, p):
+        if p.degree > 0:
+            p = p.exact_div(oracle_gcd(p, p.derivative()))
+        self.chain = oracle_sturm_chain(p)
+
+    def sign_at(self, x):
+        return _sign_at(self.chain[0], x)
+
+    def count(self, lo, hi):
+        if lo >= hi:
+            return 0
+        variations = [_sign_changes([_sign_at(ic, x) for ic in self.chain]) for x in (lo, hi)]
+        return variations[0] - variations[1]
+
+    def isolate(self, lo, hi):
+        found = []
+
+        def split(a, b):
+            n = self.count(a, b) - (self.sign_at(b) == 0)  # in the open (a, b)
+            if n == 0:
+                return
+            if n == 1:
+                found.append(Interval(a, b))
+                return
+            mid = (a + b) / 2
+            if self.sign_at(mid) != 0:
+                split(a, mid)
+                split(mid, b)
+                return
+            found.append(Interval(mid, mid))
+            delta = (b - a) / 4
+            while True:
+                left, right = mid - delta, mid + delta
+                if self.sign_at(left) and self.sign_at(right) and self.count(left, right) == 1:
+                    break
+                delta /= 2
+            split(a, left)
+            split(right, b)
+
+        if lo < hi:
+            split(lo, hi)
+            if self.sign_at(hi) == 0:
+                found.append(Interval(hi, hi))
+        return sorted(found, key=lambda r: (r.lo, r.hi))
+
+    def refine(self, iv, width):
+        lo, hi = iv.lo, iv.hi
+        s_hi = self.sign_at(hi)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            s = self.sign_at(mid)
+            if s == 0:
+                return Interval(mid, mid)
+            if s == s_hi or (s_hi == 0 and self.count(lo, mid) == 1):
+                hi, s_hi = mid, s
+            else:
+                lo = mid
+        return Interval(lo, hi)
+
+
 def grid_scan_count(p, lo, hi, steps):
     """Distinct-root oracle on (lo, hi]: exact signs on a uniform grid.
 
@@ -75,23 +164,13 @@ def grid_scan_count(p, lo, hi, steps):
     for factor, _mult in oracle_yun(p):
         den = math.lcm(*(c.denominator for c in factor.coeffs))
         ic = [int(c * den) for c in factor.coeffs]
-        deg = len(ic) - 1
-
-        def sign_at(q):
-            acc, pw = 0, 1
-            for k, c in enumerate(ic):
-                if c:
-                    acc += c * pw * q.denominator ** (deg - k)
-                pw *= q.numerator
-            return (acc > 0) - (acc < 0)
-
-        prev = sign_at(lo)
+        prev = _sign_at(ic, lo)
         count = 0
         if prev == 0:
             prev = None  # root at lo is excluded by the half-open convention
         for k in range(1, steps + 1):
             q = lo + (hi - lo) * k / steps
-            s = sign_at(q)
+            s = _sign_at(ic, q)
             if s == 0:
                 count += 1
                 prev = None

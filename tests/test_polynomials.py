@@ -1,8 +1,8 @@
 """Exact polynomial algebra and certified root counting.
 
-The root-counting oracle used throughout is a brute-force sign-change scan
-on a fine grid with exact integer arithmetic, completely independent of the
-Sturm machinery it checks.
+The root-counting oracles are a brute-force sign-change scan on a fine grid
+with exact integer arithmetic and a Sturm-chain isolator on rational
+remainders, both independent of the Descartes core they check.
 """
 
 import math
@@ -11,10 +11,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from melcert import polynomials
 from melcert.polynomials import (
+    DescartesIsolator,
     Interval,
     Polynomial,
-    SturmChain,
     cauchy_root_bound,
     count_positive_roots_with_multiplicity,
     count_real_roots,
@@ -22,13 +23,14 @@ from melcert.polynomials import (
     descartes_bound,
     format_poly,
     isolate_roots,
+    modular_squarefree,
     poly_gcd,
     refine_root,
     squarefree_decomposition,
     squarefree_part,
 )
 
-from oracles import grid_scan_count, oracle_gcd, oracle_sturm_chain, oracle_yun
+from oracles import OracleSturm, grid_scan_count, oracle_gcd, oracle_sturm_chain, oracle_yun
 
 X = Polynomial.x()
 ONE = Polynomial.one()
@@ -166,15 +168,25 @@ def _prs_cases(count, seed):
     return cases
 
 
+def _prs_of(p):
+    """The integer remainder sequence of (p, p') that poly_gcd builds."""
+    ic = polynomials._primitive_ints(p)
+    if len(ic) == 1:
+        return [ic]
+    d = polynomials._content_free([k * c for k, c in enumerate(ic)][1:])
+    return polynomials._primitive_prs(ic, d)
+
+
 class TestIntegerRemainderSequence:
-    """The integer pseudo-remainder sequence against the Fraction oracles."""
+    """The integer pseudo-remainder sequence and the modular squarefree
+    certificate against the Fraction oracles."""
 
     CASES = _prs_cases(360, seed=20240)
 
     def test_chain_equals_fraction_chain(self):
         drops = 0
         for p in self.CASES:
-            chain = SturmChain(p)._chain
+            chain = _prs_of(p)
             assert chain == oracle_sturm_chain(p), p
             # r(k-1) mod r(k) is taken for every non-constant r(k)
             degrees = [len(ic) - 1 for ic in chain]
@@ -184,12 +196,23 @@ class TestIntegerRemainderSequence:
         assert sum(p.degree <= 1 for p in self.CASES) >= 20
 
     def test_squarefree_flag_matches_yun(self):
+        # a multiple root always denies the certificate; for these squarefree
+        # cases the first prime divides neither lc(p) nor the discriminant
         repeated = 0
         for p in self.CASES:
             expected = all(m == 1 for _f, m in oracle_yun(p))
-            assert SturmChain(p).squarefree == expected, p
+            assert modular_squarefree(p) == expected, p
             repeated += not expected
         assert repeated >= 60
+
+    def test_certificate_skips_a_prime_dividing_the_leading_coefficient(self):
+        q1 = polynomials._CERT_PRIMES[0]
+        # (q1 x + 1)**2 reduces to the constant 1 mod q1, which would pass
+        # for squarefree; the next prime sees the double root
+        double = Polynomial((1, q1)) ** 2 * poly(-2, 1)
+        assert not modular_squarefree(double)
+        assert count_real_roots(double, Interval(-1, 3)) == 2
+        assert modular_squarefree(Polynomial((1, q1)) * poly(-2, 1))
 
     def test_gcd_equals_fraction_gcd(self):
         import random
@@ -214,15 +237,16 @@ class TestIntegerRemainderSequence:
 
     def test_low_degree_chains(self):
         for p in (Polynomial.constant(F(-7, 2)), poly(3, -6), poly(F(1, 2), F(-1, 3))):
-            chain = SturmChain(p)
-            assert chain._chain == oracle_sturm_chain(p)
-            assert chain.squarefree
-        assert SturmChain(Polynomial.constant(-5))._chain == [[-1]]
-        assert SturmChain(poly(3, -6))._chain == [[1, -2], [-1]]
+            assert _prs_of(p) == oracle_sturm_chain(p)
+            assert modular_squarefree(p)
+        assert _prs_of(Polynomial.constant(-5)) == [[-1]]
+        assert _prs_of(poly(3, -6)) == [[1, -2], [-1]]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            SturmChain(Polynomial.zero())
+            DescartesIsolator(Polynomial.zero())
+        with pytest.raises(ValueError):
+            modular_squarefree(Polynomial.zero())
 
 
 # ---------------------------------------------------------------- counting
@@ -355,6 +379,106 @@ class TestRefinement:
     def test_rejects_rootless(self):
         with pytest.raises(ValueError):
             refine_root(poly(1, 0, 1), Interval(0, 1), F(1, 10))
+
+    def test_refines_between_two_root_endpoints(self):
+        # both ends are roots, so no endpoint sign tells the side: it counts
+        p = Polynomial.from_roots([F(0), F(1, 3), F(1)])
+        core = DescartesIsolator(p)
+        iv, at_hi = core.isolate(F(0), F(1))
+        assert (iv, at_hi) == (Interval(0, 1), Interval(1, 1))
+        out = core.refine(iv, F(1, 1000))
+        assert out == OracleSturm(p).refine(iv, F(1, 1000))
+        assert out.lo < F(1, 3) < out.hi and out.width <= F(1, 1000)
+
+    @pytest.mark.parametrize("width", [-1, 0, F(-1, 3)])
+    def test_rejects_nonpositive_width(self, width):
+        # bisection could never reach such a width
+        with pytest.raises(ValueError, match="width must be positive"):
+            refine_root(poly(-2, 0, 1), Interval(1, 2), width)
+        with pytest.raises(ValueError, match="width must be positive"):
+            refine_root(poly(-1, 1), Interval(1, 1), width)
+
+
+# ------------------------------------------ Descartes core vs Sturm oracle
+
+
+@st.composite
+def _isolation_cases(draw):
+    """(p, lo, hi): planted roots with multiplicities 1..3 times a small
+    random factor, and a window that is free, negative, ends at a root, or
+    puts a root at a dyadic point k/2**j of itself (often its centre)."""
+    roots = draw(st.lists(st.fractions(-4, 4, max_denominator=8), max_size=5))
+    p = Polynomial.constant(draw(st.sampled_from([-3, -1, 1, 2, 5])))
+    for r in roots:
+        p = p * Polynomial.from_roots([r]) ** draw(st.integers(1, 3))
+    extra = Polynomial(draw(st.lists(st.integers(-6, 6), max_size=4)))
+    if not extra.is_zero:
+        p = p * extra
+    width = draw(st.fractions(F(1, 8), 8, max_denominator=8))
+    kinds = ["free", "negative", "root_at_hi", "root_at_lo", "dyadic", "centred"]
+    kind = draw(st.sampled_from(kinds))
+    if kind != "free" and kind != "negative" and roots:
+        r = draw(st.sampled_from(roots))
+        if kind == "root_at_hi":
+            return p, r - width, r
+        if kind == "root_at_lo":
+            return p, r, r + width
+        if kind == "centred":
+            return p, r - width, r + width
+        j = draw(st.integers(1, 4))
+        k = draw(st.integers(0, 2 ** (j - 1) - 1)) * 2 + 1
+        return p, r - width * k / 2**j, r - width * k / 2**j + width
+    if kind == "negative":
+        hi = -draw(st.fractions(0, 4, max_denominator=8))
+        return p, hi - width, hi
+    lo = draw(st.fractions(-6, 4, max_denominator=8))
+    return p, lo, lo + width
+
+
+def _dyadic_root(p, lo, hi):
+    """p has a root at lo + (hi - lo) * k / 2**j for some 0 < k < 2**j <= 16."""
+    return any(p.eval(lo + (hi - lo) * F(k, 16)) == 0 for k in range(1, 16))
+
+
+def test_descartes_core_agrees_with_sturm_oracle():
+    seen = dict.fromkeys(
+        ["dyadic_root", "exact_hit", "root_at_hi", "root_at_lo", "negative",
+         "constant", "repeated", "refined"], 0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_isolation_cases())
+    def check(case):
+        p, lo, hi = case
+        oracle, iv = OracleSturm(p), Interval(lo, hi)
+        assert count_real_roots(p, iv) == oracle.count(lo, hi)
+        got = isolate_roots(p, iv)
+        # the same dyadic tree gives the same intervals, exact endpoints
+        assert got == oracle.isolate(lo, hi)
+        core = polynomials._squarefree_isolator(p)
+        for r in got:
+            if r.lo == r.hi:
+                assert p.eval(r.lo) == 0
+                seen["exact_hit"] += r.lo != hi
+                continue
+            # exactly one oracle root strictly inside; a root at the end
+            # only where the window's own end is one
+            at_hi = oracle.sign_at(r.hi) == 0
+            assert oracle.count(r.lo, r.hi) - at_hi == 1
+            assert not at_hi or r.hi == hi
+            width = r.width / 1000
+            assert core.refine(r, width) == oracle.refine(r, width)
+            seen["refined"] += 1
+        seen["dyadic_root"] += _dyadic_root(p, lo, hi)
+        seen["root_at_hi"] += p.eval(hi) == 0
+        seen["root_at_lo"] += p.eval(lo) == 0
+        seen["negative"] += hi < 0
+        seen["constant"] += p.degree == 0
+        seen["repeated"] += any(m > 1 for _f, m in oracle_yun(p))
+
+    check()
+    # midpoint hits inside a node with another root are the rarest draw
+    assert seen.pop("exact_hit") >= 10
+    assert min(seen.values()) >= 30, seen
 
 
 # ---------------------------------------------------------------- descartes

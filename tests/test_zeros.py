@@ -16,9 +16,9 @@ from melcert.melnikov import (
 )
 from melcert import polynomials, zeros
 from melcert.polynomials import (
+    DescartesIsolator,
     Interval,
     Polynomial,
-    SturmChain,
     count_real_roots,
     descartes_bound,
 )
@@ -277,10 +277,16 @@ class TestCountZeros:
 
     @staticmethod
     def _count_root_core_calls(monkeypatch):
-        """Record every poly_gcd call, Yun decomposition and Sturm chain."""
-        calls = {"gcd": 0, "yun": 0, "chains": []}
-        real_gcd, real_init = polynomials.poly_gcd, SturmChain.__init__
+        """Record every modular certificate (its prime), poly_gcd call, Yun
+        decomposition, remainder sequence and root isolator."""
+        calls = {"primes": [], "gcd": 0, "yun": 0, "prs": 0, "isolators": []}
+        real_mod, real_gcd = polynomials._gcd_degree_mod, polynomials.poly_gcd
+        real_prs, real_init = polynomials._primitive_prs, DescartesIsolator.__init__
         real_yun = zeros.squarefree_decomposition
+
+        def counting_mod(ic, q):
+            calls["primes"].append(q)
+            return real_mod(ic, q)
 
         def counting_gcd(a, b):
             calls["gcd"] += 1
@@ -290,31 +296,56 @@ class TestCountZeros:
             calls["yun"] += 1
             return real_yun(p)
 
-        def counting_init(chain, p):
-            calls["chains"].append(p)
-            real_init(chain, p)
+        def counting_prs(a, b):
+            calls["prs"] += 1
+            return real_prs(a, b)
 
+        def counting_init(core, p):
+            calls["isolators"].append(p)
+            real_init(core, p)
+
+        monkeypatch.setattr(polynomials, "_gcd_degree_mod", counting_mod)
         monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
+        monkeypatch.setattr(polynomials, "_primitive_prs", counting_prs)
         monkeypatch.setattr(zeros, "squarefree_decomposition", counting_yun)
-        monkeypatch.setattr(SturmChain, "__init__", counting_init)
+        monkeypatch.setattr(DescartesIsolator, "__init__", counting_init)
         return calls
 
-    def test_no_gcd_and_one_chain_per_squarefree_eliminant(self, monkeypatch):
-        # the chain of the eliminant itself certifies that it is squarefree,
-        # so no gcd and no Yun decomposition run; isolation, refinement and
-        # multiplicities all reuse that one chain
+    @staticmethod
+    def _squarefree_eliminant():
         nf = assemble_melnikov(FAM, draw_coeffs(rng_for(88, 5), 2))
-        elim = eliminate_radicals(nf)
-        reduced = Polynomial(elim.coeffs[1:])  # one forced root at h = 0
+        reduced = Polynomial(eliminate_radicals(nf).coeffs[1:])  # one forced root at h = 0
         assert reduced.eval(0) != 0
         assert [m for _f, m in oracle_yun(reduced)] == [1]
+        return nf, reduced
 
+    def test_no_gcd_and_one_certificate_per_squarefree_eliminant(self, monkeypatch):
+        # one gcd(p, p') mod the first prime certifies the eliminant
+        # squarefree, so no gcd over Z, no Yun decomposition and no
+        # remainder sequence run; isolation, refinement and multiplicities
+        # all use one isolator built on the eliminant itself
+        nf, reduced = self._squarefree_eliminant()
         calls = self._count_root_core_calls(monkeypatch)
         report = count_zeros(nf)
         assert report.count_lo == report.count_hi == 2
         assert not report.multiplicity_suspected
-        assert calls["gcd"] == calls["yun"] == 0
-        assert calls["chains"] == [reduced]
+        assert calls["primes"] == [polynomials._CERT_PRIMES[0]]
+        assert calls["gcd"] == calls["yun"] == calls["prs"] == 0
+        assert calls["isolators"] == [reduced]
+
+    def test_certificate_moves_past_a_prime_dividing_the_leading_coefficient(self, monkeypatch):
+        # a factor q1*h + 1 puts the first prime into lc(p) and its root
+        # -1/q1 outside the annulus: the second prime certifies, and the
+        # candidates are those of the eliminant alone
+        _nf, reduced = self._squarefree_eliminant()
+        q1, q2 = polynomials._CERT_PRIMES[:2]
+        scaled = reduced * Polynomial((1, q1))
+        expected = zeros._candidates(reduced, F(0), FAM.h_max)[1]
+        calls = self._count_root_core_calls(monkeypatch)
+        assert zeros._candidates(scaled, F(0), FAM.h_max)[1] == expected
+        assert len(expected) == 3  # two zeros and one squaring artifact
+        assert calls["primes"] == [q2]
+        assert calls["gcd"] == calls["yun"] == calls["prs"] == 0
 
     @pytest.mark.parametrize(
         "rad1, certified, undecided",
@@ -325,14 +356,16 @@ class TestCountZeros:
         ids=["touch_rational", "touch_irrational"],
     )
     def test_yun_fallback_only_for_multiple_roots(self, monkeypatch, rad1, certified, undecided):
-        # a touching zero makes the eliminant non-squarefree: the first
-        # chain says so, and one Yun decomposition then supplies the
-        # multiplicities and the squarefree part for a second chain
+        # a touching zero makes the eliminant non-squarefree: the modular
+        # certificate fails, and one Yun decomposition then supplies the
+        # multiplicities and the squarefree part for the one isolator
         nf = MelnikovNormalForm(FAM, rad1, Polynomial.zero(), Polynomial.zero())
         calls = self._count_root_core_calls(monkeypatch)
         report = count_zeros(nf)
-        assert calls["yun"] == 1
-        assert len(calls["chains"]) == 2
+        assert len(calls["primes"]) == calls["yun"] == 1
+        assert calls["gcd"] > 0
+        [core_poly] = calls["isolators"]
+        assert [m for _f, m in oracle_yun(core_poly)] == [1]
         assert report.multiplicity_suspected
         assert (len(report.certified), len(report.undecided)) == (certified, undecided)
         assert (report.count_lo, report.count_hi) == (certified, certified + undecided)
@@ -345,7 +378,9 @@ class TestCountZeros:
             if nf.is_zero:
                 continue
             elim = eliminate_radicals(nf)
-            assert SturmChain(elim)._chain == oracle_sturm_chain(elim)
+            ic = polynomials._primitive_ints(elim)
+            d = polynomials._content_free([k * c for k, c in enumerate(ic)][1:])
+            assert polynomials._primitive_prs(ic, d) == oracle_sturm_chain(elim)
 
     def test_eliminant_root_at_annulus_edge(self):
         # rad1 vanishes at h_max = 4, so the eliminant does too; the zero
