@@ -151,7 +151,11 @@ def pi_interval(bits: int = 128) -> RatInterval:
 
 
 def poly_range(p: Polynomial, x: RatInterval) -> RatInterval:
-    """Interval Horner evaluation: contains p(t) for every t in x."""
+    """Interval Horner evaluation: contains p(t) for every t in x.
+
+    At a point it is the exact value p(x.lo)."""
+    if x.lo == x.hi:
+        return RatInterval.point(p.eval(x.lo))
     acc = RatInterval.point(0)
     for c in reversed(p.coeffs):
         acc = acc * x + RatInterval.point(c)

@@ -401,7 +401,9 @@ def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> Confluent
 
 
 def assemble(family: SystemFamily, coeffs: PerturbCoeffs):
-    """Dispatch to the confluent or two-radical assembly."""
+    """Dispatch to the confluent or two-radical assembly.
+
+    Uncapped: only `cli.parse_spec` limits m1, m2 <= 16 and n <= 32."""
     if family.is_confluent:
         return assemble_confluent(family, coeffs)
     return assemble_melnikov(family, coeffs)

@@ -412,15 +412,14 @@ def modular_squarefree(p: Polynomial) -> bool:
     return q is not None and _gcd_degree_mod(ic, q) == 0
 
 
-def _isign_at(ic: list, num: int, den: int) -> int:
-    # sign of sum(ic[k] * (num/den)**k) == sign of the homogenised
-    # sum(ic[k] * num**k * den**(d-k)), by Horner from the top
-    acc = ic[-1]
-    dpow = 1
-    for c in reversed(ic[:-1]):
-        dpow *= den
+def _scaled_at(ic: list, num: int, den: int, k: int) -> int:
+    """den**k * ic(num/den) as an int, for k >= deg ic: Horner on the
+    homogenised sum(ic[j] * num**j * den**(k-j))."""
+    acc, dpow = 0, den ** (k + 1 - len(ic))
+    for c in reversed(ic):
         acc = acc * num + c * dpow
-    return (acc > 0) - (acc < 0)
+        dpow *= den
+    return acc
 
 
 def _taylor_shift(c: list, a: int) -> list:
@@ -480,7 +479,8 @@ class DescartesIsolator:
 
     def sign_at(self, x: Fraction) -> int:
         """Sign of the polynomial at x."""
-        return _isign_at(self._ic, x.numerator, x.denominator)
+        v = _scaled_at(self._ic, x.numerator, x.denominator, len(self._ic) - 1)
+        return (v > 0) - (v < 0)
 
     def _window(self, a: Fraction, b: Fraction) -> list:
         """A positive int multiple of p(a + (b - a) x): p on (a, b) as a

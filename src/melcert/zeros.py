@@ -1,22 +1,24 @@
 """Certified zero counts for assembled normal forms on the open annulus.
 
-The two-radical form is cleared of square roots by isolating the radical
-terms and squaring twice; every zero of the original function is a root of
-the resulting eliminant polynomial, but not conversely, so each candidate
-root is filtered by rigorous sign evaluation.  The collapsed single-radical
-form needs no squaring: its zeros are exactly the roots of a polynomial in
-r on (0, 1).  Counts are reported as a [count_lo, count_hi] range that
-collapses whenever every candidate is decided.
+The two-radical form, cleared to integer polynomials in h (numerators
+A, B, C and radicands U1, U2 over one denominator d), has as eliminant
+their norm over Z: the product of its radical conjugates, formed in plain
+ints.  Every zero is a root of it, not conversely, so each candidate is
+filtered by exact signs at rational points (`point_sign`: x + y*sqrt(u) by
+comparing x**2 with y**2 u) and by enclosures on whole intervals.  The
+confluent form needs no squaring: its zeros are the roots of a polynomial
+in r on (0, 1).  Counts are a [count_lo, count_hi] range that collapses
+whenever every candidate is decided.
 
 Candidates come from the Descartes root core of `polynomials`: a gcd of the
 eliminant and its derivative modulo a prime usually certifies it
 squarefree, and one `DescartesIsolator` on it isolates and refines every
-root.  Only when that certificate fails does a Yun decomposition supply
-the multiplicities and the squarefree part to isolate.
+root; only when that fails does a Yun decomposition run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,12 +32,13 @@ from .melnikov import (
     assemble,
     monomial_integral,
     scaled_value,
-    _u_poly,
 )
 from .polynomials import (
     DescartesIsolator,
     Interval,
     Polynomial,
+    _content_free,
+    _scaled_at,
     as_rational,
     modular_squarefree,
     squarefree_decomposition,
@@ -61,119 +64,128 @@ def theorem_bound(family: SystemFamily, n: int):
     return value if value >= 0 else None
 
 
-def _cleared_parts(nf: MelnikovNormalForm) -> tuple:
-    """Radical-free numerators of the two-radical form, polynomials in h.
+def _prod(*factors) -> list:
+    """Product of int coefficient lists, constant term first."""
+    out = [1]
+    for f in factors:
+        acc = [0] * (len(out) + len(f) - 1) if out and f else []
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                acc[i + j] += x * y
+        out = acc
+    return out
 
-    With r**(2m-1) = (1-alpha**2 h)**(m-1) * r over a common denominator, a
-    mirror pair (one radical s = r1) is a positive multiple of p + q*s and
-    gives (p, q); otherwise the form is a positive multiple of
-    A*r2 + B*r1 + C*r1*r2 and this gives (A, B, C).
+
+def _sum(*terms) -> list:
+    return [sum(cs) for cs in itertools.zip_longest(*terms, fillvalue=0)]
+
+
+def _int_parts(nf: MelnikovNormalForm) -> tuple:
+    """Radical-free numerators of the two-radical form as int lists in h.
+
+    Returns (d, U1, U2, (A, B, C)).  Ui = d*(1 - alphai**2 h) with d the
+    least positive integer making both integral, and rad1, rad2, tail are
+    cleared by one positive integer.  With r**(2m-1) = u**(m-1)*r the form
+    is a positive multiple of A*r2 + B*r1 + C*r1*r2.  A mirror pair
+    (r1 = r2) is merged over r1**(2*max(m1, m2)-1) into r1*(A + C*r1),
+    with B = 0.
     """
     fam = nf.family
-    u1 = _u_poly(fam.alpha1)
-    u2 = _u_poly(fam.alpha2)
+    m1, m2 = fam.m1, fam.m2
+    squares = (fam.alpha1**2, fam.alpha2**2)
+    d = math.lcm(*(sq.denominator for sq in squares))
+    u1, u2 = ([d, -(d * sq).numerator] for sq in squares)
+    polys = (nf.rad1, nf.rad2, nf.tail)
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    rad1, rad2, tail = ([c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys)
     if nf.merged:
-        m_bar = max(fam.m1, fam.m2)
-        p = nf.rad1 * u1 ** (m_bar - fam.m1) + nf.rad2 * u1 ** (m_bar - fam.m2)
-        return p, nf.tail * u1 ** (m_bar - 1)
-    a = nf.rad1 * u2 ** (fam.m2 - 1)
-    b = nf.rad2 * u1 ** (fam.m1 - 1)
-    c = nf.tail * u1 ** (fam.m1 - 1) * u2 ** (fam.m2 - 1)
-    return a, b, c
+        mb = max(m1, m2)
+        a = _sum(
+            _prod(rad1, [d ** (m1 - 1)], *[u1] * (mb - m1)),
+            _prod(rad2, [d ** (m2 - 1)], *[u1] * (mb - m2)),
+        )
+        return d, u1, u2, (a, [], _prod(tail, *[u1] * (mb - 1)))
+    a = _prod(rad1, [d ** (m1 - 1)], *[u2] * (m2 - 1))
+    b = _prod(rad2, [d ** (m2 - 1)], *[u1] * (m1 - 1))
+    c = _prod(tail, *[u1] * (m1 - 1), *[u2] * (m2 - 1))
+    return d, u1, u2, (a, b, c)
 
 
 def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
     """Polynomial in h whose roots contain every zero of the normal form.
 
-    Isolates the radical terms of `_cleared_parts` and squares.  A mirror
-    pair needs a single squaring, p**2 - q**2 u1; otherwise two squarings
-    give
+    Isolates the radical terms of `_int_parts` and squares, in plain ints.
+    A mirror pair needs a single squaring, d*A**2 - C**2 U1; otherwise two
+    squarings give
 
-        (C**2 u1 u2 - A**2 u2 - B**2 u1)**2 - 4 A**2 B**2 u1 u2.
+        (C**2 U1 U2 - d*(A**2 U2 + B**2 U1))**2 - 4 d**2 A**2 B**2 U1 U2.
 
     Squaring is one-directional: roots that are not zeros of the original
     function are expected and filtered downstream.
     """
     if nf.is_zero:
         raise ValueError("cannot eliminate radicals of the zero form")
-    fam = nf.family
-    u1 = _u_poly(fam.alpha1)
-    u2 = _u_poly(fam.alpha2)
-    parts = _cleared_parts(nf)
+    d, u1, u2, (a, b, c) = _int_parts(nf)
     if nf.merged:
-        p, q = parts
-        elim = p * p - q * q * u1
+        elim = _sum(_prod([d], a, a), _prod([-1], c, c, u1))
     else:
-        a, b, c = parts
-        inner = c * c * u1 * u2 - a * a * u2 - b * b * u1
-        elim = inner * inner - (a * b * a * b * u1 * u2).scale(4)
+        a2u2, b2u1 = _prod(a, a, u2), _prod(b, b, u1)
+        inner = _sum(_prod(c, c, u1, u2), _prod([-d], a2u2), _prod([-d], b2u1))
+        elim = _sum(_prod(inner, inner), _prod([-4 * d * d], a2u2, b2u1))
+    elim = Polynomial(_content_free(elim))
     if elim.is_zero:
         # cannot happen for a nonzero form: the four radical conjugates
         # multiply to this polynomial and none vanishes identically
         raise AssertionError("eliminant vanished for a nonzero normal form")
-    return elim.primitive()
+    return elim
 
 
-def _is_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    n, d = q.numerator, q.denominator
-    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
+def _sign_sqrt(x, y, u) -> int:
+    """Exact sign of x + y*sqrt(u) for rationals (or ints) x, y and u >= 0."""
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0) if u else 0
+    if sx * sy >= 0:
+        return sx or sy
+    diff = x * x - y * y * u
+    return sx * ((diff > 0) - (diff < 0))
 
 
-def _sqrt_exact(q: Fraction) -> Fraction:
-    return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+def point_sign(nf, h) -> int:
+    """Exact sign (-1, 0 or +1) of the normal form at rational h in [0, h_max).
 
-
-def exact_zero_at(nf, h) -> bool:
-    """Decide exactly whether the normal form vanishes at rational h.
-
-    Works in the field generated by the radical values: with both radicals
-    irrational a vanishing combination forces component coefficients to
-    vanish, and square radicands reduce to rational arithmetic.
+    The value is a positive multiple of an element of Q(r1, r2), so the
+    sign of x + y*sqrt(u) decides it: even(w) + sqrt(w)*odd(w) on the
+    confluent form, and r2*X + B*r1 with X = A + C*r1 otherwise, from the
+    sign of X, the sign of B and, when they differ, the sign of
+    X**2 u2 - B**2 u1.
     """
     h = as_rational(h)
     fam = nf.family
     if not (0 <= h < fam.h_max):
         raise ValueError("point outside [0, h_max)")
     if isinstance(nf, ConfluentNormalForm):
-        w = Fraction(1) - fam.alpha1**2 * h
-        even = Polynomial(nf.pr.coeffs[0::2])
-        odd = Polynomial(nf.pr.coeffs[1::2])
-        if _is_square(w):
-            return nf.pr.eval(_sqrt_exact(w)) == 0
-        return even.eval(w) == 0 and odd.eval(w) == 0
+        w = 1 - fam.alpha1**2 * h
+        even = Polynomial(nf.pr.coeffs[0::2]).eval(w)
+        return _sign_sqrt(even, Polynomial(nf.pr.coeffs[1::2]).eval(w), w)
+    # in ints: the parts times den**k, and ui = Ui(h)/d = ti/e with
+    # ti = den*Ui(h) and e = d*den, so x + y*sqrt(ui) has the sign of
+    # x*e + y*sqrt(ti*e)
+    d, u1, u2, parts = _int_parts(nf)
+    num, den = h.numerator, h.denominator
+    k = max(map(len, parts)) - 1
+    e = d * den
+    t1, t2 = (_scaled_at(u, num, den, 1) for u in (u1, u2))
+    a, b, c = (_scaled_at(part, num, den, k) for part in parts)
+    s_x, s_b = _sign_sqrt(a * e, c, t1 * e), (b > 0) - (b < 0)
+    if s_x * s_b >= 0:
+        return s_x or s_b
+    # (r2*X)**2 - (B*r1)**2 = X**2 u2 - B**2 u1, times e**2
+    return s_x * _sign_sqrt((a * a * e + c * c * t1) * t2 - b * b * t1 * e, 2 * a * c * t2, t1 * e)
 
-    u1 = Fraction(1) - fam.alpha1**2 * h
-    u2 = Fraction(1) - fam.alpha2**2 * h
-    parts = [part.eval(h) for part in _cleared_parts(nf)]
-    if nf.merged:
-        # value scales to p + q*s with s = sqrt(u1) > 0
-        p, q = parts
-        if _is_square(u1):
-            return p + q * _sqrt_exact(u1) == 0
-        return p == 0 and q == 0
 
-    a, b, c = parts
-    sq1, sq2 = _is_square(u1), _is_square(u2)
-    if sq1 and sq2:
-        return a * _sqrt_exact(u2) + b * _sqrt_exact(u1) + c * _sqrt_exact(u1 * u2) == 0
-    if sq1:
-        t1 = _sqrt_exact(u1)
-        return (a + c * t1) == 0 and b == 0
-    if sq2:
-        t2 = _sqrt_exact(u2)
-        return (b + c * t2) == 0 and a == 0
-    if a == 0 and c == 0:
-        return b == 0
-    if a == 0 or b == 0:
-        # s1*(b + c*s2) or s2*(a + c*s1) with the inner radical irrational
-        return False if c != 0 else (a == 0 and b == 0)
-    if c == 0:
-        return a * a * u2 == b * b * u1 and (a > 0) != (b > 0)
-    # a, c (and b) nonzero with both radicands irrational: vanishing would
-    # make one radical rational
-    return False
+def exact_zero_at(nf, h) -> bool:
+    """Decide exactly whether the normal form vanishes at rational h."""
+    return point_sign(nf, h) == 0
 
 
 @dataclass
@@ -205,10 +217,13 @@ class ZeroReport:
 def certified_sign(nf, h: Interval, bits: int, max_bits: int):
     """Sign of the normal form (pi dropped) on the whole h-interval.
 
-    Tries enclosures at bits, 2*bits, ... up to max_bits and returns the
-    first settled sign: +1/-1, or 0 for an exact zero at a point.  None
-    means every enclosure still straddled zero.
+    A point gets its exact `point_sign`.  A wider interval tries
+    enclosures at bits, 2*bits, ... up to max_bits and returns the first
+    settled sign, +1 or -1; None means every enclosure still straddled
+    zero.
     """
+    if h.lo == h.hi:
+        return point_sign(nf, h.lo)
     box = RatInterval(h.lo, h.hi)
     while bits <= max_bits:
         try:
@@ -336,26 +351,25 @@ def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
             if exact_zero_at(nf, iv.lo):
                 report.certified.append(CertifiedZero(iv, True))
             continue
-        s_lo = certified_sign(nf, Interval(iv.lo, iv.lo), 64, max_bits)
-        s_hi = certified_sign(nf, Interval(iv.hi, iv.hi), 64, max_bits)
-        decided = False
-        if s_lo in (1, -1) and s_hi in (1, -1):
-            if s_lo * s_hi < 0:
-                report.certified.append(CertifiedZero(iv, True))
-                continue
-            if mult == 1:
-                # equal certified signs at the endpoints of a simple
-                # eliminant root: a sign-preserving zero would have made
-                # the root multiple, so this candidate is an artifact
-                continue
-            bits = 256
-            while iv.width > width_cap:
-                iv = core.refine(iv, iv.width / Fraction(256))
-                if certified_sign(nf, iv, bits, bits) in (1, -1):
-                    decided = True  # rigorously nonzero on the whole interval
-                    break
-                bits = min(bits * 2, max_bits)
-        if not decided:
+        s_lo, s_hi = point_sign(nf, iv.lo), point_sign(nf, iv.hi)
+        if s_lo * s_hi < 0:
+            report.certified.append(CertifiedZero(iv, True))
+            continue
+        if s_lo * s_hi > 0 and mult == 1:
+            # equal signs at the endpoints of a simple eliminant root: a
+            # sign-preserving zero would have made the root multiple, so
+            # this candidate is an artifact
+            continue
+        # around a multiple root, try to prove the form nonzero on the
+        # whole shrinking interval; an endpoint zero, or reaching the
+        # width cap, leaves the candidate undecided
+        bits = 256
+        while s_lo * s_hi > 0 and iv.width > width_cap:
+            iv = core.refine(iv, iv.width / Fraction(256))
+            if certified_sign(nf, iv, bits, bits):
+                break
+            bits = min(bits * 2, max_bits)
+        else:
             report.undecided.append(iv)
 
     report.certified.sort(key=lambda z: (z.interval.lo, z.interval.hi))

@@ -8,7 +8,9 @@ refines roots by Sturm's theorem, where `melcert.polynomials` uses
 Descartes' rule of signs.  The partial fractions here solve the
 dense linear system for the coefficients, and the single-factor expansion
 substitutes x = (1 - (1-alpha*x))/alpha binomially, where `melcert.melnikov`
-reads Taylor coefficients at each pole in closed form.
+reads Taylor coefficients at each pole in closed form.  The eliminant here
+squares rational polynomials in h, where `melcert.zeros` forms an integer
+norm with the radicands cleared of denominators.
 """
 
 import math
@@ -149,6 +151,28 @@ class OracleSturm:
             else:
                 lo = mid
         return Interval(lo, hi)
+
+
+def oracle_eliminant(nf):
+    """Primitive eliminant of a two-radical normal form, in `Fraction`s.
+
+    With r**(2m-1) = u**(m-1)*r, a mirror pair is a positive multiple of
+    p + q*r1 and gives p**2 - q**2 u1; otherwise the form is a positive
+    multiple of a*r2 + b*r1 + c*r1*r2, squared twice.
+    """
+    fam = nf.family
+    u1 = Polynomial((1, -fam.alpha1**2))
+    u2 = Polynomial((1, -fam.alpha2**2))
+    if nf.merged:
+        m_bar = max(fam.m1, fam.m2)
+        p = nf.rad1 * u1 ** (m_bar - fam.m1) + nf.rad2 * u1 ** (m_bar - fam.m2)
+        q = nf.tail * u1 ** (m_bar - 1)
+        return (p * p - q * q * u1).primitive()
+    a = nf.rad1 * u2 ** (fam.m2 - 1)
+    b = nf.rad2 * u1 ** (fam.m1 - 1)
+    c = nf.tail * u1 ** (fam.m1 - 1) * u2 ** (fam.m2 - 1)
+    inner = c * c * u1 * u2 - a * a * u2 - b * b * u1
+    return (inner * inner - (a * b * a * b * u1 * u2).scale(4)).primitive()
 
 
 def grid_scan_count(p, lo, hi, steps):

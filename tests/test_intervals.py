@@ -100,3 +100,15 @@ def test_poly_range_contains_pointwise_values(coeffs, a, b):
     box = poly_range(p, iv)
     for t in (iv.lo, iv.mid, iv.hi):
         assert box.contains(p.eval(t))
+
+
+@given(st.lists(rat, max_size=5), rat)
+def test_poly_range_at_a_point_is_the_exact_value(coeffs, a):
+    p = Polynomial(coeffs)
+    point = RatInterval.point(a)
+    horner = RatInterval.point(0)  # interval Horner, as for a wide interval
+    for c in reversed(p.coeffs):
+        horner = horner * point + RatInterval.point(c)
+    box = poly_range(p, point)
+    assert box == RatInterval.point(p.eval(a))
+    assert box.width <= horner.width

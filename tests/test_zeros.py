@@ -4,7 +4,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from melcert.intervals import RatInterval
 from melcert.melnikov import (
     ConfluentNormalForm,
     MelnikovNormalForm,
@@ -13,6 +15,7 @@ from melcert.melnikov import (
     assemble,
     assemble_confluent,
     assemble_melnikov,
+    scaled_value,
 )
 from melcert import polynomials, zeros
 from melcert.polynomials import (
@@ -28,11 +31,12 @@ from melcert.zeros import (
     count_zeros,
     eliminate_radicals,
     exact_zero_at,
+    point_sign,
     prescribe_zeros,
     theorem_bound,
 )
 
-from oracles import oracle_sturm_chain, oracle_yun
+from oracles import oracle_eliminant, oracle_sturm_chain, oracle_yun
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 
@@ -114,6 +118,101 @@ class TestEliminant:
         assert eliminate_radicals(nf).degree <= 5
 
 
+_ALPHAS = st.fractions(-3, 3, max_denominator=12).filter(bool)
+
+
+@st.composite
+def _eliminant_cases(draw):
+    """Two-radical and mirror normal forms with random rational parts, any
+    of which may be zero; alpha denominators are often coprime."""
+    alpha1 = draw(_ALPHAS)
+    mirror = draw(st.booleans())
+    alpha2 = -alpha1 if mirror else draw(_ALPHAS.filter(lambda a: a != alpha1))
+    fam = SystemFamily(alpha1, alpha2, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    coeffs = st.lists(st.fractions(-4, 4, max_denominator=9), max_size=4)
+    rad1, rad2, tail = (Polynomial(draw(coeffs)) for _ in range(3))
+    return MelnikovNormalForm(fam, rad1, rad2, tail, merged=mirror)
+
+
+def test_integer_eliminant_equals_fraction_oracle():
+    seen = dict.fromkeys(
+        ["two_radical", "mirror_unequal_m", "coprime_denominators",
+         "rad1_zero", "rad2_zero", "tail_zero"], 0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_eliminant_cases())
+    def check(nf):
+        if nf.is_zero:
+            return
+        assert eliminate_radicals(nf) == oracle_eliminant(nf)
+        fam = nf.family
+        dens = fam.alpha1.denominator, fam.alpha2.denominator
+        seen["two_radical"] += not nf.merged
+        seen["mirror_unequal_m"] += nf.merged and fam.m1 != fam.m2
+        seen["coprime_denominators"] += min(dens) > 1 and math.gcd(*dens) == 1
+        for name in ("rad1", "rad2", "tail"):
+            seen[name + "_zero"] += getattr(nf, name).is_zero
+
+    check()
+    assert min(seen.values()) >= 20, seen
+
+
+def _rational_sqrt(q):
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return F(num, den) if F(num * num, den * den) == q else None
+
+
+def _planted(fam, rad1, rad2, h0, merged=False):
+    """rad1/r1**(2m1-1) + rad2/r2**(2m2-1) + tail with the constant tail
+    that makes it vanish at h0; each rad must vanish at h0 unless its
+    radical is rational there."""
+    total = F(0)
+    for rad, alpha, m in ((rad1, fam.alpha1, fam.m1), (rad2, fam.alpha2, fam.m2)):
+        if rad.eval(h0):
+            total += rad.eval(h0) / _rational_sqrt(1 - alpha**2 * h0) ** (2 * m - 1)
+    return MelnikovNormalForm(fam, rad1, rad2, Polynomial.constant(-total), merged)
+
+
+def _point_sign_cases():
+    """(normal form, h): random draws at generic points, and exact zeros
+    planted at perfect-square and irrational radicands, with points just
+    beside them."""
+    for seed in range(15):
+        rng = rng_for(71, seed)
+        fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 2))
+        for f in (fam, SystemFamily(fam.alpha1, -fam.alpha1, fam.m1, fam.m2)):
+            nf = assemble_melnikov(f, draw_coeffs(rng, 2))
+            yield from ((nf, f.h_max * num / 8) for num in (1, 3, 7))
+        nf = assemble_confluent(draw_family(rng, 1, 2, confluent=True), draw_coeffs(rng, 2))
+        yield from ((nf, nf.family.h_max * num / 8) for num in (1, 3, 7))
+    P, near = (lambda *c: Polynomial(c)), F(1, 2**40)
+    # alphas (1, 1/2): r1 = 1/4 and r2 = 7/8 at 15/16, r1 = 1/2 at 3/4,
+    # r2 = 15/16 at 31/64, neither rational at 1/3
+    square = SystemFamily(F(1), F(1, 2), 1, 2)
+    planted = [
+        (_planted(square, P(1, 1), P(2, -1), F(15, 16)), F(15, 16)),
+        (_planted(square, P(1, 1), P(F(-3, 4), 1), F(3, 4)), F(3, 4)),
+        (_planted(square, P(F(-31, 64), 1), P(0, 0, 1), F(31, 64)), F(31, 64)),
+        (_planted(square, P(F(-1, 3), 1), P(-1, 3), F(1, 3)), F(1, 3)),
+        # r2 = 2*r1 at 27/8: 1/r1 - 2/r2 vanishes with both irrational
+        (MelnikovNormalForm(FAM, P(1), P(-2), P()), F(27, 8)),
+        # the touching zero (h - 1)**2 / r1
+        (MelnikovNormalForm(FAM, P(1, -2, 1), P(), P()), F(1)),
+    ]
+    mirror = SystemFamily(F(1, 2), F(-1, 2), 1, 2)
+    planted += [
+        (_planted(mirror, P(-1, 1), P(2, 1), F(3), merged=True), F(3)),  # r1 = 1/2
+        (MelnikovNormalForm(mirror, P(-1, 1), P(), P(-5, 5), True), F(1)),
+    ]
+    confluent = SystemFamily(F(1, 2), F(1, 2), 1, 1)
+    planted += [
+        (ConfluentNormalForm(confluent, Polynomial.from_roots([F(1, 2), F(1)]), 2), F(3)),
+        (ConfluentNormalForm(confluent, P(F(-7, 8), 0, 1), 2), F(1, 2)),
+    ]
+    for nf, h0 in planted:
+        yield from ((nf, h0 + dh) for dh in (-near, 0, near))
+
+
 class TestExactZeroDecision:
     def test_confluent_rational_zero(self):
         fam = SystemFamily(F(1, 2), F(1, 2), 1, 1)
@@ -140,23 +239,23 @@ class TestExactZeroDecision:
                 assert not exact_zero_at(nf, h)
 
     def test_agrees_with_certified_sign_on_random_points(self):
-        # whenever the algebraic decision says "nonzero", the interval
-        # refinement must settle on a definite sign (and vice versa a
-        # certified sign excludes an exact zero)
-        for seed in range(15):
-            rng = rng_for(71, seed)
-            fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 2))
-            nf = assemble_melnikov(fam, draw_coeffs(rng, 2))
-            if nf.is_zero:
-                continue
-            for num in (1, 3, 7):
-                h = fam.h_max * num / 8
-                is_zero = exact_zero_at(nf, h)
-                sign = certified_sign(nf, Interval(h, h), 64, 4096)
-                if is_zero:
-                    assert sign is None or sign == 0
-                else:
-                    assert sign in (1, -1)
+        # point_sign, which certified_sign returns at a point, against an
+        # independent enclosure of the value at rising precision: it never
+        # contradicts a nonzero sign, settles on it by 4096 bits, and
+        # keeps an exact zero inside
+        exact_zeros = 0
+        for nf, h in _point_sign_cases():
+            s = point_sign(nf, h)
+            assert certified_sign(nf, Interval(h, h), 64, 64) == s
+            assert exact_zero_at(nf, h) == (s == 0)
+            exact_zeros += s == 0
+            encs = [scaled_value(nf, RatInterval.point(h), 64 << k) for k in range(7)]
+            if s == 0:
+                assert all(enc.lo <= 0 <= enc.hi for enc in encs)
+            else:
+                assert {enc.sign() for enc in encs} <= {s, None}
+                assert encs[-1].sign() == s
+        assert exact_zeros == 10
 
     def test_two_radical_balanced_pair(self):
         # at h = 27/8: u1 = 5/32 and u2 = 5/8, so r2 = 2*r1 exactly and
