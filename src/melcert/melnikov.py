@@ -15,6 +15,14 @@ with rational polynomials rad1/rad2/tail.  A single global factor of pi is
 kept symbolic: all stored polynomials are the integral values divided by pi.
 When alpha1 == alpha2 the two radical parts collapse and the function is
 pr(r) / r**(2*(m1+m2)-1) for a single rational polynomial pr in r.
+
+Assembly is linear in the perturbation coefficients and runs in ints.  Per
+family (its tuple of poles), `_FamilyIntegrals` tabulates the integral of
+each monomial x**i * y**j once, as int numerators over one denominator; an
+assembly sums those with the coefficients over one common denominator and
+builds one `Fraction` per output coefficient.  The integrals of the
+CACHED_FAMILIES most recently used families stay cached; an older family's
+are dropped whole, so memory stays bounded on any stream of families.
 """
 
 from __future__ import annotations
@@ -26,6 +34,12 @@ from functools import lru_cache
 
 from .intervals import RatInterval, pi_interval, poly_range, sqrt_interval
 from .polynomials import Polynomial, as_rational
+
+
+# Families whose integrals stay cached; beyond this many the least recently
+# used family's are dropped whole, so memory stays bounded on any stream of
+# families.
+CACHED_FAMILIES = 128
 
 
 class AssemblyError(ValueError):
@@ -272,7 +286,6 @@ def _expand(k: int, poles: tuple) -> tuple:
     return (*weights, (Polynomial.monomial(k) // denominator).coeffs)
 
 
-@lru_cache(maxsize=None)
 def _lift(j: int, m: int, alpha: Fraction) -> Polynomial:
     """U_j(u) * u**(m-j) with u = 1 - alpha**2*h: the loop integral of
     dt/(1-alpha*x)**j over the common denominator r**(2m-1)."""
@@ -280,54 +293,104 @@ def _lift(j: int, m: int, alpha: Fraction) -> Polynomial:
     return _radial_numerator(j).compose(u) * u ** (m - j)
 
 
-@lru_cache(maxsize=None)
-def _pure_integral(k: int, poles: tuple) -> tuple:
-    """Loop integral of x**k over the poles' product, dt: one radical
-    numerator per pole, then the polynomial tail in h."""
-    *weights, quotient = _expand(k, poles)
-    parts = []
-    for pole_weights, (alpha, m) in zip(weights, poles):
-        rad = Polynomial.zero()
-        for j, c in enumerate(pole_weights, start=1):
-            if c:
-                rad = rad + _lift(j, m, alpha).scale(c)
-        parts.append(rad)
-    tail = Polynomial.zero()
-    for i, c in enumerate(quotient):
-        if c:
-            tail = tail + circle_moment(i, 0).scale(c)
-    return (*parts, tail)
+def _add_scaled(total: list, part, f: int, shift: int = 0) -> None:
+    """total += f * x**shift * part, in place, on int coefficient lists."""
+    missing = shift + len(part) - len(total)
+    if missing > 0:
+        total.extend([0] * missing)
+    for k, c in enumerate(part, start=shift):
+        total[k] += f * c
 
 
-@lru_cache(maxsize=None)
-def _monomial_parts(i: int, j: int, poles: tuple) -> tuple:
-    """The parts of the loop integral of x**i * y**j over the poles' product.
+def _polynomials(den: int, parts) -> list:
+    """The int coefficient lists over den as `Polynomial`s."""
+    return [Polynomial([Fraction(c, den) for c in part]) for part in parts]
 
-    Odd powers of y integrate to zero by the t -> pi - t symmetry; even
-    powers expand binomially through y**2 = h - x**2.
+
+class _FamilyIntegrals:
+    """Loop integrals over one tuple of poles, memoised as they are needed.
+
+    Each pole's lifts are `Polynomial`s; the integral of x**k over the
+    poles' product and the table of monomials x**i * y**j hold their parts
+    (one radical numerator per pole, then the polynomial tail in h) as int
+    coefficient tuples over one positive denominator, `(den, parts)`.
     """
-    sums = [Polynomial.zero()] * (len(poles) + 1)
-    if j % 2 == 1:
-        return tuple(sums)
-    kk = j // 2
-    for l in range(kk + 1):
-        hpow = Polynomial.monomial(kk - l, Fraction((-1) ** l * math.comb(kk, l)))
-        parts = _pure_integral(i + 2 * l, poles)
-        sums = [total + part * hpow for total, part in zip(sums, parts)]
-    return tuple(sums)
+
+    def __init__(self, poles: tuple):
+        self.poles = poles
+        self._lifts, self._pure, self._table = {}, {}, {}
+
+    def lift(self, idx: int, j: int) -> Polynomial:
+        """`_lift` of power j at pole idx."""
+        key = (idx, j)
+        if key not in self._lifts:
+            alpha, m = self.poles[idx]
+            self._lifts[key] = _lift(j, m, alpha)
+        return self._lifts[key]
+
+    def pure(self, k: int) -> tuple:
+        """Loop integral of x**k over the poles' product, dt."""
+        if k not in self._pure:
+            *weights, quotient = _expand(k, self.poles)
+            parts = []
+            for idx, pole_weights in enumerate(weights):
+                rad = Polynomial.zero()
+                for j, c in enumerate(pole_weights, start=1):
+                    if c:
+                        rad = rad + self.lift(idx, j).scale(c)
+                parts.append(rad)
+            tail = Polynomial.zero()
+            for i, c in enumerate(quotient):
+                if c:
+                    tail = tail + circle_moment(i, 0).scale(c)
+            parts.append(tail)
+            den = math.lcm(*(c.denominator for p in parts for c in p.coeffs))
+            self._pure[k] = den, tuple(
+                tuple(c.numerator * (den // c.denominator) for c in p.coeffs) for p in parts
+            )
+        return self._pure[k]
+
+    def monomial(self, i: int, j: int) -> tuple:
+        """Loop integral of x**i * y**j over the poles' product, dt.
+
+        Odd powers of y integrate to zero by the t -> pi - t symmetry; even
+        powers expand binomially through y**2 = h - x**2.
+        """
+        if j % 2 == 1:
+            return 1, ((),) * (len(self.poles) + 1)
+        key = (i, j)
+        if key not in self._table:
+            kk = j // 2
+            terms = [self.pure(i + 2 * l) for l in range(kk + 1)]
+            den = math.lcm(*(d for d, _parts in terms))
+            sums = [[] for _ in range(len(self.poles) + 1)]
+            for l, (d, parts) in enumerate(terms):
+                f = (-1) ** l * math.comb(kk, l) * (den // d)
+                for total, part in zip(sums, parts):
+                    _add_scaled(total, part, f, kk - l)
+            self._table[key] = den, tuple(map(tuple, sums))
+        return self._table[key]
+
+
+@lru_cache(maxsize=CACHED_FAMILIES)
+def _integrals(poles: tuple) -> _FamilyIntegrals:
+    return _FamilyIntegrals(poles)
 
 
 def _integrate(coeffs: PerturbCoeffs, poles: tuple) -> list:
     """The parts of the first-order integral, linear in the coefficients:
     a[i,j] weights the x**(i+1)*y**j integrand monomial and b[i,j] the
-    x**i*y**(j+1) one."""
-    sums = [Polynomial.zero()] * (len(poles) + 1)
-    terms = [((i + 1, j), v) for (i, j), v in coeffs.a.items()]
-    terms += [((i, j + 1), v) for (i, j), v in coeffs.b.items()]
-    for (i, j), value in terms:
-        parts = _monomial_parts(i, j, poles)
-        sums = [total + part.scale(value) for total, part in zip(sums, parts)]
-    return sums
+    x**i*y**(j+1) one.  The sum runs in ints over one common denominator."""
+    integrals = _integrals(poles)
+    terms = [(integrals.monomial(i + 1, j), v) for (i, j), v in coeffs.a.items()]
+    terms += [(integrals.monomial(i, j + 1), v) for (i, j), v in coeffs.b.items()]
+    den = math.lcm(*(d * v.denominator for (d, _parts), v in terms))
+    sums = [[] for _ in range(len(poles) + 1)]
+    for (d, parts), v in terms:
+        f = v.numerator * (den // (d * v.denominator))
+        for total, part in zip(sums, parts):
+            _add_scaled(total, part, f)
+    return _polynomials(den, sums)
 
 
 def _poles(family: SystemFamily) -> tuple:
@@ -347,7 +410,7 @@ def monomial_power_integral(k: int, m: int, alpha) -> SingleFactorIntegral:
     alpha = as_rational(alpha)
     if k < 0 or m < 1:
         raise ValueError("need k >= 0 and m >= 1")
-    rad, tail = _pure_integral(k, ((alpha, m),))
+    rad, tail = _polynomials(*_integrals(((alpha, m),)).pure(k))
     return SingleFactorIntegral(alpha, m, rad, tail)
 
 
@@ -370,7 +433,7 @@ def monomial_integral(i: int, j: int, family: SystemFamily) -> MelnikovNormalFor
         raise AssemblyError("confluent family: use the single-radical path")
     if i < 0 or j < 0:
         raise ValueError("exponents must be >= 0")
-    rad1, rad2, tail = _monomial_parts(i, j, _poles(family))
+    rad1, rad2, tail = _polynomials(*_integrals(_poles(family)).monomial(i, j))
     return MelnikovNormalForm(family, rad1, rad2, tail, family.is_mirror)
 
 

@@ -8,7 +8,8 @@ when that fails does the exact Yun decomposition run, over `poly_gcd` and
 its primitive remainder sequence over Z.  `DescartesIsolator` is the one
 root isolator: on a squarefree polynomial it counts roots on half-open
 windows, isolates them by Vincent-Collins-Akritas bisection with exact
-rational endpoints and refines them by bisection with exact integer signs.
+rational endpoints and refines them by bisection on int numerators over a
+doubling common denominator, with exact integer signs.
 `count_real_roots`, `isolate_roots` and `refine_root` are entry points that
 build one isolator for an arbitrary polynomial, on its squarefree part when
 the certificate fails.
@@ -486,8 +487,13 @@ class DescartesIsolator:
         """A positive int multiple of p(a + (b - a) x): p on (a, b) as a
         polynomial on (0, 1)."""
         den = math.lcm(a.denominator, b.denominator)
-        na = a.numerator * (den // a.denominator)
-        w = b.numerator * (den // b.denominator) - na
+        return self._window_over(
+            a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+        )
+
+    def _window_over(self, na: int, nb: int, den: int) -> list:
+        """`_window` for a = na/den and b = nb/den, den > 0."""
+        w = nb - na
         d = len(self._ic) - 1
         # den**d p(x/den), shifted by na, then x -> w x
         c = [ck * den ** (d - k) for k, ck in enumerate(self._ic)]
@@ -551,15 +557,26 @@ class DescartesIsolator:
 
         The interval must be degenerate or hold exactly one root strictly
         inside; either endpoint may itself be a root.  A midpoint that hits
-        the root exactly comes back as a degenerate interval.
+        the root exactly comes back as a degenerate interval.  The bisection
+        runs on int numerators lo, hi over a common denominator den that
+        doubles at each step, so every midpoint is (lo + hi)/2 over 2*den.
         """
-        lo, hi = iv.lo, iv.hi
-        s_lo, s_hi = self.sign_at(lo), self.sign_at(hi)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            s = self.sign_at(mid)
+        width = as_rational(width)
+        den = math.lcm(iv.lo.denominator, iv.hi.denominator)
+        lo, hi = (x.numerator * (den // x.denominator) for x in (iv.lo, iv.hi))
+        deg = len(self._ic) - 1
+
+        def sign(num: int, den: int) -> int:
+            v = _scaled_at(self._ic, num, den, deg)
+            return (v > 0) - (v < 0)
+
+        s_lo, s_hi = sign(lo, den), sign(hi, den)
+        while (hi - lo) * width.denominator > width.numerator * den:
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+            mid = (lo + hi) // 2
+            s = sign(mid, den)
             if s == 0:
-                return Interval(mid, mid)
+                return Interval(Fraction(mid, den), Fraction(mid, den))
             # the simple root inside flips the sign: it lies left of mid
             # iff mid has hi's sign, or lacks lo's; with both ends roots,
             # count
@@ -568,12 +585,12 @@ class DescartesIsolator:
             elif s_lo:
                 go_left = s != s_lo
             else:
-                go_left = _count01(self._window(lo, mid)) == 1
+                go_left = _count01(self._window_over(lo, mid, den)) == 1
             if go_left:
                 hi, s_hi = mid, s
             else:
                 lo, s_lo = mid, s
-        return Interval(lo, hi)
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 def _squarefree_isolator(p: Polynomial) -> DescartesIsolator:

@@ -8,7 +8,8 @@ filtered by exact signs at rational points (`point_sign`: x + y*sqrt(u) by
 comparing x**2 with y**2 u) and by enclosures on whole intervals.  The
 confluent form needs no squaring: its zeros are the roots of a polynomial
 in r on (0, 1).  Counts are a [count_lo, count_hi] range that collapses
-whenever every candidate is decided.
+whenever every candidate is decided.  `count_zeros` clears the form once
+(`_int_parts`) and hands that to the eliminant and to every exact sign.
 
 Candidates come from the Descartes root core of `polynomials`: a gcd of the
 eliminant and its derivative modulo a prime usually certifies it
@@ -111,7 +112,7 @@ def _int_parts(nf: MelnikovNormalForm) -> tuple:
     return d, u1, u2, (a, b, c)
 
 
-def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
+def eliminate_radicals(nf: MelnikovNormalForm, cleared: tuple = None) -> Polynomial:
     """Polynomial in h whose roots contain every zero of the normal form.
 
     Isolates the radical terms of `_int_parts` and squares, in plain ints.
@@ -121,11 +122,12 @@ def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
         (C**2 U1 U2 - d*(A**2 U2 + B**2 U1))**2 - 4 d**2 A**2 B**2 U1 U2.
 
     Squaring is one-directional: roots that are not zeros of the original
-    function are expected and filtered downstream.
+    function are expected and filtered downstream.  `cleared` is
+    `_int_parts(nf)` when the caller holds it already.
     """
     if nf.is_zero:
         raise ValueError("cannot eliminate radicals of the zero form")
-    d, u1, u2, (a, b, c) = _int_parts(nf)
+    d, u1, u2, (a, b, c) = cleared or _int_parts(nf)
     if nf.merged:
         elim = _sum(_prod([d], a, a), _prod([-1], c, c, u1))
     else:
@@ -150,14 +152,15 @@ def _sign_sqrt(x, y, u) -> int:
     return sx * ((diff > 0) - (diff < 0))
 
 
-def point_sign(nf, h) -> int:
+def point_sign(nf, h, cleared: tuple = None) -> int:
     """Exact sign (-1, 0 or +1) of the normal form at rational h in [0, h_max).
 
     The value is a positive multiple of an element of Q(r1, r2), so the
     sign of x + y*sqrt(u) decides it: even(w) + sqrt(w)*odd(w) on the
     confluent form, and r2*X + B*r1 with X = A + C*r1 otherwise, from the
     sign of X, the sign of B and, when they differ, the sign of
-    X**2 u2 - B**2 u1.
+    X**2 u2 - B**2 u1.  `cleared` is `_int_parts(nf)` of a two-radical
+    form when the caller holds it already.
     """
     h = as_rational(h)
     fam = nf.family
@@ -170,7 +173,7 @@ def point_sign(nf, h) -> int:
     # in ints: the parts times den**k, and ui = Ui(h)/d = ti/e with
     # ti = den*Ui(h) and e = d*den, so x + y*sqrt(ui) has the sign of
     # x*e + y*sqrt(ti*e)
-    d, u1, u2, parts = _int_parts(nf)
+    d, u1, u2, parts = cleared or _int_parts(nf)
     num, den = h.numerator, h.denominator
     k = max(map(len, parts)) - 1
     e = d * den
@@ -183,9 +186,9 @@ def point_sign(nf, h) -> int:
     return s_x * _sign_sqrt((a * a * e + c * c * t1) * t2 - b * b * t1 * e, 2 * a * c * t2, t1 * e)
 
 
-def exact_zero_at(nf, h) -> bool:
+def exact_zero_at(nf, h, cleared: tuple = None) -> bool:
     """Decide exactly whether the normal form vanishes at rational h."""
-    return point_sign(nf, h) == 0
+    return point_sign(nf, h, cleared) == 0
 
 
 @dataclass
@@ -327,7 +330,9 @@ def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
         return _count_confluent(nf, bound)
 
     h_max = fam.h_max
-    elim = eliminate_radicals(nf)
+    # clear the form once: the eliminant and every exact sign below use it
+    cleared = _int_parts(nf)
+    elim = eliminate_radicals(nf, cleared)
     # the center forces a root at h = 0; strip all of them
     first = next(k for k, c in enumerate(elim.coeffs) if c != 0)
     reduced = Polynomial(elim.coeffs[first:])
@@ -348,10 +353,10 @@ def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
         iv = core.refine(iv, min(iv.width / 16, report_width))
         if iv.lo == iv.hi:
             # exact rational candidate: decide algebraically
-            if exact_zero_at(nf, iv.lo):
+            if exact_zero_at(nf, iv.lo, cleared):
                 report.certified.append(CertifiedZero(iv, True))
             continue
-        s_lo, s_hi = point_sign(nf, iv.lo), point_sign(nf, iv.hi)
+        s_lo, s_hi = point_sign(nf, iv.lo, cleared), point_sign(nf, iv.hi, cleared)
         if s_lo * s_hi < 0:
             report.certified.append(CertifiedZero(iv, True))
             continue

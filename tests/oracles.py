@@ -10,12 +10,16 @@ dense linear system for the coefficients, and the single-factor expansion
 substitutes x = (1 - (1-alpha*x))/alpha binomially, where `melcert.melnikov`
 reads Taylor coefficients at each pole in closed form.  The eliminant here
 squares rational polynomials in h, where `melcert.zeros` forms an integer
-norm with the radicands cleared of denominators.
+norm with the radicands cleared of denominators.  `oracle_integrate` sums
+the first-order integral monomial by monomial in `Fraction` polynomials,
+where `melcert.melnikov` sums int numerators over one denominator; it
+starts from melcert's integrals of x**k, so it checks the accumulation.
 """
 
 import math
 from fractions import Fraction
 
+from melcert.melnikov import _integrals, _polynomials
 from melcert.polynomials import Interval, Polynomial
 
 
@@ -264,3 +268,30 @@ def oracle_single_factor(k, m, alpha):
         else:
             tail = tail + oracle_power_moment(j - m, alpha).scale(c)
     return tuple(weights), tail
+
+
+def oracle_monomial_parts(i, j, poles):
+    """The parts of the loop integral of x**i * y**j over the poles' product
+    as `Fraction` polynomials: zero for odd j, else the binomial expansion
+    of y**2 = h - x**2 over melcert's integrals of x**k."""
+    sums = [Polynomial.zero()] * (len(poles) + 1)
+    if j % 2 == 1:
+        return sums
+    kk = j // 2
+    for l in range(kk + 1):
+        hpow = Polynomial.monomial(kk - l, Fraction((-1) ** l * math.comb(kk, l)))
+        parts = _polynomials(*_integrals(poles).pure(i + 2 * l))
+        sums = [total + part * hpow for total, part in zip(sums, parts)]
+    return sums
+
+
+def oracle_integrate(coeffs, poles):
+    """The parts of the first-order integral, each monomial's parts scaled by
+    its coefficient and added in `Fraction` polynomials."""
+    sums = [Polynomial.zero()] * (len(poles) + 1)
+    terms = [((i + 1, j), v) for (i, j), v in coeffs.a.items()]
+    terms += [((i, j + 1), v) for (i, j), v in coeffs.b.items()]
+    for (i, j), value in terms:
+        parts = oracle_monomial_parts(i, j, poles)
+        sums = [total + part.scale(value) for total, part in zip(sums, parts)]
+    return sums

@@ -6,7 +6,8 @@ the exact pipeline it validates.  Smooth periodic integrands make the
 trapezoid rule spectrally accurate, so 2**14 nodes give ~1e-13 relative
 error everywhere these tests evaluate.  The closed-form pole expansion is
 also checked member for member against the linear-system and binomial
-references in `oracles`.
+references in `oracles`, and the int-numerator sum of the assembly against
+the `Fraction` polynomial sum of `oracles.oracle_integrate`.
 """
 
 import math
@@ -15,13 +16,18 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from melcert import melnikov
 from melcert.intervals import RatInterval
 from melcert.melnikov import (
+    CACHED_FAMILIES,
     AssemblyError,
     ConfluentNormalForm,
     PerturbCoeffs,
     SystemFamily,
+    _integrals,
+    _integrate,
     _radial_numerator,
     assemble,
     assemble_confluent,
@@ -36,7 +42,13 @@ from melcert.melnikov import (
 )
 from melcert.polynomials import Polynomial
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
-from oracles import oracle_partial_fractions, oracle_power_moment, oracle_single_factor
+from oracles import (
+    oracle_integrate,
+    oracle_monomial_parts,
+    oracle_partial_fractions,
+    oracle_power_moment,
+    oracle_single_factor,
+)
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 FAM_12 = SystemFamily(F(1, 2), F(-1, 3), 1, 2)
@@ -336,6 +348,113 @@ class TestAssembly:
     def test_dispatch(self):
         conf = SystemFamily(F(1, 2), F(1, 2), 1, 1)
         assert isinstance(assemble(conf, PerturbCoeffs(n=1)), ConfluentNormalForm)
+
+
+# ------------------------------------------- int sum vs Fraction oracle
+
+
+def _is_power_of_two(q: int) -> bool:
+    return q & (q - 1) == 0
+
+
+@st.composite
+def _assembly_cases(draw):
+    """(kind, coeffs, poles) as the assembly sums them: two distinct
+    poles, a mirror pair alpha2 = -alpha1, or the confluent single pole of
+    power m1 + m2.  Coefficient denominators run over 1..12, a grid is
+    full or sparse, and a quarter of the draws hold only pairs a[i,j],
+    b[i+1,j-1] = v, -v on the same monomial, which cancel."""
+    rational = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+    alpha = rational.filter(bool)
+    kind = draw(st.sampled_from(["two_radical", "mirror", "confluent"]))
+    alpha1, m1, m2 = draw(alpha), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if kind == "two_radical":
+        alpha2 = draw(alpha.filter(lambda a: a not in (alpha1, -alpha1)))
+        poles = ((alpha1, m1), (alpha2, m2))
+    elif kind == "mirror":
+        poles = ((alpha1, m1), (-alpha1, m2))
+    else:
+        poles = ((alpha1, m1 + m2),)
+    cancel = draw(st.integers(0, 3)) == 0
+    n = draw(st.integers(2 if cancel else 0, 5))
+    a, b = {}, {}
+    if cancel:
+        for i in range(n - 1):
+            for j in range(2, n - i + 1, 2):
+                if draw(st.booleans()):
+                    a[(i, j)] = draw(rational.filter(bool))
+                    b[(i + 1, j - 1)] = -a[(i, j)]
+    else:
+        sparse = draw(st.booleans())
+        for grid in (a, b):
+            for i in range(n + 1):
+                for j in range(n + 1 - i):
+                    if not sparse or draw(st.integers(0, 3)) == 0:
+                        grid[(i, j)] = draw(rational)
+    return kind, PerturbCoeffs(n=n, a=a, b=b, box=40), poles
+
+
+def test_integrate_matches_fraction_oracle():
+    seen = dict.fromkeys(
+        ["two_radical", "mirror", "confluent", "non_dyadic", "sparse", "cancelled"], 0
+    )
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_assembly_cases())
+    def check(case):
+        kind, coeffs, poles = case
+        got, want = _integrate(coeffs, poles), oracle_integrate(coeffs, poles)
+        assert got == want
+        assert [p.degree for p in got] == [p.degree for p in want]
+        seen[kind] += 1
+        values = [*coeffs.a.values(), *coeffs.b.values()]
+        seen["non_dyadic"] += any(not _is_power_of_two(v.denominator) for v in values)
+        slots = (coeffs.n + 1) * (coeffs.n + 2)  # both grids
+        seen["sparse"] += 0 < len(values) < slots / 2
+        # a part that some term feeds yet sums to zero
+        terms = [oracle_monomial_parts(i + 1, j, poles) for i, j in coeffs.a]
+        terms += [oracle_monomial_parts(i, j + 1, poles) for i, j in coeffs.b]
+        fed = [any(not parts[k].is_zero for parts in terms) for k in range(len(want))]
+        seen["cancelled"] += any(f and w.is_zero for f, w in zip(fed, want))
+
+    check()
+    assert min(seen.values()) >= 20, seen
+
+
+# ------------------------------------------------- per-family cache bound
+
+
+class TestFamilyCache:
+    def test_many_families_stay_within_the_bound(self):
+        per_degree = (circle_moment, _radial_numerator)
+        before = [cache.cache_info().currsize for cache in per_degree]
+        for k in range(2000):
+            rng = rng_for(61, k)
+            fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 2))
+            assemble(fam, draw_coeffs(rng, rng.randint(0, 1)))
+        info = _integrals.cache_info()
+        assert info.maxsize == CACHED_FAMILIES
+        assert info.currsize <= CACHED_FAMILIES
+        # the per-degree caches grow with the exponents (here x**k, k <= 2,
+        # over at most 4 poles' powers), not with the number of families
+        for cache, size in zip(per_degree, before):
+            assert cache.cache_info().currsize - size <= 8
+
+    def test_second_pass_over_a_pool_misses_nothing(self, monkeypatch):
+        # the size of the benchmark's sweep pool, at its n and m
+        rngs = [rng_for(62, k) for k in range(96)]
+        pool = [(draw_family(rng, 2, 1), draw_coeffs(rng, 4)) for rng in rngs]
+        first = [assemble(fam, co) for fam, co in pool]
+        misses = _integrals.cache_info().misses
+
+        def recomputed(*_args):
+            raise AssertionError("a cached family recomputed an integral")
+
+        # every monomial table entry and lift is still held
+        monkeypatch.setattr(melnikov._FamilyIntegrals, "pure", recomputed)
+        monkeypatch.setattr(melnikov, "_lift", recomputed)
+        assert [assemble(fam, co) for fam, co in pool] == first
+        assert _integrals.cache_info().misses == misses
 
 
 class TestConfluent:

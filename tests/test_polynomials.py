@@ -399,6 +399,39 @@ class TestRefinement:
             refine_root(poly(-1, 1), Interval(1, 1), width)
 
 
+def test_integer_refine_matches_sturm_on_non_dyadic_windows():
+    # annulus windows (0, 1/alpha**2) whose width is no power of two, so the
+    # bisection denominators mix the window's own with the powers of two
+    reached = dict.fromkeys(["midpoint_hit", "both_ends_roots", "refined"], 0)
+    for alpha in (F(2, 3), F(3, 5), F(5, 7)):
+        h_max = 1 / alpha**2
+        cases = [
+            # 3/4 of the window is the midpoint of the right half: refining
+            # the right half's root hits it exactly
+            Polynomial.from_roots([h_max / 5, h_max * F(3, 4)]),
+            # roots at both ends and one inside: only counts tell the side
+            Polynomial.from_roots([0, h_max / 3, h_max]),
+            # irrational roots: sqrt(2) and sqrt(3/2), with 1/3 beside them
+            poly(-2, 0, 1) * poly(-3, 0, 2) * poly(-1, 3),
+        ]
+        widths = (F(1, 3), h_max / 2**20, h_max / 10**30)
+        for p in cases:
+            core, oracle = DescartesIsolator(p), OracleSturm(p)
+            for iv in core.isolate(F(0), h_max):
+                if iv.lo == iv.hi:
+                    continue
+                both_roots = core.sign_at(iv.lo) == 0 and core.sign_at(iv.hi) == 0
+                reached["both_ends_roots"] += both_roots
+                for width in widths:
+                    out = core.refine(iv, width)
+                    assert out == oracle.refine(iv, width)
+                    assert out.lo == out.hi or out.width <= width
+                    assert iv.lo <= out.lo <= out.hi <= iv.hi
+                    reached["midpoint_hit"] += out.lo == out.hi
+                    reached["refined"] += 1
+    assert min(reached.values()) >= 3, reached
+
+
 # ------------------------------------------ Descartes core vs Sturm oracle
 
 
