@@ -702,10 +702,6 @@ def main(argv=None) -> int:
     except (ValueError, FlowError, QuadratureError) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ImportError as exc:  # numpy/scipy load only on the first float call
-        package = (exc.name or "a numeric package").partition(".")[0]
-        print(f"error: {args.command} needs {package} ({exc})", file=sys.stderr)
-        return 1
     return 0
 
 

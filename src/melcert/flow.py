@@ -2,19 +2,30 @@
 integration of the perturbed system with section-return cycle detection.
 
 Everything here is double precision by design; it is the oracle and the
-detector that exercise the exact pipeline, never the certifier.  numpy and
-scipy are imported on the first numeric call, so importing this module (and
-the exact pipeline that never makes such a call) does not load them.
+detector that exercise the exact pipeline, never the certifier.
+
+A section return is integrated in angle form.  With theta = atan2(x, y) as
+the independent variable the positive y-axis is theta = 0 (mod 2*pi), so one
+return is the fixed interval [theta0, 2*pi], and the state is the deviation
+h - h0 of the orbit label, whose rate is O(eps).  The displacement is thus
+integrated directly rather than taken as the difference of two O(1)
+numbers.  The integrator is the scalar Dormand-Prince 8(5,3) of `dop853`,
+in pure Python, so section returns and cycle detection need no third-party
+package; `numeric_melnikov` imports numpy on its first call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .melnikov import PerturbCoeffs, SystemFamily
 
 SINGULAR_GUARD = 1e-6
+# Below this relative tolerance round-off in the stages, not truncation,
+# would set the step size, and steps would shrink without bound.
+MIN_STEP_TOLERANCE = 100 * sys.float_info.epsilon
 
 
 class QuadratureError(RuntimeError):
@@ -28,18 +39,21 @@ class FlowError(RuntimeError):
 @dataclass
 class FlowConfig:
     """Integration settings; the section is fixed: the positive y-axis,
-    crossed with increasing x (the orbit's t = 0 point)."""
+    crossed with increasing x (the orbit's t = 0 point).
+
+    `step_tolerance` bounds each step's local error in the deviation of h
+    by step_tolerance * (|epsilon| * h0 + |h - h0|).
+    """
 
     epsilon: float = 1e-3
     step_tolerance: float = 1e-10
-    max_return_time: float = 100.0
 
     def __post_init__(self):
         # epsilon == 0 is allowed: it exercises the conservative flow
         if abs(self.epsilon) >= 1:
             raise ValueError("epsilon must be small")
-        if self.step_tolerance <= 0 or self.max_return_time <= 0:
-            raise ValueError("tolerances must be positive")
+        if not self.step_tolerance >= MIN_STEP_TOLERANCE:
+            raise ValueError(f"step_tolerance must be at least {MIN_STEP_TOLERANCE:.3g}")
 
 
 @dataclass
@@ -54,13 +68,6 @@ class CycleReport:
     grid: list = field(default_factory=list)
     epsilon: float = 0.0
     failures: dict = field(default_factory=dict)  # grid index -> message
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _float_tables(family: SystemFamily, coeffs: PerturbCoeffs):
@@ -122,24 +129,61 @@ def numeric_melnikov(
     raise QuadratureError(f"quadrature did not settle at h={h}")
 
 
-def _vector_field(family: SystemFamily, coeffs: PerturbCoeffs, cfg: FlowConfig):
-    a1, a2, terms_a, terms_b = _float_tables(family, coeffs)
+def _section_rate(family: SystemFamily, coeffs: PerturbCoeffs, eps: float, h0: float):
+    """d(h - h0)/dtheta along the perturbed orbit, theta = atan2(x, y).
+
+    With x = sqrt(h)*sin(theta), y = sqrt(h)*cos(theta) and w the slowing
+    factor, dh/dtheta = 2*eps*h*(x*P + y*Q) / (w*h + eps*(y*P - x*Q)).
+    """
+    a1, a2 = float(family.alpha1), float(family.alpha2)
     m1, m2 = family.m1, family.m2
-    eps = cfg.epsilon
+    reach = max(abs(a1), abs(a2))
+    terms = [
+        (i, j, float(coeffs.a.get((i, j), 0)), float(coeffs.b.get((i, j), 0)))
+        for i, j in sorted(coeffs.a.keys() | coeffs.b.keys())
+    ]
+    top = max((max(i, j) for i, j, _, _ in terms), default=0)
 
-    def rhs(_t, state):
-        x, y = state
-        f1 = 1.0 - a1 * x
-        f2 = 1.0 - a2 * x
-        if abs(f1) < SINGULAR_GUARD or abs(f2) < SINGULAR_GUARD:
-            raise FlowError(f"trajectory reached the singular guard at x={x:.6f}")
-        w = f1**m1 * f2**m2
-        return (
-            y + eps * _poly_sum(terms_a, x, y) / w,
-            -x + eps * _poly_sum(terms_b, x, y) / w,
-        )
+    def rate(theta, delta):
+        h = h0 + delta
+        if h <= 0.0:
+            raise FlowError(f"orbit reached the center at angle {theta:.6f}")
+        root = math.sqrt(h)
+        # |x| <= sqrt(h) on the whole circle, so this guards every stage
+        if 1.0 - reach * root < SINGULAR_GUARD:
+            raise FlowError(f"orbit reached the singular guard at h={h:.6f}")
+        x, y = root * math.sin(theta), root * math.cos(theta)
+        xs, ys = [1.0], [1.0]
+        for _ in range(top):
+            xs.append(xs[-1] * x)
+            ys.append(ys[-1] * y)
+        p = q = 0.0
+        for i, j, ca, cb in terms:
+            mono = xs[i] * ys[j]
+            p += ca * mono
+            q += cb * mono
+        turn = (1.0 - a1 * x) ** m1 * (1.0 - a2 * x) ** m2 * h + eps * (y * p - x * q)
+        if turn <= 0.0:
+            raise FlowError(
+                f"the angle stopped increasing at angle {theta:.6f}, h={h:.6g}: "
+                "the orbit does not return to the section"
+            )
+        return 2.0 * eps * h * (x * p + y * q) / turn
 
-    return rhs
+    return rate
+
+
+def _section_return(family, coeffs, cfg: FlowConfig, h0: float, theta0: float) -> float:
+    """Change of h from angle theta0 in [0, 2*pi) to the section at 2*pi.
+
+    A step-size failure at some angle usually means that h(theta) turns
+    vertical there: the orbit's angle is about to stop increasing.
+    """
+    from . import dop853
+
+    rate = _section_rate(family, coeffs, cfg.epsilon, h0)
+    atol = cfg.step_tolerance * abs(cfg.epsilon) * h0
+    return dop853.integrate(rate, theta0, 2.0 * math.pi, atol, cfg.step_tolerance, FlowError)
 
 
 def integrate_to_section(
@@ -147,53 +191,16 @@ def integrate_to_section(
 ) -> tuple:
     """Flow the perturbed system to its next positive-y-axis crossing.
 
-    The crossing (x = 0 with dx/dt > 0, which happens at y > 0 on the
-    near-circular orbits) is located by the integrator's event root solve.
+    The start's angle theta0 = atan2(x, y) is taken in [0, 2*pi), and the
+    crossing is theta = 2*pi, so h is integrated over the fixed interval
+    [theta0, 2*pi]; the crossing is (0.0, sqrt(h)).
     """
     x0, y0 = float(start[0]), float(start[1])
-    if x0 * x0 + y0 * y0 >= float(family.h_max):
+    h0 = x0 * x0 + y0 * y0
+    if h0 >= float(family.h_max):
         raise FlowError("start point outside the annulus of closed orbits")
-    rhs = _vector_field(family, coeffs, cfg)
-
-    def section(_t, state):
-        return state[0]
-
-    section.terminal = True
-    section.direction = 1.0
-
-    t_start, state = 0.0, (x0, y0)
-    if abs(x0) < 1e-12:
-        # already on the section: run a short eventless leg first so the
-        # event fires on the true return, not on the start point
-        lead = solve_ivp(
-            rhs,
-            (0.0, 0.5),
-            state,
-            method="DOP853",
-            rtol=cfg.step_tolerance,
-            atol=cfg.step_tolerance * 1e-3,
-        )
-        if not lead.success:
-            raise FlowError(f"integration failed: {lead.message}")
-        t_start, state = 0.5, tuple(lead.y[:, -1])
-    sol = solve_ivp(
-        rhs,
-        (t_start, cfg.max_return_time),
-        state,
-        method="DOP853",
-        rtol=cfg.step_tolerance,
-        atol=cfg.step_tolerance * 1e-3,
-        events=section,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise FlowError(f"integration failed: {sol.message}")
-    if not sol.t_events[0].size:
-        raise FlowError("section was not reached before max_return_time")
-    xs, ys = sol.y_events[0][0]
-    if ys <= 0:
-        raise FlowError("section crossing happened at nonpositive y")
-    return float(xs), float(ys)
+    theta0 = math.atan2(x0, y0) % (2.0 * math.pi)
+    return 0.0, math.sqrt(h0 + _section_return(family, coeffs, cfg, h0, theta0))
 
 
 def displacement(
@@ -201,13 +208,14 @@ def displacement(
 ) -> float:
     """Change of the orbit label h = x**2 + y**2 over one section return.
 
-    To first order this is a positive multiple of epsilon times the
-    averaged integral; only its sign and zero locations are relied upon.
+    It is integrated directly, not taken as a difference of two labels, so
+    it is exactly 0.0 when the perturbation vanishes and keeps its relative
+    accuracy at small epsilon.  To first order it is 2*eps times the
+    averaged integral.
     """
     if not (0 < h < float(family.h_max)):
         raise ValueError("orbit label outside the annulus")
-    xs, ys = integrate_to_section(family, coeffs, cfg, (0.0, math.sqrt(h)))
-    return xs * xs + ys * ys - h
+    return _section_return(family, coeffs, cfg, h, 0.0)
 
 
 def find_limit_cycles(

@@ -127,7 +127,15 @@ class MelnikovNormalForm:
 
     @property
     def is_zero(self) -> bool:
-        return self.rad1.is_zero and self.rad2.is_zero and self.tail.is_zero
+        if not self.tail.is_zero:
+            return False
+        if self.merged and not (self.rad1.is_zero or self.rad2.is_zero):
+            # one radical r: the parts cancel exactly when their numerators
+            # over the common r**(2*max(m1, m2)-1) do, with r**2 = u
+            fam = self.family
+            u, top = _u_poly(fam.alpha1), max(fam.m1, fam.m2)
+            return (self.rad1 * u ** (top - fam.m1) + self.rad2 * u ** (top - fam.m2)).is_zero
+        return self.rad1.is_zero and self.rad2.is_zero
 
     def center_value(self) -> Fraction:
         """Exact value at h = 0, where both radicals equal 1."""

@@ -379,6 +379,21 @@ class TestCommands:
         assert err.startswith("error: [family] m1: ")
         assert "Traceback" not in err
 
+    def test_mirror_parts_that_cancel_are_the_zero_function(self, tmp_path, capsys):
+        # alpha2 = -alpha1 with an integrand odd in x: rad1 = 2 and rad2 = -2
+        # over the one shared radical, so the sum vanishes identically
+        spec = tmp_path / "mirror.spec"
+        spec.write_text(
+            "[family]\nalpha1 = 1/2\nalpha2 = -1/2\nm1 = 1\nm2 = 1\n"
+            "[perturbation]\nn = 2\na_0_0 = 1\n"
+        )
+        assert main(["zeros", "--spec", str(spec), "--format", "json"]) == 0
+        zeros = json.loads(capsys.readouterr().out)
+        assert zeros["status"] == "identically_zero"
+        assert main(["verify", "--spec", str(spec), "--eps", "1/1000", "--format", "json"]) == 0
+        verify = json.loads(capsys.readouterr().out)
+        assert (verify["verdict"], verify["cycles"]) == ("zero-function", [])
+
     def test_unparsable_eps_exits_nonzero(self, capsys):
         rc = main(
             ["verify", "--spec", str(INSTANCES / "two_zeros.spec"), "--eps", "1/0"]

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from melcert.dop853 import integrate
 from melcert.flow import (
+    MIN_STEP_TOLERANCE,
     FlowConfig,
     FlowError,
     displacement,
@@ -96,6 +98,20 @@ class TestDisplacement:
         d2 = displacement(FAM, BASIC, FlowConfig(epsilon=5e-4), h)
         assert abs(d1 / d2 - 2.0) < 0.05
 
+    def test_vanishing_field_gives_exactly_zero(self):
+        assert displacement(FAM, PerturbCoeffs(n=2), FlowConfig(epsilon=1e-3), 1.0) == 0.0
+        assert displacement(FAM, BASIC, FlowConfig(epsilon=0.0), 1.0) == 0.0
+
+    def test_linear_response_matches_certified_value(self):
+        # the angle form integrates the O(eps) deviation itself, so at tiny
+        # eps displacement/(2*eps) is the averaged integral, pi included
+        eps = 1e-8
+        nf = assemble(FAM, BASIC)
+        for h in (0.3, 1.0, 2.0, 3.2):
+            value = float(evaluate_normal_form(nf, F(h), precision=20).mid)
+            d = displacement(FAM, BASIC, FlowConfig(epsilon=eps), h)
+            assert abs(d / (2 * eps) - value) <= 1e-5 * abs(value), h
+
 
 class TestFindLimitCycles:
     def test_zero_perturbation_finds_nothing(self):
@@ -154,6 +170,24 @@ class TestFindLimitCycles:
         tol = 5e-3 * h_max
         assert float(z.interval.lo) - tol <= report.cycles[0].h_label <= float(z.interval.hi) + tol
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5])
+    def test_six_prescribed_zeros_six_cycles(self, eps):
+        # equally spaced zeros give lobes from about 1e-9 to 1e-3, so the
+        # inner cycles show only if the displacement keeps its relative
+        # accuracy at small eps
+        fam = SystemFamily(F(1, 2), F(-1, 3), 2, 1)
+        coeffs = prescribe_zeros(fam, 4, [fam.h_max * i / 7 for i in range(1, 7)])
+        zero_report = count_zeros(assemble(fam, coeffs), n=4)
+        assert zero_report.count_lo == zero_report.count_hi == 6
+        h_max = float(fam.h_max)
+        grid = [h_max * (0.05 + 0.9 * k / 95) for k in range(96)]
+        report = find_limit_cycles(fam, coeffs, FlowConfig(epsilon=eps), grid)
+        assert len(report.cycles) == 6
+        tol = 5e-3 * h_max
+        for cycle, zero in zip(report.cycles, zero_report.certified):
+            lo, hi = float(zero.interval.lo), float(zero.interval.hi)
+            assert lo - tol <= cycle.h_label <= hi + tol
+
     def test_grid_outside_annulus_rejected(self):
         cfg = FlowConfig(epsilon=1e-3)
         with pytest.raises(ValueError):
@@ -167,3 +201,65 @@ def test_singular_guard_trips_before_the_line():
     h = float(FAM.h_max) * (1 - 1e-9)
     with pytest.raises(FlowError, match="guard"):
         integrate_to_section(FAM, BASIC, cfg, (0.0, math.sqrt(h)))
+
+
+class TestRobustness:
+    # x' = y - eps/w, y' = -x: the equilibrium sits on the positive y-axis
+    REVERSED = PerturbCoeffs(n=0, a={(0, 0): F(-1)})
+
+    def test_start_moving_backwards_is_a_flow_error(self):
+        # x' < 0 at (0, 0.01): the start does not cross the section forwards
+        with pytest.raises(FlowError, match="angle stopped increasing at angle 0.000000"):
+            displacement(FAM, self.REVERSED, FlowConfig(epsilon=0.9), 1e-4)
+
+    def test_orbit_spiralling_out_to_the_line_is_a_flow_error(self):
+        # with +eps/w the focus at (0, -0.9) repels, and the orbit from
+        # (0, 0.01) grows until it meets the singular guard
+        coeffs = PerturbCoeffs(n=0, a={(0, 0): F(1)})
+        with pytest.raises(FlowError, match="singular guard"):
+            displacement(FAM, coeffs, FlowConfig(epsilon=0.9), 1e-4)
+
+    def test_orbit_around_an_off_center_equilibrium_is_a_flow_error(self):
+        # the orbit through (0, sqrt(0.012)) circles (0, 0.1) without
+        # enclosing the origin, so its angle turns back near 0.095
+        with pytest.raises(FlowError, match="angle stopped increasing") as info:
+            displacement(FAM, self.REVERSED, FlowConfig(epsilon=0.1), 0.012)
+        angle = float(str(info.value).split("at angle ")[1].split(",")[0])
+        assert 0.05 < angle < 0.1
+
+    def test_cycle_scan_records_the_failure_per_grid_point(self):
+        report = find_limit_cycles(FAM, self.REVERSED, FlowConfig(epsilon=0.1), [0.012, 0.015])
+        assert report.cycles == []
+        assert sorted(report.failures) == [0, 1]
+        assert all("angle stopped increasing" in msg for msg in report.failures.values())
+
+    def test_step_floor_ends_in_flow_error(self):
+        # y' = (1 + y)**2 blows up at t = 1: steps shrink to 10 ulp there
+        with pytest.raises(FlowError, match="step size fell below 10 ulp at 1.0"):
+            integrate(lambda _t, y: (1.0 + y) ** 2, 0.0, 2.0, 1e-10, 1e-10, FlowError)
+
+    def test_fold_in_the_angle_ends_at_the_step_floor(self):
+        # x' = y + x**2/(2w), y' = -x from h = 1/2: the angle peaks near
+        # 1.9562 at h = 3.1 and turns back, so h(theta) has a vertical
+        # tangent there that no step can follow
+        coeffs = PerturbCoeffs(n=2, a={(2, 0): F(1)})
+        with pytest.raises(FlowError, match="10 ulp at 1.956"):
+            displacement(FAM, coeffs, FlowConfig(epsilon=0.5), 0.5)
+
+    def test_integrator_matches_a_closed_form(self):
+        # y' = cos(t) * (1 + y) has y = exp(sin t) - 1; an 8th-order method
+        # reaches 1e-10 in about 20 steps of 12 evaluations
+        calls = []
+
+        def rate(t, y):
+            calls.append(t)
+            return math.cos(t) * (1.0 + y)
+
+        y = integrate(rate, 0.0, 2.0, 1e-12, 1e-12, FlowError)
+        assert abs(y - math.expm1(math.sin(2.0))) <= 1e-10
+        assert len(calls) <= 400
+
+    def test_tolerance_below_round_off_rejected(self):
+        FlowConfig(step_tolerance=MIN_STEP_TOLERANCE)
+        with pytest.raises(ValueError, match="step_tolerance"):
+            FlowConfig(step_tolerance=MIN_STEP_TOLERANCE / 2)

@@ -303,6 +303,17 @@ class TestAssembly:
             nf = assemble_melnikov(fam, PerturbCoeffs(n=3, a=a, b=b))
             assert nf.is_zero
 
+    def test_mirror_parts_cancel_over_the_shared_radical(self):
+        # alpha2 = -alpha1: r1 = r2 = r, so the parts are compared over
+        # r**(2*max(m1, m2)-1) with r**2 = 1 - h/4
+        odd = PerturbCoeffs(n=2, a={(0, 0): F(1)})
+        assert assemble_melnikov(SystemFamily(F(1, 2), F(-1, 2), 1, 1), odd).is_zero
+        fam = SystemFamily(F(1, 2), F(-1, 2), 2, 1)
+        u = Polynomial((1, F(-1, 4)))
+        nf = melnikov.MelnikovNormalForm(fam, u.scale(3), Polynomial.constant(-3), Polynomial())
+        assert not nf.is_zero
+        assert melnikov.MelnikovNormalForm(fam, nf.rad1, nf.rad2, nf.tail, True).is_zero
+
     def test_single_coefficient_matches_monomial(self):
         co = PerturbCoeffs(n=2, a={(0, 0): F(1)})
         assert assemble_melnikov(FAM, co) == monomial_integral(1, 0, FAM)
