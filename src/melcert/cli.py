@@ -381,6 +381,14 @@ def render_zeros(report: dict) -> str:
 def report_verify(spec: InstanceSpec) -> dict:
     if spec.eps is None:
         raise SpecError("verify needs eps (set [settings] eps or pass --eps)")
+    # the flow runs in doubles: an eps that overflows, or falls below the
+    # normal range (to 0.0 at the worst), has no usable value there
+    try:
+        eps = float(spec.eps)
+    except OverflowError:
+        eps = 0.0
+    if abs(eps) < sys.float_info.min:
+        raise SpecError(f"eps {sci_str(spec.eps)} is outside the normal range of a double")
     fam = spec.family
     nf = assemble(fam, spec.coeffs)
     zr = count_zeros(nf, n=spec.coeffs.n)
@@ -400,7 +408,6 @@ def report_verify(spec: InstanceSpec) -> dict:
     tolerance = 5e-3 * h_max
 
     attempts = []
-    eps = float(spec.eps)
     for attempt in range(2):  # one halving retry
         cycles = find_limit_cycles(
             fam, spec.coeffs, FlowConfig(epsilon=eps), grid
@@ -591,8 +598,11 @@ def sample_curve_csv(spec: InstanceSpec, points: int) -> str:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,8 +1,12 @@
 """Certified interval arithmetic with exact rational endpoints.
 
-Used wherever a square root (or pi) enters an otherwise exact computation:
-the result is always a rational interval guaranteed to contain the true
-real value, so downstream sign decisions are rigorous.
+`RatInterval` is the one interval type.  It encloses an unknown real
+wherever a square root (or pi) enters an otherwise exact computation, so
+downstream sign decisions are rigorous, and it is also what the root core
+of `polynomials` returns: isolating intervals, read as half-open (lo, hi]
+when roots are counted, and degenerate when a root is pinned exactly.
+`as_rational` is the one coercion to `Fraction`.  This module imports no
+other part of melcert.
 """
 
 from __future__ import annotations
@@ -12,12 +16,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomials import Polynomial, as_rational
+
+def as_rational(x) -> Fraction:
+    """Coerce ints, strings ("3/4", "0.25") and Fractions to Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
 class RatInterval:
-    """[lo, hi] with rational endpoints; encloses one unknown real."""
+    """[lo, hi] with rational endpoints; encloses one unknown real.
+
+    Root-counting operations read it as half-open (lo, hi]: a root exactly
+    at `lo` is excluded, one at `hi` is included.  A degenerate interval
+    (lo == hi) pins a value exactly.
+    """
 
     lo: Fraction
     hi: Fraction
@@ -26,7 +42,7 @@ class RatInterval:
         object.__setattr__(self, "lo", as_rational(self.lo))
         object.__setattr__(self, "hi", as_rational(self.hi))
         if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
+            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
     @classmethod
     def point(cls, q) -> "RatInterval":
@@ -150,9 +166,10 @@ def pi_interval(bits: int = 128) -> RatInterval:
     return _atan_inv(5, bits + 6).scale(16) - _atan_inv(239, bits + 6).scale(4)
 
 
-def poly_range(p: Polynomial, x: RatInterval) -> RatInterval:
+def poly_range(p, x: RatInterval) -> RatInterval:
     """Interval Horner evaluation: contains p(t) for every t in x.
 
+    p is any polynomial with `coeffs` (constant term first) and `eval`.
     At a point it is the exact value p(x.lo)."""
     if x.lo == x.hi:
         return RatInterval.point(p.eval(x.lo))

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .intervals import RatInterval, pi_interval, poly_range, sqrt_interval
-from .polynomials import Polynomial, as_rational
+from .intervals import RatInterval, as_rational, pi_interval, poly_range, sqrt_interval
+from .polynomials import Polynomial
 
 
 # Families whose integrals stay cached; beyond this many the least recently

@@ -2,65 +2,27 @@
 
 `Polynomial` holds `fractions.Fraction` coefficients, and nothing in this
 module touches floating point.  The root core works in plain ints and rests
-on Descartes' rule of signs.  `modular_squarefree` certifies a polynomial
-squarefree by gcd(p, p') modulo a prime that does not divide lc(p); only
-when that fails does the exact Yun decomposition run, over `poly_gcd` and
-its primitive remainder sequence over Z.  `DescartesIsolator` is the one
-root isolator: on a squarefree polynomial it counts roots on half-open
-windows, isolates them by Vincent-Collins-Akritas bisection with exact
-rational endpoints and refines them by bisection on int numerators over a
-doubling common denominator, with exact integer signs.
-`count_real_roots`, `isolate_roots` and `refine_root` are entry points that
-build one isolator for an arbitrary polynomial, on its squarefree part when
-the certificate fails.
+on Descartes' rule of signs.  `squarefree_factors` is the one squarefree
+decision: `modular_squarefree` certifies a polynomial squarefree by
+gcd(p, p') modulo a prime that does not divide lc(p), and only when that
+fails does the exact Yun decomposition run, over `poly_gcd` and its
+primitive remainder sequence over Z.  `DescartesIsolator` is the one root
+isolator: on a squarefree polynomial it counts roots on half-open windows,
+isolates them by Vincent-Collins-Akritas bisection with exact rational
+endpoints and refines them by bisection on int numerators over a doubling
+common denominator, with exact integer signs.  Every interval here is an
+`intervals.RatInterval`.  `count_real_roots`, `isolate_roots` and
+`refine_root` are entry points that build one isolator for an arbitrary
+polynomial through `squarefree_factors`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-
-def as_rational(x) -> Fraction:
-    """Coerce ints, strings ("3/4", "0.25") and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Rational interval [lo, hi].
-
-    Root-counting operations interpret intervals as half-open (lo, hi]:
-    a root exactly at `lo` is excluded, one at `hi` is included.  A
-    degenerate interval (lo == hi) pins a root exactly.
-    """
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_rational(self.lo))
-        object.__setattr__(self, "hi", as_rational(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, q) -> bool:
-        q = as_rational(q)
-        return self.lo <= q <= self.hi
+from .intervals import RatInterval, as_rational
 
 
 class Polynomial:
@@ -512,14 +474,14 @@ class DescartesIsolator:
         on (a, b)."""
         v = _variations01(c)
         if v < 2:
-            return [Interval(a, b)] * v
+            return [RatInterval(a, b)] * v
         mid = (a + b) / 2
         left = _halve(c)
         right = _taylor_shift(left, 1)
         if right[0]:
             found = self._split(a, mid, left) + self._split(mid, b, right)
         else:
-            found = [Interval(mid, mid)]
+            found = [RatInterval(mid, mid)]
             # retreat to nearby non-root cut points around the exact hit
             delta = (b - a) / 4
             while True:
@@ -534,7 +496,7 @@ class DescartesIsolator:
             found += self._split(a, lo, self._window(a, lo))
             found += self._split(hi, b, self._window(hi, b))
         # a node that holds one root is that root's interval
-        return [Interval(a, b)] if len(found) == 1 else found
+        return [RatInterval(a, b)] if len(found) == 1 else found
 
     def isolate(self, lo: Fraction, hi: Fraction) -> list:
         """Disjoint isolating intervals, one per root in (lo, hi], sorted.
@@ -548,11 +510,11 @@ class DescartesIsolator:
             return []
         found = self._split(lo, hi, self._window(lo, hi))
         if self.sign_at(hi) == 0:
-            found.append(Interval(hi, hi))
+            found.append(RatInterval(hi, hi))
         found.sort(key=lambda r: (r.lo, r.hi))
         return found
 
-    def refine(self, iv: Interval, width) -> Interval:
+    def refine(self, iv: RatInterval, width) -> RatInterval:
         """Bisect an isolating interval down to the requested width.
 
         The interval must be degenerate or hold exactly one root strictly
@@ -576,7 +538,7 @@ class DescartesIsolator:
             mid = (lo + hi) // 2
             s = sign(mid, den)
             if s == 0:
-                return Interval(Fraction(mid, den), Fraction(mid, den))
+                return RatInterval(Fraction(mid, den), Fraction(mid, den))
             # the simple root inside flips the sign: it lies left of mid
             # iff mid has hi's sign, or lacks lo's; with both ends roots,
             # count
@@ -590,35 +552,39 @@ class DescartesIsolator:
                 hi, s_hi = mid, s
             else:
                 lo, s_lo = mid, s
-        return Interval(Fraction(lo, den), Fraction(hi, den))
+        return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
 
-def _squarefree_isolator(p: Polynomial) -> DescartesIsolator:
-    """Isolator of p itself when certified squarefree, else of the product
-    of its Yun factors (only then is a gcd computed)."""
+def squarefree_factors(p: Polynomial) -> tuple:
+    """(factors, isolator): the one squarefree decision of the root core.
+
+    When `modular_squarefree` certifies p, the factors are [(p, 1)] and the
+    isolator is built on p itself; otherwise they are the Yun decomposition
+    (only then is a gcd computed) and the isolator is built on the product
+    of its factors, p's squarefree part.
+    """
     if modular_squarefree(p):
-        return DescartesIsolator(p)
-    return DescartesIsolator(
-        math.prod((f for f, _m in squarefree_decomposition(p)), start=Polynomial.one())
-    )
+        return [(p, 1)], DescartesIsolator(p)
+    factors = squarefree_decomposition(p)
+    return factors, DescartesIsolator(math.prod((f for f, _m in factors), start=Polynomial.one()))
 
 
-def count_real_roots(p: Polynomial, iv: Interval) -> int:
+def count_real_roots(p: Polynomial, iv: RatInterval) -> int:
     """Exact number of distinct real roots of p in (iv.lo, iv.hi]."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    return _squarefree_isolator(p).count(iv.lo, iv.hi)
+    return squarefree_factors(p)[1].count(iv.lo, iv.hi)
 
 
-def count_real_roots_with_multiplicity(p: Polynomial, iv: Interval) -> int:
+def count_real_roots_with_multiplicity(p: Polynomial, iv: RatInterval) -> int:
     """Roots in (iv.lo, iv.hi] counted with their multiplicities."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    factors = [(p, 1)] if modular_squarefree(p) else squarefree_decomposition(p)
+    factors, _core = squarefree_factors(p)
     return sum(mult * DescartesIsolator(f).count(iv.lo, iv.hi) for f, mult in factors)
 
 
-def isolate_roots(p: Polynomial, iv: Interval) -> list:
+def isolate_roots(p: Polynomial, iv: RatInterval) -> list:
     """Isolating intervals, one per distinct root of p in (lo, hi], sorted.
 
     Returned intervals are either degenerate (an exact rational root, or
@@ -626,10 +592,10 @@ def isolate_roots(p: Polynomial, iv: Interval) -> list:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return _squarefree_isolator(p).isolate(iv.lo, iv.hi)
+    return squarefree_factors(p)[1].isolate(iv.lo, iv.hi)
 
 
-def refine_root(p: Polynomial, iv: Interval, width) -> Interval:
+def refine_root(p: Polynomial, iv: RatInterval, width) -> RatInterval:
     """Shrink an isolating interval by bisection to the requested width.
 
     The input must isolate a single root: p has exactly one distinct root
@@ -645,11 +611,11 @@ def refine_root(p: Polynomial, iv: Interval, width) -> Interval:
         if p.eval(iv.lo) != 0:
             raise ValueError("degenerate interval does not contain a root")
         return iv
-    core = _squarefree_isolator(p)
+    _factors, core = squarefree_factors(p)
     if core.count(iv.lo, iv.hi) != 1:
         raise ValueError("interval does not isolate exactly one root")
     if core.sign_at(iv.hi) == 0:
-        return Interval(iv.hi, iv.hi)
+        return RatInterval(iv.hi, iv.hi)
     return core.refine(iv, width)
 
 
@@ -674,7 +640,7 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
 def count_positive_roots_with_multiplicity(p: Polynomial) -> int:
     """Positive real roots with multiplicity, over (0, cauchy bound]."""
     return count_real_roots_with_multiplicity(
-        p, Interval(Fraction(0), cauchy_root_bound(p))
+        p, RatInterval(Fraction(0), cauchy_root_bound(p))
     )
 
 

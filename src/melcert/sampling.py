@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .intervals import as_rational
 from .melnikov import PerturbCoeffs, SystemFamily
-from .polynomials import as_rational
 
 COEFF_DENOM_BITS = 20
 ALPHA_DENOM_BITS = 10

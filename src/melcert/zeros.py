@@ -11,10 +11,11 @@ in r on (0, 1).  Counts are a [count_lo, count_hi] range that collapses
 whenever every candidate is decided.  `count_zeros` clears the form once
 (`_int_parts`) and hands that to the eliminant and to every exact sign.
 
-Candidates come from the Descartes root core of `polynomials`: a gcd of the
-eliminant and its derivative modulo a prime usually certifies it
-squarefree, and one `DescartesIsolator` on it isolates and refines every
-root; only when that fails does a Yun decomposition run.
+Candidates come from the Descartes root core of `polynomials`: its one
+squarefree decision, `squarefree_factors`, usually certifies the eliminant
+squarefree by a gcd with its derivative modulo a prime, and one
+`DescartesIsolator` on it isolates and refines every root; only when that
+fails does a Yun decomposition run.  Every interval is a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intervals import RatInterval
+from .intervals import RatInterval, as_rational
 from .melnikov import (
     ConfluentNormalForm,
     MelnikovNormalForm,
@@ -36,14 +37,14 @@ from .melnikov import (
 )
 from .polynomials import (
     DescartesIsolator,
-    Interval,
     Polynomial,
     _content_free,
     _scaled_at,
-    as_rational,
-    modular_squarefree,
-    squarefree_decomposition,
+    squarefree_factors,
 )
+
+# Precision cap of the enclosures around a multiple eliminant root
+MAX_SIGN_BITS = 1 << 13
 
 
 class PrescribeError(RuntimeError):
@@ -195,7 +196,7 @@ def exact_zero_at(nf, h, cleared: tuple = None) -> bool:
 class CertifiedZero:
     """One verified zero: an isolating h-interval plus how it was decided."""
 
-    interval: Interval
+    interval: RatInterval
     sign_verified: bool
 
 
@@ -217,26 +218,19 @@ class ZeroReport:
         return self.count_lo == self.count_hi
 
 
-def certified_sign(nf, h: Interval, bits: int, max_bits: int):
+def certified_sign(nf, h: RatInterval, bits: int):
     """Sign of the normal form (pi dropped) on the whole h-interval.
 
-    A point gets its exact `point_sign`.  A wider interval tries
-    enclosures at bits, 2*bits, ... up to max_bits and returns the first
-    settled sign, +1 or -1; None means every enclosure still straddled
-    zero.
+    A point gets its exact `point_sign`.  A wider interval gets one
+    enclosure at `bits` and its settled sign, +1 or -1; None means the
+    enclosure straddles zero.
     """
     if h.lo == h.hi:
         return point_sign(nf, h.lo)
-    box = RatInterval(h.lo, h.hi)
-    while bits <= max_bits:
-        try:
-            s = scaled_value(nf, box, bits).sign()
-        except ZeroDivisionError:
-            s = None
-        if s is not None:
-            return s
-        bits *= 2
-    return None
+    try:
+        return scaled_value(nf, h, bits).sign()
+    except ZeroDivisionError:
+        return None
 
 
 def _isolate_open(core: DescartesIsolator, lo: Fraction, hi: Fraction) -> list:
@@ -244,7 +238,7 @@ def _isolate_open(core: DescartesIsolator, lo: Fraction, hi: Fraction) -> list:
     return [iv for iv in core.isolate(lo, hi) if iv.lo != hi]
 
 
-def _shrink_inside(core: DescartesIsolator, iv: Interval, lo: Fraction, hi: Fraction) -> Interval:
+def _shrink_inside(core: DescartesIsolator, iv: RatInterval, lo, hi) -> RatInterval:
     """Refine until the interval sits strictly inside (lo, hi)."""
     width = iv.width
     while iv.lo <= lo or iv.hi >= hi:
@@ -253,7 +247,7 @@ def _shrink_inside(core: DescartesIsolator, iv: Interval, lo: Fraction, hi: Frac
     return iv
 
 
-def _root_multiplicity(decomp, iv: Interval) -> int:
+def _root_multiplicity(decomp, iv: RatInterval) -> int:
     # the endpoints are not roots, so exactly one Yun factor changes sign
     # across the interval (or vanishes at a degenerate one): if none of
     # the others does, it is the last
@@ -266,19 +260,9 @@ def _root_multiplicity(decomp, iv: Interval) -> int:
 def _candidates(p: Polynomial, lo: Fraction, hi: Fraction):
     """One Descartes isolator of p's squarefree part, and (interval,
     multiplicity) for every root of p strictly inside (lo, hi), each
-    interval shrunk strictly inside too.
-
-    The modular certificate usually shows p squarefree, and the isolator
-    is built on p itself; only when it does not does a Yun decomposition
-    supply the multiplicities and, as the product of its factors, the
-    squarefree part.
+    interval shrunk strictly inside too; `squarefree_factors` decides.
     """
-    if modular_squarefree(p):
-        decomp = [(p, 1)]
-        core = DescartesIsolator(p)
-    else:
-        decomp = squarefree_decomposition(p)
-        core = DescartesIsolator(math.prod((f for f, _m in decomp), start=Polynomial.one()))
+    decomp, core = squarefree_factors(p)
     out = []
     for iv in _isolate_open(core, lo, hi):
         iv = _shrink_inside(core, iv, lo, hi)
@@ -296,7 +280,7 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     for iv, _mult in candidates:
         iv = core.refine(iv, report_width)
         # map the r-interval back to h (h decreases as r grows)
-        h_iv = Interval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
+        h_iv = RatInterval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
         zeros.append(CertifiedZero(h_iv, True))
     zeros.sort(key=lambda z: (z.interval.lo, z.interval.hi))
     n = len(zeros)
@@ -313,14 +297,15 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     )
 
 
-def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
+def count_zeros(nf, n: int = None) -> ZeroReport:
     """Certified count of zeros of the normal form on the open annulus.
 
     Candidates come from the eliminant; each is confirmed by a certified
     sign change (or exact vanishing at a rational point), discarded when a
     rigorous enclosure excludes zero, or left in the undecided margin
     between count_lo and count_hi once refinement reaches the width cap
-    h_max / 10**30.
+    h_max / 10**30; the enclosures there double their precision up to
+    MAX_SIGN_BITS.
     """
     fam = nf.family
     bound = theorem_bound(fam, n) if n is not None else None
@@ -371,9 +356,9 @@ def count_zeros(nf, n: int = None, max_bits: int = 1 << 13) -> ZeroReport:
         bits = 256
         while s_lo * s_hi > 0 and iv.width > width_cap:
             iv = core.refine(iv, iv.width / Fraction(256))
-            if certified_sign(nf, iv, bits, bits):
+            if certified_sign(nf, iv, bits):
                 break
-            bits = min(bits * 2, max_bits)
+            bits = min(bits * 2, MAX_SIGN_BITS)
         else:
             report.undecided.append(iv)
 
@@ -396,13 +381,13 @@ def _effective_slots(n: int) -> list:
     return slots
 
 
-def _coeffs_from_vector(n: int, slots, values, box) -> PerturbCoeffs:
+def _coeffs_from_vector(n: int, slots, values) -> PerturbCoeffs:
     a, b = {}, {}
     for (kind, i, j), v in zip(slots, values):
         if v == 0:
             continue
         (a if kind == "a" else b)[(i, j)] = v
-    return PerturbCoeffs(n=n, a=a, b=b, box=box)
+    return PerturbCoeffs(n=n, a=a, b=b)
 
 
 def _basis_forms(family: SystemFamily, slots):
@@ -415,18 +400,16 @@ def _basis_forms(family: SystemFamily, slots):
     return forms
 
 
-def prescribe_zeros(
-    family: SystemFamily, n: int, targets, box=Fraction(1)
-) -> PerturbCoeffs:
+def prescribe_zeros(family: SystemFamily, n: int, targets) -> PerturbCoeffs:
     """Coefficients whose integral has verified simple zeros at the targets.
 
     Exploits linearity: the basis forms are evaluated at each target with
     certified enclosures, a unit null vector of the resulting system is
-    rationalised, and the candidate is accepted only after count_zeros
-    confirms exactly len(targets) sign-verified zeros whose isolating
-    intervals contain the targets.  Raises PrescribeError otherwise.
+    rationalised in the box |c| <= 1, and the candidate is accepted only
+    after count_zeros confirms exactly len(targets) sign-verified zeros
+    whose isolating intervals contain the targets.  Raises PrescribeError
+    otherwise.
     """
-    box = as_rational(box)
     targets = [as_rational(t) for t in targets]
     h_max = family.h_max
     if len(set(targets)) != len(targets):
@@ -448,8 +431,8 @@ def prescribe_zeros(
             if form.is_zero:
                 continue
             values = [Fraction(0)] * len(slots)
-            values[idx] = box
-            coeffs = _coeffs_from_vector(n, slots, values, box)
+            values[idx] = Fraction(1)
+            coeffs = _coeffs_from_vector(n, slots, values)
             report = count_zeros(assemble(family, coeffs), n=n)
             if report.status == "ok" and report.count_lo == report.count_hi == 0:
                 return coeffs
@@ -472,12 +455,11 @@ def prescribe_zeros(
             if scale == 0:
                 continue
             values = [
-                Fraction(float(v / scale)).limit_denominator(denom_cap) * box
-                for v in vec
+                Fraction(float(v / scale)).limit_denominator(denom_cap) for v in vec
             ]
             if all(v == 0 for v in values):
                 continue
-            coeffs = _coeffs_from_vector(n, slots, values, box)
+            coeffs = _coeffs_from_vector(n, slots, values)
             if coeffs.is_zero:
                 continue
             nf = assemble(family, coeffs)

@@ -20,7 +20,8 @@ import math
 from fractions import Fraction
 
 from melcert.melnikov import _integrals, _polynomials
-from melcert.polynomials import Interval, Polynomial
+from melcert.intervals import RatInterval
+from melcert.polynomials import Polynomial
 
 
 def oracle_gcd(a, b):
@@ -119,14 +120,14 @@ class OracleSturm:
             if n == 0:
                 return
             if n == 1:
-                found.append(Interval(a, b))
+                found.append(RatInterval(a, b))
                 return
             mid = (a + b) / 2
             if self.sign_at(mid) != 0:
                 split(a, mid)
                 split(mid, b)
                 return
-            found.append(Interval(mid, mid))
+            found.append(RatInterval(mid, mid))
             delta = (b - a) / 4
             while True:
                 left, right = mid - delta, mid + delta
@@ -139,7 +140,7 @@ class OracleSturm:
         if lo < hi:
             split(lo, hi)
             if self.sign_at(hi) == 0:
-                found.append(Interval(hi, hi))
+                found.append(RatInterval(hi, hi))
         return sorted(found, key=lambda r: (r.lo, r.hi))
 
     def refine(self, iv, width):
@@ -149,12 +150,12 @@ class OracleSturm:
             mid = (lo + hi) / 2
             s = self.sign_at(mid)
             if s == 0:
-                return Interval(mid, mid)
+                return RatInterval(mid, mid)
             if s == s_hi or (s_hi == 0 and self.count(lo, mid) == 1):
                 hi, s_hi = mid, s
             else:
                 lo = mid
-        return Interval(lo, hi)
+        return RatInterval(lo, hi)
 
 
 def oracle_eliminant(nf):

@@ -22,7 +22,8 @@ from melcert.melnikov import (
     assemble_melnikov,
     evaluate_normal_form,
 )
-from melcert.polynomials import Interval, count_real_roots
+from melcert.intervals import RatInterval
+from melcert.polynomials import count_real_roots
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 from melcert.zeros import count_zeros, eliminate_radicals, prescribe_zeros, theorem_bound
 
@@ -257,7 +258,7 @@ def test_criterion_7_sturm_vs_grid_scan():
         if nf.is_zero:
             continue
         elim = eliminate_radicals(nf)
-        window = Interval(F(0), fam.h_max)
+        window = RatInterval(F(0), fam.h_max)
         step = fam.h_max / steps
         sf = squarefree_part(elim)
         refined = [

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from melcert import cli
 from melcert.cli import (
     MAX_M,
     MAX_N,
@@ -402,3 +403,44 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--eps" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def _no_integration(monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(cli, "find_limit_cycles", fail)
+
+    @pytest.mark.parametrize("eps", ["1e400", "-1e400", "1e-400"])
+    def test_eps_without_a_double_exits_1_from_the_spec(self, eps, tmp_path, capsys, monkeypatch):
+        # overflow, and underflow to eps = 0.0, end before any integration
+        self._no_integration(monkeypatch)
+        spec = tmp_path / "eps.spec"
+        spec.write_text(TWO_ZEROS.replace("eps = 1/1000", f"eps = {eps}"))
+        assert main(["verify", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: eps ") and "double" in captured.err
+        assert captured.out == ""
+        # the commands that do not use eps are unaffected
+        assert main(["zeros", "--spec", str(spec)]) == 0
+        assert "certified count: [2, 2]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", ["1e400", "1e-400", "1e-310"])
+    def test_eps_without_a_double_exits_1_from_the_flag(self, eps, capsys, monkeypatch):
+        self._no_integration(monkeypatch)
+        rc = main(["verify", "--spec", str(INSTANCES / "two_zeros.spec"), "--eps", eps])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps ") and "double" in err
+
+    @pytest.mark.parametrize("command", ["zeros", "scan"])
+    def test_unwritable_out_exits_1_with_message(self, command, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        rc = main([command, "--spec", str(INSTANCES / "n2_basic.spec"), "--out", str(target)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in captured.err
+        # scan's stdout summary follows a successful write only
+        assert captured.out == ""
+        assert not target.parent.exists()

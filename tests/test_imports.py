@@ -96,3 +96,14 @@ from melcert import cli
     assert blocked[0] == 0, stderr
     assert blocked == unblocked
     assert json.loads(blocked[1])["verdict"] == "match"
+
+
+def test_public_api_resolves():
+    # every exported name exists and is listed once; the root core's
+    # intervals are RatInterval, so no second interval type is exported
+    import melcert
+
+    assert len(set(melcert.__all__)) == len(melcert.__all__)
+    for name in melcert.__all__:
+        assert getattr(melcert, name) is not None, name
+    assert "Interval" not in melcert.__all__ and not hasattr(melcert, "Interval")

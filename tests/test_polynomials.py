@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from melcert import polynomials
+from melcert.intervals import RatInterval
 from melcert.polynomials import (
     DescartesIsolator,
-    Interval,
     Polynomial,
     cauchy_root_bound,
     count_positive_roots_with_multiplicity,
@@ -211,7 +211,7 @@ class TestIntegerRemainderSequence:
         # for squarefree; the next prime sees the double root
         double = Polynomial((1, q1)) ** 2 * poly(-2, 1)
         assert not modular_squarefree(double)
-        assert count_real_roots(double, Interval(-1, 3)) == 2
+        assert count_real_roots(double, RatInterval(-1, 3)) == 2
         assert modular_squarefree(Polynomial((1, q1)) * poly(-2, 1))
 
     def test_gcd_equals_fraction_gcd(self):
@@ -254,20 +254,20 @@ class TestIntegerRemainderSequence:
 
 class TestCounting:
     def test_single_root_in_window(self):
-        assert count_real_roots(poly(-1, 0, 1), Interval(0, 2)) == 1
+        assert count_real_roots(poly(-1, 0, 1), RatInterval(0, 2)) == 1
 
     def test_no_real_roots(self):
-        assert count_real_roots(poly(1, 0, 1), Interval(-10, 10)) == 0
+        assert count_real_roots(poly(1, 0, 1), RatInterval(-10, 10)) == 0
 
     def test_half_open_convention(self):
         p = Polynomial.from_roots([F(0), F(1)])
-        assert count_real_roots(p, Interval(0, 1)) == 1  # root at lo excluded
-        assert count_real_roots(p, Interval(-1, 0)) == 1  # root at hi included
+        assert count_real_roots(p, RatInterval(0, 1)) == 1  # root at lo excluded
+        assert count_real_roots(p, RatInterval(-1, 0)) == 1  # root at hi included
 
     def test_degree_eight_matches_grid_oracle(self):
         roots = [F(k, 10) for k in (-7, -3, -1, 1, 2, 5, 8, 9)]
         p = Polynomial.from_roots(roots).scale(F(3, 7))
-        iv = Interval(F(-2), F(1, 2))  # six planted roots, one exactly at hi
+        iv = RatInterval(F(-2), F(1, 2))  # six planted roots, one exactly at hi
         oracle = grid_scan_count(p, iv.lo, iv.hi, 25000)  # step 1e-4
         assert count_real_roots(p, iv) == oracle == 6
 
@@ -280,13 +280,13 @@ class TestCounting:
             pool = [F(num, 64) for num in range(-128, 129)]
             roots = rng.sample(pool, degree)
             p = Polynomial.from_roots(roots)
-            window = Interval(F(-3), F(3))
+            window = RatInterval(F(-3), F(3))
             inside = sum(1 for r in roots if -3 < r <= 3)
             assert count_real_roots(p, window) == inside
 
     def test_multiplicity_counting(self):
         p = (X - ONE) ** 2 * (X + ONE) * (X - Polynomial.constant(F(1, 2))) ** 3
-        iv = Interval(F(0), F(2))
+        iv = RatInterval(F(0), F(2))
         assert count_real_roots(p, iv) == 2
         assert count_real_roots_with_multiplicity(p, iv) == 5
 
@@ -296,13 +296,13 @@ class TestCounting:
 
 class TestIsolation:
     def test_single_interval(self):
-        out = isolate_roots(poly(-1, 0, 1), Interval(0, 2))
+        out = isolate_roots(poly(-1, 0, 1), RatInterval(0, 2))
         assert len(out) == 1
         assert out[0].lo < 1 <= out[0].hi or out[0].contains(1)
 
     def test_two_disjoint(self):
         p = Polynomial.from_roots([F(1, 4), F(1, 2)])
-        out = isolate_roots(p, Interval(0, 1))
+        out = isolate_roots(p, RatInterval(0, 1))
         assert len(out) == 2
         assert out[0].hi <= out[1].lo
 
@@ -310,7 +310,7 @@ class TestIsolation:
         # bisection midpoints land exactly on 1/2, exercising exact hits
         roots = [F(k, 10) for k in range(1, 6)]
         p = Polynomial.from_roots(roots)
-        out = isolate_roots(p, Interval(0, 1))
+        out = isolate_roots(p, RatInterval(0, 1))
         assert len(out) == 5
         for iv, r in zip(out, roots):
             assert iv.lo <= r <= iv.hi
@@ -322,21 +322,21 @@ class TestIsolation:
             rng = random.Random(1000 + seed)
             roots = rng.sample([F(num, 32) for num in range(-64, 65)], rng.randint(1, 8))
             p = Polynomial.from_roots(roots)
-            iv = Interval(F(-3), F(3))
+            iv = RatInterval(F(-3), F(3))
             assert count_real_roots(p, iv) == len(isolate_roots(p, iv))
 
     def test_isolation_excludes_root_at_lo(self):
         p = Polynomial.from_roots([F(0), F(1, 2)])
-        out = isolate_roots(p, Interval(0, 1))
+        out = isolate_roots(p, RatInterval(0, 1))
         assert len(out) == 1
         assert out[0].contains(F(1, 2))
 
     def test_root_at_hi_is_degenerate_and_root_at_lo_excluded(self):
         p = Polynomial.from_roots([F(0), F(1, 3), F(1)])
-        out = isolate_roots(p, Interval(0, 1))
+        out = isolate_roots(p, RatInterval(0, 1))
         assert len(out) == 2  # nothing reported for the root at lo = 0
         assert out[0].lo < F(1, 3) < out[0].hi
-        assert out[1] == Interval(1, 1)
+        assert out[1] == RatInterval(1, 1)
 
 
 # ---------------------------------------------------------------- refinement
@@ -345,47 +345,47 @@ class TestIsolation:
 class TestRefinement:
     def test_sqrt_two_to_six_places(self):
         p = poly(-2, 0, 1)
-        out = refine_root(p, Interval(1, 2), F(1, 10**6))
+        out = refine_root(p, RatInterval(1, 2), F(1, 10**6))
         assert out.width <= F(1, 10**6)
         # the interval must bracket sqrt(2): check exactly by squaring
         assert out.lo**2 <= 2 <= out.hi**2
 
     def test_rational_root_hit(self):
-        out = refine_root(poly(F(-1, 3), 1), Interval(0, 1), F(1, 1000))
+        out = refine_root(poly(F(-1, 3), 1), RatInterval(0, 1), F(1, 1000))
         assert out.contains(F(1, 3))
         assert out.width <= F(1, 1000)
 
     def test_degenerate_input_is_exact(self):
-        iv = Interval(F(1, 2), F(1, 2))
+        iv = RatInterval(F(1, 2), F(1, 2))
         assert refine_root(poly(F(-1, 2), 1), iv, F(1, 10)) == iv
 
     def test_even_multiplicity_refines_via_counts(self):
         p = (X - ONE) ** 2
-        out = refine_root(p, Interval(0, F(3, 2)), F(1, 1024))
+        out = refine_root(p, RatInterval(0, F(3, 2)), F(1, 1024))
         assert out.lo <= 1 <= out.hi
         assert out.width <= F(1, 1024)
 
     def test_rejects_two_roots(self):
         with pytest.raises(ValueError):
-            refine_root(poly(-1, 0, 1), Interval(-2, 2), F(1, 10))
+            refine_root(poly(-1, 0, 1), RatInterval(-2, 2), F(1, 10))
         # a sign change across the window does not excuse extra roots
         with pytest.raises(ValueError):
-            refine_root(Polynomial.from_roots([1, 2, 3]), Interval(0, 4), F(1, 10))
+            refine_root(Polynomial.from_roots([1, 2, 3]), RatInterval(0, 4), F(1, 10))
 
     def test_root_at_hi_comes_back_degenerate(self):
         p = Polynomial.from_roots([F(0), F(1)])
-        assert refine_root(p, Interval(0, 1), F(1, 10)) == Interval(1, 1)
+        assert refine_root(p, RatInterval(0, 1), F(1, 10)) == RatInterval(1, 1)
 
     def test_rejects_rootless(self):
         with pytest.raises(ValueError):
-            refine_root(poly(1, 0, 1), Interval(0, 1), F(1, 10))
+            refine_root(poly(1, 0, 1), RatInterval(0, 1), F(1, 10))
 
     def test_refines_between_two_root_endpoints(self):
         # both ends are roots, so no endpoint sign tells the side: it counts
         p = Polynomial.from_roots([F(0), F(1, 3), F(1)])
         core = DescartesIsolator(p)
         iv, at_hi = core.isolate(F(0), F(1))
-        assert (iv, at_hi) == (Interval(0, 1), Interval(1, 1))
+        assert (iv, at_hi) == (RatInterval(0, 1), RatInterval(1, 1))
         out = core.refine(iv, F(1, 1000))
         assert out == OracleSturm(p).refine(iv, F(1, 1000))
         assert out.lo < F(1, 3) < out.hi and out.width <= F(1, 1000)
@@ -394,9 +394,9 @@ class TestRefinement:
     def test_rejects_nonpositive_width(self, width):
         # bisection could never reach such a width
         with pytest.raises(ValueError, match="width must be positive"):
-            refine_root(poly(-2, 0, 1), Interval(1, 2), width)
+            refine_root(poly(-2, 0, 1), RatInterval(1, 2), width)
         with pytest.raises(ValueError, match="width must be positive"):
-            refine_root(poly(-1, 1), Interval(1, 1), width)
+            refine_root(poly(-1, 1), RatInterval(1, 1), width)
 
 
 def test_integer_refine_matches_sturm_on_non_dyadic_windows():
@@ -478,16 +478,16 @@ def test_descartes_core_agrees_with_sturm_oracle():
         ["dyadic_root", "exact_hit", "root_at_hi", "root_at_lo", "negative",
          "constant", "repeated", "refined"], 0)
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=600, derandomize=True, deadline=None)
     @given(_isolation_cases())
     def check(case):
         p, lo, hi = case
-        oracle, iv = OracleSturm(p), Interval(lo, hi)
+        oracle, iv = OracleSturm(p), RatInterval(lo, hi)
         assert count_real_roots(p, iv) == oracle.count(lo, hi)
         got = isolate_roots(p, iv)
         # the same dyadic tree gives the same intervals, exact endpoints
         assert got == oracle.isolate(lo, hi)
-        core = polynomials._squarefree_isolator(p)
+        _factors, core = polynomials.squarefree_factors(p)
         for r in got:
             if r.lo == r.hi:
                 assert p.eval(r.lo) == 0

@@ -20,7 +20,6 @@ from melcert.melnikov import (
 from melcert import polynomials, zeros
 from melcert.polynomials import (
     DescartesIsolator,
-    Interval,
     Polynomial,
     count_real_roots,
     descartes_bound,
@@ -72,7 +71,7 @@ class TestEliminant:
         # rad2 = tail = 0 and constant rad1: the function never vanishes
         nf = MelnikovNormalForm(FAM, Polynomial.constant(3), Polynomial.zero(), Polynomial.zero())
         elim = eliminate_radicals(nf)
-        assert count_real_roots(elim, Interval(F(0), FAM.h_max)) == 0
+        assert count_real_roots(elim, RatInterval(F(0), FAM.h_max)) == 0
 
     def test_degree_bound_from_double_squaring(self):
         for seed in range(25):
@@ -98,7 +97,7 @@ class TestEliminant:
             h = k * h_max / steps
             cur = float_value(nf, h)
             if prev * cur < 0:
-                cell = Interval(
+                cell = RatInterval(
                     F((k - 1) * fam.h_max, steps), F(k * fam.h_max, steps)
                 )
                 assert count_real_roots(elim, cell) >= 1
@@ -246,7 +245,7 @@ class TestExactZeroDecision:
         exact_zeros = 0
         for nf, h in _point_sign_cases():
             s = point_sign(nf, h)
-            assert certified_sign(nf, Interval(h, h), 64, 64) == s
+            assert certified_sign(nf, RatInterval(h, h), 64) == s
             assert exact_zero_at(nf, h) == (s == 0)
             exact_zeros += s == 0
             encs = [scaled_value(nf, RatInterval.point(h), 64 << k) for k in range(7)]
@@ -313,7 +312,7 @@ class TestCountZeros:
                 continue
             report = count_zeros(nf)
             roots = count_real_roots(
-                report.eliminant, Interval(F(0), fam.h_max)
+                report.eliminant, RatInterval(F(0), fam.h_max)
             )
             assert report.count_hi <= roots
 
@@ -359,7 +358,7 @@ class TestCountZeros:
         report = count_zeros(nf)
         assert report.count_lo == report.count_hi == 1
         assert report.multiplicity_suspected
-        assert report.certified[0].interval == Interval(F(1), F(1))
+        assert report.certified[0].interval == RatInterval(F(1), F(1))
 
     def test_touching_zero_at_irrational_point_stays_undecided(self):
         # (h^2-2)^2 / r1 grazes zero at sqrt(2): no sign change and no
@@ -381,7 +380,7 @@ class TestCountZeros:
         calls = {"primes": [], "gcd": 0, "yun": 0, "prs": 0, "isolators": []}
         real_mod, real_gcd = polynomials._gcd_degree_mod, polynomials.poly_gcd
         real_prs, real_init = polynomials._primitive_prs, DescartesIsolator.__init__
-        real_yun = zeros.squarefree_decomposition
+        real_yun = polynomials.squarefree_decomposition
 
         def counting_mod(ic, q):
             calls["primes"].append(q)
@@ -406,7 +405,7 @@ class TestCountZeros:
         monkeypatch.setattr(polynomials, "_gcd_degree_mod", counting_mod)
         monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
         monkeypatch.setattr(polynomials, "_primitive_prs", counting_prs)
-        monkeypatch.setattr(zeros, "squarefree_decomposition", counting_yun)
+        monkeypatch.setattr(polynomials, "squarefree_decomposition", counting_yun)
         monkeypatch.setattr(DescartesIsolator, "__init__", counting_init)
         return calls
 
