@@ -9,11 +9,17 @@ the independent variable the positive y-axis is theta = 0 (mod 2*pi), so one
 return is the fixed interval [theta0, 2*pi], and the state is the deviation
 h - h0 of the orbit label, whose rate is O(eps).  The displacement is thus
 integrated directly rather than taken as the difference of two O(1)
-numbers.  The integrator is the scalar Dormand-Prince 8(5,3) of `dop853`,
-in pure Python, so section returns and cycle detection need no third-party
-package; `numeric_melnikov` imports numpy on its first call.  Each step's
-local error in the deviation is held below STEP_TOLERANCE * (|eps| * h0 +
-|h - h0|); the only setting is eps, in `FlowConfig`.
+numbers.  The integrator is the scalar Dormand-Prince 8(5,3) of `dop853`.
+Each step's local error in the deviation is held below STEP_TOLERANCE *
+(|eps| * h0 + |h - h0|); the only setting is eps, in `FlowConfig`.
+
+The quadrature is a trapezoid rule with nested doubling: it starts at
+START_NODES nodes, accepts agreement from MIN_NODES on and raises
+QuadratureError if it has not settled at MAX_NODES.  Quadrature and section
+returns evaluate the field through one float evaluator,
+`_field_evaluator`.  The module is pure Python: it loads no numpy, and it
+takes only the family and coefficient records from `melnikov`, so the
+oracle shares no arithmetic with the exact path.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ from dataclasses import dataclass, field
 from .melnikov import PerturbCoeffs, SystemFamily
 
 SINGULAR_GUARD = 1e-6
+# Trapezoid node counts of numeric_melnikov: first level, fewest accepted, cap
+START_NODES = 32
+MIN_NODES = 128
+MAX_NODES = 1 << 18
 # Relative local error bound of each integration step
 STEP_TOLERANCE = 1e-10
 
@@ -63,59 +73,76 @@ class CycleReport:
     failures: dict = field(default_factory=dict)  # grid index -> message
 
 
-def _float_tables(family: SystemFamily, coeffs: PerturbCoeffs):
-    a1, a2 = float(family.alpha1), float(family.alpha2)
-    terms_a = [(i, j, float(v)) for (i, j), v in sorted(coeffs.a.items())]
-    terms_b = [(i, j, float(v)) for (i, j), v in sorted(coeffs.b.items())]
-    return a1, a2, terms_a, terms_b
+def _field_evaluator(coeffs: PerturbCoeffs):
+    """Float evaluator of the perturbation: (P(x, y), Q(x, y)) at a point."""
+    terms = [
+        (i, j, float(coeffs.a.get((i, j), 0)), float(coeffs.b.get((i, j), 0)))
+        for i, j in sorted(coeffs.a.keys() | coeffs.b.keys())
+    ]
+    top = max((max(i, j) for i, j, _, _ in terms), default=0)
 
+    def pq(x, y):
+        xs, ys = [1.0], [1.0]
+        for _ in range(top):
+            xs.append(xs[-1] * x)
+            ys.append(ys[-1] * y)
+        p = q = 0.0
+        for i, j, ca, cb in terms:
+            mono = xs[i] * ys[j]
+            p += ca * mono
+            q += cb * mono
+        return p, q
 
-def _poly_sum(terms, x, y):
-    total = 0.0
-    for i, j, c in terms:
-        total = total + c * x**i * y**j
-    return total
+    return pq
 
 
 def numeric_melnikov(family: SystemFamily, coeffs: PerturbCoeffs, h: float) -> float:
     """Trapezoidal quadrature of the first-order averaged integral.
 
-    The integrand is smooth and periodic, so the node count is doubled from
-    512 until two successive values agree to 1e-12 relative (cap 2**18).
+    The integrand is smooth and periodic, so the trapezoid rule on [0, 2*pi)
+    converges fast.  It starts at START_NODES nodes, and each doubling
+    evaluates only the new odd nodes, so no node is evaluated twice.  Once
+    there are at least MIN_NODES nodes, two successive values that agree to
+    1e-12 (relative, or at the integrand's scale) are accepted.  At
+    MAX_NODES the last two values must agree to 1e-9, or QuadratureError
+    is raised.
     """
     if not (0 < h < float(family.h_max)):
         raise ValueError("orbit label outside the annulus")
-    import numpy as np
-
-    a1, a2, terms_a, terms_b = _float_tables(family, coeffs)
+    pq = _field_evaluator(coeffs)
+    a1, a2 = float(family.alpha1), float(family.alpha2)
     m1, m2 = family.m1, family.m2
     root_h = math.sqrt(h)
 
-    def value(n: int):
-        t = np.arange(n) * (2.0 * math.pi / n)
-        x = root_h * np.sin(t)
-        y = root_h * np.cos(t)
-        w = (1.0 - a1 * x) ** m1 * (1.0 - a2 * x) ** m2
-        f = (x * _poly_sum(terms_a, x, y) + y * _poly_sum(terms_b, x, y)) / w
-        return float(f.mean()) * 2.0 * math.pi, float(np.abs(f).mean()) * 2.0 * math.pi
+    def level(nodes, half):
+        """Sums of f and |f| over the nodes t = pi*j/half, j in nodes."""
+        values = []
+        for j in nodes:
+            t = math.pi * j / half
+            x, y = root_h * math.sin(t), root_h * math.cos(t)
+            p, q = pq(x, y)
+            values.append((x * p + y * q) / ((1.0 - a1 * x) ** m1 * (1.0 - a2 * x) ** m2))
+        return math.fsum(values), math.fsum(map(abs, values))
 
     # near a zero of the integral the relative criterion can never fire, so
     # agreement is also accepted at the scale of the integrand itself
     def settled(a, b, scale, tol):
         return abs(a - b) <= tol * max(abs(a), abs(b)) or abs(a - b) <= tol * scale
 
-    n = 512
-    prev, scale = value(n)
-    while n < (1 << 18):
-        n *= 2
-        cur, scale = value(n)
-        if settled(cur, prev, scale, 1e-12):
+    n = START_NODES
+    total, mass = level(range(0, 2 * n, 2), n)
+    prev = total * (2.0 * math.pi / n)
+    while True:
+        odd, odd_mass = level(range(1, 2 * n, 2), n)
+        total, mass, n = total + odd, mass + odd_mass, 2 * n
+        cur, scale = total * (2.0 * math.pi / n), mass * (2.0 * math.pi / n)
+        if n >= MIN_NODES and settled(cur, prev, scale, 1e-12):
             return cur
+        if n == MAX_NODES:
+            if settled(cur, prev, scale, 1e-9):
+                return cur
+            raise QuadratureError(f"quadrature did not settle at h={h}")
         prev = cur
-    final, scale = value(1 << 18)
-    if settled(final, prev, scale, 1e-9):
-        return final
-    raise QuadratureError(f"quadrature did not settle at h={h}")
 
 
 def _section_rate(family: SystemFamily, coeffs: PerturbCoeffs, eps: float, h0: float):
@@ -124,14 +151,10 @@ def _section_rate(family: SystemFamily, coeffs: PerturbCoeffs, eps: float, h0: f
     With x = sqrt(h)*sin(theta), y = sqrt(h)*cos(theta) and w the slowing
     factor, dh/dtheta = 2*eps*h*(x*P + y*Q) / (w*h + eps*(y*P - x*Q)).
     """
+    pq = _field_evaluator(coeffs)
     a1, a2 = float(family.alpha1), float(family.alpha2)
     m1, m2 = family.m1, family.m2
     reach = max(abs(a1), abs(a2))
-    terms = [
-        (i, j, float(coeffs.a.get((i, j), 0)), float(coeffs.b.get((i, j), 0)))
-        for i, j in sorted(coeffs.a.keys() | coeffs.b.keys())
-    ]
-    top = max((max(i, j) for i, j, _, _ in terms), default=0)
 
     def rate(theta, delta):
         h = h0 + delta
@@ -142,15 +165,7 @@ def _section_rate(family: SystemFamily, coeffs: PerturbCoeffs, eps: float, h0: f
         if 1.0 - reach * root < SINGULAR_GUARD:
             raise FlowError(f"orbit reached the singular guard at h={h:.6f}")
         x, y = root * math.sin(theta), root * math.cos(theta)
-        xs, ys = [1.0], [1.0]
-        for _ in range(top):
-            xs.append(xs[-1] * x)
-            ys.append(ys[-1] * y)
-        p = q = 0.0
-        for i, j, ca, cb in terms:
-            mono = xs[i] * ys[j]
-            p += ca * mono
-            q += cb * mono
+        p, q = pq(x, y)
         turn = (1.0 - a1 * x) ** m1 * (1.0 - a2 * x) ** m2 * h + eps * (y * p - x * q)
         if turn <= 0.0:
             raise FlowError(

@@ -10,6 +10,7 @@ from melcert.flow import (
     STEP_TOLERANCE,
     FlowConfig,
     FlowError,
+    QuadratureError,
     displacement,
     find_limit_cycles,
     integrate_to_section,
@@ -46,6 +47,22 @@ class TestNumericMelnikov:
     def test_rejects_out_of_annulus(self):
         with pytest.raises(ValueError):
             numeric_melnikov(FAM, BASIC, float(FAM.h_max) + 0.1)
+
+    def test_unsettled_at_the_node_cap_raises(self):
+        # the pole of the integrand nears the circle as h -> h_max; at
+        # 1 - 1e-12 the values at 2**17 and 2**18 nodes still disagree
+        fam = SystemFamily(F(1, 2), F(-1, 3), 2, 2)
+        co = PerturbCoeffs(
+            n=4,
+            a={(0, 0): F(1), (2, 1): F(-1, 3), (4, 0): F(1, 5)},
+            b={(0, 1): F(1, 3), (1, 2): F(2, 7)},
+        )
+        h_max = float(fam.h_max)
+        with pytest.raises(QuadratureError):
+            numeric_melnikov(fam, co, h_max * (1 - 1e-12))
+        h = h_max * (1 - 1e-6)
+        value = float(evaluate_normal_form(assemble(fam, co), F(h), precision=20).mid)
+        assert abs(numeric_melnikov(fam, co, h) - value) <= 1e-9 * abs(value)
 
 
 class TestSectionReturn:

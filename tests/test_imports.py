@@ -1,6 +1,7 @@
-"""Import budget: numpy loads only where array floats are computed, the
-section-return integrator only where a return is integrated, and nothing
-loads scipy.
+"""Import budget: numpy loads only for the float SVD in
+`zeros.prescribe_zeros`, the section-return integrator only where a return
+is integrated, and nothing loads scipy.  The quadrature oracle is pure
+Python.
 
 Each test runs a fresh interpreter, because the pytest process itself has
 long since imported the numeric stack.
@@ -96,6 +97,25 @@ from melcert import cli
     assert blocked[0] == 0, stderr
     assert blocked == unblocked
     assert json.loads(blocked[1])["verdict"] == "match"
+
+
+QUADRATURE = f"""
+import pathlib
+from melcert.cli import parse_spec
+from melcert.flow import numeric_melnikov
+spec = parse_spec(pathlib.Path("{SPEC}").read_text())
+h_max = float(spec.family.h_max)
+values = [numeric_melnikov(spec.family, spec.coeffs, f * h_max) for f in (0.1, 0.5, 0.9)]
+print(json.dumps([values, numeric()]))
+"""
+
+
+def test_quadrature_runs_without_numpy():
+    blocked, stderr = _child('sys.modules["numpy"] = None\n' + QUADRATURE)
+    unblocked, _ = _child(QUADRATURE)
+    # the blocked child lists numpy only for its None entry in sys.modules
+    assert blocked[0] == unblocked[0], stderr
+    assert unblocked[1] == []
 
 
 def test_public_api_resolves():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from melcert import melnikov
+from melcert import flow, melnikov
 from melcert.intervals import RatInterval
 from melcert.melnikov import (
     CACHED_FAMILIES,
@@ -586,3 +586,59 @@ class TestEvaluation:
 
             oracle = loop_integral(integrand)
             assert abs(float(enc.mid) - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+
+class TestQuadratureOracle:
+    """`flow.numeric_melnikov` past its node floor, up to 0.99*h_max."""
+
+    @staticmethod
+    def integrand(fam, co, h):
+        a1, a2 = float(fam.alpha1), float(fam.alpha2)
+        terms_a = [(i, j, float(v)) for (i, j), v in co.a.items()]
+        terms_b = [(i, j, float(v)) for (i, j), v in co.b.items()]
+
+        def f(t):
+            x, y = orbit(h, t)
+            w = (1 - a1 * x) ** fam.m1 * (1 - a2 * x) ** fam.m2
+            sa = sum(c * x**i * y**j for i, j, c in terms_a)
+            sb = sum(c * x**i * y**j for i, j, c in terms_b)
+            return (x * sa + y * sb) / w
+
+        return f
+
+    def test_against_loop_integral_and_certified_value(self, monkeypatch):
+        # count the field evaluations of each call: toward h_max the pole
+        # nears the circle, and the ladder has to go well past the floor
+        nodes = []
+        field_evaluator = flow._field_evaluator
+
+        def counted(coeffs):
+            pq = field_evaluator(coeffs)
+            nodes.append(0)
+
+            def evaluate(x, y):
+                nodes[-1] += 1
+                return pq(x, y)
+
+            return evaluate
+
+        monkeypatch.setattr(flow, "_field_evaluator", counted)
+        for confluent in (False, True):
+            for k in range(3):
+                rng = rng_for(71, k)
+                fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 2), confluent)
+                co = draw_coeffs(rng, rng.randint(1, 3))
+                nf = assemble(fam, co)
+                grid = [float(fam.h_max * f) for f in (F(1, 4), F(1, 2), F(9, 10), F(99, 100))]
+                numeric = [flow.numeric_melnikov(fam, co, h) for h in grid]
+                # acceptance 1's rule: relative 1e-9, or 1e-12 at the scale
+                scale = max(abs(v) for v in numeric)
+                for h, num in zip(grid, numeric):
+                    certified = float(evaluate_normal_form(nf, F(h), precision=18).mid)
+                    for ref in (loop_integral(self.integrand(fam, co, h)), certified):
+                        err = abs(num - ref)
+                        assert err <= 1e-9 * max(abs(num), abs(ref)) or err <= 1e-12 * scale, (
+                            f"h={h}: numeric {num!r} vs {ref!r}"
+                        )
+        assert min(nodes) >= flow.MIN_NODES
+        assert max(nodes) > 1000
