@@ -22,10 +22,14 @@ Instance files are flat key-value text with three sections::
     seed = 1
     samples = 20
 
-Subcommands: normal-form, zeros, verify, scan, sample-curve.  Every report
-has a JSON mirror (--format json); scan and sample-curve emit CSV rows.
-Exit status is nonzero exactly for validation errors, verification
-mismatches, or internal failures.
+Subcommands: normal-form, zeros, verify, scan, sample-curve, all run from
+the one table `COMMANDS`.  Every report but sample-curve's has a JSON mirror
+(--format json); scan and sample-curve emit CSV rows.  A setting given as a
+flag (zeros --precision, verify --eps, scan --samples/--seed, sample-curve
+--points/--precision) is checked exactly like the same [settings] key, by
+the one table `SETTINGS`; an unknown setting is rejected.  Exit status is 1
+for an error (a bad spec, setting or flag value, or an unwritable --out),
+2 for a verification mismatch, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import FlowConfig, FlowError, QuadratureError, find_limit_cycles
+from .flow import FlowConfig, FlowError, find_limit_cycles
 from .melnikov import (
     ConfluentNormalForm,
     PerturbCoeffs,
@@ -82,25 +86,38 @@ class InstanceSpec:
     samples: int = 20
 
 
-def _rational(section: str, key: str, raw: str) -> Fraction:
+# setting -> (kind, least, most) for `_value`; the order is serialize_spec's
+SETTINGS = {
+    "eps": ("nonzero", None, None),
+    "precision": ("integer", 1, MAX_PRECISION),
+    "points": ("integer", 2, None),
+    "grid": ("integer", 1, None),
+    "seed": ("integer", None, None),
+    "samples": ("integer", 1, None),
+}
+
+
+def _value(label: str, raw: str, kind: str, least=None, most=None):
+    """One spec or flag value: an "integer", a "rational" or a "nonzero"
+    rational, within the inclusive bounds that are not None."""
     try:
-        return Fraction(raw.strip())
+        value = int(raw.strip()) if kind == "integer" else Fraction(raw.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"[{section}] {key}: not an exact rational: {raw!r}") from exc
-
-
-def _integer(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError as exc:
-        raise SpecError(f"[{section}] {key}: not an integer: {raw!r}") from exc
-
-
-def _at_most(section: str, key: str, raw: str, limit: int) -> int:
-    value = _integer(section, key, raw)
-    if value > limit:
-        raise SpecError(f"[{section}] {key}: {value} exceeds the limit {limit}")
+        what = "an integer" if kind == "integer" else "an exact rational"
+        raise SpecError(f"{label}: not {what}: {raw!r}") from exc
+    if kind == "nonzero" and value == 0:
+        raise SpecError(f"{label}: must be nonzero")
+    if least is not None and value < least:
+        raise SpecError(f"{label}: must be >= {least}")
+    if most is not None and value > most:
+        raise SpecError(f"{label}: {value} exceeds the limit {most}")
     return value
+
+
+def _setting(label: str, key: str, raw: str):
+    if key not in SETTINGS:
+        raise SpecError(f"{label}: unknown setting")
+    return _value(label, raw, *SETTINGS[key])
 
 
 def parse_spec(text: str) -> InstanceSpec:
@@ -118,8 +135,8 @@ def parse_spec(text: str) -> InstanceSpec:
     for key in ("alpha1", "alpha2", "m1", "m2"):
         if key not in fam_sec:
             raise SpecError(f"[family] {key}: missing")
-    alphas = [_rational("family", key, fam_sec[key]) for key in ("alpha1", "alpha2")]
-    ms = [_at_most("family", key, fam_sec[key], MAX_M) for key in ("m1", "m2")]
+    alphas = [_value(f"[family] {key}", fam_sec[key], "rational") for key in ("alpha1", "alpha2")]
+    ms = [_value(f"[family] {key}", fam_sec[key], "integer", most=MAX_M) for key in ("m1", "m2")]
     try:
         family = SystemFamily(*alphas, *ms)
     except ValueError as exc:
@@ -128,8 +145,8 @@ def parse_spec(text: str) -> InstanceSpec:
     pert = parser["perturbation"]
     if "n" not in pert:
         raise SpecError("[perturbation] n: missing")
-    n = _at_most("perturbation", "n", pert["n"], MAX_N)
-    box = _rational("perturbation", "box", pert.get("box", "1"))
+    n = _value("[perturbation] n", pert["n"], "integer", most=MAX_N)
+    box = _value("[perturbation] box", pert.get("box", "1"), "rational")
     a, b = {}, {}
     for key, raw in pert.items():
         if key in ("n", "box"):
@@ -138,7 +155,7 @@ def parse_spec(text: str) -> InstanceSpec:
         if not match:
             raise SpecError(f"[perturbation] {key}: expected a_i_j or b_i_j")
         kind, i, j = match.group(1), int(match.group(2)), int(match.group(3))
-        (a if kind == "a" else b)[(i, j)] = _rational("perturbation", key, raw)
+        (a if kind == "a" else b)[(i, j)] = _value(f"[perturbation] {key}", raw, "rational")
     try:
         coeffs = PerturbCoeffs(n=n, a=a, b=b, box=box)
     except ValueError as exc:
@@ -146,19 +163,8 @@ def parse_spec(text: str) -> InstanceSpec:
 
     spec = InstanceSpec(family=family, coeffs=coeffs)
     if parser.has_section("settings"):
-        st = parser["settings"]
-        if "eps" in st:
-            spec.eps = _rational("settings", "eps", st["eps"])
-            if spec.eps == 0:
-                raise SpecError("[settings] eps: must be nonzero")
-        for key in ("points", "grid", "seed", "samples"):
-            if key in st:
-                setattr(spec, key, _integer("settings", key, st[key]))
-        if "precision" in st:
-            spec.precision = _at_most("settings", "precision", st["precision"], MAX_PRECISION)
-        for key in ("precision", "points", "grid"):
-            if getattr(spec, key) < 1:
-                raise SpecError(f"[settings] {key}: must be >= 1")
+        for key, raw in parser["settings"].items():
+            setattr(spec, key, _setting(f"[settings] {key}", key, raw))
     return spec
 
 
@@ -177,13 +183,9 @@ def serialize_spec(spec: InstanceSpec) -> str:
         for (i, j) in sorted(grid):
             out.write(f"{kind}_{i}_{j} = {grid[(i, j)]}\n")
     out.write("\n[settings]\n")
-    if spec.eps is not None:
-        out.write(f"eps = {spec.eps}\n")
-    out.write(f"precision = {spec.precision}\n")
-    out.write(f"points = {spec.points}\n")
-    out.write(f"grid = {spec.grid}\n")
-    out.write(f"seed = {spec.seed}\n")
-    out.write(f"samples = {spec.samples}\n")
+    for key in SETTINGS:
+        if getattr(spec, key) is not None:
+            out.write(f"{key} = {getattr(spec, key)}\n")
     return out.getvalue()
 
 
@@ -501,65 +503,54 @@ def render_verify(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_rows(spec: InstanceSpec, samples: int, seed: int):
-    """One row per coefficient sample drawn from the box, seed-deterministic."""
-    fam = spec.family
-    n = spec.coeffs.n
+SCAN_FIELDS = ("sample", "status", "count_lo", "count_hi", "bound", "eliminant_degree")
+CURVE_FIELDS = ("h", "phi_mid", "phi_width")
+
+
+def report_scan(spec: InstanceSpec) -> dict:
+    """Zero counts of spec.samples coefficient draws from the box, one row
+    per draw, deterministic in spec.seed."""
+    fam, n = spec.family, spec.coeffs.n
     bound = theorem_bound(fam, n)
-    for index in range(samples):
-        coeffs = draw_coeffs(rng_for(seed, index), n, spec.coeffs.box)
-        nf = assemble(fam, coeffs)
-        zr = count_zeros(nf, n=n)
-        if zr.status != "ok":
-            yield {
+    rows = []
+    for index in range(spec.samples):
+        coeffs = draw_coeffs(rng_for(spec.seed, index), n, spec.coeffs.box)
+        zr = count_zeros(assemble(fam, coeffs), n=n)
+        ok = zr.status == "ok"
+        rows.append(
+            {
                 "sample": index,
                 "status": zr.status,
-                "count_lo": "",
-                "count_hi": "",
+                "count_lo": zr.count_lo if ok else "",
+                "count_hi": zr.count_hi if ok else "",
                 "bound": bound if bound is not None else "",
-                "eliminant_degree": "",
+                "eliminant_degree": zr.eliminant_degree if ok else "",
             }
-        else:
-            yield {
-                "sample": index,
-                "status": "ok",
-                "count_lo": zr.count_lo,
-                "count_hi": zr.count_hi,
-                "bound": bound if bound is not None else "",
-                "eliminant_degree": zr.eliminant_degree,
-            }
-
-
-SCAN_FIELDS = ("sample", "status", "count_lo", "count_hi", "bound", "eliminant_degree")
-
-
-def report_scan(spec: InstanceSpec, samples: int, seed: int) -> dict:
-    rows = list(scan_rows(spec, samples, seed))
+        )
     counted = [r for r in rows if r["status"] == "ok"]
-    max_hi = max((r["count_hi"] for r in counted), default=0)
-    bound = theorem_bound(spec.family, spec.coeffs.n)
-    violations = [
-        r["sample"] for r in counted if bound is not None and r["count_hi"] > bound
-    ]
     return {
         "command": "scan",
-        "family": _family_dict(spec.family),
-        "n": spec.coeffs.n,
+        "family": _family_dict(fam),
+        "n": n,
         "box": str(spec.coeffs.box),
-        "samples": samples,
-        "seed": seed,
+        "samples": spec.samples,
+        "seed": spec.seed,
         "bound": bound if bound is not None else "not applicable",
-        "max_count_hi": max_hi,
-        "violations": violations,
+        "max_count_hi": max((r["count_hi"] for r in counted), default=0),
+        "violations": [
+            r["sample"] for r in counted if bound is not None and r["count_hi"] > bound
+        ],
         "rows": rows,
     }
 
 
-def scan_csv(report: dict) -> str:
-    lines = [",".join(SCAN_FIELDS)]
-    for row in report["rows"]:
-        lines.append(",".join(str(row[k]) for k in SCAN_FIELDS))
+def _csv(fields: tuple, rows: list) -> str:
+    lines = [",".join(fields)] + [",".join(str(row[k]) for k in fields) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def scan_csv(report: dict) -> str:
+    return _csv(SCAN_FIELDS, report["rows"])
 
 
 def render_scan(report: dict) -> str:
@@ -572,28 +563,78 @@ def render_scan(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sample_curve_csv(spec: InstanceSpec, points: int) -> str:
-    if points < 2:
-        raise SpecError("sample-curve needs points >= 2")
+def report_sample_curve(spec: InstanceSpec) -> dict:
+    """Certified values at spec.points labels up to 0.999*h_max, as decimal
+    strings with spec.precision digits."""
     fam = spec.family
     nf = assemble(fam, spec.coeffs)
     digits = spec.precision
     top = fam.h_max * (1 - Fraction(1, 1000))
-    lines = []
-    if nf.is_zero:
-        lines.append("# status: identically_zero")
-    lines.append("h,phi_mid,phi_width")
-    for i in range(1, points + 1):
-        h = top * i / points
+    rows = []
+    for i in range(1, spec.points + 1):
+        h = top * i / spec.points
         if nf.is_zero:
             mid, width = Fraction(0), Fraction(0)
         else:
             enc = evaluate_normal_form(nf, h, precision=digits)
             mid, width = enc.mid, enc.width
-        lines.append(
-            f"{decimal_str(h, digits)},{decimal_str(mid, digits)},{sci_str(width)}"
+        rows.append(
+            {
+                "h": decimal_str(h, digits),
+                "phi_mid": decimal_str(mid, digits),
+                "phi_width": sci_str(width),
+            }
         )
-    return "\n".join(lines) + "\n"
+    return {
+        "command": "sample-curve",
+        "status": "identically_zero" if nf.is_zero else "ok",
+        "rows": rows,
+    }
+
+
+def sample_curve_csv(report: dict) -> str:
+    head = "# status: identically_zero\n" if report["status"] == "identically_zero" else ""
+    return head + _csv(CURVE_FIELDS, report["rows"])
+
+
+def render_json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
+# command -> (help, report builder, renderers by --format with the default
+# first, setting flags); a command with one renderer takes no --format
+COMMANDS = {
+    "normal-form": (
+        "print the exact normal form",
+        report_normal_form,
+        {"text": render_normal_form, "json": render_json},
+        (),
+    ),
+    "zeros": (
+        "certified zero count and intervals",
+        report_zeros,
+        {"text": render_zeros, "json": render_json},
+        ("precision",),
+    ),
+    "verify": (
+        "compare certified zeros with detected cycles",
+        report_verify,
+        {"text": render_verify, "json": render_json},
+        ("eps",),
+    ),
+    "scan": (
+        "random coefficient samples vs the bound",
+        report_scan,
+        {"csv": scan_csv, "text": render_scan, "json": render_json},
+        ("samples", "seed"),
+    ),
+    "sample-curve": (
+        "certified curve values as CSV",
+        report_sample_curve,
+        {"csv": sample_curve_csv},
+        ("points", "precision"),
+    ),
+}
 
 
 def _emit(text: str, out_path):
@@ -607,29 +648,13 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _load_spec(args) -> InstanceSpec:
+def _load_spec(path: str) -> InstanceSpec:
     try:
-        with open(args.spec) as fh:
-            spec = parse_spec(fh.read())
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
-    if getattr(args, "eps", None) is not None:
-        spec.eps = _rational("command line", "--eps", args.eps)
-        if spec.eps == 0:
-            raise SpecError("--eps must be nonzero")
-    if getattr(args, "precision", None) is not None:
-        if args.precision < 1:
-            raise SpecError("--precision must be >= 1")
-        if args.precision > MAX_PRECISION:
-            raise SpecError(f"--precision: {args.precision} exceeds the limit {MAX_PRECISION}")
-        spec.precision = args.precision
-    if getattr(args, "points", None) is not None:
-        spec.points = args.points
-    if getattr(args, "seed", None) is not None:
-        spec.seed = args.seed
-    if getattr(args, "samples", None) is not None:
-        spec.samples = args.samples
-    return spec
+    return parse_spec(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -638,80 +663,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact averaged-integral normal forms and certified zero counts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt=("text", "json")):
+    for name, (help_text, _build, renderers, flags) in COMMANDS.items():
+        formats = tuple(renderers)
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(format=formats[0])
         p.add_argument("--spec", required=True, help="instance file")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--format", choices=fmt, default=fmt[0])
-
-    p_nf = sub.add_parser("normal-form", help="print the exact normal form")
-    common(p_nf)
-
-    p_z = sub.add_parser("zeros", help="certified zero count and intervals")
-    common(p_z)
-    p_z.add_argument("--precision", type=int, default=None)
-
-    p_v = sub.add_parser("verify", help="compare certified zeros with detected cycles")
-    common(p_v)
-    p_v.add_argument("--eps", default=None, help="perturbation size (rational)")
-
-    p_s = sub.add_parser("scan", help="random coefficient samples vs the bound")
-    common(p_s, fmt=("csv", "text", "json"))
-    p_s.add_argument("--samples", type=int, default=None)
-    p_s.add_argument("--seed", type=int, default=None)
-
-    p_c = sub.add_parser("sample-curve", help="certified curve values as CSV")
-    p_c.add_argument("--spec", required=True)
-    p_c.add_argument("--out", default=None)
-    p_c.add_argument("--points", type=int, default=None)
-    p_c.add_argument("--precision", type=int, default=None)
+        p.add_argument("--out", help="write output to this path")
+        if len(formats) > 1:
+            p.add_argument("--format", choices=formats)
+        for key in flags:
+            p.add_argument(f"--{key}", help=f"overrides [settings] {key}")
     return parser
 
 
-# command -> (report builder, text renderer); --format json dumps the report
-REPORTS = {
-    "normal-form": (report_normal_form, render_normal_form),
-    "zeros": (report_zeros, render_zeros),
-    "verify": (report_verify, render_verify),
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _help, build, renderers, flags = COMMANDS[args.command]
     try:
-        spec = _load_spec(args)
-        if args.command in REPORTS:
-            build, render = REPORTS[args.command]
-            report = build(spec)
-            text = (
-                json.dumps(report, indent=2) + "\n"
-                if args.format == "json"
-                else render(report)
-            )
-            _emit(text, args.out)
-            if report.get("verdict") == "mismatch":
-                print("verification mismatch", file=sys.stderr)
-                return 2
-        elif args.command == "scan":
-            if spec.samples < 1:
-                raise SpecError("scan needs samples >= 1")
-            report = report_scan(spec, spec.samples, spec.seed)
-            if args.format == "json":
-                text = json.dumps(report, indent=2) + "\n"
-            elif args.format == "text":
-                text = render_scan(report)
-            else:
-                text = scan_csv(report)
-            _emit(text, args.out)
-            if args.out and args.format != "text":
-                sys.stdout.write(render_scan(report))
-        elif args.command == "sample-curve":
-            text = sample_curve_csv(spec, spec.points)
-            _emit(text, args.out)
-    except (ValueError, FlowError, QuadratureError) as exc:  # SpecError included
+        spec = _load_spec(args.spec)
+        for key in flags:
+            raw = getattr(args, key)
+            if raw is not None:
+                setattr(spec, key, _setting(f"--{key}", key, raw))
+        report = build(spec)
+        _emit(renderers[args.format](report), args.out)
+        # scan's summary goes to stdout when its rows went to a file
+        if args.command == "scan" and args.out and args.format != "text":
+            sys.stdout.write(render_scan(report))
+    except (ValueError, FlowError) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if report.get("verdict") == "mismatch":
+        print("verification mismatch", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -4,14 +4,15 @@ integration of the perturbed system with section-return cycle detection.
 Everything here is double precision by design; it is the oracle and the
 detector that exercise the exact pipeline, never the certifier.
 
-A section return is integrated in angle form.  With theta = atan2(x, y) as
-the independent variable the positive y-axis is theta = 0 (mod 2*pi), so one
-return is the fixed interval [theta0, 2*pi], and the state is the deviation
-h - h0 of the orbit label, whose rate is O(eps).  The displacement is thus
-integrated directly rather than taken as the difference of two O(1)
-numbers.  The integrator is the scalar Dormand-Prince 8(5,3) of `dop853`.
-Each step's local error in the deviation is held below STEP_TOLERANCE *
-(|eps| * h0 + |h - h0|); the only setting is eps, in `FlowConfig`.
+A section return (`displacement`) is integrated in angle form.  With
+theta = atan2(x, y) as the independent variable the positive y-axis is
+theta = 0 (mod 2*pi), so one return is the fixed interval [0, 2*pi], and
+the state is the deviation h - h0 of the orbit label, whose rate is
+O(eps).  The displacement is thus integrated directly rather than taken as
+the difference of two O(1) numbers.  The integrator is the scalar
+Dormand-Prince 8(5,3) of `dop853`.  Each step's local error in the
+deviation is held below STEP_TOLERANCE * (|eps| * h0 + |h - h0|); the only
+setting is eps, in `FlowConfig`.
 
 The quadrature is a trapezoid rule with nested doubling: it starts at
 START_NODES nodes, accepts agreement from MIN_NODES on and raises
@@ -177,49 +178,25 @@ def _section_rate(family: SystemFamily, coeffs: PerturbCoeffs, eps: float, h0: f
     return rate
 
 
-def _section_return(family, coeffs, cfg: FlowConfig, h0: float, theta0: float) -> float:
-    """Change of h from angle theta0 in [0, 2*pi) to the section at 2*pi.
-
-    A step-size failure at some angle usually means that h(theta) turns
-    vertical there: the orbit's angle is about to stop increasing.
-    """
-    from . import dop853
-
-    rate = _section_rate(family, coeffs, cfg.epsilon, h0)
-    atol = STEP_TOLERANCE * abs(cfg.epsilon) * h0
-    return dop853.integrate(rate, theta0, 2.0 * math.pi, atol, STEP_TOLERANCE, FlowError)
-
-
-def integrate_to_section(
-    family: SystemFamily, coeffs: PerturbCoeffs, cfg: FlowConfig, start
-) -> tuple:
-    """Flow the perturbed system to its next positive-y-axis crossing.
-
-    The start's angle theta0 = atan2(x, y) is taken in [0, 2*pi), and the
-    crossing is theta = 2*pi, so h is integrated over the fixed interval
-    [theta0, 2*pi]; the crossing is (0.0, sqrt(h)).
-    """
-    x0, y0 = float(start[0]), float(start[1])
-    h0 = x0 * x0 + y0 * y0
-    if h0 >= float(family.h_max):
-        raise FlowError("start point outside the annulus of closed orbits")
-    theta0 = math.atan2(x0, y0) % (2.0 * math.pi)
-    return 0.0, math.sqrt(h0 + _section_return(family, coeffs, cfg, h0, theta0))
-
-
 def displacement(
     family: SystemFamily, coeffs: PerturbCoeffs, cfg: FlowConfig, h: float
 ) -> float:
     """Change of the orbit label h = x**2 + y**2 over one section return.
 
-    It is integrated directly, not taken as a difference of two labels, so
-    it is exactly 0.0 when the perturbation vanishes and keeps its relative
-    accuracy at small epsilon.  To first order it is 2*eps times the
-    averaged integral.
+    It is integrated directly over theta in [0, 2*pi], not taken as a
+    difference of two labels, so it is exactly 0.0 when the perturbation
+    vanishes and keeps its relative accuracy at small epsilon.  To first
+    order it is 2*eps times the averaged integral.  A step-size failure at
+    some angle usually means that h(theta) turns vertical there: the
+    orbit's angle is about to stop increasing.
     """
+    from . import dop853
+
     if not (0 < h < float(family.h_max)):
         raise ValueError("orbit label outside the annulus")
-    return _section_return(family, coeffs, cfg, h, 0.0)
+    rate = _section_rate(family, coeffs, cfg.epsilon, h)
+    atol = STEP_TOLERANCE * abs(cfg.epsilon) * h
+    return dop853.integrate(rate, 0.0, 2.0 * math.pi, atol, STEP_TOLERANCE, FlowError)
 
 
 def find_limit_cycles(
@@ -240,7 +217,7 @@ def find_limit_cycles(
     for idx, g in enumerate(grid):
         try:
             values[idx] = displacement(family, coeffs, cfg, g)
-        except (FlowError, QuadratureError) as exc:
+        except FlowError as exc:
             report.failures[idx] = str(exc)
     resolution = max(1e-4 * h_max, 16 * STEP_TOLERANCE)
     for idx in range(len(grid) - 1):
@@ -261,7 +238,7 @@ def find_limit_cycles(
                     hi, d_hi = mid, d_mid
                 else:
                     lo, d_lo = mid, d_mid
-        except (FlowError, QuadratureError) as exc:
+        except FlowError as exc:
             report.failures[idx] = f"bisection: {exc}"
             continue
         if d_lo > 0 > d_hi:

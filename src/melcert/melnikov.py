@@ -230,18 +230,19 @@ def _radial_numerator(m: int) -> Polynomial:
     """U_m(w) with loop integral of (1 - a*sin t)**-m dt == pi*U_m(w)/r**(2m-1),
     where w = r**2 = 1 - a**2.
 
-    Derived from the integration-by-parts recurrence
-    (m-1)*w*J_m = (2m-3)*J_{m-1} - (m-2)*J_{m-2}, seeded by J_1 = 2*pi/r.
+    Laplace's second integral for the Legendre polynomials gives
+    U_m(w) = 2*r**(m-1)*P_(m-1)(1/r), whose coefficients are
+    2**(2-m) * (-1)**k * C(m-1, k) * C(2m-2-2k, m-1) at w**k.
     """
     if m < 1:
         raise ValueError("radical power must be >= 1")
-    w = Polynomial.x()
-    u_prev2 = u_prev1 = Polynomial.constant(2)  # U_1, U_2
-    for k in range(3, m + 1):
-        u_prev2, u_prev1 = u_prev1, (
-            u_prev1.scale(2 * k - 3) - (w * u_prev2).scale(k - 2)
-        ).scale(Fraction(1, k - 1))
-    return u_prev1
+    scale = Fraction(4, 2**m)
+    return Polynomial(
+        tuple(
+            scale * (-1) ** k * math.comb(m - 1, k) * math.comb(2 * m - 2 - 2 * k, m - 1)
+            for k in range((m + 1) // 2)
+        )
+    )
 
 
 @dataclass(frozen=True)

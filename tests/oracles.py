@@ -14,6 +14,8 @@ norm with the radicands cleared of denominators.  `oracle_integrate` sums
 the first-order integral monomial by monomial in `Fraction` polynomials,
 where `melcert.melnikov` sums int numerators over one denominator; it
 starts from melcert's integrals of x**k, so it checks the accumulation.
+The radial numerators here follow the integration-by-parts recurrence in
+`Fraction` polynomials, where `melcert.melnikov` sums their closed form.
 """
 
 import math
@@ -254,6 +256,19 @@ def oracle_power_moment(p, alpha):
         )
         out = out + Polynomial.monomial(q // 2, wallis * alpha**q)
     return out
+
+
+def oracle_radial_numerator(m):
+    """U_m(w), the loop integral of (1 - a*sin t)**-m dt over pi/r**(2m-1)
+    with w = r**2 = 1 - a**2, by the integration-by-parts recurrence
+    (m-1)*w*J_m = (2m-3)*J_{m-1} - (m-2)*J_{m-2}, seeded by J_1 = 2*pi/r."""
+    w = Polynomial.x()
+    u_prev2 = u_prev1 = Polynomial.constant(2)  # U_1, U_2
+    for k in range(3, m + 1):
+        u_prev2, u_prev1 = u_prev1, (
+            u_prev1.scale(2 * k - 3) - (w * u_prev2).scale(k - 2)
+        ).scale(Fraction(1, k - 1))
+    return u_prev1
 
 
 def oracle_single_factor(k, m, alpha):

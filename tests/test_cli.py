@@ -3,6 +3,8 @@
 import json
 import pathlib
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +14,13 @@ from melcert.cli import (
     MAX_M,
     MAX_N,
     MAX_PRECISION,
-    InstanceSpec,
     SpecError,
+    build_parser,
     decimal_str,
     main,
     parse_spec,
     report_normal_form,
+    report_sample_curve,
     report_verify,
     report_zeros,
     sample_curve_csv,
@@ -33,6 +36,10 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 BASIC = (INSTANCES / "n2_basic.spec").read_text()
 TWO_ZEROS = (INSTANCES / "two_zeros.spec").read_text()
 CONFLUENT = (INSTANCES / "confluent_n3.spec").read_text()
+
+
+def curve_csv(spec, points):
+    return sample_curve_csv(report_sample_curve(replace(spec, points=points)))
 
 
 class TestParsing:
@@ -100,6 +107,20 @@ class TestParsing:
     def test_missing_section_rejected(self):
         with pytest.raises(SpecError, match="family"):
             parse_spec("[perturbation]\nn = 1\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("points = 1", r"\[settings\] points: must be >= 2"),
+            ("samples = 0", r"\[settings\] samples: must be >= 1"),
+            ("grid = 0", r"\[settings\] grid: must be >= 1"),
+        ],
+    )
+    def test_settings_rejected_at_parse_time(self, line, message):
+        key = line.split()[0]
+        text = re.sub(rf"^{key} = .*$", "", BASIC, flags=re.M) + line + "\n"
+        with pytest.raises(SpecError, match=message):
+            parse_spec(text)
 
 
 class TestFormatting:
@@ -273,7 +294,7 @@ class TestCommands:
             "[perturbation]\nn = 2\n"
         )
         spec = parse_spec(text)
-        csv = sample_curve_csv(spec, 5)
+        csv = curve_csv(spec, 5)
         lines = csv.strip().splitlines()
         assert lines[0] == "# status: identically_zero"
         for line in lines[2:]:
@@ -281,7 +302,7 @@ class TestCommands:
 
     def test_sample_curve_matches_numeric_oracle(self):
         spec = parse_spec(BASIC)
-        csv = sample_curve_csv(spec, 8)
+        csv = curve_csv(spec, 8)
         lines = csv.strip().splitlines()[1:]
         for line in lines:
             h_str, mid_str, _w = line.split(",")
@@ -291,7 +312,7 @@ class TestCommands:
 
     def test_sample_curve_constant_sign_never_changes(self):
         spec = parse_spec(BASIC)
-        csv = sample_curve_csv(spec, 24)
+        csv = curve_csv(spec, 24)
         values = [float(line.split(",")[1]) for line in csv.strip().splitlines()[1:]]
         assert all(v > 0 for v in values) or all(v < 0 for v in values)
 
@@ -318,7 +339,7 @@ class TestCommands:
 
     def test_sample_curve_deterministic(self):
         spec = parse_spec(BASIC)
-        assert sample_curve_csv(spec, 12) == sample_curve_csv(spec, 12)
+        assert curve_csv(spec, 12) == curve_csv(spec, 12)
 
     def test_verify_mismatch_exits_2(self, monkeypatch, capsys):
         # force a wrong detection result to exercise the exit-code contract
@@ -433,6 +454,14 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: eps ") and "double" in err
 
+    def test_misspelt_setting_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "misspelt.spec"
+        spec.write_text(BASIC.replace("precision = 30", "precison = 3"))
+        assert main(["sample-curve", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: [settings] precison: unknown setting\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["zeros", "scan"])
     def test_unwritable_out_exits_1_with_message(self, command, tmp_path, capsys):
         target = tmp_path / "missing" / "out.txt"
@@ -444,3 +473,47 @@ class TestCommands:
         # scan's stdout summary follows a successful write only
         assert captured.out == ""
         assert not target.parent.exists()
+
+
+# one bad value per setting a command takes as a flag
+BAD_VALUES = {
+    "eps": "0",
+    "precision": str(MAX_PRECISION + 1),
+    "points": "1",
+    "seed": "x",
+    "samples": "0",
+}
+FLAGS = {
+    "normal-form": ((), ("text", "json")),
+    "zeros": (("precision",), ("text", "json")),
+    "verify": (("eps",), ("text", "json")),
+    "scan": (("samples", "seed"), ("csv", "text", "json")),
+    "sample-curve": (("points", "precision"), None),
+}
+
+
+class TestSettingFlags:
+    @pytest.mark.parametrize(
+        "command, key", [(c, k) for c, (keys, _fmt) in FLAGS.items() for k in keys]
+    )
+    def test_flag_and_spec_key_give_one_message(self, command, key, tmp_path, capsys):
+        bad = BAD_VALUES[key]
+        spec = tmp_path / "bad.spec"
+        spec.write_text(re.sub(rf"^{key} = .*$", f"{key} = {bad}", BASIC, flags=re.M))
+        assert main([command, "--spec", str(spec)]) == 1
+        from_spec = capsys.readouterr()
+        basic = str(INSTANCES / "n2_basic.spec")
+        assert main([command, "--spec", basic, f"--{key}", bad]) == 1
+        from_flag = capsys.readouterr()
+        assert from_spec.err.startswith(f"error: [settings] {key}: ")
+        assert from_flag.err == from_spec.err.replace(f"[settings] {key}", f"--{key}")
+        assert from_spec.out == from_flag.out == ""
+
+    def test_each_command_has_its_flags_and_formats(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert set(commands) == set(FLAGS)
+        for name, (keys, formats) in FLAGS.items():
+            actions = {a.dest: a for a in commands[name]._actions if a.dest != "help"}
+            assert set(actions) == {"spec", "out", *keys, *(("format",) if formats else ())}
+            if formats:
+                assert tuple(actions["format"].choices) == formats

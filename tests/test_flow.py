@@ -7,13 +7,11 @@ import pytest
 
 from melcert.dop853 import integrate
 from melcert.flow import (
-    STEP_TOLERANCE,
     FlowConfig,
     FlowError,
     QuadratureError,
     displacement,
     find_limit_cycles,
-    integrate_to_section,
     numeric_melnikov,
 )
 from melcert.melnikov import (
@@ -66,29 +64,9 @@ class TestNumericMelnikov:
 
 
 class TestSectionReturn:
-    def test_unperturbed_orbit_closes(self):
-        cfg = FlowConfig(epsilon=0.0)
-        for h in (0.4, 2.0):
-            x, y = integrate_to_section(FAM, BASIC, cfg, (0.0, math.sqrt(h)))
-            assert abs(x) < 1e-9
-            assert abs(y - math.sqrt(h)) < 1e-7
-
-    def test_energy_conserved_at_zero_eps(self):
-        cfg = FlowConfig(epsilon=0.0)
-        for frac in (0.1, 0.5, 0.9):
-            h = frac * float(FAM.h_max)
-            x, y = integrate_to_section(FAM, BASIC, cfg, (0.0, math.sqrt(h)))
-            assert abs(x * x + y * y - h) <= 10 * STEP_TOLERANCE
-
     def test_start_outside_annulus_rejected(self):
-        cfg = FlowConfig(epsilon=0.0)
-        with pytest.raises(FlowError):
-            integrate_to_section(FAM, BASIC, cfg, (0.0, 2.1))
-
-    def test_off_section_start_returns_to_section(self):
-        cfg = FlowConfig(epsilon=1e-4)
-        x, y = integrate_to_section(FAM, BASIC, cfg, (0.5, 0.5))
-        assert abs(x) < 1e-9 and y > 0
+        with pytest.raises(ValueError, match="outside the annulus"):
+            displacement(FAM, BASIC, FlowConfig(epsilon=0.0), 2.1**2)
 
 
 class TestDisplacement:
@@ -213,7 +191,7 @@ def test_singular_guard_trips_before_the_line():
     cfg = FlowConfig(epsilon=0.0)
     h = float(FAM.h_max) * (1 - 1e-9)
     with pytest.raises(FlowError, match="guard"):
-        integrate_to_section(FAM, BASIC, cfg, (0.0, math.sqrt(h)))
+        displacement(FAM, BASIC, cfg, h)
 
 
 class TestRobustness:

@@ -47,6 +47,7 @@ from oracles import (
     oracle_monomial_parts,
     oracle_partial_fractions,
     oracle_power_moment,
+    oracle_radial_numerator,
     oracle_single_factor,
 )
 
@@ -133,6 +134,10 @@ class TestPurePowerIntegral:
             u = _radial_numerator(m)
             assert u.degree == (m - 1) // 2
             assert all(c != 0 for c in u.coeffs)
+
+    def test_radial_numerator_closed_form_equals_recurrence(self):
+        for m in range(1, 61):
+            assert _radial_numerator(m) == oracle_radial_numerator(m), m
 
     def test_radial_numerator_needs_no_recursion(self):
         # a recursive recurrence would need about m stack frames; large m
