@@ -22,6 +22,9 @@ Instance files are flat key-value text with three sections::
     seed = 1
     samples = 20
 
+Values are read as written: `%` is not interpolated, and a [DEFAULT]
+section is rejected rather than copied into the others.
+
 Subcommands: normal-form, zeros, verify, scan, sample-curve, all run from
 the one table `COMMANDS`.  Every report but sample-curve's has a JSON mirror
 (--format json); scan and sample-curve emit CSV rows.  A setting given as a
@@ -43,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import FlowConfig, FlowError, find_limit_cycles
+from .flow import FlowConfig, find_limit_cycles
 from .melnikov import (
     ConfluentNormalForm,
     PerturbCoeffs,
@@ -121,12 +124,18 @@ def _setting(label: str, key: str, raw: str):
 
 
 def parse_spec(text: str) -> InstanceSpec:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # values are read raw (no %-interpolation), and no header can name the
+    # empty default section, so a [DEFAULT] section is an ordinary one
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), interpolation=None, default_section=""
+    )
     parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise SpecError(f"spec file is not valid key-value text: {exc}") from exc
+    if parser.has_section("DEFAULT"):
+        raise SpecError("[DEFAULT]: not a section of a spec file")
 
     for required in ("family", "perturbation"):
         if not parser.has_section(required):
@@ -690,7 +699,7 @@ def main(argv=None) -> int:
         # scan's summary goes to stdout when its rows went to a file
         if args.command == "scan" and args.out and args.format != "text":
             sys.stdout.write(render_scan(report))
-    except (ValueError, FlowError) as exc:  # SpecError included
+    except ValueError as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report.get("verdict") == "mismatch":

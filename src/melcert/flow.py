@@ -74,10 +74,26 @@ class CycleReport:
     failures: dict = field(default_factory=dict)  # grid index -> message
 
 
+def _double(name: str, value) -> float:
+    """A coefficient as a double; ValueError names one beyond its range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"coefficient {name} is beyond the range of a double") from None
+
+
 def _field_evaluator(coeffs: PerturbCoeffs):
-    """Float evaluator of the perturbation: (P(x, y), Q(x, y)) at a point."""
+    """Float evaluator of the perturbation: (P(x, y), Q(x, y)) at a point.
+
+    Every coefficient is converted before the first evaluation, so one
+    that has no double value raises ValueError here."""
     terms = [
-        (i, j, float(coeffs.a.get((i, j), 0)), float(coeffs.b.get((i, j), 0)))
+        (
+            i,
+            j,
+            _double(f"a[{i},{j}]", coeffs.a.get((i, j), 0)),
+            _double(f"b[{i},{j}]", coeffs.b.get((i, j), 0)),
+        )
         for i, j in sorted(coeffs.a.keys() | coeffs.b.keys())
     ]
     top = max((max(i, j) for i, j, _, _ in terms), default=0)

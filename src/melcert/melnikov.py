@@ -23,6 +23,14 @@ assembly sums those with the coefficients over one common denominator and
 builds one `Fraction` per output coefficient.  The integrals of the
 CACHED_FAMILIES most recently used families stay cached; an older family's
 are dropped whole, so memory stays bounded on any stream of families.
+
+Certified evaluation at a rational point runs in ints as well.  The
+polynomials and the radicands are evaluated once per call, by homogeneous
+Horner on coefficients cleared to one denominator; each rung of the bit
+ladder then takes one isqrt per radical and picks every endpoint by sign,
+and only the returned interval is built from `Fraction`s.  Its endpoints
+are those of `RatInterval` arithmetic with `sqrt_rational` at the same
+bits, which `scaled_value` still uses over a whole h-interval.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .intervals import RatInterval, as_rational, pi_interval, poly_range, sqrt_interval
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _cleared, _scaled_at
 
 
 # Families whose integrals stay cached; beyond this many the least recently
@@ -481,15 +489,112 @@ def assemble(family: SystemFamily, coeffs: PerturbCoeffs):
     return assemble_melnikov(family, coeffs)
 
 
+def _value_at(p: Polynomial, num: int, den: int) -> tuple:
+    """p(num/den) as an int pair (numerator, positive denominator)."""
+    ic, d = _cleared(p)
+    k = max(len(ic) - 1, 0)
+    return _scaled_at(ic, num, den, k), d * den**k
+
+
+def _radicand(alpha: Fraction, num: int, den: int) -> tuple:
+    """u = 1 - alpha**2 * num/den in lowest terms, as an int pair."""
+    a, b = alpha.numerator, alpha.denominator
+    n, d = b * b * den - a * a * num, b * b * den
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _root_bounds(u: tuple, bits: int) -> tuple:
+    """(s, t, scale): [s/scale, t/scale] is `sqrt_rational(u, bits)`, from
+    one isqrt; t == s when the root is exact at this scale.  u = n/d > 0
+    in lowest terms gives n*d >= 1, so s >= 2**bits and never 0."""
+    n, d = u
+    m = (n * d) << (2 * bits)
+    s = math.isqrt(m)
+    return s, (s if s * s == m else s + 1), d << bits
+
+
+def _point_rungs(nf, h: Fraction):
+    """The enclosure of nf/pi at the point h, as a function of the bits.
+
+    The exact parts (the polynomials at h and the radicands) are formed
+    once, in ints; each call `rung(bits)` returns the endpoints as int
+    pairs ((lo_num, lo_den), (hi_num, hi_den)), denominators positive.
+    They are the endpoints that interval arithmetic on `RatInterval`
+    gives with `sqrt_rational` at the same bits: every radical factor
+    here is positive, so each endpoint takes the root bound that the
+    known sign of its partner calls for, where `RatInterval` takes the
+    min and max of four products.
+    """
+    fam = nf.family
+    num, den = h.numerator, h.denominator
+    if isinstance(nf, ConfluentNormalForm):
+        return _confluent_rungs(nf, _radicand(fam.alpha1, num, den))
+    tail = _value_at(nf.tail, num, den)
+    parts = []
+    for rad, alpha, m in ((nf.rad1, fam.alpha1, fam.m1), (nf.rad2, fam.alpha2, fam.m2)):
+        v, d = _value_at(rad, num, den)
+        if v:
+            parts.append((v, d, _radicand(alpha, num, den), 2 * m - 1))
+
+    def rung(bits: int) -> tuple:
+        (ln, ld), (hn, hd) = tail, tail
+        for v, d, u, k in parts:
+            # (v/d) / r**k with r in [s, t]/scale: r = t gives the end
+            # nearer zero, r = s the farther one
+            s, t, scale = _root_bounds(u, bits)
+            top, near, far = v * scale**k, d * t**k, d * s**k
+            if v < 0:
+                near, far = far, near
+            ln, ld = ln * near + top * ld, ld * near
+            hn, hd = hn * far + top * hd, hd * far
+        return (ln, ld), (hn, hd)
+
+    return rung
+
+
+def _confluent_rungs(nf, u: tuple):
+    """`_point_rungs` for pr(r)/r**(2m-1): interval Horner of pr over
+    r in [s, t]/scale on int numerators over den * scale**j."""
+    ic, den = _cleared(nf.pr)
+    ic = ic or [0]  # the zero form
+    deg, k = len(ic) - 1, 2 * nf.m - 1
+
+    def rung(bits: int) -> tuple:
+        s, t, scale = _root_bounds(u, bits)
+        lo = hi = ic[-1]
+        spow = 1
+        for c in reversed(ic[:-1]):
+            # 0 < s <= t: a nonnegative end grows with r, a negative one
+            # falls
+            spow *= scale
+            lo = lo * (s if lo >= 0 else t) + c * spow
+            hi = hi * (t if hi >= 0 else s) + c * spow
+        # [lo, hi] / (den * scale**deg) encloses pr(r); divide by r**k
+        up, down = scale ** max(k - deg, 0), den * scale ** max(deg - k, 0)
+        sk, tk = s**k, t**k
+        return (
+            (lo * up, down * (tk if lo >= 0 else sk)),
+            (hi * up, down * (sk if hi >= 0 else tk)),
+        )
+
+    return rung
+
+
 def scaled_value(nf, h: RatInterval, bits: int) -> RatInterval:
     """Enclosure of the normal-form value divided by pi over an h-interval.
 
     The h-interval must stay inside [0, h_max); radical enclosures are
-    computed to ~2**-bits and widen naturally near the annulus edge.
+    computed to ~2**-bits and widen naturally near the annulus edge.  A
+    point goes through the int kernel of `_point_rungs`, a wider interval
+    through `RatInterval` arithmetic.
     """
     fam = nf.family
     if h.lo < 0 or h.hi >= fam.h_max:
         raise ValueError("evaluation point outside [0, h_max)")
+    if h.lo == h.hi:
+        (ln, ld), (hn, hd) = _point_rungs(nf, h.lo)(bits)
+        return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
     if isinstance(nf, ConfluentNormalForm):
         w = poly_range(_u_poly(fam.alpha1), h)
         r = sqrt_interval(w, bits)
@@ -506,7 +611,15 @@ def scaled_value(nf, h: RatInterval, bits: int) -> RatInterval:
 
 def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:
     """Rigorous enclosure of the integral value (pi included) at rational h,
-    of width at most 10**-precision."""
+    of width at most 10**-precision.
+
+    The bits double from 64 until the enclosure is narrow enough.  Each
+    rung runs in ints (`_point_rungs`), multiplies by `pi_interval` the
+    same way and tests the width by cross-multiplication; only the
+    returned interval is built from `Fraction`s.  No rung can divide by
+    zero, so none is retried: a radicand u = n/d > 0 has n*d >= 1, and
+    isqrt(n*d * 4**bits) >= 2**bits bounds every root from below.
+    """
     h = as_rational(h)
     if precision < 1:
         raise ValueError("precision must be a positive digit count")
@@ -514,16 +627,18 @@ def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:
         raise ValueError("evaluation point outside [0, h_max)")
     if nf.is_zero:
         return RatInterval.point(0)
-    target = Fraction(1, 10**precision)
-    point = RatInterval.point(h)
+    inverse_width = 10**precision
+    rung = _point_rungs(nf, h)
     bits = 64
     while True:
-        try:
-            val = scaled_value(nf, point, bits) * pi_interval(bits)
-        except ZeroDivisionError:
-            val = None
-        if val is not None and val.width <= target:
-            return val
+        (ln, ld), (hn, hd) = rung(bits)
+        pi = pi_interval(bits)
+        # pi > 0: a nonnegative lower end takes pi.lo, a negative one pi.hi
+        lo_pi, hi_pi = (pi.lo if ln >= 0 else pi.hi), (pi.hi if hn >= 0 else pi.lo)
+        ln, ld = ln * lo_pi.numerator, ld * lo_pi.denominator
+        hn, hd = hn * hi_pi.numerator, hd * hi_pi.denominator
+        if (hn * ld - ln * hd) * inverse_width <= hd * ld:
+            return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
         bits *= 2
         if bits > 1 << 22:  # pragma: no cover - hard safety stop
             raise RuntimeError("enclosure did not reach the requested width")

@@ -226,10 +226,15 @@ def _content_free(ic: list) -> list:
     return ic if g <= 1 else [c // g for c in ic]
 
 
+def _cleared(p: Polynomial) -> tuple:
+    """p's coefficients as ints over one positive denominator: (ints, den)."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
 def _primitive_ints(p: Polynomial) -> list:
     """Coefficients of p.primitive() as plain ints (p nonzero)."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _content_free([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _content_free(_cleared(p)[0])
 
 
 def _neg_prem(a: list, b: list) -> list:

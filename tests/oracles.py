@@ -16,13 +16,17 @@ where `melcert.melnikov` sums int numerators over one denominator; it
 starts from melcert's integrals of x**k, so it checks the accumulation.
 The radial numerators here follow the integration-by-parts recurrence in
 `Fraction` polynomials, where `melcert.melnikov` sums their closed form.
+`oracle_point_enclosure` encloses the normal form at a point in
+`RatInterval` arithmetic (exact polynomial values, `sqrt_interval`,
+reciprocal powers, times `pi_interval`), where `melcert.melnikov` runs the
+same rungs on int numerators and picks each endpoint by sign.
 """
 
 import math
 from fractions import Fraction
 
-from melcert.melnikov import _integrals, _polynomials
-from melcert.intervals import RatInterval
+from melcert.intervals import RatInterval, pi_interval, poly_range, sqrt_interval
+from melcert.melnikov import ConfluentNormalForm, _integrals, _polynomials, _u_poly
 from melcert.polynomials import Polynomial
 
 
@@ -311,3 +315,36 @@ def oracle_integrate(coeffs, poles):
         parts = oracle_monomial_parts(i, j, poles)
         sums = [total + part.scale(value) for total, part in zip(sums, parts)]
     return sums
+
+
+def oracle_point_scaled(nf, h, bits):
+    """The normal form over pi at the point h, by `RatInterval` arithmetic
+    with the radicals enclosed to 2**-bits."""
+    fam = nf.family
+    point = RatInterval.point(h)
+    if isinstance(nf, ConfluentNormalForm):
+        r = sqrt_interval(poly_range(_u_poly(fam.alpha1), point), bits)
+        return poly_range(nf.pr, r) / r.ipow(2 * nf.m - 1)
+    r1 = sqrt_interval(poly_range(_u_poly(fam.alpha1), point), bits)
+    r2 = sqrt_interval(poly_range(_u_poly(fam.alpha2), point), bits)
+    total = poly_range(nf.tail, point)
+    if not nf.rad1.is_zero:
+        total = total + poly_range(nf.rad1, point) / r1.ipow(2 * fam.m1 - 1)
+    if not nf.rad2.is_zero:
+        total = total + poly_range(nf.rad2, point) / r2.ipow(2 * fam.m2 - 1)
+    return total
+
+
+def oracle_point_enclosure(nf, h, precision):
+    """The integral value (pi included) at h: the bits double from 64 until
+    `oracle_point_scaled` times `pi_interval` is at most 10**-precision
+    wide."""
+    if nf.is_zero:
+        return RatInterval.point(0)
+    target = Fraction(1, 10**precision)
+    bits = 64
+    while True:
+        val = oracle_point_scaled(nf, h, bits) * pi_interval(bits)
+        if val.width <= target:
+            return val
+        bits *= 2

@@ -454,6 +454,37 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: eps ") and "double" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("a_0_0 = 1\n", "a_0_0 = 1%\n", "[perturbation] a_0_0: not an exact rational: '1%'"),
+            ("a_0_0 = 1\n", "a_0_0 = %(n)s\n",
+             "[perturbation] a_0_0: not an exact rational: '%(n)s'"),
+            ("[family]", "[DEFAULT]\nseed = 4\n\n[family]",
+             "[DEFAULT]: not a section of a spec file"),
+        ],
+    )
+    def test_spec_values_are_read_as_written(self, old, new, message, tmp_path, capsys):
+        # no %-interpolation, and no [DEFAULT] keys copied into the sections
+        spec = tmp_path / "raw.spec"
+        spec.write_text(BASIC.replace(old, new, 1))
+        assert main(["zeros", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_coefficient_without_a_double_exits_1_in_verify(self, tmp_path, capsys):
+        big = "1" + "0" * 400
+        spec = tmp_path / "huge.spec"
+        spec.write_text(
+            "[family]\nalpha1 = 1/2\nalpha2 = -1/3\nm1 = 1\nm2 = 1\n"
+            f"[perturbation]\nn = 2\nbox = {big}\na_0_0 = -{big}\nb_0_1 = 1\n"
+        )
+        assert main(["verify", "--spec", str(spec), "--eps", "1/1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: coefficient a[0,0] is beyond the range of a double\n"
+        assert captured.out == ""
+
     def test_misspelt_setting_exits_1(self, tmp_path, capsys):
         spec = tmp_path / "misspelt.spec"
         spec.write_text(BASIC.replace("precision = 30", "precison = 3"))

@@ -42,6 +42,9 @@ def _cases() -> dict:
         table[f"sample-curve --out {inst}"] = (
             inst, ["sample-curve", "--points", "7", "--precision", "12", "--out", OUT]
         )
+        table[f"sample-curve --precision 1000 {inst}"] = (
+            inst, ["sample-curve", "--precision", "1000", "--points", "12"]
+        )
         table[f"verify json {inst}"] = (inst, ["verify", "--format", "json", "--eps", "1/1000"])
     return table
 

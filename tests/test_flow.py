@@ -224,6 +224,17 @@ class TestRobustness:
         assert sorted(report.failures) == [0, 1]
         assert all("angle stopped increasing" in msg for msg in report.failures.values())
 
+    def test_coefficient_beyond_double_range_is_a_value_error(self):
+        huge = F(10**400)
+        coeffs = PerturbCoeffs(n=1, a={(0, 0): F(1)}, b={(1, 0): -huge}, box=huge)
+        with pytest.raises(ValueError, match=r"coefficient b\[1,0\] is beyond the range"):
+            displacement(FAM, coeffs, FlowConfig(epsilon=1e-3), 0.5)
+        with pytest.raises(ValueError, match=r"coefficient b\[1,0\] is beyond the range"):
+            numeric_melnikov(FAM, coeffs, 0.5)
+        # so a cycle scan raises it instead of recording a failure
+        with pytest.raises(ValueError, match=r"b\[1,0\]"):
+            find_limit_cycles(FAM, coeffs, FlowConfig(epsilon=1e-3), [0.5, 1.0])
+
     def test_step_floor_ends_in_flow_error(self):
         # y' = (1 + y)**2 blows up at t = 1: steps shrink to 10 ulp there
         with pytest.raises(FlowError, match="step size fell below 10 ulp at 1.0"):

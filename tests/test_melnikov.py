@@ -46,6 +46,8 @@ from oracles import (
     oracle_integrate,
     oracle_monomial_parts,
     oracle_partial_fractions,
+    oracle_point_enclosure,
+    oracle_point_scaled,
     oracle_power_moment,
     oracle_radial_numerator,
     oracle_single_factor,
@@ -435,6 +437,70 @@ def test_integrate_matches_fraction_oracle():
 
     check()
     assert min(seen.values()) >= 20, seen
+
+
+# ------------------------------------ int point kernel vs RatInterval oracle
+
+
+@st.composite
+def _point_cases(draw):
+    """(kind, where, nf, h, precision, bits): a form of `_assembly_cases`,
+    and h at the center, 1e-8 below h_max, inside, or where the radicand
+    of the pole nearest the center is a rational square s**2."""
+    kind, coeffs, poles = draw(_assembly_cases())
+    if kind == "confluent":
+        (alpha, m), = poles
+        family = SystemFamily(alpha, alpha, 1, m - 1)
+    else:
+        (alpha1, m1), (alpha2, m2) = poles
+        family = SystemFamily(alpha1, alpha2, m1, m2)
+    h_max = family.h_max
+    where = draw(st.sampled_from(["center", "edge", "inside", "square"]))
+    if where == "center":
+        h = F(0)
+    elif where == "edge":
+        h = h_max * (1 - F(1, 10**8))
+    elif where == "inside":
+        h = h_max * F(draw(st.integers(1, 999)), 1000)
+    else:
+        s = F(draw(st.integers(1, 11)), 12)
+        h = h_max * (1 - s * s)
+    return kind, where, assemble(family, coeffs), h, draw(st.integers(1, 60)), draw(
+        st.integers(1, 1024)
+    )
+
+
+def test_point_evaluation_matches_interval_oracle():
+    seen = dict.fromkeys(
+        ["two_radical", "mirror", "confluent", "center", "edge", "inside", "square"], 0
+    )
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_point_cases())
+    def check(case):
+        kind, where, nf, h, precision, bits = case
+        got, want = evaluate_normal_form(nf, h, precision), oracle_point_enclosure(nf, h, precision)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        got, want = scaled_value(nf, RatInterval.point(h), bits), oracle_point_scaled(nf, h, bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        seen[kind] += 1
+        seen[where] += 1
+
+    check()
+    assert min(seen.values()) >= 20, seen
+
+
+def test_perfect_square_radicand_gives_the_exact_root():
+    # alpha = 1/2 at h = 7/4: 1 - h/4 = 9/16, so r = 3/4 at every rung
+    two = assemble(FAM, PerturbCoeffs(n=2, a={(0, 0): F(1)}, b={(1, 1): F(1, 2)}))
+    one = assemble(SystemFamily(F(1, 2), F(1, 2), 1, 1), PerturbCoeffs(n=1, a={(0, 0): F(1)}))
+    for nf in (two, one):
+        for precision in (1, 30):
+            got = evaluate_normal_form(nf, F(7, 4), precision)
+            assert got == oracle_point_enclosure(nf, F(7, 4), precision)
+    # the confluent value is exact before pi: a point enclosure
+    exact = scaled_value(one, RatInterval.point(F(7, 4)), 64)
+    assert exact.lo == exact.hi == one.pr.eval(F(3, 4)) / F(3, 4) ** 3
 
 
 # ------------------------------------------------- per-family cache bound
