@@ -453,10 +453,15 @@ def report_verify(spec: InstanceSpec) -> dict:
             for idx, c in enumerate(cycles.cycles)
             if idx not in used
         ]
+        # the points that integrated must be a prefix of two or more: next
+        # to h_max orbits touch the singular line and may fail, but a
+        # failure lower down leaves a gap, and fewer points check nothing
+        scanned = grid_n - len(cycles.failures)
         ok = (
             zr.decided
-            and matched == zr.count_lo
-            and len(cycles.cycles) == zr.count_lo
+            and matched == zr.count_lo == len(cycles.cycles)
+            and scanned >= 2
+            and min(cycles.failures, default=scanned) >= scanned
         )
         attempts.append(
             {

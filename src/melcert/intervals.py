@@ -5,8 +5,8 @@ wherever a square root (or pi) enters an otherwise exact computation, so
 downstream sign decisions are rigorous, and it is also what the root core
 of `polynomials` returns: isolating intervals, read as half-open (lo, hi]
 when roots are counted, and degenerate when a root is pinned exactly.
-`as_rational` is the one coercion to `Fraction`.  This module imports no
-other part of melcert.
+`as_rational` is the one coercion to `Fraction`, `sqrt_bracket` the one
+isqrt bracket.  This module imports no other part of melcert.
 """
 
 from __future__ import annotations
@@ -116,22 +116,24 @@ class RatInterval:
         return RatInterval(Fraction(0), max(self.lo**n, self.hi**n))
 
 
+def sqrt_bracket(n: int, d: int, bits: int) -> tuple:
+    """(s, t, scale): sqrt(n/d) = sqrt(n*d)/d lies in [s, t]/scale, t == s
+    if exact, else t == s + 1.  n/d >= 0 must be in lowest terms, as in a
+    `Fraction`: the bracket depends on the pair.  n/d > 0 gives s >= 2**bits.
+    """
+    m = (n * d) << (2 * bits)
+    s = math.isqrt(m)
+    return s, (s if s * s == m else s + 1), d << bits
+
+
 def sqrt_rational(q, bits: int) -> RatInterval:
     """Enclosure of sqrt(q) with width at most 2**-bits (exact when q is a
     perfect rational square at this scale)."""
     q = as_rational(q)
     if q < 0:
         raise ValueError("square root of a negative rational")
-    if q == 0:
-        return RatInterval.point(0)
-    n, d = q.numerator, q.denominator
-    # sqrt(n/d) = sqrt(n*d)/d, bracketed by scaled integer square roots
-    m = (n * d) << (2 * bits)
-    s = math.isqrt(m)
-    scale = d << bits
-    if s * s == m:
-        return RatInterval.point(Fraction(s, scale))
-    return RatInterval(Fraction(s, scale), Fraction(s + 1, scale))
+    s, t, scale = sqrt_bracket(q.numerator, q.denominator, bits)
+    return RatInterval(Fraction(s, scale), Fraction(t, scale))
 
 
 def sqrt_interval(iv: RatInterval, bits: int) -> RatInterval:

@@ -24,24 +24,27 @@ builds one `Fraction` per output coefficient.  The integrals of the
 CACHED_FAMILIES most recently used families stay cached; an older family's
 are dropped whole, so memory stays bounded on any stream of families.
 
-Certified evaluation at a rational point runs in ints as well.  The
-polynomials and the radicands are evaluated once per call, by homogeneous
-Horner on coefficients cleared to one denominator; each rung of the bit
-ladder then takes one isqrt per radical and picks every endpoint by sign,
-and only the returned interval is built from `Fraction`s.  Its endpoints
-are those of `RatInterval` arithmetic with `sqrt_rational` at the same
-bits, which `scaled_value` still uses over a whole h-interval.
+Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
+for every exact reader here and in `zeros`.  Certified evaluation at a
+rational point runs on it: the polynomials and the radicands are
+evaluated once per call, by homogeneous Horner; each rung of the bit
+ladder then takes one `sqrt_bracket` per radical and picks every endpoint
+by sign, and only the returned interval is built from `Fraction`s.  Its
+endpoints are those of `RatInterval` arithmetic with `sqrt_rational` at
+the same bits, which `scaled_value` still uses over a whole h-interval.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .intervals import RatInterval, as_rational, pi_interval, poly_range, sqrt_interval
-from .polynomials import Polynomial, _cleared, _scaled_at
+from .intervals import RatInterval, as_rational, pi_interval, poly_range
+from .intervals import sqrt_bracket, sqrt_interval
+from .polynomials import Polynomial, _cleared, _prod, _scaled_at, _sum
 
 
 # Families whose integrals stay cached; beyond this many the least recently
@@ -123,6 +126,9 @@ class PerturbCoeffs:
         return not self.a and not self.b
 
 
+IntView = namedtuple("IntView", "den rad1 rad2 tail d u1 u2 a b c")
+
+
 @dataclass(frozen=True)
 class MelnikovNormalForm:
     """rad1/r1**(2*m1-1) + rad2/r2**(2*m2-1) + tail, in units of pi."""
@@ -133,17 +139,40 @@ class MelnikovNormalForm:
     tail: Polynomial
     merged: bool = False
 
+    @cached_property
+    def ints(self) -> IntView:
+        """This form cleared to ints once, as int lists in h (constant first).
+
+        rad1, rad2 and tail are numerators over den, and Ui = d*(1 -
+        alphai**2 h) with d the least positive integer making both
+        integral.  With r**(2m-1) = u**(m-1)*r the form is a positive
+        multiple of A*r2 + B*r1 + C*r1*r2 (a, b, c); a mirror pair
+        (r1 = r2) is merged over r1**(2*max(m1, m2)-1) into r1*(A + C*r1),
+        with B = 0.
+        """
+        fam = self.family
+        m1, m2 = fam.m1, fam.m2
+        den, (rad1, rad2, tail) = _cleared(self.rad1, self.rad2, self.tail)
+        d, (u1, u2) = _cleared(_u_poly(fam.alpha1), _u_poly(fam.alpha2))
+        if self.merged:
+            mb = max(m1, m2)
+            a = _sum(
+                _prod(rad1, [d ** (m1 - 1)], *[u1] * (mb - m1)),
+                _prod(rad2, [d ** (m2 - 1)], *[u1] * (mb - m2)),
+            )
+            b, c = [], _prod(tail, *[u1] * (mb - 1))
+        else:
+            a = _prod(rad1, [d ** (m1 - 1)], *[u2] * (m2 - 1))
+            b = _prod(rad2, [d ** (m2 - 1)], *[u1] * (m1 - 1))
+            c = _prod(tail, *[u1] * (m1 - 1), *[u2] * (m2 - 1))
+        return IntView(den, rad1, rad2, tail, d, u1, u2, a, b, c)
+
     @property
     def is_zero(self) -> bool:
-        if not self.tail.is_zero:
-            return False
-        if self.merged and not (self.rad1.is_zero or self.rad2.is_zero):
-            # one radical r: the parts cancel exactly when their numerators
-            # over the common r**(2*max(m1, m2)-1) do, with r**2 = u
-            fam = self.family
-            u, top = _u_poly(fam.alpha1), max(fam.m1, fam.m2)
-            return (self.rad1 * u ** (top - fam.m1) + self.rad2 * u ** (top - fam.m2)).is_zero
-        return self.rad1.is_zero and self.rad2.is_zero
+        # r1, r2, r1*r2 are independent over Q(h); a merged A cancels
+        # exactly when the radical parts do
+        v = self.ints
+        return not any(v.a + v.b + v.c)
 
     def center_value(self) -> Fraction:
         """Exact value at h = 0, where both radicals equal 1."""
@@ -173,6 +202,11 @@ class ConfluentNormalForm:
     family: SystemFamily
     pr: Polynomial
     m: int
+
+    @cached_property
+    def ints(self) -> tuple:
+        """pr cleared to ints once, (den, [numerators]), kept on the form."""
+        return _cleared(self.pr)
 
     @property
     def is_zero(self) -> bool:
@@ -361,10 +395,8 @@ class _FamilyIntegrals:
                 if c:
                     tail = tail + circle_moment(i, 0).scale(c)
             parts.append(tail)
-            den = math.lcm(*(c.denominator for p in parts for c in p.coeffs))
-            self._pure[k] = den, tuple(
-                tuple(c.numerator * (den // c.denominator) for c in p.coeffs) for p in parts
-            )
+            den, ints = _cleared(*parts)
+            self._pure[k] = den, tuple(map(tuple, ints))
         return self._pure[k]
 
     def monomial(self, i: int, j: int) -> tuple:
@@ -489,13 +521,6 @@ def assemble(family: SystemFamily, coeffs: PerturbCoeffs):
     return assemble_melnikov(family, coeffs)
 
 
-def _value_at(p: Polynomial, num: int, den: int) -> tuple:
-    """p(num/den) as an int pair (numerator, positive denominator)."""
-    ic, d = _cleared(p)
-    k = max(len(ic) - 1, 0)
-    return _scaled_at(ic, num, den, k), d * den**k
-
-
 def _radicand(alpha: Fraction, num: int, den: int) -> tuple:
     """u = 1 - alpha**2 * num/den in lowest terms, as an int pair."""
     a, b = alpha.numerator, alpha.denominator
@@ -504,22 +529,12 @@ def _radicand(alpha: Fraction, num: int, den: int) -> tuple:
     return n // g, d // g
 
 
-def _root_bounds(u: tuple, bits: int) -> tuple:
-    """(s, t, scale): [s/scale, t/scale] is `sqrt_rational(u, bits)`, from
-    one isqrt; t == s when the root is exact at this scale.  u = n/d > 0
-    in lowest terms gives n*d >= 1, so s >= 2**bits and never 0."""
-    n, d = u
-    m = (n * d) << (2 * bits)
-    s = math.isqrt(m)
-    return s, (s if s * s == m else s + 1), d << bits
-
-
 def _point_rungs(nf, h: Fraction):
     """The enclosure of nf/pi at the point h, as a function of the bits.
 
     The exact parts (the polynomials at h and the radicands) are formed
-    once, in ints; each call `rung(bits)` returns the endpoints as int
-    pairs ((lo_num, lo_den), (hi_num, hi_den)), denominators positive.
+    once, from `nf.ints`; each call `rung(bits)` returns the endpoints as
+    int pairs ((lo_num, lo_den), (hi_num, hi_den)), denominators positive.
     They are the endpoints that interval arithmetic on `RatInterval`
     gives with `sqrt_rational` at the same bits: every radical factor
     here is positive, so each endpoint takes the root bound that the
@@ -530,19 +545,23 @@ def _point_rungs(nf, h: Fraction):
     num, den = h.numerator, h.denominator
     if isinstance(nf, ConfluentNormalForm):
         return _confluent_rungs(nf, _radicand(fam.alpha1, num, den))
-    tail = _value_at(nf.tail, num, den)
+    ints = nf.ints
+    # every part at h is an int over one d = ints.den * den**j
+    j = max(len(ints.rad1), len(ints.rad2), len(ints.tail), 1) - 1
+    d = ints.den * den**j
+    tail = _scaled_at(ints.tail, num, den, j), d
     parts = []
-    for rad, alpha, m in ((nf.rad1, fam.alpha1, fam.m1), (nf.rad2, fam.alpha2, fam.m2)):
-        v, d = _value_at(rad, num, den)
+    for rad, alpha, m in ((ints.rad1, fam.alpha1, fam.m1), (ints.rad2, fam.alpha2, fam.m2)):
+        v = _scaled_at(rad, num, den, j)
         if v:
-            parts.append((v, d, _radicand(alpha, num, den), 2 * m - 1))
+            parts.append((v, _radicand(alpha, num, den), 2 * m - 1))
 
     def rung(bits: int) -> tuple:
         (ln, ld), (hn, hd) = tail, tail
-        for v, d, u, k in parts:
+        for v, u, k in parts:
             # (v/d) / r**k with r in [s, t]/scale: r = t gives the end
             # nearer zero, r = s the farther one
-            s, t, scale = _root_bounds(u, bits)
+            s, t, scale = sqrt_bracket(*u, bits)
             top, near, far = v * scale**k, d * t**k, d * s**k
             if v < 0:
                 near, far = far, near
@@ -556,12 +575,12 @@ def _point_rungs(nf, h: Fraction):
 def _confluent_rungs(nf, u: tuple):
     """`_point_rungs` for pr(r)/r**(2m-1): interval Horner of pr over
     r in [s, t]/scale on int numerators over den * scale**j."""
-    ic, den = _cleared(nf.pr)
+    den, (ic,) = nf.ints
     ic = ic or [0]  # the zero form
     deg, k = len(ic) - 1, 2 * nf.m - 1
 
     def rung(bits: int) -> tuple:
-        s, t, scale = _root_bounds(u, bits)
+        s, t, scale = sqrt_bracket(*u, bits)
         lo = hi = ic[-1]
         spow = 1
         for c in reversed(ic[:-1]):
@@ -618,7 +637,7 @@ def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:
     same way and tests the width by cross-multiplication; only the
     returned interval is built from `Fraction`s.  No rung can divide by
     zero, so none is retried: a radicand u = n/d > 0 has n*d >= 1, and
-    isqrt(n*d * 4**bits) >= 2**bits bounds every root from below.
+    `sqrt_bracket` then bounds every root from below by 2**bits/scale.
     """
     h = as_rational(h)
     if precision < 1:

@@ -13,11 +13,13 @@ endpoints and refines them by bisection on int numerators over a doubling
 common denominator, with exact integer signs.  Every interval here is an
 `intervals.RatInterval`.  `count_real_roots`, `isolate_roots` and
 `refine_root` are entry points that build one isolator for an arbitrary
-polynomial through `squarefree_factors`.
+polynomial through `squarefree_factors`.  `_cleared` is the one place
+where `Fraction` coefficients become ints for the int-list helpers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -226,15 +228,34 @@ def _content_free(ic: list) -> list:
     return ic if g <= 1 else [c // g for c in ic]
 
 
-def _cleared(p: Polynomial) -> tuple:
-    """p's coefficients as ints over one positive denominator: (ints, den)."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+def _cleared(*polys: Polynomial) -> tuple:
+    """(den, lists): the least common positive denominator of all the
+    coefficients, and each polynomial's int numerators over it."""
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return den, [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
 
 
 def _primitive_ints(p: Polynomial) -> list:
     """Coefficients of p.primitive() as plain ints (p nonzero)."""
-    return _content_free(_cleared(p)[0])
+    _den, (ic,) = _cleared(p)
+    return _content_free(ic)
+
+
+def _prod(*factors) -> list:
+    """Product of int coefficient lists, constant term first."""
+    out = [1]
+    for f in factors:
+        acc = [0] * (len(out) + len(f) - 1) if out and f else []
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                acc[i + j] += x * y
+        out = acc
+    return out
+
+
+def _sum(*terms) -> list:
+    """Sum of int coefficient lists, constant term first."""
+    return [sum(cs) for cs in itertools.zip_longest(*terms, fillvalue=0)]
 
 
 def _neg_prem(a: list, b: list) -> list:

@@ -1,15 +1,15 @@
 """Certified zero counts for assembled normal forms on the open annulus.
 
 The two-radical form, cleared to integer polynomials in h (numerators
-A, B, C and radicands U1, U2 over one denominator d), has as eliminant
-their norm over Z: the product of its radical conjugates, formed in plain
-ints.  Every zero is a root of it, not conversely, so each candidate is
-filtered by exact signs at rational points (`point_sign`: x + y*sqrt(u) by
-comparing x**2 with y**2 u) and by enclosures on whole intervals.  The
-confluent form needs no squaring: its zeros are the roots of a polynomial
-in r on (0, 1).  Counts are a [count_lo, count_hi] range that collapses
-whenever every candidate is decided.  `count_zeros` clears the form once
-(`_int_parts`) and hands that to the eliminant and to every exact sign.
+A, B, C and radicands U1, U2 over one denominator d, the form's `ints`),
+has as eliminant their norm over Z: the product of its radical conjugates,
+formed in plain ints.  Every zero is a root of it, not conversely, so each
+candidate is filtered by exact signs at rational points (`point_sign`:
+x + y*sqrt(u) by comparing x**2 with y**2 u) and by enclosures on whole
+intervals.  The confluent form needs no squaring: its zeros are the roots
+of a polynomial in r on (0, 1).  Counts are a [count_lo, count_hi] range
+that collapses whenever every candidate is decided.  The zero test, the
+eliminant and every exact sign read the form's one `ints` view.
 
 Candidates come from the Descartes root core of `polynomials`: its one
 squarefree decision, `squarefree_factors`, usually certifies the eliminant
@@ -20,8 +20,6 @@ fails does a Yun decomposition run.  Every interval is a `RatInterval`.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +37,9 @@ from .polynomials import (
     DescartesIsolator,
     Polynomial,
     _content_free,
+    _prod,
     _scaled_at,
+    _sum,
     squarefree_factors,
 )
 
@@ -66,69 +66,22 @@ def theorem_bound(family: SystemFamily, n: int):
     return value if value >= 0 else None
 
 
-def _prod(*factors) -> list:
-    """Product of int coefficient lists, constant term first."""
-    out = [1]
-    for f in factors:
-        acc = [0] * (len(out) + len(f) - 1) if out and f else []
-        for i, x in enumerate(out):
-            for j, y in enumerate(f):
-                acc[i + j] += x * y
-        out = acc
-    return out
-
-
-def _sum(*terms) -> list:
-    return [sum(cs) for cs in itertools.zip_longest(*terms, fillvalue=0)]
-
-
-def _int_parts(nf: MelnikovNormalForm) -> tuple:
-    """Radical-free numerators of the two-radical form as int lists in h.
-
-    Returns (d, U1, U2, (A, B, C)).  Ui = d*(1 - alphai**2 h) with d the
-    least positive integer making both integral, and rad1, rad2, tail are
-    cleared by one positive integer.  With r**(2m-1) = u**(m-1)*r the form
-    is a positive multiple of A*r2 + B*r1 + C*r1*r2.  A mirror pair
-    (r1 = r2) is merged over r1**(2*max(m1, m2)-1) into r1*(A + C*r1),
-    with B = 0.
-    """
-    fam = nf.family
-    m1, m2 = fam.m1, fam.m2
-    squares = (fam.alpha1**2, fam.alpha2**2)
-    d = math.lcm(*(sq.denominator for sq in squares))
-    u1, u2 = ([d, -(d * sq).numerator] for sq in squares)
-    polys = (nf.rad1, nf.rad2, nf.tail)
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    rad1, rad2, tail = ([c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys)
-    if nf.merged:
-        mb = max(m1, m2)
-        a = _sum(
-            _prod(rad1, [d ** (m1 - 1)], *[u1] * (mb - m1)),
-            _prod(rad2, [d ** (m2 - 1)], *[u1] * (mb - m2)),
-        )
-        return d, u1, u2, (a, [], _prod(tail, *[u1] * (mb - 1)))
-    a = _prod(rad1, [d ** (m1 - 1)], *[u2] * (m2 - 1))
-    b = _prod(rad2, [d ** (m2 - 1)], *[u1] * (m1 - 1))
-    c = _prod(tail, *[u1] * (m1 - 1), *[u2] * (m2 - 1))
-    return d, u1, u2, (a, b, c)
-
-
-def eliminate_radicals(nf: MelnikovNormalForm, cleared: tuple = None) -> Polynomial:
+def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
     """Polynomial in h whose roots contain every zero of the normal form.
 
-    Isolates the radical terms of `_int_parts` and squares, in plain ints.
-    A mirror pair needs a single squaring, d*A**2 - C**2 U1; otherwise two
-    squarings give
+    Isolates the radical terms of the form's `ints` and squares, in plain
+    ints.  A mirror pair needs a single squaring, d*A**2 - C**2 U1;
+    otherwise two squarings give
 
         (C**2 U1 U2 - d*(A**2 U2 + B**2 U1))**2 - 4 d**2 A**2 B**2 U1 U2.
 
     Squaring is one-directional: roots that are not zeros of the original
-    function are expected and filtered downstream.  `cleared` is
-    `_int_parts(nf)` when the caller holds it already.
+    function are expected and filtered downstream.
     """
     if nf.is_zero:
         raise ValueError("cannot eliminate radicals of the zero form")
-    d, u1, u2, (a, b, c) = cleared or _int_parts(nf)
+    v = nf.ints
+    d, u1, u2, a, b, c = v.d, v.u1, v.u2, v.a, v.b, v.c
     if nf.merged:
         elim = _sum(_prod([d], a, a), _prod([-1], c, c, u1))
     else:
@@ -153,15 +106,14 @@ def _sign_sqrt(x, y, u) -> int:
     return sx * ((diff > 0) - (diff < 0))
 
 
-def point_sign(nf, h, cleared: tuple = None) -> int:
+def point_sign(nf, h) -> int:
     """Exact sign (-1, 0 or +1) of the normal form at rational h in [0, h_max).
 
     The value is a positive multiple of an element of Q(r1, r2), so the
     sign of x + y*sqrt(u) decides it: even(w) + sqrt(w)*odd(w) on the
     confluent form, and r2*X + B*r1 with X = A + C*r1 otherwise, from the
     sign of X, the sign of B and, when they differ, the sign of
-    X**2 u2 - B**2 u1.  `cleared` is `_int_parts(nf)` of a two-radical
-    form when the caller holds it already.
+    X**2 u2 - B**2 u1, all read from the form's `ints`.
     """
     h = as_rational(h)
     fam = nf.family
@@ -174,11 +126,12 @@ def point_sign(nf, h, cleared: tuple = None) -> int:
     # in ints: the parts times den**k, and ui = Ui(h)/d = ti/e with
     # ti = den*Ui(h) and e = d*den, so x + y*sqrt(ui) has the sign of
     # x*e + y*sqrt(ti*e)
-    d, u1, u2, parts = cleared or _int_parts(nf)
+    v = nf.ints
+    parts = (v.a, v.b, v.c)
     num, den = h.numerator, h.denominator
     k = max(map(len, parts)) - 1
-    e = d * den
-    t1, t2 = (_scaled_at(u, num, den, 1) for u in (u1, u2))
+    e = v.d * den
+    t1, t2 = (_scaled_at(u, num, den, 1) for u in (v.u1, v.u2))
     a, b, c = (_scaled_at(part, num, den, k) for part in parts)
     s_x, s_b = _sign_sqrt(a * e, c, t1 * e), (b > 0) - (b < 0)
     if s_x * s_b >= 0:
@@ -187,9 +140,9 @@ def point_sign(nf, h, cleared: tuple = None) -> int:
     return s_x * _sign_sqrt((a * a * e + c * c * t1) * t2 - b * b * t1 * e, 2 * a * c * t2, t1 * e)
 
 
-def exact_zero_at(nf, h, cleared: tuple = None) -> bool:
+def exact_zero_at(nf, h) -> bool:
     """Decide exactly whether the normal form vanishes at rational h."""
-    return point_sign(nf, h, cleared) == 0
+    return point_sign(nf, h) == 0
 
 
 @dataclass
@@ -227,10 +180,10 @@ def certified_sign(nf, h: RatInterval, bits: int):
     """
     if h.lo == h.hi:
         return point_sign(nf, h.lo)
-    try:
-        return scaled_value(nf, h, bits).sign()
-    except ZeroDivisionError:
-        return None
+    # no division by zero: over h in [0, h_max) each radicand range
+    # 1 - alpha**2 h is exact and positive, and `sqrt_interval` bounds its
+    # root below by 2**bits/scale > 0, so no r.ipow(-k) straddles zero
+    return scaled_value(nf, h, bits).sign()
 
 
 def _isolate_open(core: DescartesIsolator, lo: Fraction, hi: Fraction) -> list:
@@ -315,9 +268,7 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
         return _count_confluent(nf, bound)
 
     h_max = fam.h_max
-    # clear the form once: the eliminant and every exact sign below use it
-    cleared = _int_parts(nf)
-    elim = eliminate_radicals(nf, cleared)
+    elim = eliminate_radicals(nf)
     # the center forces a root at h = 0; strip all of them
     first = next(k for k, c in enumerate(elim.coeffs) if c != 0)
     reduced = Polynomial(elim.coeffs[first:])
@@ -338,10 +289,10 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
         iv = core.refine(iv, min(iv.width / 16, report_width))
         if iv.lo == iv.hi:
             # exact rational candidate: decide algebraically
-            if exact_zero_at(nf, iv.lo, cleared):
+            if exact_zero_at(nf, iv.lo):
                 report.certified.append(CertifiedZero(iv, True))
             continue
-        s_lo, s_hi = point_sign(nf, iv.lo, cleared), point_sign(nf, iv.hi, cleared)
+        s_lo, s_hi = point_sign(nf, iv.lo), point_sign(nf, iv.hi)
         if s_lo * s_hi < 0:
             report.certified.append(CertifiedZero(iv, True))
             continue

@@ -353,6 +353,34 @@ class TestCommands:
         assert rc == 2
         assert "mismatch" in capsys.readouterr().err
 
+    def test_verify_scan_with_every_grid_point_failed_exits_2(self, tmp_path, capsys):
+        # a huge a[0,0] throws every orbit onto the singular line: the
+        # count is 0 and no cycle is detected, but nothing was checked
+        big = "1" + "0" * 300
+        spec = tmp_path / "huge.spec"
+        spec.write_text(
+            "[family]\nalpha1 = 1/2\nalpha2 = -1/3\nm1 = 1\nm2 = 1\n"
+            f"[perturbation]\nn = 2\nbox = {big}\na_0_0 = {big}\nb_0_1 = 1\n"
+        )
+        assert main(["verify", "--spec", str(spec), "--eps", "1/1000"]) == 2
+        captured = capsys.readouterr()
+        assert "grid point 0 failed" in captured.out
+        assert "verdict: mismatch" in captured.out
+
+    def test_verify_failure_inside_the_grid_exits_2(self, monkeypatch, capsys):
+        # a failed point below the last integrated one leaves a gap in the
+        # scan; failures only next to h_max (confluent_n3) still match
+        from melcert.flow import CycleReport
+
+        monkeypatch.setattr(
+            "melcert.cli.find_limit_cycles",
+            lambda fam, co, cfg, grid: CycleReport(
+                grid=list(grid), epsilon=cfg.epsilon, failures={3: "forced"}
+            ),
+        )
+        assert main(["verify", "--spec", str(INSTANCES / "n2_basic.spec")]) == 2
+        assert "verdict: mismatch" in capsys.readouterr().out
+
     def test_scan_200_samples_within_budget(self, tmp_path):
         # contract: the basic n=2 configuration finishes 200 samples in
         # under five minutes; in practice it is a couple dozen seconds

@@ -5,23 +5,37 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_bound_scan_runs_on_a_tiny_sample():
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "bound_scan.py"), "2", "7"],
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
         cwd=REPO,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_bound_scan_runs_on_a_tiny_sample():
+    proc = run_script("bound_scan.py", "2", "7")
     assert proc.returncode == 0, proc.stderr
     assert "BOUND VIOLATION" not in proc.stdout
     rows = [line for line in proc.stdout.splitlines() if " n=" in line]
     assert len(rows) == 7  # four two-radical and three confluent configs
+
+
+def test_two_zero_demo_confirms_both_cycles():
+    pytest.importorskip("numpy")  # zero prescription solves with numpy
+    proc = run_script("two_zero_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "certified count: [2, 2]" in proc.stdout
+    assert "zero/cycle correspondence: confirmed" in proc.stdout

@@ -1,5 +1,6 @@
 """Radical elimination, certified counting, and zero prescription."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from melcert.melnikov import (
     assemble,
     assemble_confluent,
     assemble_melnikov,
+    evaluate_normal_form,
     scaled_value,
 )
 from melcert import polynomials, zeros
@@ -506,6 +508,83 @@ class TestCountZeros:
                 continue
             quotient = nf.pr.exact_div(Polynomial((1, -1)))
             assert descartes_bound(quotient) <= 2 * s
+
+
+def _count_view_builds(monkeypatch, cls) -> list:
+    """Record every build of the `ints` view of a form class."""
+    prop = cls.__dict__["ints"]
+    build, builds = prop.func, []
+    monkeypatch.setattr(prop, "func", lambda nf: builds.append(nf) or build(nf))
+    return builds
+
+
+# the two_zeros instance: two simple zeros, at h = 1 and h = 2
+TWO_ZEROS = PerturbCoeffs(
+    n=2,
+    a={
+        (0, 0): F(-1),
+        (0, 2): F(-24226198282601, 119925997380752),
+        (1, 0): F(-72955774489478, 106593650090385),
+        (2, 0): F(142131818482208, 184935196651963),
+    },
+    b={(0, 1): F(163931328830747, 188165032490220), (1, 1): F(-24226198282601, 119925997380752)},
+)
+
+
+class TestIntView:
+    """Each form is cleared to ints once, into the view that it keeps."""
+
+    def test_one_build_for_a_whole_count(self, monkeypatch):
+        nf = assemble(FAM, TWO_ZEROS)
+        builds = _count_view_builds(monkeypatch, MelnikovNormalForm)
+        signs = []
+        sign = zeros.point_sign
+        monkeypatch.setattr(zeros, "point_sign", lambda *a: signs.append(a) or sign(*a))
+        report = count_zeros(nf, n=2)
+        assert report.count_lo == report.count_hi == 2
+        assert signs  # the exact signs ran, on the same view
+        assert builds == [nf]
+
+    @pytest.mark.parametrize("family", [FAM, SystemFamily(F(1, 2), F(1, 2), 2, 1)])
+    def test_one_build_across_evaluations(self, monkeypatch, family):
+        nf = assemble(family, draw_coeffs(rng_for(61), 3))
+        builds = _count_view_builds(monkeypatch, type(nf))
+        for k in range(1, 11):
+            evaluate_normal_form(nf, family.h_max * k / 11, precision=20)
+        assert builds == [nf]
+
+    def test_replaced_form_gets_a_fresh_view(self, monkeypatch):
+        mirror = SystemFamily(F(1, 2), F(-1, 2), 1, 2)
+        nf = assemble(mirror, draw_coeffs(rng_for(62), 2))
+        assert nf.merged and nf.ints.b == []
+        builds = _count_view_builds(monkeypatch, MelnikovNormalForm)
+        split = dataclasses.replace(nf, merged=False)
+        assert split.ints.b and split.ints is not nf.ints
+        assert split.ints.den == nf.ints.den
+        assert len(builds) == 1 and builds[0] is split
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        SystemFamily(F(1, 2), F(-1, 3), 2, 1),  # two radicals
+        SystemFamily(F(1, 2), F(-1, 2), 1, 2),  # mirror pair, merged
+        SystemFamily(F(1, 2), F(1, 2), 2, 1),  # confluent
+    ],
+)
+def test_certified_sign_at_the_annulus_ends_never_raises(family):
+    # the enclosures of a whole interval never divide by zero: each
+    # radicand is positive on [0, h_max) and its root bound is too
+    nf = assemble(family, draw_coeffs(rng_for(63), 3))
+    h_max = family.h_max
+    hugging = [
+        (F(0), h_max / 10**9),
+        (F(0), h_max * (1 - F(1, 10**9))),
+        (h_max * (1 - F(1, 10**6)), h_max * (1 - F(1, 10**12))),
+    ]
+    for lo, hi in hugging:
+        for bits in (1, 8, 64, 256):
+            assert certified_sign(nf, RatInterval(lo, hi), bits) in (1, -1, None)
 
 
 class TestPrescribe:
