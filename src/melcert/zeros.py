@@ -45,6 +45,9 @@ from .polynomials import (
 
 # Precision cap of the enclosures around a multiple eliminant root
 MAX_SIGN_BITS = 1 << 13
+# Bits of the target values in zero prescription: they double up to the cap
+PRESCRIBE_BITS = 64
+MAX_PRESCRIBE_BITS = 1024
 
 
 class PrescribeError(RuntimeError):
@@ -322,23 +325,7 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
 
 def _effective_slots(n: int) -> list:
     """Coefficient slots that can influence the integral (parity filter)."""
-    slots = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            if j % 2 == 0:
-                slots.append(("a", i, j))
-            else:
-                slots.append(("b", i, j))
-    return slots
-
-
-def _coeffs_from_vector(n: int, slots, values) -> PerturbCoeffs:
-    a, b = {}, {}
-    for (kind, i, j), v in zip(slots, values):
-        if v == 0:
-            continue
-        (a if kind == "a" else b)[(i, j)] = v
-    return PerturbCoeffs(n=n, a=a, b=b)
+    return [("b" if j % 2 else "a", i, j) for i in range(n + 1) for j in range(n + 1 - i)]
 
 
 def _basis_forms(family: SystemFamily, slots):
@@ -351,23 +338,60 @@ def _basis_forms(family: SystemFamily, slots):
     return forms
 
 
+def _row_reduce(rows):
+    """Gauss-Jordan elimination: (reduced nonzero rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pick = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[top], rows[pick] = rows[pick], rows[top]
+        pivot = rows[top][col]
+        rows[top] = [x / pivot for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                f = row[col]
+                rows[i] = [x - f * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _independent(forms) -> list:
+    """Indices of the earliest maximal linearly independent subset of forms.
+
+    Each form is the vector of its `ints` parts a, b, c (over its den, a
+    column scaling that moves no pivot): the parts of the function itself,
+    since a mirror pair merges both radicals into a.
+    """
+    views = [f.ints for f in forms]
+    widths = [max(len(getattr(v, part)) for v in views) for part in "abc"]
+    columns = [
+        [x for part, w in zip((v.a, v.b, v.c), widths) for x in [*part] + [0] * (w - len(part))]
+        for v in views
+    ]
+    return _row_reduce(zip(*columns))[1]
+
+
 def prescribe_zeros(family: SystemFamily, n: int, targets) -> PerturbCoeffs:
     """Coefficients whose integral has verified simple zeros at the targets.
 
-    Exploits linearity: the basis forms are evaluated at each target with
-    certified enclosures, a unit null vector of the resulting system is
-    rationalised in the box |c| <= 1, and the candidate is accepted only
-    after count_zeros confirms exactly len(targets) sign-verified zeros
-    whose isolating intervals contain the targets.  Raises PrescribeError
-    otherwise.
+    Exploits linearity.  The basis forms are reduced to an independent
+    subset, whose size (the rank) caps the targets at rank - 1.  Each of
+    its forms is evaluated at each target and rounded to a dyadic of
+    `bits` bits; each free column of the exact echelon form then gives a
+    null vector, scaled into |c| <= 1 and tried in slot order.  One is
+    accepted only after count_zeros confirms exactly len(targets)
+    sign-verified zeros whose isolating intervals contain the targets.
+    The bits double from PRESCRIBE_BITS to MAX_PRESCRIBE_BITS before
+    PrescribeError is raised.
     """
     targets = [as_rational(t) for t in targets]
-    h_max = family.h_max
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be distinct")
-    for t in targets:
-        if not (0 < t < h_max):
-            raise ValueError("targets must lie strictly inside the annulus")
+    if not all(0 < t < family.h_max for t in targets):
+        raise ValueError("targets must lie strictly inside the annulus")
     bound = theorem_bound(family, n)
     if bound is not None and len(targets) > bound:
         raise ValueError("more targets than the certified bound allows")
@@ -376,56 +400,32 @@ def prescribe_zeros(family: SystemFamily, n: int, targets) -> PerturbCoeffs:
 
     slots = _effective_slots(n)
     forms = _basis_forms(family, slots)
-
-    if not targets:
-        for idx, form in enumerate(forms):
-            if form.is_zero:
-                continue
-            values = [Fraction(0)] * len(slots)
-            values[idx] = Fraction(1)
-            coeffs = _coeffs_from_vector(n, slots, values)
+    basis = _independent(forms)
+    if len(targets) >= len(basis):
+        raise PrescribeError(
+            f"basis rank {len(basis)}: a linear prescription places at most {len(basis) - 1} zeros"
+        )
+    bits = PRESCRIBE_BITS
+    while bits <= MAX_PRESCRIBE_BITS:
+        # the values times 2**bits, rounded: the same null space
+        rows = [
+            [round(scaled_value(forms[k], point, bits).mid * (1 << bits)) for k in basis]
+            for point in map(RatInterval.point, targets)
+        ]
+        reduced, pivots = _row_reduce(rows)
+        for free in (k for k in range(len(basis)) if k not in pivots):
+            vec = {free: Fraction(1), **{p: -row[free] for row, p in zip(reduced, pivots)}}
+            scale = max(map(abs, vec.values()))
+            grids = {"a": {}, "b": {}}
+            for k, v in vec.items():
+                kind, i, j = slots[basis[k]]
+                grids[kind][(i, j)] = v / scale
+            coeffs = PerturbCoeffs(n=n, **grids)
             report = count_zeros(assemble(family, coeffs), n=n)
-            if report.status == "ok" and report.count_lo == report.count_hi == 0:
-                return coeffs
-        raise PrescribeError("no single-slot instance verified as zero-free")
-
-    import numpy as np  # only the float SVD below needs it
-
-    for bits, denom_cap in ((256, 1 << 48), (512, 1 << 80), (768, 1 << 120)):
-        rows = []
-        for t in targets:
-            point = RatInterval.point(t)
-            rows.append(
-                [float(scaled_value(f, point, bits).mid) if not f.is_zero else 0.0 for f in forms]
-            )
-        matrix = np.array(rows, dtype=float)
-        _, _, vh = np.linalg.svd(matrix)
-        for row in range(len(vh) - 1, len(targets) - 1, -1):
-            vec = vh[row]
-            scale = max(abs(v) for v in vec)
-            if scale == 0:
-                continue
-            values = [
-                Fraction(float(v / scale)).limit_denominator(denom_cap) for v in vec
-            ]
-            if all(v == 0 for v in values):
-                continue
-            coeffs = _coeffs_from_vector(n, slots, values)
-            if coeffs.is_zero:
-                continue
-            nf = assemble(family, coeffs)
-            if nf.is_zero:
-                continue
-            report = count_zeros(nf, n=n)
-            if report.status != "ok" or not report.decided:
-                continue
-            if report.count_lo != len(targets):
-                continue
-            if not all(z.sign_verified for z in report.certified):
-                continue
-            hits = all(
+            ok = report.status == "ok" and report.decided and report.count_lo == len(targets)
+            if ok and all(z.sign_verified for z in report.certified) and all(
                 any(z.interval.contains(t) for z in report.certified) for t in targets
-            )
-            if hits:
+            ):
                 return coeffs
+        bits *= 2
     raise PrescribeError("verification never matched the requested zero set")

@@ -1,7 +1,6 @@
-"""Import budget: numpy loads only for the float SVD in
-`zeros.prescribe_zeros`, the section-return integrator only where a return
-is integrated, and nothing loads scipy.  The quadrature oracle is pure
-Python.
+"""Import budget: no melcert code loads numpy or scipy, and the
+section-return integrator loads only where a return is integrated.  The
+quadrature oracle and zero prescription are pure Python.
 
 Each test runs a fresh interpreter, because the pytest process itself has
 long since imported the numeric stack.
@@ -116,6 +115,26 @@ def test_quadrature_runs_without_numpy():
     # the blocked child lists numpy only for its None entry in sys.modules
     assert blocked[0] == unblocked[0], stderr
     assert unblocked[1] == []
+
+
+PRESCRIBE = """
+from fractions import Fraction
+from melcert.melnikov import SystemFamily, assemble
+from melcert.zeros import count_zeros, prescribe_zeros
+fam = SystemFamily(Fraction(1, 2), Fraction(-1, 3), 1, 1)
+coeffs = prescribe_zeros(fam, 2, [fam.h_max / 4, fam.h_max / 2])
+report = count_zeros(assemble(fam, coeffs), n=2)
+print(json.dumps([[report.count_lo, report.count_hi], repr(coeffs), numeric()]))
+"""
+
+
+def test_prescription_runs_without_numpy():
+    blocked, stderr = _child('sys.modules["numpy"] = None\n' + PRESCRIBE)
+    unblocked, _ = _child(PRESCRIBE)
+    # the blocked child lists numpy only for its None entry in sys.modules
+    assert blocked[:2] == unblocked[:2], stderr
+    assert unblocked[0] == [2, 2]
+    assert unblocked[2] == []
 
 
 def test_public_api_resolves():

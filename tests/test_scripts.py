@@ -5,8 +5,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -34,7 +32,6 @@ def test_bound_scan_runs_on_a_tiny_sample():
 
 
 def test_two_zero_demo_confirms_both_cycles():
-    pytest.importorskip("numpy")  # zero prescription solves with numpy
     proc = run_script("two_zero_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert "certified count: [2, 2]" in proc.stdout

@@ -28,6 +28,7 @@ from melcert.polynomials import (
 )
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 from melcert.zeros import (
+    PrescribeError,
     certified_sign,
     count_zeros,
     eliminate_radicals,
@@ -616,3 +617,35 @@ class TestPrescribe:
     def test_rejects_too_many_targets(self):
         with pytest.raises(ValueError):
             prescribe_zeros(FAM, 2, [F(k, 2) for k in range(1, 8)])
+
+    def test_targets_past_the_rank_fail_before_any_evaluation(self, monkeypatch):
+        # n=2, m=(1,1) has rank 4, below its theorem bound 5, so four
+        # targets are no ValueError; no target value is ever computed
+        def unreachable(*args):
+            raise AssertionError("evaluated a basis form past the rank")
+
+        monkeypatch.setattr(zeros, "scaled_value", unreachable)
+        with pytest.raises(PrescribeError, match="rank 4: .* at most 3 zeros"):
+            prescribe_zeros(FAM, 2, [FAM.h_max * i / 5 for i in range(1, 5)])
+
+    @pytest.mark.parametrize("m", [(2, 2), (1, 1)])
+    def test_rank_limit_at_degree_eight(self, m):
+        # rank 13 at n=8, so 12 targets is the most a linear prescription
+        # can place; m=(1,1) needs the second rung of the bits ladder
+        fam = SystemFamily(F(1, 2), F(-1, 3), *m)
+        targets = [fam.h_max * i / 13 for i in range(1, 13)]
+        report = count_zeros(assemble(fam, prescribe_zeros(fam, 8, targets)), n=8)
+        assert [report.count_lo, report.count_hi] == [12, 12]
+        for t in targets:
+            assert any(z.interval.contains(t) for z in report.certified)
+
+
+@pytest.mark.parametrize("alpha", [(F(1, 2), F(-1, 3)), (F(2, 3), F(1, 5)), (F(3, 4), F(-1, 7))])
+@pytest.mark.parametrize("m", [(1, 1), (2, 1), (3, 2)])
+def test_basis_rank_law(alpha, m):
+    # the Melnikov functions of degree n span floor(3(n+1)/2) dimensions,
+    # whatever m and the (non-mirror) alphas
+    fam = SystemFamily(*alpha, *m)
+    for n in range(1, 8):
+        basis = zeros._independent(zeros._basis_forms(fam, zeros._effective_slots(n)))
+        assert len(basis) == 3 * (n + 1) // 2, n
