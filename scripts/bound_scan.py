@@ -4,7 +4,8 @@
 Draws seeded random families and coefficient grids for a few perturbation
 degrees, runs the exact pipeline on each, and tabulates the worst certified
 count next to the bound.  A quick desk-scale version of the acceptance
-sweep; tune SAMPLES/configs freely.
+sweep; tune SAMPLES/configs freely.  Exits 1 at the first report that is
+not decided or exceeds its bound.
 
 Usage: python scripts/bound_scan.py [samples] [seed]
 """
@@ -22,14 +23,14 @@ CONFLUENT = [(2, 1, 1), (3, 2, 1), (4, 1, 1)]
 
 
 def survey(samples: int, seed: int):
-    print(f"{'config':<22}{'bound':>6}{'max count_hi':>14}{'undecided':>11}{'secs':>8}")
+    print(f"{'config':<22}{'bound':>6}{'max count_hi':>14}{'secs':>8}")
     for tag, configs, confluent in (
         ("two-radical", TWO_RADICAL, False),
         ("confluent", CONFLUENT, True),
     ):
         for n, m1, m2 in configs:
             t0 = time.time()
-            worst = undecided = 0
+            worst = 0
             bound = None
             for idx in range(samples):
                 rng = rng_for(seed, idx)
@@ -44,15 +45,14 @@ def survey(samples: int, seed: int):
                     continue
                 report = count_zeros(nf, n=n)
                 worst = max(worst, report.count_hi)
-                undecided += 0 if report.decided else 1
+                if not report.decided:
+                    print(f"UNDECIDED at sample {idx}: {fam}")
+                    return 1
                 if bound is not None and report.count_hi > bound:
                     print(f"BOUND VIOLATION at sample {idx}: {fam}")
                     return 1
             label = f"{tag} n={n} m=({m1},{m2})"
-            print(
-                f"{label:<22}{bound:>6}{worst:>14}{undecided:>11}"
-                f"{time.time() - t0:>8.1f}"
-            )
+            print(f"{label:<22}{bound:>6}{worst:>14}{time.time() - t0:>8.1f}")
     return 0
 
 

@@ -96,25 +96,6 @@ class RatInterval:
             return RatInterval(self.lo * q, self.hi * q)
         return RatInterval(self.hi * q, self.lo * q)
 
-    def reciprocal(self) -> "RatInterval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval straddles zero")
-        return RatInterval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other: "RatInterval") -> "RatInterval":
-        return self * other.reciprocal()
-
-    def ipow(self, n: int) -> "RatInterval":
-        if n < 0:
-            return self.ipow(-n).reciprocal()
-        if n == 0:
-            return RatInterval.point(1)
-        if n % 2 == 1 or self.lo >= 0:
-            return RatInterval(self.lo**n, self.hi**n)
-        if self.hi <= 0:
-            return RatInterval(self.hi**n, self.lo**n)
-        return RatInterval(Fraction(0), max(self.lo**n, self.hi**n))
-
 
 def sqrt_bracket(n: int, d: int, bits: int) -> tuple:
     """(s, t, scale): sqrt(n/d) = sqrt(n*d)/d lies in [s, t]/scale, t == s
@@ -134,12 +115,6 @@ def sqrt_rational(q, bits: int) -> RatInterval:
         raise ValueError("square root of a negative rational")
     s, t, scale = sqrt_bracket(q.numerator, q.denominator, bits)
     return RatInterval(Fraction(s, scale), Fraction(t, scale))
-
-
-def sqrt_interval(iv: RatInterval, bits: int) -> RatInterval:
-    if iv.lo < 0:
-        raise ValueError("square root of an interval reaching below zero")
-    return RatInterval(sqrt_rational(iv.lo, bits).lo, sqrt_rational(iv.hi, bits).hi)
 
 
 def _atan_inv(m: int, bits: int) -> RatInterval:
@@ -166,16 +141,3 @@ def _atan_inv(m: int, bits: int) -> RatInterval:
 def pi_interval(bits: int = 128) -> RatInterval:
     """Machin enclosure of pi: 16*atan(1/5) - 4*atan(1/239)."""
     return _atan_inv(5, bits + 6).scale(16) - _atan_inv(239, bits + 6).scale(4)
-
-
-def poly_range(p, x: RatInterval) -> RatInterval:
-    """Interval Horner evaluation: contains p(t) for every t in x.
-
-    p is any polynomial with `coeffs` (constant term first) and `eval`.
-    At a point it is the exact value p(x.lo)."""
-    if x.lo == x.hi:
-        return RatInterval.point(p.eval(x.lo))
-    acc = RatInterval.point(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + RatInterval.point(c)
-    return acc

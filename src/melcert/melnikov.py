@@ -25,13 +25,13 @@ CACHED_FAMILIES most recently used families stay cached; an older family's
 are dropped whole, so memory stays bounded on any stream of families.
 
 Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
-for every exact reader here and in `zeros`.  Certified evaluation at a
-rational point runs on it: the polynomials and the radicands are
-evaluated once per call, by homogeneous Horner; each rung of the bit
-ladder then takes one `sqrt_bracket` per radical and picks every endpoint
-by sign, and only the returned interval is built from `Fraction`s.  Its
-endpoints are those of `RatInterval` arithmetic with `sqrt_rational` at
-the same bits, which `scaled_value` still uses over a whole h-interval.
+for every exact reader here and in `zeros`.  Certified evaluation, which
+happens only at rational points (`scaled_value`, `evaluate_normal_form`),
+runs on it: the polynomials and the radicands are evaluated once per
+call, by homogeneous Horner; each rung of the bit ladder then takes one
+`sqrt_bracket` per radical and picks every endpoint by sign, and only the
+returned interval is built from `Fraction`s.  Its endpoints are those of
+`RatInterval` arithmetic with `sqrt_rational` at the same bits.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .intervals import RatInterval, as_rational, pi_interval, poly_range
-from .intervals import sqrt_bracket, sqrt_interval
+from .intervals import RatInterval, as_rational, pi_interval, sqrt_bracket
 from .polynomials import Polynomial, _cleared, _prod, _scaled_at, _sum
 
 
@@ -601,31 +600,18 @@ def _confluent_rungs(nf, u: tuple):
 
 
 def scaled_value(nf, h: RatInterval, bits: int) -> RatInterval:
-    """Enclosure of the normal-form value divided by pi over an h-interval.
+    """Enclosure of the normal-form value divided by pi at a point.
 
-    The h-interval must stay inside [0, h_max); radical enclosures are
-    computed to ~2**-bits and widen naturally near the annulus edge.  A
-    point goes through the int kernel of `_point_rungs`, a wider interval
-    through `RatInterval` arithmetic.
+    h is a degenerate interval in [0, h_max); the radicals are enclosed
+    to ~2**-bits by the int kernel of `_point_rungs`, so the enclosure
+    widens naturally near the annulus edge.
     """
-    fam = nf.family
-    if h.lo < 0 or h.hi >= fam.h_max:
+    if h.lo != h.hi:
+        raise ValueError("scaled_value evaluates at a point, not over an interval")
+    if h.lo < 0 or h.lo >= nf.family.h_max:
         raise ValueError("evaluation point outside [0, h_max)")
-    if h.lo == h.hi:
-        (ln, ld), (hn, hd) = _point_rungs(nf, h.lo)(bits)
-        return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
-    if isinstance(nf, ConfluentNormalForm):
-        w = poly_range(_u_poly(fam.alpha1), h)
-        r = sqrt_interval(w, bits)
-        return poly_range(nf.pr, r) / r.ipow(2 * nf.m - 1)
-    r1 = sqrt_interval(poly_range(_u_poly(fam.alpha1), h), bits)
-    r2 = sqrt_interval(poly_range(_u_poly(fam.alpha2), h), bits)
-    total = poly_range(nf.tail, h)
-    if not nf.rad1.is_zero:
-        total = total + poly_range(nf.rad1, h) / r1.ipow(2 * fam.m1 - 1)
-    if not nf.rad2.is_zero:
-        total = total + poly_range(nf.rad2, h) / r2.ipow(2 * fam.m2 - 1)
-    return total
+    (ln, ld), (hn, hd) = _point_rungs(nf, h.lo)(bits)
+    return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
 
 
 def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:

@@ -4,11 +4,13 @@ The two-radical form, cleared to integer polynomials in h (numerators
 A, B, C and radicands U1, U2 over one denominator d, the form's `ints`),
 has as eliminant their norm over Z: the product of its radical conjugates,
 formed in plain ints.  Every zero is a root of it, not conversely, so each
-candidate is filtered by exact signs at rational points (`point_sign`:
-x + y*sqrt(u) by comparing x**2 with y**2 u) and by enclosures on whole
-intervals.  The confluent form needs no squaring: its zeros are the roots
-of a polynomial in r on (0, 1).  Counts are a [count_lo, count_hi] range
-that collapses whenever every candidate is decided.  The zero test, the
+candidate is filtered by exact signs: at rational points (`point_sign`:
+x + y*sqrt(u) by comparing x**2 with y**2 u), and, where the form keeps
+its sign across a multiple eliminant root, at that algebraic root itself
+(`_root_sign`, the same case split over polynomial signs).  No candidate
+is left undecided, so count_lo == count_hi; the report keeps the range and
+its empty `undecided` list.  The confluent form needs no squaring: its
+zeros are the roots of a polynomial in r on (0, 1).  The zero test, the
 eliminant and every exact sign read the form's one `ints` view.
 
 Candidates come from the Descartes root core of `polynomials`: its one
@@ -40,11 +42,10 @@ from .polynomials import (
     _prod,
     _scaled_at,
     _sum,
+    poly_gcd,
     squarefree_factors,
 )
 
-# Precision cap of the enclosures around a multiple eliminant root
-MAX_SIGN_BITS = 1 << 13
 # Bits of the target values in zero prescription: they double up to the cap
 PRESCRIBE_BITS = 64
 MAX_PRESCRIBE_BITS = 1024
@@ -99,14 +100,21 @@ def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
     return elim
 
 
-def _sign_sqrt(x, y, u) -> int:
-    """Exact sign of x + y*sqrt(u) for rationals (or ints) x, y and u >= 0."""
-    sx = (x > 0) - (x < 0)
-    sy = (y > 0) - (y < 0) if u else 0
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sign_rule(sx: int, sy: int, diff) -> int:
+    """Sign of x + y*sqrt(u), u > 0, from the signs sx of x and sy of y
+    and, called only when they differ, diff(): the sign of x**2 - y**2 u."""
     if sx * sy >= 0:
         return sx or sy
-    diff = x * x - y * y * u
-    return sx * ((diff > 0) - (diff < 0))
+    return sx * diff()
+
+
+def _sign_sqrt(x, y, u) -> int:
+    """Exact sign of x + y*sqrt(u) for rationals (or ints) x, y and u >= 0."""
+    return _sign_rule(_sign(x), _sign(y) if u else 0, lambda: _sign(x * x - y * y * u))
 
 
 def point_sign(nf, h) -> int:
@@ -136,11 +144,12 @@ def point_sign(nf, h) -> int:
     e = v.d * den
     t1, t2 = (_scaled_at(u, num, den, 1) for u in (v.u1, v.u2))
     a, b, c = (_scaled_at(part, num, den, k) for part in parts)
-    s_x, s_b = _sign_sqrt(a * e, c, t1 * e), (b > 0) - (b < 0)
-    if s_x * s_b >= 0:
-        return s_x or s_b
     # (r2*X)**2 - (B*r1)**2 = X**2 u2 - B**2 u1, times e**2
-    return s_x * _sign_sqrt((a * a * e + c * c * t1) * t2 - b * b * t1 * e, 2 * a * c * t2, t1 * e)
+    return _sign_rule(
+        _sign_sqrt(a * e, c, t1 * e),
+        _sign(b),
+        lambda: _sign_sqrt((a * a * e + c * c * t1) * t2 - b * b * t1 * e, 2 * a * c * t2, t1 * e),
+    )
 
 
 def exact_zero_at(nf, h) -> bool:
@@ -164,7 +173,7 @@ class ZeroReport:
     eliminant_var: str = "h"
     eliminant_degree: int = -1
     certified: list = field(default_factory=list)
-    undecided: list = field(default_factory=list)
+    undecided: list = field(default_factory=list)  # kept in the schema; stays empty
     count_lo: int = 0
     count_hi: int = 0
     multiplicity_suspected: bool = False
@@ -172,21 +181,6 @@ class ZeroReport:
     @property
     def decided(self) -> bool:
         return self.count_lo == self.count_hi
-
-
-def certified_sign(nf, h: RatInterval, bits: int):
-    """Sign of the normal form (pi dropped) on the whole h-interval.
-
-    A point gets its exact `point_sign`.  A wider interval gets one
-    enclosure at `bits` and its settled sign, +1 or -1; None means the
-    enclosure straddles zero.
-    """
-    if h.lo == h.hi:
-        return point_sign(nf, h.lo)
-    # no division by zero: over h in [0, h_max) each radicand range
-    # 1 - alpha**2 h is exact and positive, and `sqrt_interval` bounds its
-    # root below by 2**bits/scale > 0, so no r.ipow(-k) straddles zero
-    return scaled_value(nf, h, bits).sign()
 
 
 def _isolate_open(core: DescartesIsolator, lo: Fraction, hi: Fraction) -> list:
@@ -253,15 +247,65 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     )
 
 
+def _sign_at_root(g: Polynomial, core: DescartesIsolator, iv: RatInterval, s: list) -> int:
+    """Exact sign of the int polynomial s at h*, the one root of the
+    squarefree g (the polynomial of `core`) strictly inside iv.
+
+    gcd(g, s) divides g, so it has at most that one root in iv, a simple
+    one: s vanishes at h* iff the gcd changes sign across iv.  Otherwise
+    iv is refined until s has no root in (lo, hi], which holds h*, and the
+    sign of s itself at hi is read (its squarefree part only counts the
+    roots: its sign can differ).
+    """
+    p = Polynomial(s)
+    common = poly_gcd(g, p)  # g itself when s is zero
+    if common.eval(iv.lo) * common.eval(iv.hi) < 0:
+        return 0
+    roots = squarefree_factors(p)[1]
+    while roots.count(iv.lo, iv.hi):
+        iv = core.refine(iv, iv.width / 2)
+    return _sign(p.eval(iv.hi))
+
+
+def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval) -> int:
+    """Exact sign of the two-radical form at the eliminant root h* that the
+    core isolates in iv: `point_sign`'s case split, with each polynomial's
+    sign read at h* by `_sign_at_root` (Basu, Pollack & Roy, Algorithms in
+    Real Algebraic Geometry, 2006, ch. 10).
+
+    With ui = Ui/d the form has the sign of r2*X + B*r1, X = A + C*r1;
+    d**2 ((r2*X)**2 - (B*r1)**2) = P + Q*r1 with P = (d A**2 + C**2 U1) U2
+    - d B**2 U1 and Q = 2 d A C U2.
+    """
+    v = nf.ints
+    d, u1, u2, a, b, c = v.d, v.u1, v.u2, v.a, v.b, v.c
+    g = Polynomial(core._ic)  # the core's squarefree polynomial, as ints
+
+    def sign(s: list) -> int:
+        return _sign_at_root(g, core, iv, s)
+
+    def sign_sqrt(x: list, y: list) -> int:
+        # x + y*r1 with r1 = sqrt(U1/d): d x**2 - y**2 U1 decides
+        return _sign_rule(
+            sign(x), sign(y), lambda: sign(_sum(_prod([d], x, x), _prod([-1], y, y, u1)))
+        )
+
+    def sign_pq() -> int:
+        p = _sum(_prod(_sum(_prod([d], a, a), _prod(c, c, u1)), u2), _prod([-d], b, b, u1))
+        return sign_sqrt(p, _prod([2 * d], a, c, u2))
+
+    return _sign_rule(sign_sqrt(a, c), sign(b), sign_pq)
+
+
 def count_zeros(nf, n: int = None) -> ZeroReport:
     """Certified count of zeros of the normal form on the open annulus.
 
-    Candidates come from the eliminant; each is confirmed by a certified
-    sign change (or exact vanishing at a rational point), discarded when a
-    rigorous enclosure excludes zero, or left in the undecided margin
-    between count_lo and count_hi once refinement reaches the width cap
-    h_max / 10**30; the enclosures there double their precision up to
-    MAX_SIGN_BITS.
+    Candidates come from the eliminant.  Each is confirmed by an exact
+    sign change across its interval (sign_verified), by exact vanishing at
+    a rational point, or, at a multiple eliminant root without a sign
+    change, by the form's exact sign 0 at the root (a touching zero, not
+    sign_verified); every other candidate is an artifact.  Every candidate
+    is decided: count_lo == count_hi and `undecided` stays empty.
     """
     fam = nf.family
     bound = theorem_bound(fam, n) if n is not None else None
@@ -282,7 +326,6 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
         eliminant_var="h",
         eliminant_degree=elim.degree,
     )
-    width_cap = h_max / Fraction(10**30)
     report_width = h_max / Fraction(1 << 20)
 
     core, candidates = _candidates(reduced, Fraction(0), h_max)
@@ -298,28 +341,16 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
         s_lo, s_hi = point_sign(nf, iv.lo), point_sign(nf, iv.hi)
         if s_lo * s_hi < 0:
             report.certified.append(CertifiedZero(iv, True))
-            continue
-        if s_lo * s_hi > 0 and mult == 1:
-            # equal signs at the endpoints of a simple eliminant root: a
-            # sign-preserving zero would have made the root multiple, so
-            # this candidate is an artifact
-            continue
-        # around a multiple root, try to prove the form nonzero on the
-        # whole shrinking interval; an endpoint zero, or reaching the
-        # width cap, leaves the candidate undecided
-        bits = 256
-        while s_lo * s_hi > 0 and iv.width > width_cap:
-            iv = core.refine(iv, iv.width / Fraction(256))
-            if certified_sign(nf, iv, bits):
-                break
-            bits = min(bits * 2, MAX_SIGN_BITS)
-        else:
-            report.undecided.append(iv)
+        elif mult > 1 and _root_sign(nf, core, iv) == 0:
+            # no sign change across a multiple eliminant root: the form
+            # touches zero there iff its exact sign at the root is 0
+            report.certified.append(CertifiedZero(iv, False))
+        # else an artifact: equal signs at the ends of a simple eliminant
+        # root, where a sign-preserving zero would have made it multiple,
+        # or a nonzero exact sign at a multiple one
 
     report.certified.sort(key=lambda z: (z.interval.lo, z.interval.hi))
-    report.undecided.sort(key=lambda r: (r.lo, r.hi))
-    report.count_lo = len(report.certified)
-    report.count_hi = report.count_lo + len(report.undecided)
+    report.count_lo = report.count_hi = len(report.certified)
     return report
 
 

@@ -19,13 +19,16 @@ The radial numerators here follow the integration-by-parts recurrence in
 `oracle_point_enclosure` encloses the normal form at a point in
 `RatInterval` arithmetic (exact polynomial values, `sqrt_interval`,
 reciprocal powers, times `pi_interval`), where `melcert.melnikov` runs the
-same rungs on int numerators and picks each endpoint by sign.
+same rungs on int numerators and picks each endpoint by sign.  The
+interval helpers it needs beyond `RatInterval`'s own ring operations
+(`sqrt_interval`, `poly_range`, `ipow`, `reciprocal`, `divide`) live here,
+since nothing in melcert encloses a value over a whole interval.
 """
 
 import math
 from fractions import Fraction
 
-from melcert.intervals import RatInterval, pi_interval, poly_range, sqrt_interval
+from melcert.intervals import RatInterval, pi_interval, sqrt_rational
 from melcert.melnikov import ConfluentNormalForm, _integrals, _polynomials, _u_poly
 from melcert.polynomials import Polynomial
 
@@ -317,6 +320,50 @@ def oracle_integrate(coeffs, poles):
     return sums
 
 
+def sqrt_interval(iv, bits):
+    """Enclosure of sqrt(t) for every t in iv >= 0, the endpoints' roots
+    enclosed to 2**-bits."""
+    if iv.lo < 0:
+        raise ValueError("square root of an interval reaching below zero")
+    return RatInterval(sqrt_rational(iv.lo, bits).lo, sqrt_rational(iv.hi, bits).hi)
+
+
+def poly_range(p, x):
+    """Interval Horner evaluation: contains p(t) for every t in x.
+
+    p is any polynomial with `coeffs` (constant term first) and `eval`.
+    At a point it is the exact value p(x.lo)."""
+    if x.lo == x.hi:
+        return RatInterval.point(p.eval(x.lo))
+    acc = RatInterval.point(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + RatInterval.point(c)
+    return acc
+
+
+def reciprocal(iv):
+    if iv.lo <= 0 <= iv.hi:
+        raise ZeroDivisionError("interval straddles zero")
+    return RatInterval(1 / iv.hi, 1 / iv.lo)
+
+
+def divide(a, b):
+    return a * reciprocal(b)
+
+
+def ipow(iv, n):
+    """Enclosure of t**n over iv, for any integer n."""
+    if n < 0:
+        return reciprocal(ipow(iv, -n))
+    if n == 0:
+        return RatInterval.point(1)
+    if n % 2 == 1 or iv.lo >= 0:
+        return RatInterval(iv.lo**n, iv.hi**n)
+    if iv.hi <= 0:
+        return RatInterval(iv.hi**n, iv.lo**n)
+    return RatInterval(Fraction(0), max(iv.lo**n, iv.hi**n))
+
+
 def oracle_point_scaled(nf, h, bits):
     """The normal form over pi at the point h, by `RatInterval` arithmetic
     with the radicals enclosed to 2**-bits."""
@@ -324,14 +371,14 @@ def oracle_point_scaled(nf, h, bits):
     point = RatInterval.point(h)
     if isinstance(nf, ConfluentNormalForm):
         r = sqrt_interval(poly_range(_u_poly(fam.alpha1), point), bits)
-        return poly_range(nf.pr, r) / r.ipow(2 * nf.m - 1)
+        return divide(poly_range(nf.pr, r), ipow(r, 2 * nf.m - 1))
     r1 = sqrt_interval(poly_range(_u_poly(fam.alpha1), point), bits)
     r2 = sqrt_interval(poly_range(_u_poly(fam.alpha2), point), bits)
     total = poly_range(nf.tail, point)
     if not nf.rad1.is_zero:
-        total = total + poly_range(nf.rad1, point) / r1.ipow(2 * fam.m1 - 1)
+        total = total + divide(poly_range(nf.rad1, point), ipow(r1, 2 * fam.m1 - 1))
     if not nf.rad2.is_zero:
-        total = total + poly_range(nf.rad2, point) / r2.ipow(2 * fam.m2 - 1)
+        total = total + divide(poly_range(nf.rad2, point), ipow(r2, 2 * fam.m2 - 1))
     return total
 
 

@@ -2,7 +2,7 @@
 
 Seeded two-radical draws (n = 2..4), mirror draws and confluent draws, the
 two-zero instance file, and two hand-built touching zeros that exercise the
-exact rational hit and the undecided margin.  The golden file holds every
+exact rational hit and the exact sign at an irrational eliminant root.  The golden file holds every
 endpoint as an exact rational string.  To re-record it after a change that is meant to alter
 the reports, run ``PYTHONPATH=src python tests/test_count_zeros_golden.py``.
 """

@@ -610,13 +610,12 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             evaluate_normal_form(nf, F(-1, 10), precision=10)
 
-    def test_scaled_value_over_interval_contains_point_values(self):
+    def test_scaled_value_takes_a_point_only(self):
         nf = assemble_melnikov(FAM, PerturbCoeffs(n=2, a={(1, 0): F(1)}, b={(0, 1): F(1, 2)}))
-        box = RatInterval(F(1, 2), F(3, 4))
-        hull = scaled_value(nf, box, 96)
-        for q in (box.lo, box.mid, box.hi):
-            point = scaled_value(nf, RatInterval.point(q), 96)
-            assert hull.lo <= point.hi and point.lo <= hull.hi
+        with pytest.raises(ValueError, match="point"):
+            scaled_value(nf, RatInterval(F(1, 2), F(3, 4)), 96)
+        with pytest.raises(ValueError, match="outside"):
+            scaled_value(nf, RatInterval.point(FAM.h_max), 96)
 
     def test_merged_family_evaluation_matches_quadrature(self):
         fam = SystemFamily(F(1, 2), F(-1, 2), 1, 2)

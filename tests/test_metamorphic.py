@@ -50,6 +50,7 @@ def _scaled(coeffs: PerturbCoeffs, c: F) -> PerturbCoeffs:
 
 def _counts(family, coeffs):
     report = count_zeros(assemble(family, coeffs), n=coeffs.n)
+    assert report.decided and report.undecided == []
     return report, (report.status, report.count_lo, report.count_hi)
 
 
@@ -99,5 +100,6 @@ def test_mirror_merged_and_generic_elimination_agree(instance):
     assert nf.merged
     merged = count_zeros(nf, n=coeffs.n)
     generic = count_zeros(dataclasses.replace(nf, merged=False), n=coeffs.n)
+    assert merged.decided and generic.decided
     assert generic.eliminant_degree > merged.eliminant_degree
     assert (generic.count_lo, generic.count_hi) == (merged.count_lo, merged.count_hi)

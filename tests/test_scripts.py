@@ -27,6 +27,7 @@ def test_bound_scan_runs_on_a_tiny_sample():
     proc = run_script("bound_scan.py", "2", "7")
     assert proc.returncode == 0, proc.stderr
     assert "BOUND VIOLATION" not in proc.stdout
+    assert "UNDECIDED" not in proc.stdout
     rows = [line for line in proc.stdout.splitlines() if " n=" in line]
     assert len(rows) == 7  # four two-radical and three confluent configs
 

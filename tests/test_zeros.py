@@ -29,7 +29,6 @@ from melcert.polynomials import (
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 from melcert.zeros import (
     PrescribeError,
-    certified_sign,
     count_zeros,
     eliminate_radicals,
     exact_zero_at,
@@ -241,14 +240,12 @@ class TestExactZeroDecision:
                 assert not exact_zero_at(nf, h)
 
     def test_agrees_with_certified_sign_on_random_points(self):
-        # point_sign, which certified_sign returns at a point, against an
-        # independent enclosure of the value at rising precision: it never
-        # contradicts a nonzero sign, settles on it by 4096 bits, and
-        # keeps an exact zero inside
+        # point_sign against an independent enclosure of the value at
+        # rising precision: it never contradicts a nonzero sign, settles
+        # on it by 4096 bits, and keeps an exact zero inside
         exact_zeros = 0
         for nf, h in _point_sign_cases():
             s = point_sign(nf, h)
-            assert certified_sign(nf, RatInterval(h, h), 64) == s
             assert exact_zero_at(nf, h) == (s == 0)
             exact_zeros += s == 0
             encs = [scaled_value(nf, RatInterval.point(h), 64 << k) for k in range(7)]
@@ -363,18 +360,94 @@ class TestCountZeros:
         assert report.multiplicity_suspected
         assert report.certified[0].interval == RatInterval(F(1), F(1))
 
-    def test_touching_zero_at_irrational_point_stays_undecided(self):
+    def test_touching_zero_at_irrational_point_is_decided_algebraically(self):
         # (h^2-2)^2 / r1 grazes zero at sqrt(2): no sign change and no
-        # rational witness, so the candidate honestly widens the range
+        # rational witness, but the form's exact sign at the eliminant
+        # root is 0, so the zero is counted without a sign change
         rad1 = Polynomial((-2, 0, 1)) ** 2
         nf = MelnikovNormalForm(FAM, rad1, Polynomial.zero(), Polynomial.zero())
         report = count_zeros(nf)
-        assert (report.count_lo, report.count_hi) == (0, 1)
+        assert (report.count_lo, report.count_hi) == (1, 1)
         assert report.multiplicity_suspected
-        assert len(report.undecided) == 1
-        iv = report.undecided[0]
-        assert iv.lo**2 <= 2 <= iv.hi**2  # brackets sqrt(2) exactly
-        assert iv.width <= FAM.h_max / 10**30
+        assert report.undecided == []
+        [zero] = report.certified
+        assert zero.interval.lo**2 < 2 < zero.interval.hi**2
+        assert not zero.sign_verified
+
+    def test_squared_factor_adds_one_touching_zero(self):
+        # q**2 F with q = h**2 - 2 and F = s/r1**3 + t/r2 + u keeps its sign
+        # across the multiple eliminant root sqrt(2); wherever F(sqrt(2))
+        # != 0 it has exactly the zeros of F plus a touching one there
+        fam = SystemFamily(F(1, 2), F(-1, 3), 2, 1)
+        q2 = Polynomial((-2, 0, 1)) ** 2
+        root2 = math.sqrt(2)
+        touching = 0
+        for k in range(12):
+            rng = rng_for(2718, k)
+            s, t, u = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+            value = s / (1 - root2 / 4) ** 1.5 + t / (1 - 2 * root2 / 9) ** 0.5 + u
+            if abs(value) < 1e-6:
+                continue
+            parts = [Polynomial((x,)) for x in (s, t, u)]
+            base = count_zeros(MelnikovNormalForm(fam, *parts))
+            report = count_zeros(MelnikovNormalForm(fam, *(q2 * p for p in parts)))
+            assert base.decided and report.decided and report.undecided == []
+            assert report.count_lo == base.count_lo + 1
+            [zero] = [z for z in report.certified if not z.sign_verified]
+            assert zero.interval.lo**2 < 2 < zero.interval.hi**2
+            touching += 1
+        assert touching >= 10
+
+    def test_touching_zero_of_a_mirror_pair_is_decided(self):
+        # q**2 (1/(2 r1) - 1) on a merged mirror pair: a touching zero at
+        # sqrt(2) and a simple one at h = 3, where r1 = 1/2
+        fam = SystemFamily(F(1, 2), F(-1, 2), 1, 1)
+        q2 = Polynomial((-2, 0, 1)) ** 2
+        nf = MelnikovNormalForm(fam, q2.scale(F(1, 2)), Polynomial.zero(), -q2, merged=True)
+        report = count_zeros(nf)
+        assert (report.count_lo, report.count_hi) == (2, 2)
+        touching, simple = report.certified
+        assert touching.interval.lo**2 < 2 < touching.interval.hi**2
+        assert not touching.sign_verified
+        assert simple.interval.contains(3) and simple.sign_verified
+
+    def test_exact_sign_at_multiple_root_artifacts_matches_the_ends(self, monkeypatch):
+        # seeded draws whose eliminants have multiple roots in the annulus
+        # across which the form keeps its sign: its exact sign at each such
+        # root is the nonzero sign at both ends, so no zero is counted
+        calls = []
+        real = zeros._root_sign
+
+        def recording(nf, core, iv):
+            calls.append((real(nf, core, iv), point_sign(nf, iv.lo), point_sign(nf, iv.hi)))
+            return calls[-1][0]
+
+        monkeypatch.setattr(zeros, "_root_sign", recording)
+        for k in (25, 52, 60, 208, 248):
+            rng = rng_for(777, k)
+            n = 2 + k % 4
+            fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 3))
+            report = count_zeros(assemble_melnikov(fam, draw_coeffs(rng, n)), n=n)
+            assert report.decided
+        assert len(calls) >= 5
+        assert all(s == lo == hi != 0 for s, lo, hi in calls)
+
+    def test_sign_at_an_algebraic_root_reads_the_polynomial_itself(self):
+        # at sqrt(2), a root of g isolated in (5/4, 3/2)
+        g = Polynomial((-2, 0, 1)) * Polynomial((-1, 1))
+        core = DescartesIsolator(g)
+        [iv] = core.isolate(F(5, 4), F(3, 2))
+
+        def sign(s):
+            return zeros._sign_at_root(g, core, iv, s)
+
+        assert sign([-2, 0, 1]) == sign([]) == 0
+        assert sign([-1, 1]) == 1
+        # (h - 3)**2 is positive where its squarefree part h - 3 is not
+        assert sign([9, -6, 1]) == 1
+        # 70 h - 99 has its root 99/70 inside the interval, 7e-5 past sqrt(2)
+        assert sign([-99, 70]) == -1
+        assert sign([-7, 5]) == 1
 
     @staticmethod
     def _count_root_core_calls(monkeypatch):
@@ -452,7 +525,7 @@ class TestCountZeros:
         "rad1, certified, undecided",
         [
             (Polynomial.from_roots([F(1), F(1)]), 1, 0),
-            (Polynomial((-2, 0, 1)) ** 2, 0, 1),
+            (Polynomial((-2, 0, 1)) ** 2, 1, 0),
         ],
         ids=["touch_rational", "touch_irrational"],
     )
@@ -563,29 +636,6 @@ class TestIntView:
         assert split.ints.b and split.ints is not nf.ints
         assert split.ints.den == nf.ints.den
         assert len(builds) == 1 and builds[0] is split
-
-
-@pytest.mark.parametrize(
-    "family",
-    [
-        SystemFamily(F(1, 2), F(-1, 3), 2, 1),  # two radicals
-        SystemFamily(F(1, 2), F(-1, 2), 1, 2),  # mirror pair, merged
-        SystemFamily(F(1, 2), F(1, 2), 2, 1),  # confluent
-    ],
-)
-def test_certified_sign_at_the_annulus_ends_never_raises(family):
-    # the enclosures of a whole interval never divide by zero: each
-    # radicand is positive on [0, h_max) and its root bound is too
-    nf = assemble(family, draw_coeffs(rng_for(63), 3))
-    h_max = family.h_max
-    hugging = [
-        (F(0), h_max / 10**9),
-        (F(0), h_max * (1 - F(1, 10**9))),
-        (h_max * (1 - F(1, 10**6)), h_max * (1 - F(1, 10**12))),
-    ]
-    for lo, hi in hugging:
-        for bits in (1, 8, 64, 256):
-            assert certified_sign(nf, RatInterval(lo, hi), bits) in (1, -1, None)
 
 
 class TestPrescribe:
