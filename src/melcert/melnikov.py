@@ -25,7 +25,8 @@ CACHED_FAMILIES most recently used families stay cached; an older family's
 are dropped whole, so memory stays bounded on any stream of families.
 
 Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
-for every exact reader here and in `zeros`.  Certified evaluation, which
+for every exact reader here and in `zeros`; a two-radical form also keeps
+`sign_tree`, the int polynomials whose signs decide its own.  Certified evaluation, which
 happens only at rational points (`scaled_value`, `evaluate_normal_form`),
 runs on it: the polynomials and the radicands are evaluated once per
 call, by homogeneous Horner; each rung of the bit ladder then takes one
@@ -43,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .intervals import RatInterval, as_rational, pi_interval, sqrt_bracket
-from .polynomials import Polynomial, _cleared, _prod, _scaled_at, _sum
+from .polynomials import Polynomial, _cleared, _prod, _scaled_at, _square, _sum
 
 
 # Families whose integrals stay cached; beyond this many the least recently
@@ -73,9 +74,9 @@ class SystemFamily:
         if self.m1 < 1 or self.m2 < 1:
             raise ValueError("m1 and m2 must be positive integers")
 
-    @property
+    @cached_property
     def h_max(self) -> Fraction:
-        """Right end of the annulus of closed orbits."""
+        """Right end of the annulus of closed orbits, kept on the family."""
         return min(1 / self.alpha1**2, 1 / self.alpha2**2)
 
     @property
@@ -165,6 +166,28 @@ class MelnikovNormalForm:
             b = _prod(rad2, [d ** (m2 - 1)], *[u1] * (m1 - 1))
             c = _prod(tail, *[u1] * (m1 - 1), *[u2] * (m2 - 1))
         return IntView(den, rad1, rad2, tail, d, u1, u2, a, b, c)
+
+    @cached_property
+    def sign_tree(self) -> tuple:
+        """This form's sign as int polynomials in h, built once from `ints`
+        and kept on the form; `zeros` walks it at a point.
+
+        A node (x, y, disc), disc = d*x**2 - y**2 U1, decides the sign of
+        x + y*r1 (r1 = sqrt(U1/d)).  A mirror pair is the single node (A, C).
+        Any other form has the sign of r2*X + B*r1, X = A + C*r1, and is
+        (node(A, C), B, node(P, Q)): d**2 ((r2*X)**2 - (B*r1)**2) = P + Q*r1
+        with P = (d A**2 + C**2 U1) U2 - d B**2 U1 and Q = 2 d A C U2.  The
+        last disc is the form's norm over Z, a multiple of its eliminant.
+        """
+        v = self.ints
+        d, u1, u2, a, b, c = v.d, v.u1, v.u2, v.a, v.b, v.c
+        da2, c2u1 = _prod([d], _square(a)), _prod(_square(c), u1)
+        ac = a, c, _sum(da2, _prod([-1], c2u1))
+        if self.merged:
+            return (ac,)
+        p = _sum(_prod(_sum(da2, c2u1), u2), _prod([-d], _square(b), u1))
+        q = _prod([2 * d], a, c, u2)
+        return ac, b, (p, q, _sum(_prod([d], _square(p)), _prod([-1], _square(q), u1)))
 
     @property
     def is_zero(self) -> bool:

@@ -253,6 +253,17 @@ def _prod(*factors) -> list:
     return out
 
 
+def _square(p: list) -> list:
+    """p*p as an int coefficient list, each cross term formed once."""
+    out = [0] * (2 * len(p) - 1) if p else []
+    for i, x in enumerate(p):
+        out[2 * i] += x * x
+        x2 = 2 * x
+        for j, y in enumerate(p[i + 1 :], 2 * i + 1):
+            out[j] += x2 * y
+    return out
+
+
 def _sum(*terms) -> list:
     """Sum of int coefficient lists, constant term first."""
     return [sum(cs) for cs in itertools.zip_longest(*terms, fillvalue=0)]

@@ -1,17 +1,17 @@
 """Certified zero counts for assembled normal forms on the open annulus.
 
-The two-radical form, cleared to integer polynomials in h (numerators
-A, B, C and radicands U1, U2 over one denominator d, the form's `ints`),
-has as eliminant their norm over Z: the product of its radical conjugates,
-formed in plain ints.  Every zero is a root of it, not conversely, so each
-candidate is filtered by exact signs: at rational points (`point_sign`:
-x + y*sqrt(u) by comparing x**2 with y**2 u), and, where the form keeps
-its sign across a multiple eliminant root, at that algebraic root itself
-(`_root_sign`, the same case split over polynomial signs).  No candidate
-is left undecided, so count_lo == count_hi; the report keeps the range and
-its empty `undecided` list.  The confluent form needs no squaring: its
-zeros are the roots of a polynomial in r on (0, 1).  The zero test, the
-eliminant and every exact sign read the form's one `ints` view.
+The sign of a two-radical form is one tree of int polynomials in h, its
+`sign_tree`, built once from its `ints` (numerators A, B, C and radicands
+U1, U2 over one denominator d): each node decides the sign of x + y*r1 by
+`_sign_rule`, from the signs of x, y and d*x**2 - y**2 U1.  The last of
+these is the form's norm over Z, so its eliminant.  Every zero is a root
+of it, not conversely, and `_tree_sign` filters each candidate by walking
+the tree: at rational points (`point_sign`) and, where the form keeps its
+sign across a multiple eliminant root, at that algebraic root itself
+(`_root_sign`).  No candidate is left undecided, so count_lo == count_hi;
+the report keeps the range and its empty `undecided` list.  The confluent
+form needs no squaring: its zeros are the roots of a polynomial in r on
+(0, 1).
 
 Candidates come from the Descartes root core of `polynomials`: its one
 squarefree decision, `squarefree_factors`, usually certifies the eliminant
@@ -39,9 +39,7 @@ from .polynomials import (
     DescartesIsolator,
     Polynomial,
     _content_free,
-    _prod,
     _scaled_at,
-    _sum,
     poly_gcd,
     squarefree_factors,
 )
@@ -73,26 +71,16 @@ def theorem_bound(family: SystemFamily, n: int):
 def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
     """Polynomial in h whose roots contain every zero of the normal form.
 
-    Isolates the radical terms of the form's `ints` and squares, in plain
-    ints.  A mirror pair needs a single squaring, d*A**2 - C**2 U1;
-    otherwise two squarings give
-
-        (C**2 U1 U2 - d*(A**2 U2 + B**2 U1))**2 - 4 d**2 A**2 B**2 U1 U2.
+    The disc of the last node of the form's `sign_tree`, cleared of its
+    content: d*A**2 - C**2 U1 for a mirror pair, otherwise d*P**2 - Q**2 U1,
+    the product of the form's radical conjugates in plain ints.
 
     Squaring is one-directional: roots that are not zeros of the original
     function are expected and filtered downstream.
     """
     if nf.is_zero:
         raise ValueError("cannot eliminate radicals of the zero form")
-    v = nf.ints
-    d, u1, u2, a, b, c = v.d, v.u1, v.u2, v.a, v.b, v.c
-    if nf.merged:
-        elim = _sum(_prod([d], a, a), _prod([-1], c, c, u1))
-    else:
-        a2u2, b2u1 = _prod(a, a, u2), _prod(b, b, u1)
-        inner = _sum(_prod(c, c, u1, u2), _prod([-d], a2u2), _prod([-d], b2u1))
-        elim = _sum(_prod(inner, inner), _prod([-4 * d * d], a2u2, b2u1))
-    elim = Polynomial(_content_free(elim))
+    elim = Polynomial(_content_free(nf.sign_tree[-1][2]))
     if elim.is_zero:
         # cannot happen for a nonzero form: the four radical conjugates
         # multiply to this polynomial and none vanishes identically
@@ -112,44 +100,39 @@ def _sign_rule(sx: int, sy: int, diff) -> int:
     return sx * diff()
 
 
-def _sign_sqrt(x, y, u) -> int:
-    """Exact sign of x + y*sqrt(u) for rationals (or ints) x, y and u >= 0."""
-    return _sign_rule(_sign(x), _sign(y) if u else 0, lambda: _sign(x * x - y * y * u))
+def _tree_sign(tree: tuple, sign) -> int:
+    """Sign of the form whose `sign_tree` is tree at a point where sign(s)
+    is the sign of each int polynomial s: `_sign_rule` down the tree."""
+    x, y, disc = tree[0]
+    s = _sign_rule(sign(x), sign(y), lambda: sign(disc))
+    if len(tree) == 1:
+        return s
+    x, y, disc = tree[2]
+    return _sign_rule(s, sign(tree[1]), lambda: _sign_rule(sign(x), sign(y), lambda: sign(disc)))
 
 
 def point_sign(nf, h) -> int:
     """Exact sign (-1, 0 or +1) of the normal form at rational h in [0, h_max).
 
-    The value is a positive multiple of an element of Q(r1, r2), so the
-    sign of x + y*sqrt(u) decides it: even(w) + sqrt(w)*odd(w) on the
-    confluent form, and r2*X + B*r1 with X = A + C*r1 otherwise, from the
-    sign of X, the sign of B and, when they differ, the sign of
-    X**2 u2 - B**2 u1, all read from the form's `ints`.
+    The value is a positive multiple of an element of Q(r1, r2), so
+    `_sign_rule` decides it: on the form's `sign_tree`, with the sign of
+    each polynomial at h, and on the confluent form even(w) +
+    sqrt(w)*odd(w), read from its `ints`.
     """
     h = as_rational(h)
     fam = nf.family
     if not (0 <= h < fam.h_max):
         raise ValueError("point outside [0, h_max)")
     if isinstance(nf, ConfluentNormalForm):
+        # even(w) and odd(w) times den**k, w = num/den: x**2 - y**2 w has
+        # the sign of x**2 den - y**2 num
+        _den, (ic,) = nf.ints
         w = 1 - fam.alpha1**2 * h
-        even = Polynomial(nf.pr.coeffs[0::2]).eval(w)
-        return _sign_sqrt(even, Polynomial(nf.pr.coeffs[1::2]).eval(w), w)
-    # in ints: the parts times den**k, and ui = Ui(h)/d = ti/e with
-    # ti = den*Ui(h) and e = d*den, so x + y*sqrt(ui) has the sign of
-    # x*e + y*sqrt(ti*e)
-    v = nf.ints
-    parts = (v.a, v.b, v.c)
+        num, den = w.numerator, w.denominator
+        x, y = (_scaled_at(ic[j::2], num, den, len(ic) // 2) for j in (0, 1))
+        return _sign_rule(_sign(x), _sign(y), lambda: _sign(x * x * den - y * y * num))
     num, den = h.numerator, h.denominator
-    k = max(map(len, parts)) - 1
-    e = v.d * den
-    t1, t2 = (_scaled_at(u, num, den, 1) for u in (v.u1, v.u2))
-    a, b, c = (_scaled_at(part, num, den, k) for part in parts)
-    # (r2*X)**2 - (B*r1)**2 = X**2 u2 - B**2 u1, times e**2
-    return _sign_rule(
-        _sign_sqrt(a * e, c, t1 * e),
-        _sign(b),
-        lambda: _sign_sqrt((a * a * e + c * c * t1) * t2 - b * b * t1 * e, 2 * a * c * t2, t1 * e),
-    )
+    return _tree_sign(nf.sign_tree, lambda s: _sign(_scaled_at(s, num, den, len(s) - 1)))
 
 
 def exact_zero_at(nf, h) -> bool:
@@ -269,32 +252,12 @@ def _sign_at_root(g: Polynomial, core: DescartesIsolator, iv: RatInterval, s: li
 
 def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval) -> int:
     """Exact sign of the two-radical form at the eliminant root h* that the
-    core isolates in iv: `point_sign`'s case split, with each polynomial's
-    sign read at h* by `_sign_at_root` (Basu, Pollack & Roy, Algorithms in
-    Real Algebraic Geometry, 2006, ch. 10).
-
-    With ui = Ui/d the form has the sign of r2*X + B*r1, X = A + C*r1;
-    d**2 ((r2*X)**2 - (B*r1)**2) = P + Q*r1 with P = (d A**2 + C**2 U1) U2
-    - d B**2 U1 and Q = 2 d A C U2.
+    core isolates in iv: its `sign_tree` walked with each polynomial's sign
+    at h* from `_sign_at_root` (Basu, Pollack & Roy, Algorithms in Real
+    Algebraic Geometry, 2006, ch. 10).
     """
-    v = nf.ints
-    d, u1, u2, a, b, c = v.d, v.u1, v.u2, v.a, v.b, v.c
     g = Polynomial(core._ic)  # the core's squarefree polynomial, as ints
-
-    def sign(s: list) -> int:
-        return _sign_at_root(g, core, iv, s)
-
-    def sign_sqrt(x: list, y: list) -> int:
-        # x + y*r1 with r1 = sqrt(U1/d): d x**2 - y**2 U1 decides
-        return _sign_rule(
-            sign(x), sign(y), lambda: sign(_sum(_prod([d], x, x), _prod([-1], y, y, u1)))
-        )
-
-    def sign_pq() -> int:
-        p = _sum(_prod(_sum(_prod([d], a, a), _prod(c, c, u1)), u2), _prod([-d], b, b, u1))
-        return sign_sqrt(p, _prod([2 * d], a, c, u2))
-
-    return _sign_rule(sign_sqrt(a, c), sign(b), sign_pq)
+    return _tree_sign(nf.sign_tree, lambda s: _sign_at_root(g, core, iv, s))
 
 
 def count_zeros(nf, n: int = None) -> ZeroReport:
