@@ -26,12 +26,12 @@ are dropped whole, so memory stays bounded on any stream of families.
 
 Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
 for every exact reader here and in `zeros`; a two-radical form also keeps
-`sign_tree`, the int polynomials whose signs decide its own.  Certified evaluation, which
-happens only at rational points (`scaled_value`, `evaluate_normal_form`),
-runs on it: the polynomials and the radicands are evaluated once per
-call, by homogeneous Horner; each rung of the bit ladder then takes one
-`sqrt_bracket` per radical and picks every endpoint by sign, and only the
-returned interval is built from `Fraction`s.  Its endpoints are those of
+`sign_tree`, the int polynomials whose signs decide its own.  Certified
+evaluation, which happens only at rational points (`scaled_value`,
+`evaluate_normal_form`), runs on `ints`: the polynomials and the radicands
+are evaluated once per call, by homogeneous Horner; each rung of the bit
+ladder then takes one `sqrt_bracket` per radical and picks every endpoint
+by sign, and only the returned interval is built from `Fraction`s.  Its endpoints are those of
 `RatInterval` arithmetic with `sqrt_rational` at the same bits.
 """
 

@@ -449,13 +449,21 @@ def _variations01(c: list) -> int:
 
 
 def _count01(c: list) -> int:
-    """Exact number of roots of the squarefree c in the open (0, 1)."""
-    v = _variations01(c)
-    if v < 2:
-        return v
-    left = _halve(c)
-    right = _taylor_shift(left, 1)
-    return _count01(left) + _count01(right) + (right[0] == 0)
+    """Exact number of roots of the squarefree c in the open (0, 1): the
+    dyadic tree walked on an explicit stack, so close roots cost no
+    recursion depth."""
+    total, stack = 0, [c]
+    while stack:
+        c = stack.pop()
+        v = _variations01(c)
+        if v < 2:
+            total += v
+            continue
+        left = _halve(c)
+        right = _taylor_shift(left, 1)
+        total += right[0] == 0
+        stack += [left, right]
+    return total
 
 
 class DescartesIsolator:
@@ -508,32 +516,38 @@ class DescartesIsolator:
 
     def _split(self, a: Fraction, b: Fraction, c: list) -> list:
         """Isolating intervals for the roots in the open (a, b), c being p
-        on (a, b)."""
-        v = _variations01(c)
-        if v < 2:
-            return [RatInterval(a, b)] * v
-        mid = (a + b) / 2
-        left = _halve(c)
-        right = _taylor_shift(left, 1)
-        if right[0]:
-            found = self._split(a, mid, left) + self._split(mid, b, right)
-        else:
-            found = [RatInterval(mid, mid)]
+        on (a, b): the bisection tree walked depth first on an explicit
+        stack, so close roots cost no recursion depth."""
+        found, stack = [], [(a, b, c)]
+        while stack:
+            a, b, c = stack.pop()
+            if isinstance(c, int):
+                # leaving a node: a node that holds one root is that root's
+                # interval (c is where its roots start in found)
+                if len(found) == c + 1:
+                    found[c] = RatInterval(a, b)
+                continue
+            v = _variations01(c)
+            if v < 2:
+                found += [RatInterval(a, b)] * v
+                continue
+            stack.append((a, b, len(found)))
+            mid = (a + b) / 2
+            left = _halve(c)
+            right = _taylor_shift(left, 1)
+            if right[0]:
+                stack += [(mid, b, right), (a, mid, left)]
+                continue
+            found.append(RatInterval(mid, mid))
             # retreat to nearby non-root cut points around the exact hit
             delta = (b - a) / 4
             while True:
                 lo, hi = mid - delta, mid + delta
-                if (
-                    self.sign_at(lo)
-                    and self.sign_at(hi)
-                    and _count01(self._window(lo, hi)) == 1
-                ):
+                if self.sign_at(lo) and self.sign_at(hi) and _count01(self._window(lo, hi)) == 1:
                     break
                 delta /= 2
-            found += self._split(a, lo, self._window(a, lo))
-            found += self._split(hi, b, self._window(hi, b))
-        # a node that holds one root is that root's interval
-        return [RatInterval(a, b)] if len(found) == 1 else found
+            stack += [(hi, b, self._window(hi, b)), (a, lo, self._window(a, lo))]
+        return found
 
     def isolate(self, lo: Fraction, hi: Fraction) -> list:
         """Disjoint isolating intervals, one per root in (lo, hi], sorted.

@@ -11,7 +11,7 @@ sign across a multiple eliminant root, at that algebraic root itself
 (`_root_sign`).  No candidate is left undecided, so count_lo == count_hi;
 the report keeps the range and its empty `undecided` list.  The confluent
 form needs no squaring: its zeros are the roots of a polynomial in r on
-(0, 1).
+(0, 1), and a root of even multiplicity is a touching zero.
 
 Candidates come from the Descartes root core of `polynomials`: its one
 squarefree decision, `squarefree_factors`, usually certifies the eliminant
@@ -22,6 +22,7 @@ fails does a Yun decomposition run.  Every interval is a `RatInterval`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -210,11 +211,13 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     report_width = Fraction(1, 1 << 20)
     core, candidates = _candidates(pr_reduced, Fraction(0), Fraction(1))
     zeros = []
-    for iv, _mult in candidates:
+    for iv, mult in candidates:
         iv = core.refine(iv, report_width)
         # map the r-interval back to h (h decreases as r grows)
         h_iv = RatInterval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
-        zeros.append(CertifiedZero(h_iv, True))
+        # r - 1 and r**(2m-1) keep their signs on (0, 1): the form changes
+        # sign at the root iff its multiplicity is odd
+        zeros.append(CertifiedZero(h_iv, mult % 2 == 1))
     zeros.sort(key=lambda z: (z.interval.lo, z.interval.hi))
     n = len(zeros)
     return ZeroReport(
@@ -333,8 +336,17 @@ def _basis_forms(family: SystemFamily, slots):
 
 
 def _row_reduce(rows):
-    """Gauss-Jordan elimination: (reduced nonzero rows, pivot columns)."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+    """Fraction-free Gauss-Jordan elimination on int rows: (reduced nonzero
+    rows, pivot columns).  Each reduced row is a primitive positive multiple
+    of its row of the reduced row echelon form: its pivot entry is positive
+    and every other pivot column holds 0.
+
+    A pivot row with entry p clears column col from another row as
+    (p/g)*row - (row[col]/g)*pivot_row, g = gcd(p, row[col]), and every
+    row is kept primitive, so entries stay the size of the echelon form's
+    own (Bareiss's entries are minors of the input, far larger here).
+    """
+    rows = [_content_free(list(row)) for row in rows]
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
@@ -342,14 +354,24 @@ def _row_reduce(rows):
         if pick is None:
             continue
         rows[top], rows[pick] = rows[pick], rows[top]
-        pivot = rows[top][col]
-        rows[top] = [x / pivot for x in rows[top]]
+        pivot_row = rows[top]
         for i, row in enumerate(rows):
             if i != top and row[col]:
-                f = row[col]
-                rows[i] = [x - f * y for x, y in zip(row, rows[top])]
+                g = math.gcd(pivot_row[col], row[col])
+                p, f = pivot_row[col] // g, row[col] // g
+                rows[i] = _content_free([p * x - f * y for x, y in zip(row, pivot_row)])
         pivots.append(col)
-    return rows[: len(pivots)], pivots
+    return [row if row[col] > 0 else [-x for x in row] for row, col in zip(rows, pivots)], pivots
+
+
+def _null_vectors(reduced, pivots, width: int):
+    """One null vector of the reduced rows per free column, in column order,
+    as {column: Fraction} scaled so that its largest |entry| is 1."""
+    for free in (k for k in range(width) if k not in pivots):
+        vec = {free: Fraction(1)}
+        vec.update((p, Fraction(-row[free], row[p])) for row, p in zip(reduced, pivots))
+        scale = max(map(abs, vec.values()))
+        yield {k: v / scale for k, v in vec.items()}
 
 
 def _independent(forms) -> list:
@@ -407,13 +429,11 @@ def prescribe_zeros(family: SystemFamily, n: int, targets) -> PerturbCoeffs:
             for point in map(RatInterval.point, targets)
         ]
         reduced, pivots = _row_reduce(rows)
-        for free in (k for k in range(len(basis)) if k not in pivots):
-            vec = {free: Fraction(1), **{p: -row[free] for row, p in zip(reduced, pivots)}}
-            scale = max(map(abs, vec.values()))
+        for vec in _null_vectors(reduced, pivots, len(basis)):
             grids = {"a": {}, "b": {}}
             for k, v in vec.items():
                 kind, i, j = slots[basis[k]]
-                grids[kind][(i, j)] = v / scale
+                grids[kind][(i, j)] = v
             coeffs = PerturbCoeffs(n=n, **grids)
             report = count_zeros(assemble(family, coeffs), n=n)
             ok = report.status == "ok" and report.decided and report.count_lo == len(targets)

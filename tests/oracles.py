@@ -23,6 +23,10 @@ same rungs on int numerators and picks each endpoint by sign.  The
 interval helpers it needs beyond `RatInterval`'s own ring operations
 (`sqrt_interval`, `poly_range`, `ipow`, `reciprocal`, `divide`) live here,
 since nothing in melcert encloses a value over a whole interval.
+`oracle_point_sign` decides the sign at a rational point by value algebra
+on the parts evaluated there, where `melcert.zeros` walks the form's tree
+of int polynomials.  `oracle_row_reduce` eliminates on `Fraction` rows,
+where `melcert.zeros` runs a fraction-free elimination on ints.
 """
 
 import math
@@ -30,7 +34,7 @@ from fractions import Fraction
 
 from melcert.intervals import RatInterval, pi_interval, sqrt_rational
 from melcert.melnikov import ConfluentNormalForm, _integrals, _polynomials, _u_poly
-from melcert.polynomials import Polynomial
+from melcert.polynomials import Polynomial, _scaled_at
 
 
 def oracle_gcd(a, b):
@@ -395,3 +399,59 @@ def oracle_point_enclosure(nf, h, precision):
         if val.width <= target:
             return val
         bits *= 2
+
+
+def _sign_sqrt(x, y, u):
+    """Sign of x + y*sqrt(u) for ints or rationals x, y and u >= 0."""
+    sx, sy = (x > 0) - (x < 0), ((y > 0) - (y < 0)) if u else 0
+    if sx * sy >= 0:
+        return sx or sy
+    d = x * x - y * y * u
+    return sx * ((d > 0) - (d < 0))
+
+
+def oracle_point_sign(nf, h):
+    """Exact sign of the normal form at rational h in [0, h_max), by value
+    algebra on the parts evaluated at h.
+
+    even(w) + sqrt(w)*odd(w) on the confluent form; otherwise the form has
+    the sign of r2*X + B*r1 with X = A + C*r1, with ui = ti/e for ti =
+    den*Ui(h) and e = d*den: the sign of X, of B and, when they differ, of
+    X**2 u2 - B**2 u1, times e**2.
+    """
+    fam = nf.family
+    if isinstance(nf, ConfluentNormalForm):
+        w = 1 - fam.alpha1**2 * h
+        even = Polynomial(nf.pr.coeffs[0::2]).eval(w)
+        return _sign_sqrt(even, Polynomial(nf.pr.coeffs[1::2]).eval(w), w)
+    v = nf.ints
+    num, den = h.numerator, h.denominator
+    k = max(map(len, (v.a, v.b, v.c))) - 1
+    e = v.d * den
+    t1, t2 = (_scaled_at(u, num, den, 1) for u in (v.u1, v.u2))
+    a, b, c = (_scaled_at(part, num, den, k) for part in (v.a, v.b, v.c))
+    sx, sb = _sign_sqrt(a * e, c, t1 * e), (b > 0) - (b < 0)
+    if sx * sb >= 0:
+        return sx or sb
+    return sx * _sign_sqrt((a * a * e + c * c * t1) * t2 - b * b * t1 * e, 2 * a * c * t2, t1 * e)
+
+
+def oracle_row_reduce(rows):
+    """Gauss-Jordan elimination on `Fraction` rows: (reduced nonzero rows,
+    pivot columns), the rows in reduced row echelon form."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pick = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[top], rows[pick] = rows[pick], rows[top]
+        pivot = rows[top][col]
+        rows[top] = [x / pivot for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                f = row[col]
+                rows[i] = [x - f * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots

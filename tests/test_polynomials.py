@@ -306,6 +306,16 @@ class TestIsolation:
         assert len(out) == 2
         assert out[0].hi <= out[1].lo
 
+    def test_roots_closer_than_the_recursion_limit(self):
+        # the bisection tree is about 1200 levels deep before it parts them
+        near = F(1, 3) + F(1, 2**1200)
+        p = Polynomial.from_roots([F(1, 3), near])
+        assert count_real_roots(p, RatInterval(0, 1)) == 2
+        first, second = isolate_roots(p, RatInterval(0, 1))
+        assert first.hi <= second.lo
+        assert first.lo < F(1, 3) < first.hi
+        assert second.lo < near < second.hi
+
     def test_five_tenth_spaced_roots(self):
         # bisection midpoints land exactly on 1/2, exercising exact hits
         roots = [F(k, 10) for k in range(1, 6)]

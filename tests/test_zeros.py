@@ -37,7 +37,13 @@ from melcert.zeros import (
     theorem_bound,
 )
 
-from oracles import oracle_eliminant, oracle_sturm_chain, oracle_yun
+from oracles import (
+    oracle_eliminant,
+    oracle_point_sign,
+    oracle_row_reduce,
+    oracle_sturm_chain,
+    oracle_yun,
+)
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 
@@ -272,6 +278,25 @@ class TestExactZeroDecision:
         assert any(z.interval.contains(h0) for z in report.certified)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(["two_radical", "mirror", "confluent"]),
+    n=st.integers(0, 4),
+    t=st.fractions(0, 1, max_denominator=2**40).filter(lambda t: t < 1),
+)
+def test_tree_point_sign_matches_the_value_oracle(seed, kind, n, t):
+    # the sign tree walked at h against value algebra on the parts at h
+    rng = rng_for(73, seed)
+    m = (rng.randint(1, 3), rng.randint(1, 3))
+    fam = draw_family(rng, *m, confluent=kind == "confluent")
+    if kind == "mirror":
+        fam = SystemFamily(fam.alpha1, -fam.alpha1, *m)
+    nf = assemble(fam, draw_coeffs(rng, n))
+    h = fam.h_max * t
+    assert point_sign(nf, h) == oracle_point_sign(nf, h)
+
+
 class TestCountZeros:
     def test_constant_sign_instance(self):
         co = PerturbCoeffs(n=2, a={(0, 0): F(1), (2, 0): F(1, 4)}, b={(0, 1): F(1, 3)})
@@ -373,6 +398,19 @@ class TestCountZeros:
         [zero] = report.certified
         assert zero.interval.lo**2 < 2 < zero.interval.hi**2
         assert not zero.sign_verified
+
+    def test_confluent_touching_zero_is_not_sign_verified(self):
+        # pr(r) = (r - 1/3)**2 (r - 1): a double root at r = 1/3 where
+        # pr(r)/r keeps its sign on both sides
+        fam = SystemFamily(F(1, 2), F(1, 2), 1, 1)
+        nf = ConfluentNormalForm(fam, Polynomial.from_roots([F(1, 3), F(1, 3), F(1)]), 2)
+        report = count_zeros(nf)
+        assert (report.count_lo, report.count_hi) == (1, 1)
+        assert report.multiplicity_suspected
+        [zero] = report.certified
+        assert not zero.sign_verified
+        # h = (1 - r**2)/alpha**2 = 32/9 at r = 1/3
+        assert zero.interval.contains(F(32, 9))
 
     def test_squared_factor_adds_one_touching_zero(self):
         # q**2 F with q = h**2 - 2 and F = s/r1**3 + t/r2 + u keeps its sign
@@ -699,3 +737,50 @@ def test_basis_rank_law(alpha, m):
     for n in range(1, 8):
         basis = zeros._independent(zeros._basis_forms(fam, zeros._effective_slots(n)))
         assert len(basis) == 3 * (n + 1) // 2, n
+
+
+def _assert_elimination_matches_oracle(rows):
+    reduced, pivots = zeros._row_reduce(rows)
+    oracle_rows, oracle_pivots = oracle_row_reduce(rows)
+    assert pivots == oracle_pivots
+    # each int row is a positive multiple of the echelon row
+    for row, p, oracle_row in zip(reduced, pivots, oracle_rows):
+        assert row[p] > 0 and [F(x, row[p]) for x in row] == oracle_row
+    width = len(rows[0]) if rows else 0
+    assert list(zeros._null_vectors(reduced, pivots, width)) == list(
+        zeros._null_vectors(oracle_rows, oracle_pivots, width)
+    )
+
+
+@pytest.mark.parametrize("alpha", [(F(1, 2), F(-1, 3)), (F(2, 3), F(1, 5)), (F(3, 4), F(-1, 7))])
+@pytest.mark.parametrize("m", [(1, 1), (2, 1), (3, 2)])
+def test_int_elimination_matches_the_fraction_oracle_on_the_rank_law_grid(monkeypatch, alpha, m):
+    # the coordinate matrices of the rank law, eliminated on ints and on
+    # Fractions: the same pivots, echelon rows and null vectors
+    matrices, real = [], zeros._row_reduce
+
+    def recording(rows):
+        matrices.append([list(row) for row in rows])
+        return real(matrices[-1])
+
+    monkeypatch.setattr(zeros, "_row_reduce", recording)
+    fam = SystemFamily(*alpha, *m)
+    for n in range(1, 8):
+        zeros._independent(zeros._basis_forms(fam, zeros._effective_slots(n)))
+    monkeypatch.undo()
+    assert len(matrices) == 7
+    for rows in matrices:
+        _assert_elimination_matches_oracle(rows)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-4, 4), min_size=width, max_size=width), max_size=6
+        )
+    )
+)
+def test_int_elimination_matches_the_fraction_oracle_on_small_matrices(rows):
+    # zero rows, repeated rows and columns without a pivot included
+    _assert_elimination_matches_oracle(rows)
