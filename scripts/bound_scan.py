@@ -7,7 +7,7 @@ count next to the bound.  A quick desk-scale version of the acceptance
 sweep; tune SAMPLES/configs freely.  Exits 1 at the first report that is
 not decided or exceeds its bound.
 
-Usage: python scripts/bound_scan.py [samples] [seed]
+Usage: python scripts/bound_scan.py [samples >= 1] [seed]
 """
 
 import sys
@@ -31,7 +31,9 @@ def survey(samples: int, seed: int):
         for n, m1, m2 in configs:
             t0 = time.time()
             worst = 0
-            bound = None
+            # the bound depends on the config only, not on the alphas drawn
+            half = Fraction(1, 2)
+            bound = theorem_bound(SystemFamily(half, half if confluent else -half, m1, m2), n)
             for idx in range(samples):
                 rng = rng_for(seed, idx)
                 if confluent:
@@ -40,7 +42,6 @@ def survey(samples: int, seed: int):
                 else:
                     fam = draw_family(rng, m1, m2)
                 nf = assemble(fam, draw_coeffs(rng, n, box=Fraction(1)))
-                bound = theorem_bound(fam, n)
                 if nf.is_zero:
                     continue
                 report = count_zeros(nf, n=n)
@@ -56,7 +57,12 @@ def survey(samples: int, seed: int):
     return 0
 
 
+USAGE = "usage: python scripts/bound_scan.py [samples >= 1] [seed]"
+
 if __name__ == "__main__":
     samples = int(sys.argv[1]) if len(sys.argv) > 1 else 50
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 2024
+    if samples < 1:
+        print(USAGE, file=sys.stderr)
+        sys.exit(1)
     sys.exit(survey(samples, seed))

@@ -94,7 +94,7 @@ SETTINGS = {
     "eps": ("nonzero", None, None),
     "precision": ("integer", 1, MAX_PRECISION),
     "points": ("integer", 2, None),
-    "grid": ("integer", 1, None),
+    "grid": ("integer", 8, None),
     "seed": ("integer", None, None),
     "samples": ("integer", 1, None),
 }
@@ -414,8 +414,7 @@ def report_verify(spec: InstanceSpec) -> dict:
         return report
     h_max = float(fam.h_max)
     margin = 0.05 * h_max
-    grid_n = max(spec.grid, 8)
-    grid = [margin + (h_max - 2 * margin) * i / (grid_n - 1) for i in range(grid_n)]
+    grid = [margin + (h_max - 2 * margin) * i / (spec.grid - 1) for i in range(spec.grid)]
     tolerance = 5e-3 * h_max
 
     attempts = []
@@ -456,7 +455,7 @@ def report_verify(spec: InstanceSpec) -> dict:
         # the points that integrated must be a prefix of two or more: next
         # to h_max orbits touch the singular line and may fail, but a
         # failure lower down leaves a gap, and fewer points check nothing
-        scanned = grid_n - len(cycles.failures)
+        scanned = spec.grid - len(cycles.failures)
         ok = (
             zr.decided
             and matched == zr.count_lo == len(cycles.cycles)

@@ -5,12 +5,13 @@ module touches floating point.  The root core works in plain ints and rests
 on Descartes' rule of signs.  `squarefree_factors` is the one squarefree
 decision: `modular_squarefree` certifies a polynomial squarefree by
 gcd(p, p') modulo a prime that does not divide lc(p), and only when that
-fails does the exact Yun decomposition run, over `poly_gcd` and its
-primitive remainder sequence over Z.  `DescartesIsolator` is the one root
-isolator: on a squarefree polynomial it counts roots on half-open windows,
-isolates them by Vincent-Collins-Akritas bisection with exact rational
-endpoints and refines them by bisection on int numerators over a doubling
-common denominator, with exact integer signs.  Every interval here is an
+fails is gcd(p, p') taken over Z, by `poly_gcd` on its primitive remainder
+sequence, for the squarefree part and the multiple roots.
+`DescartesIsolator` is the one root isolator: on a squarefree polynomial
+it counts roots on half-open windows, isolates them by
+Vincent-Collins-Akritas bisection with exact rational endpoints and
+refines them by bisection on int numerators over a doubling common
+denominator, with exact integer signs.  Every interval here is an
 `intervals.RatInterval`.  `count_real_roots`, `isolate_roots` and
 `refine_root` are entry points that build one isolator for an arbitrary
 polynomial through `squarefree_factors`.  `_cleared` is the one place
@@ -539,15 +540,20 @@ class DescartesIsolator:
                 stack += [(mid, b, right), (a, mid, left)]
                 continue
             found.append(RatInterval(mid, mid))
-            # retreat to nearby non-root cut points around the exact hit
-            delta = (b - a) / 4
-            while True:
-                lo, hi = mid - delta, mid + delta
-                if self.sign_at(lo) and self.sign_at(hi) and _count01(self._window(lo, hi)) == 1:
-                    break
-                delta /= 2
+            # go on past both ends of an isolating interval around the hit
+            near = self.widen(mid, (b - a) / 4)
+            lo, hi = near.lo, near.hi
             stack += [(hi, b, self._window(hi, b)), (a, lo, self._window(a, lo))]
         return found
+
+    def widen(self, x: Fraction, delta: Fraction) -> RatInterval:
+        """An exact rational hit x as an isolating interval [x - d, x + d]:
+        d is delta, halved until no end is a root and x is the only one."""
+        while True:
+            lo, hi = x - delta, x + delta
+            if self.sign_at(lo) and self.sign_at(hi) and _count01(self._window(lo, hi)) == 1:
+                return RatInterval(lo, hi)
+            delta /= 2
 
     def isolate(self, lo: Fraction, hi: Fraction) -> list:
         """Disjoint isolating intervals, one per root in (lo, hi], sorted.
@@ -607,31 +613,33 @@ class DescartesIsolator:
 
 
 def squarefree_factors(p: Polynomial) -> tuple:
-    """(factors, isolator): the one squarefree decision of the root core.
+    """(isolator, multiple): the one squarefree decision of the root core.
 
-    When `modular_squarefree` certifies p, the factors are [(p, 1)] and the
-    isolator is built on p itself; otherwise they are the Yun decomposition
-    (only then is a gcd computed) and the isolator is built on the product
-    of its factors, p's squarefree part.
+    When `modular_squarefree` certifies p, the isolator is built on p and
+    multiple is None.  Otherwise, with g = gcd(p, p'), it is built on the
+    squarefree part p/g, and multiple = gcd(p/g, p') = gcd(p/g, g) has the
+    multiple roots of p as simple roots: a root is multiple iff multiple
+    changes sign across an isolating interval of it with non-root ends.
     """
     if modular_squarefree(p):
-        return [(p, 1)], DescartesIsolator(p)
-    factors = squarefree_decomposition(p)
-    return factors, DescartesIsolator(math.prod((f for f, _m in factors), start=Polynomial.one()))
+        return DescartesIsolator(p), None
+    g = poly_gcd(p, p.derivative())
+    part = p.exact_div(g)
+    return DescartesIsolator(part), poly_gcd(part, g)
 
 
 def count_real_roots(p: Polynomial, iv: RatInterval) -> int:
     """Exact number of distinct real roots of p in (iv.lo, iv.hi]."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    return squarefree_factors(p)[1].count(iv.lo, iv.hi)
+    return squarefree_factors(p)[0].count(iv.lo, iv.hi)
 
 
 def count_real_roots_with_multiplicity(p: Polynomial, iv: RatInterval) -> int:
     """Roots in (iv.lo, iv.hi] counted with their multiplicities."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    factors, _core = squarefree_factors(p)
+    factors = squarefree_decomposition(p)
     return sum(mult * DescartesIsolator(f).count(iv.lo, iv.hi) for f, mult in factors)
 
 
@@ -643,7 +651,7 @@ def isolate_roots(p: Polynomial, iv: RatInterval) -> list:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return squarefree_factors(p)[1].isolate(iv.lo, iv.hi)
+    return squarefree_factors(p)[0].isolate(iv.lo, iv.hi)
 
 
 def refine_root(p: Polynomial, iv: RatInterval, width) -> RatInterval:
@@ -662,7 +670,7 @@ def refine_root(p: Polynomial, iv: RatInterval, width) -> RatInterval:
         if p.eval(iv.lo) != 0:
             raise ValueError("degenerate interval does not contain a root")
         return iv
-    _factors, core = squarefree_factors(p)
+    core = squarefree_factors(p)[0]
     if core.count(iv.lo, iv.hi) != 1:
         raise ValueError("interval does not isolate exactly one root")
     if core.sign_at(iv.hi) == 0:

@@ -5,19 +5,20 @@ The sign of a two-radical form is one tree of int polynomials in h, its
 U1, U2 over one denominator d): each node decides the sign of x + y*r1 by
 `_sign_rule`, from the signs of x, y and d*x**2 - y**2 U1.  The last of
 these is the form's norm over Z, so its eliminant.  Every zero is a root
-of it, not conversely, and `_tree_sign` filters each candidate by walking
-the tree: at rational points (`point_sign`) and, where the form keeps its
-sign across a multiple eliminant root, at that algebraic root itself
-(`_root_sign`).  No candidate is left undecided, so count_lo == count_hi;
-the report keeps the range and its empty `undecided` list.  The confluent
+of it, not conversely.  `_tree_sign` walks the tree at the ends of each
+candidate's isolating interval (`point_sign`) and, where the form keeps
+its sign across a multiple eliminant root, at that root (`_root_sign`).
+No candidate is left undecided, so count_lo == count_hi; the report
+keeps the range and its empty `undecided` list.  The confluent
 form needs no squaring: its zeros are the roots of a polynomial in r on
-(0, 1), and a root of even multiplicity is a touching zero.
+(0, 1), sign-verified where that polynomial changes sign.
 
 Candidates come from the Descartes root core of `polynomials`: its one
 squarefree decision, `squarefree_factors`, usually certifies the eliminant
 squarefree by a gcd with its derivative modulo a prime, and one
 `DescartesIsolator` on it isolates and refines every root; only when that
-fails does a Yun decomposition run.  Every interval is a `RatInterval`.
+fails is a gcd over Z taken, which also marks the multiple roots.  Every
+interval is a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -173,34 +174,31 @@ def _isolate_open(core: DescartesIsolator, lo: Fraction, hi: Fraction) -> list:
 
 
 def _shrink_inside(core: DescartesIsolator, iv: RatInterval, lo, hi) -> RatInterval:
-    """Refine until the interval sits strictly inside (lo, hi)."""
+    """Refine until the interval sits strictly inside (lo, hi) with ends
+    that are not roots, widening an exact rational hit."""
     width = iv.width
     while iv.lo <= lo or iv.hi >= hi:
         width = width / 4
         iv = core.refine(iv, width)
+    if iv.lo == iv.hi:
+        iv = core.widen(iv.lo, min(iv.lo - lo, hi - iv.lo) / 2)
     return iv
 
 
-def _root_multiplicity(decomp, iv: RatInterval) -> int:
-    # the endpoints are not roots, so exactly one Yun factor changes sign
-    # across the interval (or vanishes at a degenerate one): if none of
-    # the others does, it is the last
-    for factor, mult in decomp[:-1]:
-        if factor.eval(iv.lo) * factor.eval(iv.hi) <= 0:
-            return mult
-    return decomp[-1][1]
+def _changes_sign(p: Polynomial, iv: RatInterval) -> bool:
+    return p.eval(iv.lo) * p.eval(iv.hi) < 0
 
 
 def _candidates(p: Polynomial, lo: Fraction, hi: Fraction):
     """One Descartes isolator of p's squarefree part, and (interval,
-    multiplicity) for every root of p strictly inside (lo, hi), each
-    interval shrunk strictly inside too; `squarefree_factors` decides.
+    multiple) for every root of p strictly inside (lo, hi), each interval
+    from `_shrink_inside`; `squarefree_factors` decides multiple.
     """
-    decomp, core = squarefree_factors(p)
+    core, multiple = squarefree_factors(p)
     out = []
     for iv in _isolate_open(core, lo, hi):
         iv = _shrink_inside(core, iv, lo, hi)
-        out.append((iv, _root_multiplicity(decomp, iv)))
+        out.append((iv, multiple is not None and _changes_sign(multiple, iv)))
     return core, out
 
 
@@ -211,13 +209,14 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     report_width = Fraction(1, 1 << 20)
     core, candidates = _candidates(pr_reduced, Fraction(0), Fraction(1))
     zeros = []
-    for iv, mult in candidates:
+    for iv, _multiple in candidates:
+        # r - 1 and r**(2m-1) keep their signs on (0, 1): the form changes
+        # sign across iv iff pr_reduced does
+        verified = _changes_sign(pr_reduced, iv)
         iv = core.refine(iv, report_width)
         # map the r-interval back to h (h decreases as r grows)
         h_iv = RatInterval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
-        # r - 1 and r**(2m-1) keep their signs on (0, 1): the form changes
-        # sign at the root iff its multiplicity is odd
-        zeros.append(CertifiedZero(h_iv, mult % 2 == 1))
+        zeros.append(CertifiedZero(h_iv, verified))
     zeros.sort(key=lambda z: (z.interval.lo, z.interval.hi))
     n = len(zeros)
     return ZeroReport(
@@ -229,7 +228,7 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
         certified=zeros,
         count_lo=n,
         count_hi=n,
-        multiplicity_suspected=any(mult > 1 for _iv, mult in candidates),
+        multiplicity_suspected=any(multiple for _iv, multiple in candidates),
     )
 
 
@@ -245,9 +244,9 @@ def _sign_at_root(g: Polynomial, core: DescartesIsolator, iv: RatInterval, s: li
     """
     p = Polynomial(s)
     common = poly_gcd(g, p)  # g itself when s is zero
-    if common.eval(iv.lo) * common.eval(iv.hi) < 0:
+    if _changes_sign(common, iv):
         return 0
-    roots = squarefree_factors(p)[1]
+    roots = squarefree_factors(p)[0]
     while roots.count(iv.lo, iv.hi):
         iv = core.refine(iv, iv.width / 2)
     return _sign(p.eval(iv.hi))
@@ -266,12 +265,12 @@ def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval)
 def count_zeros(nf, n: int = None) -> ZeroReport:
     """Certified count of zeros of the normal form on the open annulus.
 
-    Candidates come from the eliminant.  Each is confirmed by an exact
-    sign change across its interval (sign_verified), by exact vanishing at
-    a rational point, or, at a multiple eliminant root without a sign
-    change, by the form's exact sign 0 at the root (a touching zero, not
-    sign_verified); every other candidate is an artifact.  Every candidate
-    is decided: count_lo == count_hi and `undecided` stays empty.
+    One rule decides each eliminant root on its isolating interval, whose
+    ends are not roots: an exact sign change of the form across it is a
+    zero (sign_verified); without one, a multiple root where the form's
+    exact sign is 0 is a touching zero (not sign_verified); anything else
+    is an artifact.  Only zeros are refined to the report width.  Every
+    candidate is decided: count_lo == count_hi, `undecided` stays empty.
     """
     fam = nf.family
     bound = theorem_bound(fam, n) if n is not None else None
@@ -295,25 +294,15 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
     report_width = h_max / Fraction(1 << 20)
 
     core, candidates = _candidates(reduced, Fraction(0), h_max)
-    for iv, mult in candidates:
-        if mult > 1:
-            report.multiplicity_suspected = True
-        iv = core.refine(iv, min(iv.width / 16, report_width))
-        if iv.lo == iv.hi:
-            # exact rational candidate: decide algebraically
-            if exact_zero_at(nf, iv.lo):
-                report.certified.append(CertifiedZero(iv, True))
-            continue
-        s_lo, s_hi = point_sign(nf, iv.lo), point_sign(nf, iv.hi)
-        if s_lo * s_hi < 0:
-            report.certified.append(CertifiedZero(iv, True))
-        elif mult > 1 and _root_sign(nf, core, iv) == 0:
-            # no sign change across a multiple eliminant root: the form
-            # touches zero there iff its exact sign at the root is 0
-            report.certified.append(CertifiedZero(iv, False))
-        # else an artifact: equal signs at the ends of a simple eliminant
-        # root, where a sign-preserving zero would have made it multiple,
-        # or a nonzero exact sign at a multiple one
+    for iv, multiple in candidates:
+        report.multiplicity_suspected |= multiple
+        verified = point_sign(nf, iv.lo) * point_sign(nf, iv.hi) < 0
+        # without a sign change the form touches zero at a multiple root
+        # iff its exact sign there is 0; at a simple root (a sign-keeping
+        # zero would make it multiple), or with a nonzero sign, an artifact
+        if verified or (multiple and _root_sign(nf, core, iv) == 0):
+            iv = core.refine(iv, min(iv.width / 16, report_width))
+            report.certified.append(CertifiedZero(iv, verified))
 
     report.certified.sort(key=lambda z: (z.interval.lo, z.interval.hi))
     report.count_lo = report.count_hi = len(report.certified)

@@ -113,7 +113,8 @@ class TestParsing:
         [
             ("points = 1", r"\[settings\] points: must be >= 2"),
             ("samples = 0", r"\[settings\] samples: must be >= 1"),
-            ("grid = 0", r"\[settings\] grid: must be >= 1"),
+            ("grid = 0", r"\[settings\] grid: must be >= 8"),
+            ("grid = 7", r"\[settings\] grid: must be >= 8"),
         ],
     )
     def test_settings_rejected_at_parse_time(self, line, message):

@@ -497,7 +497,7 @@ def test_descartes_core_agrees_with_sturm_oracle():
         got = isolate_roots(p, iv)
         # the same dyadic tree gives the same intervals, exact endpoints
         assert got == oracle.isolate(lo, hi)
-        _factors, core = polynomials.squarefree_factors(p)
+        core, _multiple = polynomials.squarefree_factors(p)
         for r in got:
             if r.lo == r.hi:
                 assert p.eval(r.lo) == 0

@@ -32,6 +32,14 @@ def test_bound_scan_runs_on_a_tiny_sample():
     assert len(rows) == 7  # four two-radical and three confluent configs
 
 
+def test_bound_scan_rejects_an_empty_sample():
+    proc = run_script("bound_scan.py", "0")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: python scripts/bound_scan.py")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_two_zero_demo_confirms_both_cycles():
     proc = run_script("two_zero_demo.py")
     assert proc.returncode == 0, proc.stderr

@@ -375,15 +375,28 @@ class TestCountZeros:
             prev = cur
         assert report.count_lo >= changes or report.count_hi >= changes
 
-    def test_touching_zero_at_rational_point_is_decided_exactly(self):
-        # (h-1)^2 / r1 grazes zero at h = 1 without a sign change; the
-        # exact rational hit is decided algebraically and counted once
-        rad1 = Polynomial.from_roots([F(1), F(1)])
+    @pytest.mark.parametrize(
+        "roots, sign_verified",
+        [
+            ([F(1)], True),
+            ([F(1)] * 3, True),
+            ([F(1)] * 2, False),
+            ([F(3, 2)] * 2, False),
+        ],
+        ids=["h-1", "(h-1)^3", "(h-1)^2", "(h-3/2)^2"],
+    )
+    def test_touching_zero_at_rational_point_is_decided_exactly(self, roots, sign_verified):
+        # rad1 / r1 vanishes at the exact rational eliminant root h0, which
+        # bisection hits; the form changes sign there iff the order is odd,
+        # and an even order grazes zero: counted once, not sign-verified
+        rad1 = Polynomial.from_roots(roots)
         nf = MelnikovNormalForm(FAM, rad1, Polynomial.zero(), Polynomial.zero())
         report = count_zeros(nf)
         assert report.count_lo == report.count_hi == 1
         assert report.multiplicity_suspected
-        assert report.certified[0].interval == RatInterval(F(1), F(1))
+        [zero] = report.certified
+        assert zero.interval == RatInterval(roots[0], roots[0])
+        assert zero.sign_verified is sign_verified
 
     def test_touching_zero_at_irrational_point_is_decided_algebraically(self):
         # (h^2-2)^2 / r1 grazes zero at sqrt(2): no sign change and no
@@ -560,27 +573,59 @@ class TestCountZeros:
         assert calls["gcd"] == calls["yun"] == calls["prs"] == 0
 
     @pytest.mark.parametrize(
-        "rad1, certified, undecided",
-        [
-            (Polynomial.from_roots([F(1), F(1)]), 1, 0),
-            (Polynomial((-2, 0, 1)) ** 2, 1, 0),
-        ],
+        "rad1",
+        [Polynomial.from_roots([F(1), F(1)]), Polynomial((-2, 0, 1)) ** 2],
         ids=["touch_rational", "touch_irrational"],
     )
-    def test_yun_fallback_only_for_multiple_roots(self, monkeypatch, rad1, certified, undecided):
+    def test_multiple_roots_run_no_yun_decomposition(self, monkeypatch, rad1):
         # a touching zero makes the eliminant non-squarefree: the modular
-        # certificate fails, and one Yun decomposition then supplies the
-        # multiplicities and the squarefree part for the one isolator
+        # certificate fails, and gcds over Z give the squarefree part for
+        # the one isolator and the polynomial of the multiple roots; no Yun
+        # decomposition runs
         nf = MelnikovNormalForm(FAM, rad1, Polynomial.zero(), Polynomial.zero())
         calls = self._count_root_core_calls(monkeypatch)
         report = count_zeros(nf)
-        assert len(calls["primes"]) == calls["yun"] == 1
+        assert len(calls["primes"]) == 1
+        assert calls["yun"] == 0
         assert calls["gcd"] > 0
         [core_poly] = calls["isolators"]
         assert [m for _f, m in oracle_yun(core_poly)] == [1]
         assert report.multiplicity_suspected
-        assert (len(report.certified), len(report.undecided)) == (certified, undecided)
-        assert (report.count_lo, report.count_hi) == (certified, certified + undecided)
+        assert (report.count_lo, report.count_hi, report.undecided) == (1, 1, [])
+        [zero] = report.certified
+        assert not zero.sign_verified
+
+    def test_multiple_root_sign_change_matches_yun_multiplicity(self):
+        # planted multiple roots: dyadic exact hits (1, 3/2), irrational
+        # ones (sqrt 2) and pairs 2**-40 apart; on every candidate interval
+        # the multiple-root polynomial changes sign iff the one Yun factor
+        # of the oracle with a root there has multiplicity > 1
+        P, near = (lambda *c: Polynomial(c)), F(1, 2**40)
+        pool = [
+            P(-1, 1),
+            P(F(-3, 2), 1),
+            P(-2, 0, 1),
+            P(F(-1, 3), 1),
+            P(-F(1, 3) - near, 1),
+            P(F(-5, 7), 1),
+            P(F(-5, 7) + near, 1),
+            P(1, 1, 1),  # no real root
+        ]
+        seen = {True: 0, False: 0}
+        for k in range(40):
+            rng = rng_for(1840, k)
+            p = Polynomial((rng.randint(1, 9),))
+            for f in rng.sample(pool, rng.randint(1, 5)):
+                p = p * f ** rng.randint(1, 3)
+            core, found = zeros._candidates(p, F(-3), F(3))
+            assert len(found) == core.count(F(-3), F(3)) - (core.sign_at(F(3)) == 0)
+            yun = oracle_yun(p)
+            for iv, multiple in found:
+                assert F(-3) < iv.lo < iv.hi < F(3)
+                [mult] = [m for f, m in yun if f.eval(iv.lo) * f.eval(iv.hi) < 0]
+                assert multiple is (mult > 1)
+                seen[multiple] += 1
+        assert min(seen.values()) >= 20
 
     def test_chain_equals_fraction_chain_on_eliminants(self):
         # eliminants of the acceptance sweep configurations, up to degree 13
