@@ -16,15 +16,26 @@ setting is eps, in `FlowConfig`.
 
 The quadrature is a trapezoid rule with nested doubling: it starts at
 START_NODES nodes, accepts agreement from MIN_NODES on and raises
-QuadratureError if it has not settled at MAX_NODES.  Quadrature and section
-returns evaluate the field through one float evaluator,
-`_field_evaluator`.  The module is pure Python: it loads no numpy, and it
-takes only the family and coefficient records from `melnikov`, so the
-oracle shares no arithmetic with the exact path.
+QuadratureError if it has not settled at MAX_NODES.
+
+Quadrature and section returns evaluate the field through one compiled
+kernel per field, `_field_kernel`.  Its source is generated from the
+coefficient doubles: P and Q are Horner in y over rows that are Horner in x,
+and the quadrature integrand is one fused expression over them.  The source
+holds only float reprs of finite doubles, ints, x and y, and runs with no
+builtins, so `compile` turns the same doubles into straight-line bytecode
+and nothing else.  The last kernel is kept (a one-entry memo keyed on the
+doubles), because a caller evaluates one field many times: a quadrature
+ladder, or the section returns of a cycle scan.
+
+The module is pure Python: it loads no numpy, and it takes only the family
+and coefficient records from `melnikov`, so the oracle shares no arithmetic
+with the exact path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,8 +66,9 @@ class FlowConfig:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        # epsilon == 0 is allowed: it exercises the conservative flow
-        if abs(self.epsilon) >= 1:
+        # epsilon == 0 is allowed: it exercises the conservative flow; NaN
+        # fails the test, since it compares false with everything
+        if not abs(self.epsilon) < 1:
             raise ValueError("epsilon must be small")
 
 
@@ -82,12 +94,61 @@ def _double(name: str, value) -> float:
         raise ValueError(f"coefficient {name} is beyond the range of a double") from None
 
 
-def _field_evaluator(coeffs: PerturbCoeffs):
-    """Float evaluator of the perturbation: (P(x, y), Q(x, y)) at a point.
+def _horner(var: str, terms) -> str:
+    """Source of the sum of c * var**k over (k, c), k ascending, by Horner's
+    rule; a gap in k multiplies by var that many times.  "0.0" if empty."""
+    if not terms:
+        return "0.0"
+    top, acc = terms[-1]
+    for k, c in reversed(terms[:-1]):
+        acc = f"{c} + {'*'.join([var] * (top - k))}*({acc})"
+        top = k
+    return acc if top == 0 else f"{'*'.join([var] * top)}*({acc})"
 
-    Every coefficient is converted before the first evaluation, so one
-    that has no double value raises ValueError here."""
-    terms = [
+
+def _polynomial_source(entries) -> str:
+    """Source of the sum of c * x**i * y**j over (i, j, c) sorted by (i, j):
+    Horner in y over rows that are Horner in x.  Zero doubles are left out,
+    as adding their products changes no sum."""
+    rows = {}
+    for i, j, c in entries:
+        if c:
+            rows.setdefault(j, []).append((i, repr(c)))
+    return _horner("y", [(j, f"({_horner('x', row)})") for j, row in sorted(rows.items())])
+
+
+def _kernel_source(terms, a1: float, m1: int, a2: float, m2: int) -> str:
+    """Source of the kernel functions `pq` and `integrand` of one field."""
+    p = _polynomial_source((i, j, a) for i, j, a, _ in terms)
+    q = _polynomial_source((i, j, b) for i, j, _, b in terms)
+    w = "*".join(
+        f"(1.0 - {a!r}*x)" + (f"**{m}" if m > 1 else "") for a, m in ((a1, m1), (a2, m2))
+    )
+    return (
+        f"def pq(x, y):\n    return {p}, {q}\n"
+        f"def integrand(x, y):\n    return (x*({p}) + y*({q})) / ({w})\n"
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _compiled_kernel(terms, a1: float, m1: int, a2: float, m2: int):
+    """(pq, integrand) compiled from `_kernel_source`, with no builtins.
+
+    The memo keeps the last field only: its callers evaluate one field
+    many times in a row, and compiling one costs as much as some hundreds
+    of kernel calls.  Keys compare as doubles, so 0.0 and -0.0 meet; both are left
+    out of the source, which is the same for either."""
+    namespace = {"__builtins__": {}}
+    exec(compile(_kernel_source(terms, a1, m1, a2, m2), "<flow kernel>", "exec"), namespace)
+    return namespace["pq"], namespace["integrand"]
+
+
+def _field_terms(coeffs: PerturbCoeffs):
+    """((i, j, a_ij, b_ij), ...) as doubles, sorted by (i, j).
+
+    Every coefficient is converted, so one that has no double value raises
+    ValueError naming it."""
+    return tuple(
         (
             i,
             j,
@@ -95,22 +156,19 @@ def _field_evaluator(coeffs: PerturbCoeffs):
             _double(f"b[{i},{j}]", coeffs.b.get((i, j), 0)),
         )
         for i, j in sorted(coeffs.a.keys() | coeffs.b.keys())
-    ]
-    top = max((max(i, j) for i, j, _, _ in terms), default=0)
+    )
 
-    def pq(x, y):
-        xs, ys = [1.0], [1.0]
-        for _ in range(top):
-            xs.append(xs[-1] * x)
-            ys.append(ys[-1] * y)
-        p = q = 0.0
-        for i, j, ca, cb in terms:
-            mono = xs[i] * ys[j]
-            p += ca * mono
-            q += cb * mono
-        return p, q
 
-    return pq
+def _field_kernel(family: SystemFamily, coeffs: PerturbCoeffs):
+    """The field's compiled float kernels (pq, integrand): pq(x, y) is
+    (P(x, y), Q(x, y)), and integrand(x, y) is the quadrature integrand
+    (x*P + y*Q) / ((1 - alpha1*x)**m1 * (1 - alpha2*x)**m2).
+
+    Every coefficient is converted before anything is compiled, so one
+    that has no double value raises ValueError here."""
+    return _compiled_kernel(
+        _field_terms(coeffs), float(family.alpha1), family.m1, float(family.alpha2), family.m2
+    )
 
 
 def numeric_melnikov(family: SystemFamily, coeffs: PerturbCoeffs, h: float) -> float:
@@ -126,9 +184,7 @@ def numeric_melnikov(family: SystemFamily, coeffs: PerturbCoeffs, h: float) -> f
     """
     if not (0 < h < float(family.h_max)):
         raise ValueError("orbit label outside the annulus")
-    pq = _field_evaluator(coeffs)
-    a1, a2 = float(family.alpha1), float(family.alpha2)
-    m1, m2 = family.m1, family.m2
+    _, integrand = _field_kernel(family, coeffs)
     root_h = math.sqrt(h)
 
     def level(nodes, half):
@@ -136,9 +192,7 @@ def numeric_melnikov(family: SystemFamily, coeffs: PerturbCoeffs, h: float) -> f
         values = []
         for j in nodes:
             t = math.pi * j / half
-            x, y = root_h * math.sin(t), root_h * math.cos(t)
-            p, q = pq(x, y)
-            values.append((x * p + y * q) / ((1.0 - a1 * x) ** m1 * (1.0 - a2 * x) ** m2))
+            values.append(integrand(root_h * math.sin(t), root_h * math.cos(t)))
         return math.fsum(values), math.fsum(map(abs, values))
 
     # near a zero of the integral the relative criterion can never fire, so
@@ -168,7 +222,7 @@ def _section_rate(family: SystemFamily, coeffs: PerturbCoeffs, eps: float, h0: f
     With x = sqrt(h)*sin(theta), y = sqrt(h)*cos(theta) and w the slowing
     factor, dh/dtheta = 2*eps*h*(x*P + y*Q) / (w*h + eps*(y*P - x*Q)).
     """
-    pq = _field_evaluator(coeffs)
+    pq, _ = _field_kernel(family, coeffs)
     a1, a2 = float(family.alpha1), float(family.alpha2)
     m1, m2 = family.m1, family.m2
     reach = max(abs(a1), abs(a2))

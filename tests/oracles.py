@@ -27,6 +27,8 @@ since nothing in melcert encloses a value over a whole interval.
 on the parts evaluated there, where `melcert.zeros` walks the form's tree
 of int polynomials.  `oracle_row_reduce` eliminates on `Fraction` rows,
 where `melcert.zeros` runs a fraction-free elimination on ints.
+`oracle_field` evaluates the perturbation monomial by monomial from tables
+of powers of x and y, where `melcert.flow` compiles Horner source for it.
 """
 
 import math
@@ -455,3 +457,27 @@ def oracle_row_reduce(rows):
                 rows[i] = [x - f * y for x, y in zip(row, rows[top])]
         pivots.append(col)
     return rows[: len(pivots)], pivots
+
+
+def oracle_field(coeffs):
+    """Float evaluator of the perturbation: (P(x, y), Q(x, y)) at a point,
+    summed term by term in (i, j) order over tables of powers."""
+    terms = [
+        (i, j, float(coeffs.a.get((i, j), 0)), float(coeffs.b.get((i, j), 0)))
+        for i, j in sorted(coeffs.a.keys() | coeffs.b.keys())
+    ]
+    top = max((max(i, j) for i, j, _, _ in terms), default=0)
+
+    def pq(x, y):
+        xs, ys = [1.0], [1.0]
+        for _ in range(top):
+            xs.append(xs[-1] * x)
+            ys.append(ys[-1] * y)
+        p = q = 0.0
+        for i, j, ca, cb in terms:
+            mono = xs[i] * ys[j]
+            p += ca * mono
+            q += cb * mono
+        return p, q
+
+    return pq

@@ -1,10 +1,13 @@
 """Numerical oracle and limit-cycle detection."""
 
+import ast
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from melcert import flow
 from melcert.dop853 import integrate
 from melcert.flow import (
     FlowConfig,
@@ -21,6 +24,7 @@ from melcert.melnikov import (
     evaluate_normal_form,
 )
 from melcert.zeros import count_zeros, prescribe_zeros
+from oracles import oracle_field
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 BASIC = PerturbCoeffs(n=2, a={(0, 0): F(1), (2, 0): F(1, 4)}, b={(0, 1): F(1, 3)})
@@ -61,6 +65,120 @@ class TestNumericMelnikov:
         h = h_max * (1 - 1e-6)
         value = float(evaluate_normal_form(assemble(fam, co), F(h), precision=20).mid)
         assert abs(numeric_melnikov(fam, co, h) - value) <= 1e-9 * abs(value)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), 1.0, -1.5])
+def test_epsilon_that_is_not_small_rejected(eps):
+    # NaN compares false with every bound, so only a test that fails closed rejects it
+    with pytest.raises(ValueError, match="epsilon must be small"):
+        FlowConfig(epsilon=eps)
+
+
+class TestFieldKernel:
+    """The compiled kernel against the loop `oracle_field` and exact values.
+
+    Both sides are held to a bound fixed from the doubles' unit roundoff u:
+    each monomial of x**i * y**j passes through at most 4n + 4 roundings in
+    Horner's rule and n + T in the loop (T terms), so |error| <= (4n + T + 8)
+    u times the sum of |c|*|x|**i*|y|**j.  Points keep |alpha*x| <= 1/2, so
+    each factor 1 - alpha*x is rounded to within 6u relative and the
+    denominator to (6(m1 + m2) + 4)u.  Results below the normal range may
+    lose to underflow what 2**-1060 covers, after the 1/w <= 2**6 growth.
+    """
+
+    U = 2.0**-53
+    TINY = 2.0**-1060
+    # 3 * 2**-1074 is subnormal, and -10**-400 rounds to -0.0
+    COEFF = st.one_of(
+        st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+        st.sampled_from([F(3, 2**1074), F(-1, 10**400), F(1), F(-1)]),
+    )
+    ALPHA = st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(1, 4), F(3, 7), F(-1, 5)])
+    POINT = st.floats(min_value=-1, max_value=1)
+
+    @staticmethod
+    def exact(grid, x, y):
+        """(value, scale) of sum c*x**i*y**j over the doubles, in Fractions."""
+        x, y = F(x), F(y)
+        value = scale = F(0)
+        for (i, j), c in grid.items():
+            c = F(c)
+            value += c * x**i * y**j
+            scale += abs(c) * abs(x) ** i * abs(y) ** j
+        return value, scale
+
+    def check(self, fam, co, points):
+        pq, integrand = flow._field_kernel(fam, co)
+        oracle = oracle_field(co)
+        terms = flow._field_terms(co)
+        grid_p = {(i, j): a for i, j, a, _ in terms}
+        grid_q = {(i, j): b for i, j, _, b in terms}
+        a1, a2 = float(fam.alpha1), float(fam.alpha2)
+        gamma = (4 * co.n + len(terms) + 8) * self.U
+        for x, y in points:
+            p, q = pq(x, y)
+            po, qo = oracle(x, y)
+            ep, sp = self.exact(grid_p, x, y)
+            eq, sq = self.exact(grid_q, x, y)
+            for got, ref, want, scale in ((p, po, ep, sp), (q, qo, eq, sq)):
+                bound = gamma * scale + self.TINY
+                assert abs(F(got) - want) <= bound, (x, y, got, want)
+                assert abs(F(got) - F(ref)) <= 2 * bound, (x, y, got, ref)
+            w = (1 - F(a1) * F(x)) ** fam.m1 * (1 - F(a2) * F(x)) ** fam.m2
+            want = (F(x) * ep + F(y) * eq) / w
+            scale = (abs(F(x)) * sp + abs(F(y)) * sq) / w
+            bound = (gamma + (6 * (fam.m1 + fam.m2) + 4) * self.U) * scale + self.TINY
+            ref = (x * po + y * qo) / ((1.0 - a1 * x) ** fam.m1 * (1.0 - a2 * x) ** fam.m2)
+            got = integrand(x, y)
+            assert abs(F(got) - want) <= bound, (x, y, got, want)
+            assert abs(F(got) - F(ref)) <= 2 * bound, (x, y, got, ref)
+        # the source is arithmetic on numbers, x and y: nothing else is named
+        tree = ast.parse(flow._kernel_source(terms, a1, fam.m1, a2, fam.m2))
+        assert {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} <= {"x", "y"}
+        assert all(
+            type(n.value) in (float, int) for n in ast.walk(tree) if isinstance(n, ast.Constant)
+        )
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_against_loop_oracle_and_exact_values(self, data):
+        n = data.draw(st.integers(0, 6), label="n")
+        shape = data.draw(st.sampled_from(["grid", "rows in x", "columns in y"]), label="shape")
+        slots = [
+            (i, j)
+            for i in range(n + 1)
+            for j in range(n + 1 - i)
+            if shape == "grid" or (shape == "rows in x" and j == 0) or (shape == "columns in y" and i == 0)
+        ]
+        # sparse or missing entries, in either component
+        a = data.draw(st.dictionaries(st.sampled_from(slots), self.COEFF), label="a")
+        b = data.draw(st.dictionaries(st.sampled_from(slots), self.COEFF), label="b")
+        fam = SystemFamily(
+            data.draw(self.ALPHA), data.draw(self.ALPHA),
+            data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
+        )
+        points = data.draw(st.lists(st.tuples(self.POINT, self.POINT), min_size=1, max_size=4))
+        self.check(fam, PerturbCoeffs(n=n, a=a, b=b), points)
+
+    def test_full_grid_at_the_degree_limit(self):
+        # n = 32 is the spec limit: 561 terms, nested 33 deep in each variable
+        n = 32
+        slots = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+        assert len(slots) == 561
+        co = PerturbCoeffs(
+            n=n,
+            a={(i, j): F((-1) ** (i + j) * (i + 1), 64 * (j + 2)) for i, j in slots},
+            b={(i, j): F(j - i, 97 * (i + 3)) or F(1, 5) for i, j in slots},
+        )
+        points = [(0.0, 0.0), (1.0, -1.0), (-0.75, 0.5), (0.3, 0.9), (-1.0, -1.0)]
+        self.check(SystemFamily(F(1, 2), F(-1, 3), 16, 16), co, points)
+
+    def test_the_memo_keeps_the_last_field_only(self):
+        first = flow._field_kernel(FAM, BASIC)
+        assert flow._field_kernel(FAM, BASIC) is first
+        other = flow._field_kernel(FAM, PerturbCoeffs(n=1, a={(1, 0): F(1)}))
+        assert other is not first
+        assert flow._compiled_kernel.cache_info().currsize == 1
 
 
 class TestSectionReturn:

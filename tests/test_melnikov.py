@@ -680,19 +680,19 @@ class TestQuadratureOracle:
         # count the field evaluations of each call: toward h_max the pole
         # nears the circle, and the ladder has to go well past the floor
         nodes = []
-        field_evaluator = flow._field_evaluator
+        field_kernel = flow._field_kernel
 
-        def counted(coeffs):
-            pq = field_evaluator(coeffs)
+        def counted(family, coeffs):
+            pq, integrand = field_kernel(family, coeffs)
             nodes.append(0)
 
             def evaluate(x, y):
                 nodes[-1] += 1
-                return pq(x, y)
+                return integrand(x, y)
 
-            return evaluate
+            return pq, evaluate
 
-        monkeypatch.setattr(flow, "_field_evaluator", counted)
+        monkeypatch.setattr(flow, "_field_kernel", counted)
         for confluent in (False, True):
             for k in range(3):
                 rng = rng_for(71, k)
