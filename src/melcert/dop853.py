@@ -13,7 +13,6 @@ commands never compile it.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 # First trial step; the controller grows or shrinks it from there.
 FIRST_STEP = 0.25
@@ -157,6 +156,25 @@ _ERROR3 = tuple(b - _THIRD_ORDER.get(j, 0.0) for j, b in enumerate(_WEIGHTS))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
+def _terms(row: tuple) -> tuple:
+    """The nonzero (index, coefficient) pairs of a tableau row."""
+    return tuple((j, c) for j, c in enumerate(row) if c)
+
+
+_STAGE_TERMS = tuple(map(_terms, _STAGES))
+_WEIGHT_TERMS, _ERROR5_TERMS, _ERROR3_TERMS = map(_terms, (_WEIGHTS, _ERROR5, _ERROR3))
+
+
+def _dot(terms: tuple, k: list) -> float:
+    """sum(c * k[j]) over the terms, added left to right in plain float
+    arithmetic (the builtin `sum` of floats is compensated from Python 3.12
+    on, which would make the steps depend on the interpreter)."""
+    acc = 0.0
+    for j, c in terms:
+        acc += c * k[j]
+    return acc
+
+
 def integrate(fun, t: float, t_end: float, atol: float, rtol: float, error: type) -> float:
     """Integrate the scalar y' = fun(t, y) from y(t) = 0 to t_end > t.
 
@@ -175,15 +193,15 @@ def integrate(fun, t: float, t_end: float, atol: float, rtol: float, error: type
         t_new = t_end if last else t + h
         try:
             k = [f]
-            for node, row in zip(_NODES, _STAGES):
-                k.append(fun(t + node * h, y + h * sum(map(mul, row, k))))
-            y_new = y + h * sum(map(mul, _WEIGHTS, k))
+            for node, terms in zip(_NODES, _STAGE_TERMS):
+                k.append(fun(t + node * h, y + h * _dot(terms, k)))
+            y_new = y + h * _dot(_WEIGHT_TERMS, k)
             f_new = fun(t_new, y_new)
         except error as exc:
             stop, estimate = exc, math.inf
         else:
-            err5 = sum(map(mul, _ERROR5, k))
-            err3 = sum(map(mul, _ERROR3, k))
+            err5 = _dot(_ERROR5_TERMS, k)
+            err3 = _dot(_ERROR3_TERMS, k)
             scale = atol + rtol * max(abs(y), abs(y_new))
             if err5 == 0.0:
                 estimate = 0.0

@@ -17,10 +17,16 @@ When alpha1 == alpha2 the two radical parts collapse and the function is
 pr(r) / r**(2*(m1+m2)-1) for a single rational polynomial pr in r.
 
 Assembly is linear in the perturbation coefficients and runs in ints.  Per
-family (its tuple of poles), `_FamilyIntegrals` tabulates the integral of
-each monomial x**i * y**j once, as int numerators over one denominator; an
-assembly sums those with the coefficients over one common denominator and
-builds one `Fraction` per output coefficient.  The integrals of the
+family (its tuple of poles), `_FamilyIntegrals` keeps the partial fractions
+of x**k over the poles' product as rows of int numerators, each row from
+the one before by x/(1-alpha*x)**j = ((1-alpha*x)**-j -
+(1-alpha*x)**-(j-1))/alpha; row 0, the weights of the denominator's
+inverse, is the only Taylor step.  Each pole's radical lifts are int lists
+over one denominator, so the integral of x**k is an int sum of lifts
+weighted by its row.  The integral of each monomial x**i * y**j is
+tabulated once, as int numerators over one denominator; an assembly sums
+those with the coefficients over one common denominator and builds one
+`Fraction` per output coefficient.  The integrals of the
 CACHED_FAMILIES most recently used families stay cached; an older family's
 are dropped whole, so memory stays bounded on any stream of families.
 
@@ -44,7 +50,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .intervals import RatInterval, as_rational, pi_interval, sqrt_bracket
-from .polynomials import Polynomial, _cleared, _prod, _scaled_at, _square, _sum
+from .polynomials import (
+    Polynomial,
+    _cleared,
+    _prod,
+    _scaled_at,
+    _square,
+    _sum,
+    _taylor_shift,
+)
 
 
 # Families whose integrals stay cached; beyond this many the least recently
@@ -324,46 +338,77 @@ def _u_poly(alpha: Fraction) -> Polynomial:
     return Polynomial((1, -(alpha * alpha)))
 
 
-def _pole_weights(k: int, alpha: Fraction, m: int, beta: Fraction, mb: int) -> tuple:
-    """Weights of 1/(1-alpha*x)**j, j = 1..m, in x**k/((1-alpha*x)**m*(1-beta*x)**mb).
+def _pole_weights(alpha: Fraction, m: int, beta: Fraction, mb: int) -> tuple:
+    """Weights of 1/(1-alpha*x)**j, j = 1..m, in 1/((1-alpha*x)**m*(1-beta*x)**mb).
 
-    With t = 1 - alpha*x the function is
-    alpha**(mb-k) * (1-t)**k * (c + d*t)**-mb / t**m, c = alpha - beta,
-    d = beta, so the weight of 1/t**j is the Taylor coefficient of t**(m-j)
-    in the numerator.  mb = 0 is the single-factor case.
+    With t = 1 - alpha*x the function is (alpha/c)**mb * (1 + (d/c)*t)**-mb
+    / t**m, c = alpha - beta, d = beta, so the weight of 1/t**j is the
+    Taylor coefficient of t**(m-j) in the numerator.  mb = 0 is the
+    single-factor case.
     """
     c = alpha - beta
     ratio = -beta / c
-    # (1 + (d/c)*t)**-mb, then times (1-t)**k, both truncated at t**(m-1)
+    # (1 + (d/c)*t)**-mb truncated at t**(m-1)
     inverse = [Fraction(1)]
     for i in range(1, m):
         inverse.append(inverse[-1] * (mb + i - 1) * ratio / i)
-    taylor = [
-        sum((-1) ** l * math.comb(k, l) * inverse[i - l] for l in range(min(i, k) + 1))
-        for i in range(m)
-    ]
-    scale = alpha ** (mb - k) / c**mb
-    return tuple(scale * taylor[m - j] for j in range(1, m + 1))
+    scale = (alpha / c) ** mb
+    return tuple(scale * inverse[m - j] for j in range(1, m + 1))
 
 
-def _expand(k: int, poles: tuple) -> tuple:
-    """Partial fractions of x**k over the product of (1-alpha*x)**m for the
-    one or two (alpha, m) in poles: the weights at each pole, then the
-    coefficients of the polynomial part x**k // denominator."""
+def _first_row(poles: tuple) -> tuple:
+    """Partial fractions of 1 over the product of (1-alpha*x)**m for the one
+    or two (alpha, m) in poles, as int numerators over one positive den:
+    (den, the weights at each pole, the empty polynomial part)."""
     weights = []
-    denominator = Polynomial.one()
     for idx, (alpha, m) in enumerate(poles):
         beta, mb = poles[1 - idx] if len(poles) == 2 else (Fraction(0), 0)
-        weights.append(_pole_weights(k, alpha, m, beta, mb))
-        denominator = denominator * Polynomial((1, -alpha)) ** m
-    return (*weights, (Polynomial.monomial(k) // denominator).coeffs)
+        weights.append(_pole_weights(alpha, m, beta, mb))
+    den = math.lcm(*(c.denominator for w in weights for c in w))
+    return den, [[c.numerator * (den // c.denominator) for c in w] for w in weights], []
 
 
-def _lift(j: int, m: int, alpha: Fraction) -> Polynomial:
-    """U_j(u) * u**(m-j) with u = 1 - alpha**2*h: the loop integral of
-    dt/(1-alpha*x)**j over the common denominator r**(2m-1)."""
-    u = _u_poly(alpha)
-    return _radial_numerator(j).compose(u) * u ** (m - j)
+def _next_row(row: tuple, poles: tuple) -> tuple:
+    """The partial fractions of x**(k+1) from those of x**k.
+
+    x/(1-alpha*x)**j = ((1-alpha*x)**-j - (1-alpha*x)**-(j-1))/alpha, so
+    the weight at power j becomes (w_j - w_(j+1))/alpha, and w_1/alpha
+    leaves each pole for the constant of the polynomial part, which is
+    x times the old one.  The new den is the old one times the lcm of the
+    alphas' numerators, reduced with every numerator by their gcd.
+    """
+    den, weights, quotient = row
+    scale = math.lcm(*(alpha.numerator for alpha, _m in poles))
+    out, constant = [], 0
+    for w, (alpha, _m) in zip(weights, poles):
+        f = alpha.denominator * (scale // alpha.numerator)  # scale/alpha
+        out.append([(a - b) * f for a, b in zip(w, (*w[1:], 0))])
+        constant -= w[0] * f
+    if quotient or constant:
+        quotient = [constant, *(c * scale for c in quotient)]
+    den *= scale
+    g = math.gcd(den, *quotient, *(c for w in out for c in w))
+    return den // g, [[c // g for c in w] for w in out], [c // g for c in quotient]
+
+
+def _lift(m: int, alpha: Fraction) -> tuple:
+    """U_j(u) * u**(m-j), u = 1 - alpha**2*h, for j = 1..m: the loop
+    integrals of dt/(1-alpha*x)**j over the common denominator r**(2m-1),
+    as (den, [int coefficients in h for each j]).
+
+    With g = -alpha**2*h, u = 1 + g: U_j's numerators are Taylor-shifted
+    by 1 and multiplied by the binomial row of (1 + g)**(m-j), then g**i
+    becomes (-p**2)**i * q**(2*(m-1-i)) h**i over q**(2*(m-1)), alpha = p/q,
+    since no lift has degree above m - 1.
+    """
+    den, numerators = _cleared(*(_radial_numerator(j) for j in range(1, m + 1)))
+    p2, q2 = -alpha.numerator**2, alpha.denominator**2
+    scale = [p2**i * q2 ** (m - 1 - i) for i in range(m)]
+    lifts = []
+    for j, v in enumerate(numerators, start=1):
+        in_g = _prod(_taylor_shift(v, 1), [math.comb(m - j, i) for i in range(m - j + 1)])
+        lifts.append([c * f for c, f in zip(in_g, scale)])
+    return den * q2 ** (m - 1), lifts
 
 
 def _add_scaled(total: list, part, f: int, shift: int = 0) -> None:
@@ -375,6 +420,20 @@ def _add_scaled(total: list, part, f: int, shift: int = 0) -> None:
         total[k] += f * c
 
 
+def _least_denominator(parts) -> tuple:
+    """The (den, part) pairs of int lists over one least positive den,
+    as (den, parts), each part a tuple without trailing zeros."""
+    den = math.lcm(*(d for d, _part in parts))
+    lists = [[c * (den // d) for c in part] for d, part in parts]
+    g = math.gcd(den, *(c for part in lists for c in part))
+    out = []
+    for part in lists:
+        while part and not part[-1]:
+            part.pop()
+        out.append(tuple(c // g for c in part))
+    return den // g, tuple(out)
+
+
 def _polynomials(den: int, parts) -> list:
     """The int coefficient lists over den as `Polynomial`s."""
     return [Polynomial([Fraction(c, den) for c in part]) for part in parts]
@@ -383,42 +442,50 @@ def _polynomials(den: int, parts) -> list:
 class _FamilyIntegrals:
     """Loop integrals over one tuple of poles, memoised as they are needed.
 
-    Each pole's lifts are `Polynomial`s; the integral of x**k over the
-    poles' product and the table of monomials x**i * y**j hold their parts
-    (one radical numerator per pole, then the polynomial tail in h) as int
-    coefficient tuples over one positive denominator, `(den, parts)`.
+    The partial fractions of x**k over the poles' product are rows, each
+    from the one before (`_next_row`), so row k costs O(m1 + m2) int
+    operations.  Rows, each pole's lifts, the integral of x**k and the
+    table of monomials x**i * y**j are all int lists over one positive
+    denominator; the last two hold their parts (one radical numerator per
+    pole, then the polynomial tail in h) as tuples, `(den, parts)`.
     """
 
     def __init__(self, poles: tuple):
         self.poles = poles
-        self._lifts, self._pure, self._table = {}, {}, {}
+        self._rows, self._lifts, self._pure, self._table = [_first_row(poles)], {}, {}, {}
 
-    def lift(self, idx: int, j: int) -> Polynomial:
-        """`_lift` of power j at pole idx."""
-        key = (idx, j)
-        if key not in self._lifts:
+    def row(self, k: int) -> tuple:
+        """Partial fractions of x**k as int numerators over one positive
+        den: (den, the weights at each pole, the polynomial part)."""
+        rows = self._rows
+        while len(rows) <= k:
+            rows.append(_next_row(rows[-1], self.poles))
+        return rows[k]
+
+    def lifts(self, idx: int) -> tuple:
+        """`_lift` at pole idx."""
+        if idx not in self._lifts:
             alpha, m = self.poles[idx]
-            self._lifts[key] = _lift(j, m, alpha)
-        return self._lifts[key]
+            self._lifts[idx] = _lift(m, alpha)
+        return self._lifts[idx]
 
     def pure(self, k: int) -> tuple:
         """Loop integral of x**k over the poles' product, dt."""
         if k not in self._pure:
-            *weights, quotient = _expand(k, self.poles)
+            den, weights, quotient = self.row(k)
             parts = []
             for idx, pole_weights in enumerate(weights):
-                rad = Polynomial.zero()
-                for j, c in enumerate(pole_weights, start=1):
+                lift_den, lifts = self.lifts(idx)
+                rad = []
+                for c, lift in zip(pole_weights, lifts):
                     if c:
-                        rad = rad + self.lift(idx, j).scale(c)
-                parts.append(rad)
-            tail = Polynomial.zero()
-            for i, c in enumerate(quotient):
-                if c:
-                    tail = tail + circle_moment(i, 0).scale(c)
-            parts.append(tail)
-            den, ints = _cleared(*parts)
-            self._pure[k] = den, tuple(map(tuple, ints))
+                        _add_scaled(rad, lift, c)
+                parts.append((den * lift_den, rad))
+            # only the even powers of x have a nonzero circle moment
+            tail = [c * circle_moment(2 * l, 0).leading for l, c in enumerate(quotient[::2])]
+            tail_den, (tail,) = _cleared(Polynomial(tail))
+            parts.append((den * tail_den, tail))
+            self._pure[k] = _least_denominator(parts)
         return self._pure[k]
 
     def monomial(self, i: int, j: int) -> tuple:
@@ -469,18 +536,19 @@ def _poles(family: SystemFamily) -> tuple:
 
 
 def pure_power_integral(m: int, alpha) -> SingleFactorIntegral:
-    """Loop integral of dt / (1 - alpha*x)**m, m >= 1, in closed form."""
-    alpha = as_rational(alpha)
+    """Loop integral of dt / (1 - alpha*x)**m, m >= 1, alpha nonzero."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    return SingleFactorIntegral(alpha, m, _lift(m, m, alpha), Polynomial.zero())
+    return monomial_power_integral(0, m, alpha)
 
 
 def monomial_power_integral(k: int, m: int, alpha) -> SingleFactorIntegral:
-    """Loop integral of x**k / (1 - alpha*x)**m dt."""
+    """Loop integral of x**k / (1 - alpha*x)**m dt, alpha nonzero."""
     alpha = as_rational(alpha)
     if k < 0 or m < 1:
         raise ValueError("need k >= 0 and m >= 1")
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
     rad, tail = _polynomials(*_integrals(((alpha, m),)).pure(k))
     return SingleFactorIntegral(alpha, m, rad, tail)
 
@@ -495,7 +563,10 @@ def partial_fractions(k: int, family: SystemFamily) -> PartialFractionRow:
         raise AssemblyError("partial fractions need distinct alphas")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return PartialFractionRow(k, *_expand(k, _poles(family)))
+    den, weights, quotient = _integrals(_poles(family)).row(k)
+    return PartialFractionRow(
+        k, *(tuple(Fraction(c, den) for c in part) for part in (*weights, quotient))
+    )
 
 
 def monomial_integral(i: int, j: int, family: SystemFamily) -> MelnikovNormalForm:

@@ -8,9 +8,9 @@ refines roots by Sturm's theorem, where `melcert.polynomials` uses
 Descartes' rule of signs.  The partial fractions here solve the
 dense linear system for the coefficients, and the single-factor expansion
 substitutes x = (1 - (1-alpha*x))/alpha binomially, where `melcert.melnikov`
-reads Taylor coefficients at each pole in closed form.  The eliminant here
-squares rational polynomials in h, where `melcert.zeros` forms an integer
-norm with the radicands cleared of denominators.  `oracle_integrate` sums
+steps a recurrence in k from the Taylor weights of 1/D at each pole.  The
+eliminant here squares rational polynomials in h, where `melcert.zeros`
+forms an integer norm with the radicands cleared of denominators.  `oracle_integrate` sums
 the first-order integral monomial by monomial in `Fraction` polynomials,
 where `melcert.melnikov` sums int numerators over one denominator; it
 starts from melcert's integrals of x**k, so it checks the accumulation.

@@ -4,10 +4,12 @@ The oracle here is a plain trapezoidal loop integral over the circle
 parametrization, written directly on numpy arrays; it shares no code with
 the exact pipeline it validates.  Smooth periodic integrands make the
 trapezoid rule spectrally accurate, so 2**14 nodes give ~1e-13 relative
-error everywhere these tests evaluate.  The closed-form pole expansion is
-also checked member for member against the linear-system and binomial
-references in `oracles`, and the int-numerator sum of the assembly against
-the `Fraction` polynomial sum of `oracles.oracle_integrate`.
+error everywhere these tests evaluate.  The partial-fraction rows of the
+recurrence in k are also checked member for member against the
+linear-system and binomial references in `oracles` (up to the spec limits
+m = 16, k = 2n + 2 at n = 32), their int lifts against `Fraction` lifts,
+and the int-numerator sum of the assembly against the `Fraction`
+polynomial sum of `oracles.oracle_integrate`.
 """
 
 import math
@@ -55,6 +57,10 @@ from oracles import (
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 FAM_12 = SystemFamily(F(1, 2), F(-1, 3), 1, 2)
+
+
+def _is_power_of_two(q: int) -> bool:
+    return q & (q - 1) == 0
 
 
 def loop_integral(f, nodes=1 << 14):
@@ -180,6 +186,13 @@ class TestMonomialPowerIntegral:
         )
         assert abs(oracle - exact) <= 1e-10 * max(abs(oracle), 1e-6)
 
+    def test_zero_alpha_rejected(self):
+        # the rows divide by alpha; SystemFamily rejects alpha = 0 too
+        with pytest.raises(ValueError, match="nonzero"):
+            monomial_power_integral(2, 3, 0)
+        with pytest.raises(ValueError, match="nonzero"):
+            pure_power_integral(3, F(0))
+
     def test_power_moment_small_cases(self):
         alpha = F(1, 2)
         assert oracle_power_moment(0, alpha) == Polynomial.constant(2)
@@ -188,19 +201,32 @@ class TestMonomialPowerIntegral:
         assert oracle_power_moment(2, alpha) == Polynomial((2, F(1, 4)))
 
 
-def _lifted(weights, m, alpha):
-    """sum_j weights[j-1] * U_j(u) * u**(m-j), u = 1 - alpha**2 h, built
-    here from the radial numerators alone."""
+def _lift_basis(m, alpha):
+    """U_j(u) * u**(m-j), j = 1..m, u = 1 - alpha**2 h, built here from the
+    radial numerators alone in `Fraction` polynomials."""
     u = Polynomial((1, -alpha * alpha))
+    return [_radial_numerator(j).compose(u) * u ** (m - j) for j in range(1, m + 1)]
+
+
+def _lifted(weights, basis):
+    """sum_j weights[j-1] * basis[j-1]."""
     rad = Polynomial.zero()
-    for j, c in enumerate(weights, start=1):
-        rad = rad + (_radial_numerator(j).compose(u) * u ** (m - j)).scale(c)
+    for c, lift in zip(weights, basis):
+        rad = rad + lift.scale(c)
     return rad
 
 
+def _moments(quotient):
+    """The loop integral of the polynomial part sum_i quotient[i] * x**i."""
+    tail = Polynomial.zero()
+    for i, c in enumerate(quotient):
+        tail = tail + circle_moment(i, 0).scale(c)
+    return tail
+
+
 class TestPoleKernelAgainstOracles:
-    """The closed-form pole weights against the dense linear system and the
-    binomial substitution, over seeded families with k <= 20 and m <= 5."""
+    """The pole weights against the dense linear system and the binomial
+    substitution, over seeded families with k <= 20 and m <= 5."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_two_radical_rows_equal_linear_system(self, seed):
@@ -218,11 +244,70 @@ class TestPoleKernelAgainstOracles:
     def test_single_factor_equals_binomial_expansion(self, m):
         rng = rng_for(2025, m)
         for alpha in (draw_alpha(rng), draw_alpha(rng), F(-3, 7)):
+            basis = _lift_basis(m, alpha)
             for k in range(21):
                 weights, tail = oracle_single_factor(k, m, alpha)
                 sf = monomial_power_integral(k, m, alpha)
                 assert sf.tail == tail, f"k={k}"
-                assert sf.rad == _lifted(weights, m, alpha), f"k={k}"
+                assert sf.rad == _lifted(weights, basis), f"k={k}"
+
+
+# cli.parse_spec caps n <= 32 and m1, m2 <= 16; the rows run to 2n + 2 here
+LIMIT_M, LIMIT_K = 16, 2 * 32 + 2
+dyadic_alphas = st.integers(-32, 32).filter(bool).map(lambda v: F(v, 16))
+non_dyadic_alphas = st.fractions(min_value=-2, max_value=2, max_denominator=99).filter(
+    lambda a: a and not _is_power_of_two(a.denominator)
+)
+
+
+def _check_rows_to_the_limit(fam, compared):
+    """Every row k <= LIMIT_K satisfies q*D + sum w_ij * D/(1-alpha_i x)**j
+    = x**k, and its integral is the `Fraction` lift of its weights; the rows
+    at k in compared equal the dense linear system."""
+    f1, f2 = Polynomial((1, -fam.alpha1)), Polynomial((1, -fam.alpha2))
+    full = f1**fam.m1 * f2**fam.m2
+    basis_a = [f1 ** (fam.m1 - j) * f2**fam.m2 for j in range(1, fam.m1 + 1)]
+    basis_b = [f1**fam.m1 * f2 ** (fam.m2 - j) for j in range(1, fam.m2 + 1)]
+    lifts = _lift_basis(fam.m1, fam.alpha1), _lift_basis(fam.m2, fam.alpha2)
+    for k in range(LIMIT_K + 1):
+        row = partial_fractions(k, fam)
+        rebuilt = _lifted(row.tilde_a, basis_a) + _lifted(row.tilde_b, basis_b)
+        assert rebuilt + Polynomial(row.tail) * full == Polynomial.monomial(k), f"k={k}"
+        nf = monomial_integral(k, 0, fam)
+        assert nf.rad1 == _lifted(row.tilde_a, lifts[0]), f"k={k}"
+        assert nf.rad2 == _lifted(row.tilde_b, lifts[1]), f"k={k}"
+        assert nf.tail == _moments(row.tail), f"k={k}"
+        if k in compared:
+            ref = oracle_partial_fractions(k, fam.alpha1, fam.m1, fam.alpha2, fam.m2)
+            assert (row.tilde_a, row.tilde_b, row.tail) == ref, f"k={k}"
+
+
+class TestRowsAtTheSpecLimits:
+    """The recurrence in k against the reconstruction identity on every row
+    up to k = 2n + 2 at n = 32, and against the dense linear system on the
+    first row with a polynomial part and on the last one."""
+
+    @settings(max_examples=2, derandomize=True, deadline=None)
+    @given(dyadic_alphas, non_dyadic_alphas)
+    def test_two_poles_at_m_16(self, alpha1, alpha2):
+        fam = SystemFamily(alpha1, alpha2, LIMIT_M, LIMIT_M)
+        _check_rows_to_the_limit(fam, (2 * LIMIT_M, LIMIT_K))
+
+    @settings(max_examples=2, derandomize=True, deadline=None)
+    @given(st.one_of(dyadic_alphas, non_dyadic_alphas), st.integers(1, LIMIT_M))
+    def test_mirror_pair(self, alpha, m2):
+        fam = SystemFamily(alpha, -alpha, LIMIT_M, m2)
+        _check_rows_to_the_limit(fam, (LIMIT_M + m2, LIMIT_K))
+
+    @settings(max_examples=3, derandomize=True, deadline=None)
+    @given(st.one_of(dyadic_alphas, non_dyadic_alphas))
+    def test_single_pole_at_m_16(self, alpha):
+        basis = _lift_basis(LIMIT_M, alpha)
+        for k in range(LIMIT_K + 1):
+            weights, tail = oracle_single_factor(k, LIMIT_M, alpha)
+            sf = monomial_power_integral(k, LIMIT_M, alpha)
+            assert sf.tail == tail, f"k={k}"
+            assert sf.rad == _lifted(weights, basis), f"k={k}"
 
 
 class TestPartialFractions:
@@ -369,10 +454,6 @@ class TestAssembly:
 
 
 # ------------------------------------------- int sum vs Fraction oracle
-
-
-def _is_power_of_two(q: int) -> bool:
-    return q & (q - 1) == 0
 
 
 @st.composite
