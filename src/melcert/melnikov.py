@@ -22,13 +22,14 @@ of x**k over the poles' product as rows of int numerators, each row from
 the one before by x/(1-alpha*x)**j = ((1-alpha*x)**-j -
 (1-alpha*x)**-(j-1))/alpha; row 0, the weights of the denominator's
 inverse, is the only Taylor step.  Each pole's radical lifts are int lists
-over one denominator, so the integral of x**k is an int sum of lifts
-weighted by its row.  The integral of each monomial x**i * y**j is
-tabulated once, as int numerators over one denominator; an assembly sums
-those with the coefficients over one common denominator and builds one
-`Fraction` per output coefficient.  The integrals of the
-CACHED_FAMILIES most recently used families stay cached; an older family's
-are dropped whole, so memory stays bounded on any stream of families.
+over one denominator.  One pass, `_integrate`, serves every assembly: it
+rewrites the integrand, through y**2 = h - x**2, as a sum of x**k times a
+polynomial X_k(h), combines the X_k by the rows' weights into one
+polynomial per pole and power, multiplies each by its lift once, and takes
+the tail from the rows' polynomial parts; it builds one `Fraction` per
+output coefficient.  The rows and lifts of the CACHED_FAMILIES most
+recently used families stay cached; an older family's are dropped whole,
+so memory stays bounded on any stream of families.
 
 Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
 for every exact reader here and in `zeros`; a two-radical form also keeps
@@ -420,39 +421,19 @@ def _add_scaled(total: list, part, f: int, shift: int = 0) -> None:
         total[k] += f * c
 
 
-def _least_denominator(parts) -> tuple:
-    """The (den, part) pairs of int lists over one least positive den,
-    as (den, parts), each part a tuple without trailing zeros."""
-    den = math.lcm(*(d for d, _part in parts))
-    lists = [[c * (den // d) for c in part] for d, part in parts]
-    g = math.gcd(den, *(c for part in lists for c in part))
-    out = []
-    for part in lists:
-        while part and not part[-1]:
-            part.pop()
-        out.append(tuple(c // g for c in part))
-    return den // g, tuple(out)
-
-
-def _polynomials(den: int, parts) -> list:
-    """The int coefficient lists over den as `Polynomial`s."""
-    return [Polynomial([Fraction(c, den) for c in part]) for part in parts]
-
-
 class _FamilyIntegrals:
-    """Loop integrals over one tuple of poles, memoised as they are needed.
+    """The int building blocks of the loop integrals over one tuple of
+    poles, memoised as they are needed.
 
     The partial fractions of x**k over the poles' product are rows, each
     from the one before (`_next_row`), so row k costs O(m1 + m2) int
-    operations.  Rows, each pole's lifts, the integral of x**k and the
-    table of monomials x**i * y**j are all int lists over one positive
-    denominator; the last two hold their parts (one radical numerator per
-    pole, then the polynomial tail in h) as tuples, `(den, parts)`.
+    operations; each pole's lifts come from `_lift`.  Both are int lists
+    over one positive denominator.
     """
 
     def __init__(self, poles: tuple):
         self.poles = poles
-        self._rows, self._lifts, self._pure, self._table = [_first_row(poles)], {}, {}, {}
+        self._rows, self._lifts = [_first_row(poles)], {}
 
     def row(self, k: int) -> tuple:
         """Partial fractions of x**k as int numerators over one positive
@@ -469,66 +450,64 @@ class _FamilyIntegrals:
             self._lifts[idx] = _lift(m, alpha)
         return self._lifts[idx]
 
-    def pure(self, k: int) -> tuple:
-        """Loop integral of x**k over the poles' product, dt."""
-        if k not in self._pure:
-            den, weights, quotient = self.row(k)
-            parts = []
-            for idx, pole_weights in enumerate(weights):
-                lift_den, lifts = self.lifts(idx)
-                rad = []
-                for c, lift in zip(pole_weights, lifts):
-                    if c:
-                        _add_scaled(rad, lift, c)
-                parts.append((den * lift_den, rad))
-            # only the even powers of x have a nonzero circle moment
-            tail = [c * circle_moment(2 * l, 0).leading for l, c in enumerate(quotient[::2])]
-            tail_den, (tail,) = _cleared(Polynomial(tail))
-            parts.append((den * tail_den, tail))
-            self._pure[k] = _least_denominator(parts)
-        return self._pure[k]
-
-    def monomial(self, i: int, j: int) -> tuple:
-        """Loop integral of x**i * y**j over the poles' product, dt.
-
-        Odd powers of y integrate to zero by the t -> pi - t symmetry; even
-        powers expand binomially through y**2 = h - x**2.
-        """
-        if j % 2 == 1:
-            return 1, ((),) * (len(self.poles) + 1)
-        key = (i, j)
-        if key not in self._table:
-            kk = j // 2
-            terms = [self.pure(i + 2 * l) for l in range(kk + 1)]
-            den = math.lcm(*(d for d, _parts in terms))
-            sums = [[] for _ in range(len(self.poles) + 1)]
-            for l, (d, parts) in enumerate(terms):
-                f = (-1) ** l * math.comb(kk, l) * (den // d)
-                for total, part in zip(sums, parts):
-                    _add_scaled(total, part, f, kk - l)
-            self._table[key] = den, tuple(map(tuple, sums))
-        return self._table[key]
-
 
 @lru_cache(maxsize=CACHED_FAMILIES)
 def _integrals(poles: tuple) -> _FamilyIntegrals:
     return _FamilyIntegrals(poles)
 
 
-def _integrate(coeffs: PerturbCoeffs, poles: tuple) -> list:
-    """The parts of the first-order integral, linear in the coefficients:
-    a[i,j] weights the x**(i+1)*y**j integrand monomial and b[i,j] the
-    x**i*y**(j+1) one.  The sum runs in ints over one common denominator."""
+def _integrate(terms, poles: tuple) -> list:
+    """Loop integral of the sum of v * x**i * y**j over the poles' product,
+    dt, for the terms (i, j, v) with v rational: one radical numerator per
+    pole, then the polynomial tail in h, as `Polynomial`s.
+
+    Odd powers of y integrate to zero by the t -> pi - t symmetry; with
+    y**2 = h - x**2 the rest is the sum of x**k * X_k(h).  At each pole,
+    Y_j is the sum of X_k weighted by the rows' weights at power j, and the
+    radical part is the sum of Y_j * lift_j, one product per lift.  The
+    tail is the sum of X_k times the circle moments of row k's polynomial
+    part.  Each part is an int list over one denominator until the end.
+    """
+    terms = [(i, j, v) for i, j, v in terms if j % 2 == 0]
+    den = math.lcm(*(v.denominator for _i, _j, v in terms))
+    xs = {}  # k -> the int coefficients in h of X_k, over den
+    for i, j, v in terms:
+        kk, f = j // 2, v.numerator * (den // v.denominator)
+        for l in range(kk + 1):
+            _add_scaled(xs.setdefault(i + 2 * l, []), ((-1) ** l * math.comb(kk, l),), f, kk - l)
     integrals = _integrals(poles)
-    terms = [(integrals.monomial(i + 1, j), v) for (i, j), v in coeffs.a.items()]
-    terms += [(integrals.monomial(i, j + 1), v) for (i, j), v in coeffs.b.items()]
-    den = math.lcm(*(d * v.denominator for (d, _parts), v in terms))
-    sums = [[] for _ in range(len(poles) + 1)]
-    for (d, parts), v in terms:
-        f = v.numerator * (den // (d * v.denominator))
-        for total, part in zip(sums, parts):
-            _add_scaled(total, part, f)
-    return _polynomials(den, sums)
+    rows = {k: integrals.row(k) for k in xs}
+    row_den = math.lcm(*(d for d, _w, _q in rows.values()))
+    # X_k scaled to the rows' common denominator, with row k's parts
+    scaled = [([c * (row_den // d) for c in xs[k]], w, q) for k, (d, w, q) in rows.items()]
+    den *= row_den
+    parts = []
+    for idx in range(len(poles)):
+        lift_den, lifts = integrals.lifts(idx)
+        ys = [[] for _ in lifts]
+        for x, weights, _q in scaled:
+            for y, w in zip(ys, weights[idx]):
+                if w:
+                    _add_scaled(y, x, w)
+        parts.append((den * lift_den, _sum(*(_prod(y, lift) for y, lift in zip(ys, lifts) if y))))
+    # only the even powers of x have a nonzero circle moment
+    half = max(((len(q) + 1) // 2 for _x, _w, q in scaled), default=0)
+    moments = [circle_moment(2 * l, 0).leading for l in range(half)]
+    tail_den = math.lcm(*(w.denominator for w in moments))
+    tail = []
+    for x, _w, quotient in scaled:
+        for l, (c, w) in enumerate(zip(quotient[::2], moments)):
+            if c:
+                _add_scaled(tail, x, c * w.numerator * (tail_den // w.denominator), l)
+    parts.append((den * tail_den, tail))
+    return [Polynomial([Fraction(c, d) for c in part]) for d, part in parts]
+
+
+def _terms(coeffs: PerturbCoeffs) -> list:
+    """The integrand monomials (i, j, v) of the first-order integral:
+    a[i,j] weights x**(i+1)*y**j and b[i,j] weights x**i*y**(j+1)."""
+    terms = [(i + 1, j, v) for (i, j), v in coeffs.a.items()]
+    return terms + [(i, j + 1, v) for (i, j), v in coeffs.b.items()]
 
 
 def _poles(family: SystemFamily) -> tuple:
@@ -549,7 +528,7 @@ def monomial_power_integral(k: int, m: int, alpha) -> SingleFactorIntegral:
         raise ValueError("need k >= 0 and m >= 1")
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    rad, tail = _polynomials(*_integrals(((alpha, m),)).pure(k))
+    rad, tail = _integrate([(k, 0, 1)], ((alpha, m),))
     return SingleFactorIntegral(alpha, m, rad, tail)
 
 
@@ -575,7 +554,7 @@ def monomial_integral(i: int, j: int, family: SystemFamily) -> MelnikovNormalFor
         raise AssemblyError("confluent family: use the single-radical path")
     if i < 0 or j < 0:
         raise ValueError("exponents must be >= 0")
-    rad1, rad2, tail = _polynomials(*_integrals(_poles(family)).monomial(i, j))
+    rad1, rad2, tail = _integrate([(i, j, 1)], _poles(family))
     return MelnikovNormalForm(family, rad1, rad2, tail, family.is_mirror)
 
 
@@ -583,7 +562,7 @@ def assemble_melnikov(family: SystemFamily, coeffs: PerturbCoeffs) -> MelnikovNo
     """Exact normal form of the first-order integral, alpha1 != alpha2."""
     if family.is_confluent:
         raise AssemblyError("confluent family passed to the two-radical assembly")
-    rad1, rad2, tail = _integrate(coeffs, _poles(family))
+    rad1, rad2, tail = _integrate(_terms(coeffs), _poles(family))
     return MelnikovNormalForm(family, rad1, rad2, tail, family.is_mirror)
 
 
@@ -598,7 +577,7 @@ def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> Confluent
         raise AssemblyError("two distinct alphas passed to the confluent assembly")
     alpha = family.alpha1
     m = family.m1 + family.m2
-    rad, tail = _integrate(coeffs, ((alpha, m),))
+    rad, tail = _integrate(_terms(coeffs), ((alpha, m),))
     # substitute h = (1 - r**2)/alpha**2 and clear to a single polynomial in r
     subst = Polynomial((1 / alpha**2, 0, -1 / alpha**2))
     pr = rad.compose(subst) + tail.compose(subst).shift_up(2 * m - 1)

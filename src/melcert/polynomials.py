@@ -12,10 +12,13 @@ it counts roots on half-open windows, isolates them by
 Vincent-Collins-Akritas bisection with exact rational endpoints and
 refines them by bisection on int numerators over a doubling common
 denominator, with exact integer signs.  Every interval here is an
-`intervals.RatInterval`.  `count_real_roots`, `isolate_roots` and
-`refine_root` are entry points that build one isolator for an arbitrary
-polynomial through `squarefree_factors`.  `_cleared` is the one place
-where `Fraction` coefficients become ints for the int-list helpers.
+`intervals.RatInterval`.  `squarefree_part`, `count_real_roots`,
+`isolate_roots` and `refine_root` are the one wrapper set for an arbitrary
+polynomial: the last three build one isolator through
+`squarefree_factors`.  No Yun decomposition and no count with
+multiplicity lives here; the tests keep those as references.  `_cleared`
+is the one place where `Fraction` coefficients become ints for the
+int-list helpers.
 """
 
 from __future__ import annotations
@@ -330,33 +333,6 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return p.exact_div(poly_gcd(p, p.derivative()))
 
 
-def squarefree_decomposition(p: Polynomial) -> list:
-    """Yun decomposition: [(f1, 1), (f2, 2), ...] with p ~ prod fi**i.
-
-    Factors are monic and pairwise coprime; multiplicity-0 entries are
-    omitted.  Constant p yields an empty list.
-    """
-    if p.is_zero:
-        raise ValueError("decomposition of the zero polynomial")
-    if p.degree == 0:
-        return []
-    out = []
-    g = poly_gcd(p, p.derivative())
-    b = p.exact_div(g)
-    c = p.derivative().exact_div(g)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        fi = poly_gcd(b, d)
-        if fi.degree > 0:
-            out.append((fi, i))
-        b = b.exact_div(fi)
-        c = d.exact_div(fi)
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
 def _sign_changes(values: Sequence[int]) -> int:
     changes = 0
     prev = 0
@@ -635,14 +611,6 @@ def count_real_roots(p: Polynomial, iv: RatInterval) -> int:
     return squarefree_factors(p)[0].count(iv.lo, iv.hi)
 
 
-def count_real_roots_with_multiplicity(p: Polynomial, iv: RatInterval) -> int:
-    """Roots in (iv.lo, iv.hi] counted with their multiplicities."""
-    if p.is_zero:
-        raise ValueError("root count of the zero polynomial")
-    factors = squarefree_decomposition(p)
-    return sum(mult * DescartesIsolator(f).count(iv.lo, iv.hi) for f, mult in factors)
-
-
 def isolate_roots(p: Polynomial, iv: RatInterval) -> list:
     """Isolating intervals, one per distinct root of p in (lo, hi], sorted.
 
@@ -676,31 +644,6 @@ def refine_root(p: Polynomial, iv: RatInterval, width) -> RatInterval:
     if core.sign_at(iv.hi) == 0:
         return RatInterval(iv.hi, iv.hi)
     return core.refine(iv, width)
-
-
-def descartes_bound(p: Polynomial) -> int:
-    """Sign changes of the coefficient sequence: an upper bound, of the same
-    parity, for the number of positive roots counted with multiplicity."""
-    if p.is_zero:
-        raise ValueError("Descartes bound of the zero polynomial")
-    return _sign_changes([(c > 0) - (c < 0) for c in p.coeffs])
-
-
-def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """1 + max |c_k| / |lead|: every real root lies in [-bound, bound]."""
-    if p.is_zero:
-        raise ValueError("root bound of the zero polynomial")
-    if p.degree == 0:
-        return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
-
-
-def count_positive_roots_with_multiplicity(p: Polynomial) -> int:
-    """Positive real roots with multiplicity, over (0, cauchy bound]."""
-    return count_real_roots_with_multiplicity(
-        p, RatInterval(Fraction(0), cauchy_root_bound(p))
-    )
 
 
 def format_poly(p: Polynomial, var: str = "h") -> str:

@@ -5,15 +5,18 @@ arithmetic (`Fraction` Euclid and `Fraction` remainders), not the integer
 pseudo-remainder sequence of `melcert.polynomials`, so they share no
 algorithm with the code under test.  `OracleSturm` counts, isolates and
 refines roots by Sturm's theorem, where `melcert.polynomials` uses
-Descartes' rule of signs.  The partial fractions here solve the
+Descartes' rule of signs; `descartes_bound` and `cauchy_root_bound` are
+the classical bounds the tests check counts against.  The partial fractions here solve the
 dense linear system for the coefficients, and the single-factor expansion
 substitutes x = (1 - (1-alpha*x))/alpha binomially, where `melcert.melnikov`
 steps a recurrence in k from the Taylor weights of 1/D at each pole.  The
 eliminant here squares rational polynomials in h, where `melcert.zeros`
 forms an integer norm with the radicands cleared of denominators.  `oracle_integrate` sums
 the first-order integral monomial by monomial in `Fraction` polynomials,
-where `melcert.melnikov` sums int numerators over one denominator; it
-starts from melcert's integrals of x**k, so it checks the accumulation.
+each monomial from the integrals of x**k that these partial fractions,
+radial numerators and Wallis moments give, where `melcert.melnikov`
+collapses the integrand to one polynomial in h per power of x and per pole
+before it multiplies by the int lifts.
 The radial numerators here follow the integration-by-parts recurrence in
 `Fraction` polynomials, where `melcert.melnikov` sums their closed form.
 `oracle_point_enclosure` encloses the normal form at a point in
@@ -33,9 +36,10 @@ of powers of x and y, where `melcert.flow` compiles Horner source for it.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from melcert.intervals import RatInterval, pi_interval, sqrt_rational
-from melcert.melnikov import ConfluentNormalForm, _integrals, _polynomials, _u_poly
+from melcert.melnikov import ConfluentNormalForm, _u_poly
 from melcert.polynomials import Polynomial, _scaled_at
 
 
@@ -100,6 +104,23 @@ def _sign_at(ic, q):
 def _sign_changes(signs):
     nonzero = [s for s in signs if s]
     return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+
+
+def descartes_bound(p):
+    """Sign changes of the coefficient sequence: an upper bound, of the same
+    parity, for the number of positive roots counted with multiplicity."""
+    if p.is_zero:
+        raise ValueError("Descartes bound of the zero polynomial")
+    return _sign_changes([(c > 0) - (c < 0) for c in p.coeffs])
+
+
+def cauchy_root_bound(p):
+    """1 + max |c_k| / |lead|: every real root lies in [-bound, bound]."""
+    if p.is_zero:
+        raise ValueError("root bound of the zero polynomial")
+    if p.degree == 0:
+        return Fraction(1)
+    return 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading)
 
 
 class OracleSturm:
@@ -226,10 +247,11 @@ def grid_scan_count(p, lo, hi, steps):
     return total
 
 
-def _solve_linear(matrix, rhs):
-    """Exact Gauss-Jordan elimination on a square system of rows."""
+def _inverse(matrix):
+    """Exact Gauss-Jordan elimination of a square matrix against the
+    identity: the rows of its inverse."""
     n = len(matrix)
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    aug = [list(row) + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(matrix)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[pivot] = aug[pivot], aug[col]
@@ -239,24 +261,36 @@ def _solve_linear(matrix, rhs):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][-1] for r in range(n)]
+    return [row[n:] for row in aug]
 
 
-def oracle_partial_fractions(k, alpha1, m1, alpha2, m2):
-    """(tilde_a, tilde_b, tail) for x**k / ((1-alpha1*x)**m1 (1-alpha2*x)**m2)
-    from the linear system that equates coefficients after clearing the
-    denominator; alpha1 != alpha2."""
+@lru_cache(maxsize=None)
+def _partial_fraction_inverse(alpha1, m1, alpha2, m2, size):
+    """Inverse of the matrix whose columns are the coefficients, rows 0 to
+    size - 1, of D/(1-alpha1*x)**j, D/(1-alpha2*x)**j and x**i * D, with D
+    = (1-alpha1*x)**m1 * (1-alpha2*x)**m2 and i < size - m1 - m2."""
     f1 = Polynomial((1, -alpha1))
     f2 = Polynomial((1, -alpha2))
     basis = [f1 ** (m1 - j) * f2**m2 for j in range(1, m1 + 1)]
     basis += [f1**m1 * f2 ** (m2 - j) for j in range(1, m2 + 1)]
     full = f1**m1 * f2**m2
-    basis += [full.shift_up(j) for j in range(max(0, k - m1 - m2 + 1))]
-    size = len(basis)
-    matrix = [[p.coeff(row) for p in basis] for row in range(size)]
-    rhs = [Fraction(int(row == k)) for row in range(size)]
-    sol = _solve_linear(matrix, rhs)
+    basis += [full.shift_up(j) for j in range(size - m1 - m2)]
+    return _inverse([[p.coeff(row) for p in basis] for row in range(size)])
+
+
+def oracle_partial_fractions(k, alpha1, m1, alpha2, m2):
+    """(tilde_a, tilde_b, tail) for x**k / ((1-alpha1*x)**m1 (1-alpha2*x)**m2)
+    from the linear system that equates coefficients after clearing the
+    denominator, whose solution for x**k is column k of the inverse;
+    alpha1 != alpha2."""
+    inverse = _partial_fraction_inverse(alpha1, m1, alpha2, m2, max(m1 + m2, k + 1))
+    sol = [row[k] for row in inverse]
     return tuple(sol[:m1]), tuple(sol[m1 : m1 + m2]), tuple(sol[m1 + m2 :])
+
+
+def _wallis(q):
+    """Loop integral of sin(t)**q dt over pi, q even."""
+    return Fraction(2 * math.prod(range(q - 1, 0, -2)), math.prod(range(q, 0, -2)))
 
 
 def oracle_power_moment(p, alpha):
@@ -264,10 +298,7 @@ def oracle_power_moment(p, alpha):
     h, by the binomial expansion and the Wallis moments of sin**q."""
     out = Polynomial.zero()
     for q in range(0, p + 1, 2):
-        wallis = Fraction(
-            2 * math.comb(p, q) * math.prod(range(q - 1, 0, -2)), math.prod(range(q, 0, -2))
-        )
-        out = out + Polynomial.monomial(q // 2, wallis * alpha**q)
+        out = out + Polynomial.monomial(q // 2, math.comb(p, q) * _wallis(q) * alpha**q)
     return out
 
 
@@ -299,17 +330,57 @@ def oracle_single_factor(k, m, alpha):
     return tuple(weights), tail
 
 
+def oracle_circle_moments(quotient):
+    """Loop integral of sum_i quotient[i] * x**i dt over pi, in h: the
+    Wallis moments of the even powers of x = sqrt(h)*sin(t)."""
+    out = Polynomial.zero()
+    for i, c in enumerate(quotient[::2]):
+        out = out + Polynomial.monomial(i, c * _wallis(2 * i))
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle_lift(j, m, alpha):
+    """U_j(u) * u**(m-j), u = 1 - alpha**2 h: the loop integral of
+    dt/(1-alpha*x)**j over pi, times r**(2m-1)."""
+    u = Polynomial((1, -alpha * alpha))
+    return oracle_radial_numerator(j).compose(u) * u ** (m - j)
+
+
+@lru_cache(maxsize=None)
+def oracle_power_parts(k, poles):
+    """The parts of the loop integral of x**k over the poles' product, dt
+    over pi, as `Fraction` polynomials: each pole's weights (the dense
+    linear system for two poles, the binomial substitution for one) times
+    `oracle_lift`, then the tail in h."""
+    if len(poles) == 1:
+        ((alpha, m),) = poles
+        weights, tail = oracle_single_factor(k, m, alpha)
+        pole_weights = [weights]
+    else:
+        (alpha1, m1), (alpha2, m2) = poles
+        *pole_weights, quotient = oracle_partial_fractions(k, alpha1, m1, alpha2, m2)
+        tail = oracle_circle_moments(quotient)
+    parts = []
+    for weights, (alpha, m) in zip(pole_weights, poles):
+        rad = Polynomial.zero()
+        for j, c in enumerate(weights, start=1):
+            rad = rad + oracle_lift(j, m, alpha).scale(c)
+        parts.append(rad)
+    return (*parts, tail)
+
+
 def oracle_monomial_parts(i, j, poles):
     """The parts of the loop integral of x**i * y**j over the poles' product
     as `Fraction` polynomials: zero for odd j, else the binomial expansion
-    of y**2 = h - x**2 over melcert's integrals of x**k."""
+    of y**2 = h - x**2 over `oracle_power_parts`."""
     sums = [Polynomial.zero()] * (len(poles) + 1)
     if j % 2 == 1:
         return sums
     kk = j // 2
     for l in range(kk + 1):
         hpow = Polynomial.monomial(kk - l, Fraction((-1) ** l * math.comb(kk, l)))
-        parts = _polynomials(*_integrals(poles).pure(i + 2 * l))
+        parts = oracle_power_parts(i + 2 * l, tuple(poles))
         sums = [total + part * hpow for total, part in zip(sums, parts)]
     return sums
 

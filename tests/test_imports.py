@@ -6,6 +6,7 @@ Each test runs a fresh interpreter, because the pytest process itself has
 long since imported the numeric stack.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -14,6 +15,15 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SPEC = "instances/n2_basic.spec"
+ASSEMBLY_INTERNALS = {
+    "_integrals",
+    "_integrate",
+    "_FamilyIntegrals",
+    "_first_row",
+    "_next_row",
+    "_lift",
+    "_polynomials",
+}
 
 PRELUDE = """
 import contextlib, io, json, sys
@@ -146,3 +156,18 @@ def test_public_api_resolves():
     for name in melcert.__all__:
         assert getattr(melcert, name) is not None, name
     assert "Interval" not in melcert.__all__ and not hasattr(melcert, "Interval")
+
+
+def test_oracles_share_no_assembly_internals():
+    # a reference built on the assembly's own rows, lifts or sums would
+    # agree with it by construction: tests/oracles.py neither imports
+    # such a name nor reaches one as a module attribute
+    tree = ast.parse((REPO / "tests" / "oracles.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "_u_poly" in names  # the walk sees the melnikov import
+    assert not names & ASSEMBLY_INTERNALS, sorted(names & ASSEMBLY_INTERNALS)

