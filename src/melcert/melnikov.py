@@ -146,13 +146,26 @@ IntView = namedtuple("IntView", "den rad1 rad2 tail d u1 u2 a b c")
 
 @dataclass(frozen=True)
 class MelnikovNormalForm:
-    """rad1/r1**(2*m1-1) + rad2/r2**(2*m2-1) + tail, in units of pi."""
+    """rad1/r1**(2*m1-1) + rad2/r2**(2*m2-1) + tail, in units of pi, on a
+    family with alpha1 != alpha2.
+
+    The form is its family and its three polynomials; whether the two
+    radicals coincide (`merged`, alpha2 == -alpha1) is read from the family.
+    """
 
     family: SystemFamily
     rad1: Polynomial
     rad2: Polynomial
     tail: Polynomial
-    merged: bool = False
+
+    def __post_init__(self):
+        if self.family.is_confluent:
+            raise AssemblyError("confluent family: its form is a ConfluentNormalForm")
+
+    @property
+    def merged(self) -> bool:
+        """The family is a mirror pair: r1 == r2, one radical."""
+        return self.family.is_mirror
 
     @cached_property
     def ints(self) -> IntView:
@@ -215,30 +228,24 @@ class MelnikovNormalForm:
         """Exact value at h = 0, where both radicals equal 1."""
         return self.rad1.eval(0) + self.rad2.eval(0) + self.tail.eval(0)
 
-    def __add__(self, other: "MelnikovNormalForm") -> "MelnikovNormalForm":
-        if other.family != self.family:
-            raise AssemblyError("cannot add normal forms of different families")
-        return MelnikovNormalForm(
-            self.family,
-            self.rad1 + other.rad1,
-            self.rad2 + other.rad2,
-            self.tail + other.tail,
-            self.merged,
-        )
-
-    def scale(self, c) -> "MelnikovNormalForm":
-        return MelnikovNormalForm(
-            self.family, self.rad1.scale(c), self.rad2.scale(c), self.tail.scale(c), self.merged
-        )
-
 
 @dataclass(frozen=True)
 class ConfluentNormalForm:
-    """pr(r) / r**(2*m-1) with r = sqrt(1 - alpha**2 * h), in units of pi."""
+    """pr(r) / r**(2*m-1) with r = sqrt(1 - alpha**2 * h), in units of pi,
+    on a family with alpha1 == alpha2; the power m = m1 + m2 is read from
+    the family."""
 
     family: SystemFamily
     pr: Polynomial
-    m: int
+
+    def __post_init__(self):
+        if not self.family.is_confluent:
+            raise AssemblyError("two distinct alphas: the form is a MelnikovNormalForm")
+
+    @property
+    def m(self) -> int:
+        """The power of the one fused radical, m1 + m2."""
+        return self.family.m1 + self.family.m2
 
     @cached_property
     def ints(self) -> tuple:
@@ -252,14 +259,6 @@ class ConfluentNormalForm:
     def center_value(self) -> Fraction:
         """Exact value at h = 0 (r = 1)."""
         return self.pr.eval(1)
-
-    def __add__(self, other: "ConfluentNormalForm") -> "ConfluentNormalForm":
-        if other.family != self.family:
-            raise AssemblyError("cannot add normal forms of different families")
-        return ConfluentNormalForm(self.family, self.pr + other.pr, self.m)
-
-    def scale(self, c) -> "ConfluentNormalForm":
-        return ConfluentNormalForm(self.family, self.pr.scale(c), self.m)
 
 
 @dataclass(frozen=True)
@@ -555,7 +554,7 @@ def monomial_integral(i: int, j: int, family: SystemFamily) -> MelnikovNormalFor
     if i < 0 or j < 0:
         raise ValueError("exponents must be >= 0")
     rad1, rad2, tail = _integrate([(i, j, 1)], _poles(family))
-    return MelnikovNormalForm(family, rad1, rad2, tail, family.is_mirror)
+    return MelnikovNormalForm(family, rad1, rad2, tail)
 
 
 def assemble_melnikov(family: SystemFamily, coeffs: PerturbCoeffs) -> MelnikovNormalForm:
@@ -563,7 +562,7 @@ def assemble_melnikov(family: SystemFamily, coeffs: PerturbCoeffs) -> MelnikovNo
     if family.is_confluent:
         raise AssemblyError("confluent family passed to the two-radical assembly")
     rad1, rad2, tail = _integrate(_terms(coeffs), _poles(family))
-    return MelnikovNormalForm(family, rad1, rad2, tail, family.is_mirror)
+    return MelnikovNormalForm(family, rad1, rad2, tail)
 
 
 def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> ConfluentNormalForm:
@@ -581,7 +580,7 @@ def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> Confluent
     # substitute h = (1 - r**2)/alpha**2 and clear to a single polynomial in r
     subst = Polynomial((1 / alpha**2, 0, -1 / alpha**2))
     pr = rad.compose(subst) + tail.compose(subst).shift_up(2 * m - 1)
-    return ConfluentNormalForm(family, pr, m)
+    return ConfluentNormalForm(family, pr)
 
 
 def assemble(family: SystemFamily, coeffs: PerturbCoeffs):

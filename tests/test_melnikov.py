@@ -46,7 +46,7 @@ from melcert.melnikov import (
 )
 from melcert.polynomials import Polynomial
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
-from melcert.zeros import _effective_slots
+from melcert.zeros import _effective_slots, count_zeros
 from oracles import (
     oracle_circle_moments,
     oracle_integrate,
@@ -399,8 +399,8 @@ class TestAssembly:
         fam = SystemFamily(F(1, 2), F(-1, 2), 2, 1)
         u = Polynomial((1, F(-1, 4)))
         nf = melnikov.MelnikovNormalForm(fam, u.scale(3), Polynomial.constant(-3), Polynomial())
-        assert not nf.is_zero
-        assert melnikov.MelnikovNormalForm(fam, nf.rad1, nf.rad2, nf.tail, True).is_zero
+        assert nf.merged and nf.is_zero
+        assert count_zeros(nf).status == "identically_zero"
 
     def test_single_coefficient_matches_monomial(self):
         co = PerturbCoeffs(n=2, a={(0, 0): F(1)})
@@ -418,8 +418,10 @@ class TestAssembly:
             box=F(2),
         )
         lhs = assemble_melnikov(FAM, combo)
-        rhs = assemble_melnikov(FAM, c1) + assemble_melnikov(FAM, c2).scale(lam)
-        assert lhs == rhs
+        f1, f2 = assemble_melnikov(FAM, c1), assemble_melnikov(FAM, c2)
+        for part in ("rad1", "rad2", "tail"):
+            expected = getattr(f1, part) + getattr(f2, part).scale(lam)
+            assert getattr(lhs, part) == expected, part
 
     def test_center_value_is_zero(self):
         for seed in range(20):
@@ -447,6 +449,23 @@ class TestAssembly:
     def test_dispatch(self):
         conf = SystemFamily(F(1, 2), F(1, 2), 1, 1)
         assert isinstance(assemble(conf, PerturbCoeffs(n=1)), ConfluentNormalForm)
+
+    def test_form_of_the_other_kind_rejected(self):
+        # the family decides the kind of form, so a constructor refuses a
+        # family of the other kind instead of certifying a wrong count
+        conf = SystemFamily(F(1, 2), F(1, 2), 1, 1)
+        with pytest.raises(AssemblyError, match="confluent family"):
+            melnikov.MelnikovNormalForm(conf, Polynomial((1,)), Polynomial(), Polynomial())
+        with pytest.raises(AssemblyError, match="two distinct alphas"):
+            ConfluentNormalForm(FAM, Polynomial((-1, 1)))
+
+    def test_power_and_merging_are_read_from_the_family(self):
+        conf = SystemFamily(F(1, 2), F(1, 2), 3, 2)
+        assert ConfluentNormalForm(conf, Polynomial((-1, 1))).m == 5
+        mirror = SystemFamily(F(1, 2), F(-1, 2), 2, 1)
+        zero = Polynomial()
+        assert melnikov.MelnikovNormalForm(mirror, zero, zero, zero).merged
+        assert not melnikov.MelnikovNormalForm(FAM, zero, zero, zero).merged
 
 
 # ------------------------------------------- int sum vs Fraction oracle

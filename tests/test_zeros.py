@@ -138,7 +138,7 @@ def _eliminant_cases(draw):
     fam = SystemFamily(alpha1, alpha2, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     coeffs = st.lists(st.fractions(-4, 4, max_denominator=9), max_size=4)
     rad1, rad2, tail = (Polynomial(draw(coeffs)) for _ in range(3))
-    return MelnikovNormalForm(fam, rad1, rad2, tail, merged=mirror)
+    return MelnikovNormalForm(fam, rad1, rad2, tail)
 
 
 def test_integer_eliminant_equals_fraction_oracle():
@@ -169,7 +169,7 @@ def _rational_sqrt(q):
     return F(num, den) if F(num * num, den * den) == q else None
 
 
-def _planted(fam, rad1, rad2, h0, merged=False):
+def _planted(fam, rad1, rad2, h0):
     """rad1/r1**(2m1-1) + rad2/r2**(2m2-1) + tail with the constant tail
     that makes it vanish at h0; each rad must vanish at h0 unless its
     radical is rational there."""
@@ -177,7 +177,7 @@ def _planted(fam, rad1, rad2, h0, merged=False):
     for rad, alpha, m in ((rad1, fam.alpha1, fam.m1), (rad2, fam.alpha2, fam.m2)):
         if rad.eval(h0):
             total += rad.eval(h0) / _rational_sqrt(1 - alpha**2 * h0) ** (2 * m - 1)
-    return MelnikovNormalForm(fam, rad1, rad2, Polynomial.constant(-total), merged)
+    return MelnikovNormalForm(fam, rad1, rad2, Polynomial.constant(-total))
 
 
 def _point_sign_cases():
@@ -208,13 +208,13 @@ def _point_sign_cases():
     ]
     mirror = SystemFamily(F(1, 2), F(-1, 2), 1, 2)
     planted += [
-        (_planted(mirror, P(-1, 1), P(2, 1), F(3), merged=True), F(3)),  # r1 = 1/2
-        (MelnikovNormalForm(mirror, P(-1, 1), P(), P(-5, 5), True), F(1)),
+        (_planted(mirror, P(-1, 1), P(2, 1), F(3)), F(3)),  # r1 = 1/2
+        (MelnikovNormalForm(mirror, P(-1, 1), P(), P(-5, 5)), F(1)),
     ]
     confluent = SystemFamily(F(1, 2), F(1, 2), 1, 1)
     planted += [
-        (ConfluentNormalForm(confluent, Polynomial.from_roots([F(1, 2), F(1)]), 2), F(3)),
-        (ConfluentNormalForm(confluent, P(F(-7, 8), 0, 1), 2), F(1, 2)),
+        (ConfluentNormalForm(confluent, Polynomial.from_roots([F(1, 2), F(1)])), F(3)),
+        (ConfluentNormalForm(confluent, P(F(-7, 8), 0, 1)), F(1, 2)),
     ]
     for nf, h0 in planted:
         yield from ((nf, h0 + dh) for dh in (-near, 0, near))
@@ -225,7 +225,7 @@ class TestExactZeroDecision:
         fam = SystemFamily(F(1, 2), F(1, 2), 1, 1)
         # pr(r) = (r - 1/2)(r - 1): zero at r=1/2 means h = 3/alpha^2/4 = 3
         pr = Polynomial.from_roots([F(1, 2), F(1)])
-        nf = ConfluentNormalForm(fam, pr, 2)
+        nf = ConfluentNormalForm(fam, pr)
         assert exact_zero_at(nf, F(3))
         assert not exact_zero_at(nf, F(1))
 
@@ -234,7 +234,7 @@ class TestExactZeroDecision:
         # pr(r) = r^2 - w0 vanishes at r = sqrt(w0) with w0 = 1 - h/4
         h = F(1, 2)  # w0 = 7/8, not a perfect square
         pr = Polynomial((-(1 - h / 4), 0, 1))
-        nf = ConfluentNormalForm(fam, pr, 2)
+        nf = ConfluentNormalForm(fam, pr)
         assert exact_zero_at(nf, h)
 
     def test_generic_no_false_zero(self):
@@ -416,7 +416,7 @@ class TestCountZeros:
         # pr(r) = (r - 1/3)**2 (r - 1): a double root at r = 1/3 where
         # pr(r)/r keeps its sign on both sides
         fam = SystemFamily(F(1, 2), F(1, 2), 1, 1)
-        nf = ConfluentNormalForm(fam, Polynomial.from_roots([F(1, 3), F(1, 3), F(1)]), 2)
+        nf = ConfluentNormalForm(fam, Polynomial.from_roots([F(1, 3), F(1, 3), F(1)]))
         report = count_zeros(nf)
         assert (report.count_lo, report.count_hi) == (1, 1)
         assert report.multiplicity_suspected
@@ -450,11 +450,12 @@ class TestCountZeros:
         assert touching >= 10
 
     def test_touching_zero_of_a_mirror_pair_is_decided(self):
-        # q**2 (1/(2 r1) - 1) on a merged mirror pair: a touching zero at
-        # sqrt(2) and a simple one at h = 3, where r1 = 1/2
+        # q**2 (1/(2 r1) - 1) on a mirror pair, merged by its family: a
+        # touching zero at sqrt(2) and a simple one at h = 3, where r1 = 1/2
         fam = SystemFamily(F(1, 2), F(-1, 2), 1, 1)
         q2 = Polynomial((-2, 0, 1)) ** 2
-        nf = MelnikovNormalForm(fam, q2.scale(F(1, 2)), Polynomial.zero(), -q2, merged=True)
+        nf = MelnikovNormalForm(fam, q2.scale(F(1, 2)), Polynomial.zero(), -q2)
+        assert nf.merged
         report = count_zeros(nf)
         assert (report.count_lo, report.count_hi) == (2, 2)
         touching, simple = report.certified
@@ -708,10 +709,11 @@ class TestIntView:
         nf = assemble(mirror, draw_coeffs(rng_for(62), 2))
         assert nf.merged and nf.ints.b == []
         builds = _count_view_builds(monkeypatch, MelnikovNormalForm)
-        split = dataclasses.replace(nf, merged=False)
-        assert split.ints.b and split.ints is not nf.ints
-        assert split.ints.den == nf.ints.den
-        assert len(builds) == 1 and builds[0] is split
+        flipped = dataclasses.replace(nf, tail=-nf.tail)
+        assert flipped.ints is not nf.ints
+        assert flipped.ints.den == nf.ints.den
+        assert flipped.ints.c == [-x for x in nf.ints.c] != []
+        assert len(builds) == 1 and builds[0] is flipped
 
 
 class TestPrescribe:
