@@ -18,7 +18,8 @@ from melcert.melnikov import SystemFamily, assemble
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 from melcert.zeros import count_zeros, theorem_bound
 
-TWO_RADICAL = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (4, 2, 1)]
+# (n, m1, m2); the last two have m1 + m2 > n + 1, so their forms have no tail
+TWO_RADICAL = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (4, 2, 1), (2, 2, 2), (4, 3, 3)]
 CONFLUENT = [(2, 1, 1), (3, 2, 1), (4, 1, 1)]
 
 

@@ -74,7 +74,8 @@ class SpecError(ValueError):
     """Instance file failed to parse or validate."""
 
 
-_COEFF_KEY = re.compile(r"^([ab])_(\d+)_(\d+)$")
+# canonical indices only: a_00_0 would silently replace a_0_0
+_COEFF_KEY = re.compile(r"^([ab])_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")
 
 
 @dataclass

@@ -13,8 +13,10 @@ Every loop integral this module produces reduces exactly to
 
 with rational polynomials rad1/rad2/tail.  A single global factor of pi is
 kept symbolic: all stored polynomials are the integral values divided by pi.
-When alpha1 == alpha2 the two radical parts collapse and the function is
-pr(r) / r**(2*(m1+m2)-1) for a single rational polynomial pr in r.
+The family alone fixes the shape: when alpha1 == alpha2 the radical parts
+fuse and the function is pr(r) / r**(2*(m1+m2)-1) for a single rational
+polynomial pr in r, and when alpha2 == -alpha1, r1 == r2.  A form holds
+only its family and its polynomials.
 
 Assembly is linear in the perturbation coefficients and runs in ints.  Per
 family (its tuple of poles), `_FamilyIntegrals` keeps the partial fractions
@@ -146,12 +148,8 @@ IntView = namedtuple("IntView", "den rad1 rad2 tail d u1 u2 a b c")
 
 @dataclass(frozen=True)
 class MelnikovNormalForm:
-    """rad1/r1**(2*m1-1) + rad2/r2**(2*m2-1) + tail, in units of pi, on a
-    family with alpha1 != alpha2.
-
-    The form is its family and its three polynomials; whether the two
-    radicals coincide (`merged`, alpha2 == -alpha1) is read from the family.
-    """
+    """rad1/r1**(2*m1-1) + rad2/r2**(2*m2-1) + tail, in units of pi, for
+    alpha1 != alpha2; `merged` (r1 == r2) is read from the family."""
 
     family: SystemFamily
     rad1: Polynomial
@@ -164,7 +162,6 @@ class MelnikovNormalForm:
 
     @property
     def merged(self) -> bool:
-        """The family is a mirror pair: r1 == r2, one radical."""
         return self.family.is_mirror
 
     @cached_property
@@ -201,17 +198,18 @@ class MelnikovNormalForm:
         and kept on the form; `zeros` walks it at a point.
 
         A node (x, y, disc), disc = d*x**2 - y**2 U1, decides the sign of
-        x + y*r1 (r1 = sqrt(U1/d)).  A mirror pair is the single node (A, C).
-        Any other form has the sign of r2*X + B*r1, X = A + C*r1, and is
-        (node(A, C), B, node(P, Q)): d**2 ((r2*X)**2 - (B*r1)**2) = P + Q*r1
-        with P = (d A**2 + C**2 U1) U2 - d B**2 U1 and Q = 2 d A C U2.  The
-        last disc is the form's norm over Z, a multiple of its eliminant.
+        x + y*r1 (r1 = sqrt(U1/d)).  The form has the sign of r2*X + B*r1,
+        X = A + C*r1: node(A, C) if B = 0 (every mirror pair), node(B, 0) if
+        X = 0, else (node(A, C), B, node(P, Q)), d**2 ((r2*X)**2 - (B*r1)**2)
+        = P + Q*r1 with P = (d A**2 + C**2 U1) U2 - d B**2 U1, Q = 2 d A C U2.
         """
         v = self.ints
         d, u1, u2, a, b, c = v.d, v.u1, v.u2, v.a, v.b, v.c
+        if not (a or c):
+            return ((b, [], _prod([d], _square(b))),)
         da2, c2u1 = _prod([d], _square(a)), _prod(_square(c), u1)
         ac = a, c, _sum(da2, _prod([-1], c2u1))
-        if self.merged:
+        if not b:
             return (ac,)
         p = _sum(_prod(_sum(da2, c2u1), u2), _prod([-d], _square(b), u1))
         q = _prod([2 * d], a, c, u2)
@@ -231,9 +229,8 @@ class MelnikovNormalForm:
 
 @dataclass(frozen=True)
 class ConfluentNormalForm:
-    """pr(r) / r**(2*m-1) with r = sqrt(1 - alpha**2 * h), in units of pi,
-    on a family with alpha1 == alpha2; the power m = m1 + m2 is read from
-    the family."""
+    """pr(r) / r**(2*m-1), r = sqrt(1 - alpha**2 * h), in units of pi, for
+    alpha1 == alpha2; m = m1 + m2 is read from the family."""
 
     family: SystemFamily
     pr: Polynomial
@@ -244,7 +241,6 @@ class ConfluentNormalForm:
 
     @property
     def m(self) -> int:
-        """The power of the one fused radical, m1 + m2."""
         return self.family.m1 + self.family.m2
 
     @cached_property
@@ -571,9 +567,8 @@ def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> Confluent
     The result is pr(r)/r**(2m-1) with m = m1 + m2: polynomial-in-h parts
     pick up the odd powers r**(2m-1) and above, the radical parts the even
     powers below 2m-1, and pr(1) = 0 since the function vanishes at h = 0.
+    The form's constructor rejects a family with two distinct alphas.
     """
-    if not family.is_confluent:
-        raise AssemblyError("two distinct alphas passed to the confluent assembly")
     alpha = family.alpha1
     m = family.m1 + family.m2
     rad, tail = _integrate(_terms(coeffs), ((alpha, m),))

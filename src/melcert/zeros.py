@@ -3,13 +3,13 @@
 The sign of a two-radical form is one tree of int polynomials in h, its
 `sign_tree`, built once from its `ints` (numerators A, B, C and radicands
 U1, U2 over one denominator d): each node decides the sign of x + y*r1 by
-`_sign_rule`, from the signs of x, y and d*x**2 - y**2 U1.  The last of
-these is the form's norm over Z, so its eliminant.  Every zero is a root
-of it, not conversely.  `_tree_sign` walks the tree at the ends of each
-candidate's isolating interval (`point_sign`) and, where the form keeps
-its sign across a multiple eliminant root, at that root (`_root_sign`).
-No candidate is left undecided, so count_lo == count_hi; the report
-keeps the range and its empty `undecided` list.  The confluent
+`_sign_rule`, from the signs of x, y and d*x**2 - y**2 U1.  The last node
+gives the eliminant: that disc, or x (y) alone when y (x) vanishes.  Every
+zero is a root of it, not conversely.  `_tree_sign` walks the tree at the
+ends of each candidate's isolating interval (`point_sign`) and, where the
+form keeps its sign across a multiple eliminant root, at that root
+(`_root_sign`).  No candidate is left undecided, so count_lo == count_hi;
+the report keeps the range and its empty `undecided` list.  The confluent
 form needs no squaring: its zeros are the roots of a polynomial in r on
 (0, 1), sign-verified where that polynomial changes sign.
 
@@ -73,19 +73,22 @@ def theorem_bound(family: SystemFamily, n: int):
 def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
     """Polynomial in h whose roots contain every zero of the normal form.
 
-    The disc of the last node of the form's `sign_tree`, cleared of its
-    content: d*A**2 - C**2 U1 for a mirror pair, otherwise d*P**2 - Q**2 U1,
-    the product of the form's radical conjugates in plain ints.
+    The last node (x, y, disc) of the form's `sign_tree` decides its sign:
+    every zero is a root of disc = d*x**2 - y**2 U1, the product of the
+    conjugates x +- y*r1 (the form's norm over Z when B != 0), or of x (y)
+    alone when y (x) vanishes, where disc has a square factor that would
+    make every root look multiple.  Cleared of its content.
 
     Squaring is one-directional: roots that are not zeros of the original
     function are expected and filtered downstream.
     """
     if nf.is_zero:
         raise ValueError("cannot eliminate radicals of the zero form")
-    elim = Polynomial(_content_free(nf.sign_tree[-1][2]))
+    x, y, disc = nf.sign_tree[-1]
+    elim = Polynomial(_content_free(disc if x and y else x or y))
     if elim.is_zero:
-        # cannot happen for a nonzero form: the four radical conjugates
-        # multiply to this polynomial and none vanishes identically
+        # cannot happen for a nonzero form: its last node keeps a nonzero
+        # part, so neither conjugate x +- y*r1 vanishes identically
         raise AssertionError("eliminant vanished for a nonzero normal form")
     return elim
 

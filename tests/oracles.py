@@ -198,22 +198,35 @@ def oracle_eliminant(nf):
     """Primitive eliminant of a two-radical normal form, in `Fraction`s.
 
     With r**(2m-1) = u**(m-1)*r, a mirror pair is a positive multiple of
-    p + q*r1 and gives p**2 - q**2 u1; otherwise the form is a positive
-    multiple of a*r2 + b*r1 + c*r1*r2, squared twice.
+    p + q*r1, and so is any other form a*r2 + b*r1 + c*r1*r2 with b = 0
+    (over r2) or with a = c = 0 (p = b, q = 0); it gives p**2 - q**2 u1, or
+    p itself when q = 0 and q when p = 0, since each of those squarings is
+    a square.  Any other form is squared twice, to inner**2 - 4 a**2 b**2
+    u1 u2 with inner = c**2 u1 u2 - a**2 u2 - b**2 u1; with a = 0 or c = 0
+    that is the square of inner + 2 a**2 u2, which is returned instead.
     """
     fam = nf.family
     u1 = Polynomial((1, -fam.alpha1**2))
     u2 = Polynomial((1, -fam.alpha2**2))
+    a = nf.rad1 * u2 ** (fam.m2 - 1)
+    b = nf.rad2 * u1 ** (fam.m1 - 1)
+    c = nf.tail * u1 ** (fam.m1 - 1) * u2 ** (fam.m2 - 1)
     if nf.merged:
         m_bar = max(fam.m1, fam.m2)
         p = nf.rad1 * u1 ** (m_bar - fam.m1) + nf.rad2 * u1 ** (m_bar - fam.m2)
         q = nf.tail * u1 ** (m_bar - 1)
-        return (p * p - q * q * u1).primitive()
-    a = nf.rad1 * u2 ** (fam.m2 - 1)
-    b = nf.rad2 * u1 ** (fam.m1 - 1)
-    c = nf.tail * u1 ** (fam.m1 - 1) * u2 ** (fam.m2 - 1)
-    inner = c * c * u1 * u2 - a * a * u2 - b * b * u1
-    return (inner * inner - (a * b * a * b * u1 * u2).scale(4)).primitive()
+    elif b.is_zero:
+        p, q = a, c
+    elif a.is_zero and c.is_zero:
+        p, q = b, Polynomial.zero()
+    else:
+        inner = c * c * u1 * u2 - a * a * u2 - b * b * u1
+        if a.is_zero or c.is_zero:
+            return (inner + (a * a * u2).scale(2)).primitive()
+        return (inner * inner - (a * b * a * b * u1 * u2).scale(4)).primitive()
+    if p.is_zero or q.is_zero:
+        return (q if p.is_zero else p).primitive()
+    return (p * p - q * q * u1).primitive()
 
 
 def grid_scan_count(p, lo, hi, steps):

@@ -104,6 +104,19 @@ class TestParsing:
                 "[perturbation]\nn = 1\nc_0_0 = 1\n"
             )
 
+    @pytest.mark.parametrize("key", ["a_00_0", "b_0_01", "a_\u0663_0"])
+    def test_non_canonical_index_rejected(self, key, tmp_path, capsys):
+        # a_00_0 would otherwise be read as a[0,0] and silently replace the
+        # a_0_0 beside it; configparser rejects only identical keys
+        spec = tmp_path / "leading_zero.spec"
+        spec.write_text(
+            "[family]\nalpha1 = 1/2\nalpha2 = 1\nm1 = 1\nm2 = 1\n"
+            f"[perturbation]\nn = 1\na_0_0 = 1\n{key} = -1\n"
+        )
+        assert main(["normal-form", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [perturbation] {key}: expected a_i_j or b_i_j\n"
+
     def test_missing_section_rejected(self):
         with pytest.raises(SpecError, match="family"):
             parse_spec("[perturbation]\nn = 1\n")

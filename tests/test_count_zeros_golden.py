@@ -1,12 +1,16 @@
 """count_zeros pinned to recorded reports: counts, flags and exact endpoints.
 
-Seeded two-radical draws (n = 2..4), mirror draws and confluent draws, the
-two-zero instance file, and two hand-built touching zeros that exercise the
-exact rational hit and the exact sign at an irrational eliminant root.  The golden file holds every
-endpoint as an exact rational string.  To re-record it after a change that is meant to alter
-the reports, run ``PYTHONPATH=src python tests/test_count_zeros_golden.py``.
+Seeded two-radical draws (n = 2..4), mirror draws and confluent draws,
+draws without a tail (m1 + m2 > n + 1, a mirror pair among them), a drawn
+form with each of its three parts set to zero in turn, the two-zero
+instance file, and two hand-built touching zeros that exercise the exact
+rational hit and the exact sign at an irrational eliminant root.  The
+golden file holds every endpoint as an exact rational string.  To
+re-record it after a change that is meant to alter the reports, run
+``PYTHONPATH=src python tests/test_count_zeros_golden.py``.
 """
 
+import dataclasses
 import json
 import pathlib
 from fractions import Fraction as F
@@ -42,12 +46,28 @@ def _draws():
         rng = rng_for(SEED, 200 + k)
         fam = draw_family(rng, 1 + k % 2, 1 + (k // 2) % 2, confluent=True)
         yield f"confluent_{k}", 2 + k % 2, fam, draw_coeffs(rng, 2 + k % 2)
+    # m1 + m2 > n + 1: the tail vanishes; these draws, like the one whose
+    # parts are zeroed in `cases`, have certified zeros
+    for k, (n, m, index) in enumerate([(2, 2, 306), (4, 3, 302)]):
+        rng = rng_for(SEED, index)
+        yield f"no_tail_{k}", n, draw_family(rng, m, m), draw_coeffs(rng, n)
+    rng = rng_for(SEED, 313)
+    alpha = draw_alpha(rng)
+    yield "no_tail_mirror", 2, SystemFamily(alpha, -alpha, 2, 2), draw_coeffs(rng, 2)
+
+
+NO_TAIL = ["no_tail_0", "no_tail_1", "no_tail_mirror"]
+PARTS = ["rad1", "rad2", "tail"]
 
 
 def cases() -> dict:
     """name -> (normal form, n) for the draws, the two-zero instance and
     the touching zeros."""
     out = {name: (assemble(fam, co), n) for name, n, fam, co in _draws()}
+    rng = rng_for(SEED, 329)
+    base = assemble(draw_family(rng, 1, 2), draw_coeffs(rng, 3))
+    for part in PARTS:
+        out[f"{part}_zero"] = (dataclasses.replace(base, **{part: Polynomial.zero()}), 3)
     spec = parse_spec(TWO_ZEROS.read_text())
     out["two_zeros_spec"] = (assemble(spec.family, spec.coeffs), spec.coeffs.n)
     zero = Polynomial.zero()
@@ -77,6 +97,15 @@ def summary(report) -> dict:
 
 
 CASES = cases()
+
+
+def test_degenerate_cases_have_their_vanishing_part():
+    for name in NO_TAIL:
+        assert CASES[name][0].tail.is_zero, name
+    assert CASES["no_tail_mirror"][0].merged
+    for part in PARTS:
+        nf = CASES[f"{part}_zero"][0]
+        assert [getattr(nf, p).is_zero for p in PARTS] == [p == part for p in PARTS]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

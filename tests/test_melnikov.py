@@ -458,6 +458,8 @@ class TestAssembly:
             melnikov.MelnikovNormalForm(conf, Polynomial((1,)), Polynomial(), Polynomial())
         with pytest.raises(AssemblyError, match="two distinct alphas"):
             ConfluentNormalForm(FAM, Polynomial((-1, 1)))
+        with pytest.raises(AssemblyError, match="two distinct alphas"):
+            assemble_confluent(FAM, PerturbCoeffs(n=1, a={(0, 0): F(1)}))
 
     def test_power_and_merging_are_read_from_the_family(self):
         conf = SystemFamily(F(1, 2), F(1, 2), 3, 2)

@@ -29,7 +29,7 @@ def test_bound_scan_runs_on_a_tiny_sample():
     assert "BOUND VIOLATION" not in proc.stdout
     assert "UNDECIDED" not in proc.stdout
     rows = [line for line in proc.stdout.splitlines() if " n=" in line]
-    assert len(rows) == 7  # four two-radical and three confluent configs
+    assert len(rows) == 9  # six two-radical and three confluent configs
 
 
 def test_bound_scan_rejects_an_empty_sample():

@@ -111,6 +111,20 @@ class TestEliminant:
                 assert count_real_roots(elim, cell) >= 1
             prev = cur
 
+    @pytest.mark.parametrize("part", ["rad1", "rad2", "tail"])
+    def test_single_part_form_eliminates_to_that_part(self, part):
+        # a form with one nonzero part vanishes exactly where that part
+        # does: the eliminant is the part itself, not its square times a
+        # radicand, so its simple roots are not suspected multiple
+        parts = dict.fromkeys(["rad1", "rad2", "tail"], Polynomial.zero())
+        parts[part] = Polynomial.from_roots([F(1), F(2)])
+        nf = MelnikovNormalForm(FAM, **parts)
+        assert eliminate_radicals(nf) == parts[part]
+        report = count_zeros(nf)
+        assert report.count_lo == report.count_hi == 2
+        assert not report.multiplicity_suspected
+        assert all(z.sign_verified for z in report.certified)
+
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
             eliminate_radicals(assemble_melnikov(FAM, PerturbCoeffs(n=1)))
@@ -388,12 +402,14 @@ class TestCountZeros:
     def test_touching_zero_at_rational_point_is_decided_exactly(self, roots, sign_verified):
         # rad1 / r1 vanishes at the exact rational eliminant root h0, which
         # bisection hits; the form changes sign there iff the order is odd,
-        # and an even order grazes zero: counted once, not sign-verified
+        # and an even order grazes zero: counted once, not sign-verified.
+        # The eliminant is rad1 itself, not its square: a simple root is
+        # not suspected multiple
         rad1 = Polynomial.from_roots(roots)
         nf = MelnikovNormalForm(FAM, rad1, Polynomial.zero(), Polynomial.zero())
         report = count_zeros(nf)
         assert report.count_lo == report.count_hi == 1
-        assert report.multiplicity_suspected
+        assert report.multiplicity_suspected is (len(roots) > 1)
         [zero] = report.certified
         assert zero.interval == RatInterval(roots[0], roots[0])
         assert zero.sign_verified is sign_verified
@@ -464,9 +480,13 @@ class TestCountZeros:
         assert simple.interval.contains(3) and simple.sign_verified
 
     def test_exact_sign_at_multiple_root_artifacts_matches_the_ends(self, monkeypatch):
-        # seeded draws whose eliminants have multiple roots in the annulus
-        # across which the form keeps its sign: its exact sign at each such
-        # root is the nonzero sign at both ends, so no zero is counted
+        # planted multiple eliminant roots across which the form keeps its
+        # sign: with rad2 = 0, tail = 2*s*e and rad1 = e*(r1**2 + s**2), the
+        # form is e*(r1 + s)**2 and its conjugate e*(r1 - s)**2 touches 0
+        # where r1 = s, so the eliminant is (r1**2 - s**2)**2 in h.  The
+        # exact sign at that root is the nonzero sign e at both ends, on
+        # the mirror pair's tree and on a two-radical family's, and no
+        # zero is counted
         calls = []
         real = zeros._root_sign
 
@@ -475,14 +495,18 @@ class TestCountZeros:
             return calls[-1][0]
 
         monkeypatch.setattr(zeros, "_root_sign", recording)
-        for k in (25, 52, 60, 208, 248):
-            rng = rng_for(777, k)
-            n = 2 + k % 4
-            fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 3))
-            report = count_zeros(assemble_melnikov(fam, draw_coeffs(rng, n)), n=n)
-            assert report.decided
-        assert len(calls) >= 5
+        cases = [(F(1, 2), 1), (F(3, 4), -1), (F(1, 3), 1)]  # r1 = s at h = 3, 7/4, 32/9
+        for fam in (SystemFamily(F(1, 2), F(-1, 2), 1, 1), FAM):
+            for s, e in cases:
+                rad1 = Polynomial((1 + s * s, -fam.alpha1**2)).scale(e)
+                tail = Polynomial.constant(2 * s * e)
+                nf = MelnikovNormalForm(fam, rad1, Polynomial.zero(), tail)
+                report = count_zeros(nf)
+                assert report.decided and report.count_lo == 0
+                assert report.multiplicity_suspected
+        assert len(calls) == 2 * len(cases)
         assert all(s == lo == hi != 0 for s, lo, hi in calls)
+        assert {s for s, _lo, _hi in calls} == {1, -1}
 
     def test_sign_at_an_algebraic_root_reads_the_polynomial_itself(self):
         # at sqrt(2), a root of g isolated in (5/4, 3/2)
@@ -552,6 +576,21 @@ class TestCountZeros:
         assert calls["primes"] == [polynomials._CERT_PRIMES[0]]
         assert calls["gcd"] == calls["prs"] == 0
         assert calls["isolators"] == [reduced]
+
+    def test_tailless_forms_get_a_squarefree_eliminant(self, monkeypatch):
+        # m1 + m2 > n + 1 leaves no tail (C = 0), so the last node's y is 0
+        # and the eliminant is its x, not that squared: one modular
+        # certificate per form and no gcd over Z
+        forms = []
+        for k in range(5):
+            rng = rng_for(1212, k)
+            forms.append(assemble_melnikov(draw_family(rng, 6, 6), draw_coeffs(rng, 8)))
+        assert all(nf.tail.is_zero and not nf.is_zero for nf in forms)
+        calls = self._count_root_core_calls(monkeypatch)
+        for nf in forms:
+            assert not count_zeros(nf, n=8).multiplicity_suspected
+        assert len(calls["primes"]) == 5
+        assert calls["gcd"] == calls["prs"] == 0
 
     def test_certificate_moves_past_a_prime_dividing_the_leading_coefficient(self, monkeypatch):
         # a factor q1*h + 1 puts the first prime into lc(p) and its root
