@@ -13,7 +13,6 @@ from .melnikov import (
     AssemblyError,
     ConfluentNormalForm,
     MelnikovNormalForm,
-    PartialFractionRow,
     PerturbCoeffs,
     SystemFamily,
     assemble,
@@ -22,9 +21,6 @@ from .melnikov import (
     circle_moment,
     evaluate_normal_form,
     monomial_integral,
-    monomial_power_integral,
-    partial_fractions,
-    pure_power_integral,
 )
 from .zeros import (
     CertifiedZero,
@@ -32,7 +28,6 @@ from .zeros import (
     ZeroReport,
     count_zeros,
     eliminate_radicals,
-    exact_zero_at,
     prescribe_zeros,
     theorem_bound,
 )
@@ -56,7 +51,6 @@ __all__ = [
     "PerturbCoeffs",
     "MelnikovNormalForm",
     "ConfluentNormalForm",
-    "PartialFractionRow",
     "ZeroReport",
     "CertifiedZero",
     "FlowConfig",
@@ -75,16 +69,12 @@ __all__ = [
     "displacement",
     "eliminate_radicals",
     "evaluate_normal_form",
-    "exact_zero_at",
     "find_limit_cycles",
     "isolate_roots",
     "monomial_integral",
-    "monomial_power_integral",
     "numeric_melnikov",
-    "partial_fractions",
     "pi_interval",
     "prescribe_zeros",
-    "pure_power_integral",
     "refine_root",
     "sqrt_rational",
     "squarefree_part",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import re
 import sys
@@ -90,7 +89,7 @@ class InstanceSpec:
     samples: int = 20
 
 
-# setting -> (kind, least, most) for `_value`; the order is serialize_spec's
+# setting -> (kind, least, most) for `_value`
 SETTINGS = {
     "eps": ("nonzero", None, None),
     "precision": ("integer", 1, MAX_PRECISION),
@@ -176,27 +175,6 @@ def parse_spec(text: str) -> InstanceSpec:
         for key, raw in parser["settings"].items():
             setattr(spec, key, _setting(f"[settings] {key}", key, raw))
     return spec
-
-
-def serialize_spec(spec: InstanceSpec) -> str:
-    out = io.StringIO()
-    fam = spec.family
-    out.write("[family]\n")
-    out.write(f"alpha1 = {fam.alpha1}\n")
-    out.write(f"alpha2 = {fam.alpha2}\n")
-    out.write(f"m1 = {fam.m1}\n")
-    out.write(f"m2 = {fam.m2}\n\n")
-    out.write("[perturbation]\n")
-    out.write(f"n = {spec.coeffs.n}\n")
-    out.write(f"box = {spec.coeffs.box}\n")
-    for kind, grid in (("a", spec.coeffs.a), ("b", spec.coeffs.b)):
-        for (i, j) in sorted(grid):
-            out.write(f"{kind}_{i}_{j} = {grid[(i, j)]}\n")
-    out.write("\n[settings]\n")
-    for key in SETTINGS:
-        if getattr(spec, key) is not None:
-            out.write(f"{key} = {getattr(spec, key)}\n")
-    return out.getvalue()
 
 
 def decimal_str(q: Fraction, digits: int) -> str:
@@ -390,17 +368,23 @@ def render_zeros(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _double(name: str, q: Fraction) -> float:
+    """q as a double for the flow, which runs in doubles: a value that
+    overflows, or falls below the normal range (to 0.0 at the worst), has
+    no usable value there."""
+    try:
+        value = float(q)
+    except OverflowError:
+        value = 0.0
+    if abs(value) < sys.float_info.min:
+        raise SpecError(f"{name} {sci_str(q)} is outside the normal range of a double")
+    return value
+
+
 def report_verify(spec: InstanceSpec) -> dict:
     if spec.eps is None:
         raise SpecError("verify needs eps (set [settings] eps or pass --eps)")
-    # the flow runs in doubles: an eps that overflows, or falls below the
-    # normal range (to 0.0 at the worst), has no usable value there
-    try:
-        eps = float(spec.eps)
-    except OverflowError:
-        eps = 0.0
-    if abs(eps) < sys.float_info.min:
-        raise SpecError(f"eps {sci_str(spec.eps)} is outside the normal range of a double")
+    eps = _double("eps", spec.eps)
     fam = spec.family
     nf = assemble(fam, spec.coeffs)
     zr = count_zeros(nf, n=spec.coeffs.n)
@@ -413,7 +397,7 @@ def report_verify(spec: InstanceSpec) -> dict:
         report["verdict"] = "zero-function"
         report["cycles"] = []
         return report
-    h_max = float(fam.h_max)
+    h_max = _double("h_max", fam.h_max)
     margin = 0.05 * h_max
     grid = [margin + (h_max - 2 * margin) * i / (spec.grid - 1) for i in range(spec.grid)]
     tolerance = 5e-3 * h_max

@@ -36,17 +36,19 @@ so memory stays bounded on any stream of families.
 Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
 for every exact reader here and in `zeros`; a two-radical form also keeps
 `sign_tree`, the int polynomials whose signs decide its own.  Certified
-evaluation, which happens only at rational points (`scaled_value`,
-`evaluate_normal_form`), runs on `ints`: the polynomials and the radicands
-are evaluated once per call, by homogeneous Horner; each rung of the bit
-ladder then takes one `sqrt_bracket` per radical and picks every endpoint
-by sign, and only the returned interval is built from `Fraction`s.  Its endpoints are those of
-`RatInterval` arithmetic with `sqrt_rational` at the same bits.
+evaluation, which happens only at rational points, runs on `ints` through
+one kernel, `_point_rungs`, behind `evaluate_normal_form` and zero
+prescription: the polynomials and the radicands are evaluated once per
+point, by homogeneous Horner; each rung of the bit ladder then takes one
+`sqrt_bracket` per radical and picks every endpoint by sign, as int pairs.
+Its endpoints are those of `RatInterval` arithmetic with `sqrt_rational` at
+the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,8 +90,14 @@ class SystemFamily:
         object.__setattr__(self, "alpha2", as_rational(self.alpha2))
         if self.alpha1 == 0 or self.alpha2 == 0:
             raise ValueError("alpha1 and alpha2 must both be nonzero")
-        if self.m1 < 1 or self.m2 < 1:
+        try:
+            m1, m2 = operator.index(self.m1), operator.index(self.m2)
+        except TypeError:  # 1.5 or Fraction(3, 2): no integer
+            m1 = m2 = 0
+        if m1 < 1 or m2 < 1:
             raise ValueError("m1 and m2 must be positive integers")
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
 
     @cached_property
     def h_max(self) -> Fraction:
@@ -120,6 +128,10 @@ class PerturbCoeffs:
     box: Fraction = Fraction(1)
 
     def __post_init__(self):
+        try:
+            self.n = operator.index(self.n)
+        except TypeError:  # 2.5: no integer
+            self.n = -1
         if self.n < 0:
             raise ValueError("perturbation degree must be >= 0")
         self.box = as_rational(self.box)
@@ -257,21 +269,6 @@ class ConfluentNormalForm:
         return self.pr.eval(1)
 
 
-@dataclass(frozen=True)
-class PartialFractionRow:
-    """Exact expansion of x**k / ((1-a1*x)**m1 * (1-a2*x)**m2).
-
-    tilde_a[j-1] weights 1/(1-a1*x)**j for j = 1..m1, tilde_b likewise for
-    the second factor, and tail holds the polynomial part (empty unless
-    k >= m1 + m2).
-    """
-
-    k: int
-    tilde_a: tuple
-    tilde_b: tuple
-    tail: tuple
-
-
 def _double_factorial(n: int) -> int:
     # (-1)!! == 1 by convention
     out = 1
@@ -317,16 +314,6 @@ def _radial_numerator(m: int) -> Polynomial:
             for k in range((m + 1) // 2)
         )
     )
-
-
-@dataclass(frozen=True)
-class SingleFactorIntegral:
-    """rad(h)/r**(2*m-1) + tail(h) with r = sqrt(1 - alpha**2*h), pi units."""
-
-    alpha: Fraction
-    m: int
-    rad: Polynomial
-    tail: Polynomial
 
 
 def _u_poly(alpha: Fraction) -> Polynomial:
@@ -509,40 +496,6 @@ def _poles(family: SystemFamily) -> tuple:
     return ((family.alpha1, family.m1), (family.alpha2, family.m2))
 
 
-def pure_power_integral(m: int, alpha) -> SingleFactorIntegral:
-    """Loop integral of dt / (1 - alpha*x)**m, m >= 1, alpha nonzero."""
-    if m < 1:
-        raise ValueError("power must be >= 1")
-    return monomial_power_integral(0, m, alpha)
-
-
-def monomial_power_integral(k: int, m: int, alpha) -> SingleFactorIntegral:
-    """Loop integral of x**k / (1 - alpha*x)**m dt, alpha nonzero."""
-    alpha = as_rational(alpha)
-    if k < 0 or m < 1:
-        raise ValueError("need k >= 0 and m >= 1")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    rad, tail = _integrate([(k, 0, 1)], ((alpha, m),))
-    return SingleFactorIntegral(alpha, m, rad, tail)
-
-
-def partial_fractions(k: int, family: SystemFamily) -> PartialFractionRow:
-    """Expand x**k over the two distinct linear factors of the family.
-
-    Requires alpha1 != alpha2; the confluent case goes through
-    monomial_power_integral with the single factor instead.
-    """
-    if family.is_confluent:
-        raise AssemblyError("partial fractions need distinct alphas")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    den, weights, quotient = _integrals(_poles(family)).row(k)
-    return PartialFractionRow(
-        k, *(tuple(Fraction(c, den) for c in part) for part in (*weights, quotient))
-    )
-
-
 def monomial_integral(i: int, j: int, family: SystemFamily) -> MelnikovNormalForm:
     """Loop integral of x**i * y**j / W dt in normal form (alpha1 != alpha2)."""
     if family.is_confluent:
@@ -664,21 +617,6 @@ def _confluent_rungs(nf, u: tuple):
         )
 
     return rung
-
-
-def scaled_value(nf, h: RatInterval, bits: int) -> RatInterval:
-    """Enclosure of the normal-form value divided by pi at a point.
-
-    h is a degenerate interval in [0, h_max); the radicals are enclosed
-    to ~2**-bits by the int kernel of `_point_rungs`, so the enclosure
-    widens naturally near the annulus edge.
-    """
-    if h.lo != h.hi:
-        raise ValueError("scaled_value evaluates at a point, not over an interval")
-    if h.lo < 0 or h.lo >= nf.family.h_max:
-        raise ValueError("evaluation point outside [0, h_max)")
-    (ln, ld), (hn, hd) = _point_rungs(nf, h.lo)(bits)
-    return RatInterval(Fraction(ln, ld), Fraction(hn, hd))
 
 
 def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:

@@ -6,12 +6,14 @@ U1, U2 over one denominator d): each node decides the sign of x + y*r1 by
 `_sign_rule`, from the signs of x, y and d*x**2 - y**2 U1.  The last node
 gives the eliminant: that disc, or x (y) alone when y (x) vanishes.  Every
 zero is a root of it, not conversely.  `_tree_sign` walks the tree at the
-ends of each candidate's isolating interval (`point_sign`) and, where the
-form keeps its sign across a multiple eliminant root, at that root
-(`_root_sign`).  No candidate is left undecided, so count_lo == count_hi;
-the report keeps the range and its empty `undecided` list.  The confluent
-form needs no squaring: its zeros are the roots of a polynomial in r on
-(0, 1), sign-verified where that polynomial changes sign.
+rational ends of each candidate's isolating interval (`point_sign`) and,
+where the form keeps its sign across a multiple eliminant root, at that
+root (`_root_sign`).  No candidate is left undecided, so count_lo ==
+count_hi; the report keeps the range and its empty `undecided` list.  The
+confluent form needs no squaring and no point sign: its zeros are the roots
+of a polynomial in r on (0, 1), sign-verified where that polynomial changes
+sign.  Zero prescription reads its basis forms at the targets through
+`melnikov._point_rungs`, one kernel per form and target.
 
 Candidates come from the Descartes root core of `polynomials`: its one
 squarefree decision, `squarefree_factors`, usually certifies the eliminant
@@ -24,6 +26,7 @@ interval is a `RatInterval`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,9 +36,9 @@ from .melnikov import (
     MelnikovNormalForm,
     PerturbCoeffs,
     SystemFamily,
+    _point_rungs,
     assemble,
     monomial_integral,
-    scaled_value,
 )
 from .polynomials import (
     DescartesIsolator,
@@ -61,6 +64,10 @@ def theorem_bound(family: SystemFamily, n: int):
     4*((n+1)//2 + m1 + m2) - 7 for distinct alphas, n for the confluent
     family; None when the formula is not applicable (negative).
     """
+    try:
+        n = operator.index(n)
+    except TypeError:  # 2.5: no integer
+        n = -1
     if n < 0:
         raise ValueError("perturbation degree must be >= 0")
     if family.is_confluent:
@@ -116,33 +123,17 @@ def _tree_sign(tree: tuple, sign) -> int:
     return _sign_rule(s, sign(tree[1]), lambda: _sign_rule(sign(x), sign(y), lambda: sign(disc)))
 
 
-def point_sign(nf, h) -> int:
-    """Exact sign (-1, 0 or +1) of the normal form at rational h in [0, h_max).
-
-    The value is a positive multiple of an element of Q(r1, r2), so
-    `_sign_rule` decides it: on the form's `sign_tree`, with the sign of
-    each polynomial at h, and on the confluent form even(w) +
-    sqrt(w)*odd(w), read from its `ints`.
+def point_sign(nf: MelnikovNormalForm, h) -> int:
+    """Exact sign (-1, 0 or +1) of the two-radical form at rational h in
+    [0, h_max): its `sign_tree` walked by `_tree_sign`, with the sign of
+    each int polynomial at h.  The value is a positive multiple of an
+    element of Q(r1, r2), so `_sign_rule` decides it.
     """
     h = as_rational(h)
-    fam = nf.family
-    if not (0 <= h < fam.h_max):
+    if not (0 <= h < nf.family.h_max):
         raise ValueError("point outside [0, h_max)")
-    if isinstance(nf, ConfluentNormalForm):
-        # even(w) and odd(w) times den**k, w = num/den: x**2 - y**2 w has
-        # the sign of x**2 den - y**2 num
-        _den, (ic,) = nf.ints
-        w = 1 - fam.alpha1**2 * h
-        num, den = w.numerator, w.denominator
-        x, y = (_scaled_at(ic[j::2], num, den, len(ic) // 2) for j in (0, 1))
-        return _sign_rule(_sign(x), _sign(y), lambda: _sign(x * x * den - y * y * num))
     num, den = h.numerator, h.denominator
     return _tree_sign(nf.sign_tree, lambda s: _sign(_scaled_at(s, num, den, len(s) - 1)))
-
-
-def exact_zero_at(nf, h) -> bool:
-    """Decide exactly whether the normal form vanishes at rational h."""
-    return point_sign(nf, h) == 0
 
 
 @dataclass
@@ -382,12 +373,20 @@ def _independent(forms) -> list:
     return _row_reduce(zip(*columns))[1]
 
 
+def _scaled_mid(ends: tuple, bits: int) -> int:
+    """2**bits times the midpoint of the int-pair ends of a `_point_rungs`
+    rung, rounded half to even."""
+    (ln, ld), (hn, hd) = ends
+    return round(Fraction((ln * hd + hn * ld) << (bits - 1), ld * hd))
+
+
 def prescribe_zeros(family: SystemFamily, n: int, targets) -> PerturbCoeffs:
     """Coefficients whose integral has verified simple zeros at the targets.
 
     Exploits linearity.  The basis forms are reduced to an independent
     subset, whose size (the rank) caps the targets at rank - 1.  Each of
-    its forms is evaluated at each target and rounded to a dyadic of
+    its forms gets one `_point_rungs` kernel per target, built once, and at
+    each rung the midpoint of its enclosure is rounded to a dyadic of
     `bits` bits; each free column of the exact echelon form then gives a
     null vector, scaled into |c| <= 1 and tried in slot order.  One is
     accepted only after count_zeros confirms exactly len(targets)
@@ -413,13 +412,11 @@ def prescribe_zeros(family: SystemFamily, n: int, targets) -> PerturbCoeffs:
         raise PrescribeError(
             f"basis rank {len(basis)}: a linear prescription places at most {len(basis) - 1} zeros"
         )
+    rungs = [[_point_rungs(forms[k], t) for k in basis] for t in targets]
     bits = PRESCRIBE_BITS
     while bits <= MAX_PRESCRIBE_BITS:
         # the values times 2**bits, rounded: the same null space
-        rows = [
-            [round(scaled_value(forms[k], point, bits).mid * (1 << bits)) for k in basis]
-            for point in map(RatInterval.point, targets)
-        ]
+        rows = [[_scaled_mid(rung(bits), bits) for rung in row] for row in rungs]
         reduced, pivots = _row_reduce(rows)
         for vec in _null_vectors(reduced, pivots, len(basis)):
             grids = {"a": {}, "b": {}}

@@ -23,6 +23,10 @@ ASSEMBLY_INTERNALS = {
     "_next_row",
     "_lift",
     "_polynomials",
+    "_point_rungs",
+    "_confluent_rungs",
+    "sign_tree",
+    "_tree_sign",
 }
 
 PRELUDE = """
@@ -159,9 +163,10 @@ def test_public_api_resolves():
 
 
 def test_oracles_share_no_assembly_internals():
-    # a reference built on the assembly's own rows, lifts or sums would
-    # agree with it by construction: tests/oracles.py neither imports
-    # such a name nor reaches one as a module attribute
+    # a reference built on the assembly's own rows, lifts or sums, or on
+    # the point kernels and sign tree it checks, would agree with them by
+    # construction: tests/oracles.py neither imports such a name nor
+    # reaches one as a module attribute
     tree = ast.parse((REPO / "tests" / "oracles.py").read_text())
     names = set()
     for node in ast.walk(tree):

@@ -31,6 +31,8 @@ from melcert.melnikov import (
     SystemFamily,
     _integrals,
     _integrate,
+    _point_rungs,
+    _poles,
     _radial_numerator,
     _terms,
     assemble,
@@ -39,14 +41,10 @@ from melcert.melnikov import (
     circle_moment,
     evaluate_normal_form,
     monomial_integral,
-    monomial_power_integral,
-    partial_fractions,
-    pure_power_integral,
-    scaled_value,
 )
 from melcert.polynomials import Polynomial
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
-from melcert.zeros import _effective_slots, count_zeros
+from melcert.zeros import _effective_slots, count_zeros, theorem_bound
 from oracles import (
     oracle_circle_moments,
     oracle_integrate,
@@ -62,6 +60,18 @@ from oracles import (
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 FAM_12 = SystemFamily(F(1, 2), F(-1, 3), 1, 2)
+
+
+def single_pole(k, m, alpha):
+    """(rad, tail): the loop integral of x**k / (1 - alpha*x)**m dt."""
+    return _integrate([(k, 0, 1)], ((alpha, m),))
+
+
+def pf_row(k, fam):
+    """Row k of the family's partial fractions as `Fraction`s: the weights
+    at each pole, then the polynomial part."""
+    den, weights, quotient = _integrals(_poles(fam)).row(k)
+    return tuple(tuple(F(c, den) for c in part) for part in (*weights, quotient))
 
 
 def _is_power_of_two(q: int) -> bool:
@@ -114,31 +124,31 @@ class TestCircleMoment:
 class TestPurePowerIntegral:
     def test_m1_closed_form(self):
         # 2*pi / r
-        sf = pure_power_integral(1, F(1, 2))
-        assert sf.rad == Polynomial.constant(2)
-        assert sf.tail.is_zero
+        rad, tail = single_pole(0, 1, F(1, 2))
+        assert rad == Polynomial.constant(2)
+        assert tail.is_zero
 
     def test_m2_closed_form(self):
         # 2*pi / r**3
-        sf = pure_power_integral(2, F(1, 2))
-        assert sf.rad == Polynomial.constant(2)
-        assert sf.tail.is_zero
+        rad, tail = single_pole(0, 2, F(1, 2))
+        assert rad == Polynomial.constant(2)
+        assert tail.is_zero
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     def test_against_quadrature(self, m):
         alpha, h = 0.5, 0.5
         oracle = loop_integral(lambda t: (1.0 - alpha * orbit(h, t)[0]) ** (-m))
-        sf = pure_power_integral(m, F(1, 2))
+        rad, _tail = single_pole(0, m, F(1, 2))
         w = 1.0 - alpha * alpha * h
-        exact = math.pi * float(sf.rad.eval(F(1, 2))) / w ** ((2 * m - 1) / 2)
+        exact = math.pi * float(rad.eval(F(1, 2))) / w ** ((2 * m - 1) / 2)
         assert abs(oracle - exact) <= 1e-10 * abs(oracle)
 
     def test_m3_at_h_one(self):
         alpha, h = 1.0 / 2.0, 1.0
         oracle = loop_integral(lambda t: (1.0 - alpha * orbit(h, t)[0]) ** (-3))
-        sf = pure_power_integral(3, F(1, 2))
+        rad, _tail = single_pole(0, 3, F(1, 2))
         w = 1.0 - 0.25
-        exact = math.pi * float(sf.rad.eval(F(1))) / w**2.5
+        exact = math.pi * float(rad.eval(F(1))) / w**2.5
         assert abs(oracle - exact) <= 1e-10 * abs(oracle)
 
     def test_radial_numerators_have_no_vanishing_coefficient(self):
@@ -169,14 +179,11 @@ class TestPurePowerIntegral:
 
 
 class TestMonomialPowerIntegral:
-    def test_k0_equals_pure(self):
-        assert monomial_power_integral(0, 3, F(2, 5)) == pure_power_integral(3, F(2, 5))
-
     def test_k1_m1_closed_form(self):
         # (1/alpha) * (2*pi/r - 2*pi)
-        sf = monomial_power_integral(1, 1, F(1, 2))
-        assert sf.rad == Polynomial.constant(4)
-        assert sf.tail == Polynomial.constant(-4)
+        rad, tail = single_pole(1, 1, F(1, 2))
+        assert rad == Polynomial.constant(4)
+        assert tail == Polynomial.constant(-4)
 
     @pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (3, 2), (5, 2), (4, 4)])
     def test_against_quadrature(self, k, m):
@@ -184,19 +191,10 @@ class TestMonomialPowerIntegral:
         oracle = loop_integral(
             lambda t: orbit(h, t)[0] ** k * (1.0 - alpha * orbit(h, t)[0]) ** (-m)
         )
-        sf = monomial_power_integral(k, m, F(1, 3))
+        rad, tail = single_pole(k, m, F(1, 3))
         w = 1.0 - h / 9.0
-        exact = math.pi * (
-            float(sf.rad.eval(F(1))) / w ** ((2 * m - 1) / 2) + float(sf.tail.eval(F(1)))
-        )
+        exact = math.pi * (float(rad.eval(F(1))) / w ** ((2 * m - 1) / 2) + float(tail.eval(F(1))))
         assert abs(oracle - exact) <= 1e-10 * max(abs(oracle), 1e-6)
-
-    def test_zero_alpha_rejected(self):
-        # the rows divide by alpha; SystemFamily rejects alpha = 0 too
-        with pytest.raises(ValueError, match="nonzero"):
-            monomial_power_integral(2, 3, 0)
-        with pytest.raises(ValueError, match="nonzero"):
-            pure_power_integral(3, F(0))
 
     def test_power_moment_small_cases(self):
         alpha = F(1, 2)
@@ -230,10 +228,9 @@ class TestPoleKernelAgainstOracles:
         fam = draw_family(rng, rng.randint(1, 5), rng.randint(1, 5))
         tails = 0
         for k in range(21):
-            row = partial_fractions(k, fam)
-            ref = oracle_partial_fractions(k, fam.alpha1, fam.m1, fam.alpha2, fam.m2)
-            assert (row.tilde_a, row.tilde_b, row.tail) == ref, f"k={k}"
-            tails += any(row.tail)
+            row = pf_row(k, fam)
+            assert row == oracle_partial_fractions(k, fam.alpha1, fam.m1, fam.alpha2, fam.m2), k
+            tails += any(row[2])
         assert tails  # rows with a nonzero polynomial part were compared
 
     @pytest.mark.parametrize("m", range(1, 6))
@@ -243,9 +240,9 @@ class TestPoleKernelAgainstOracles:
             basis = _lift_basis(m, alpha)
             for k in range(21):
                 weights, tail = oracle_single_factor(k, m, alpha)
-                sf = monomial_power_integral(k, m, alpha)
-                assert sf.tail == tail, f"k={k}"
-                assert sf.rad == _lifted(weights, basis), f"k={k}"
+                rad, got_tail = single_pole(k, m, alpha)
+                assert got_tail == tail, f"k={k}"
+                assert rad == _lifted(weights, basis), f"k={k}"
 
 
 # cli.parse_spec caps n <= 32 and m1, m2 <= 16; the rows run to 2n + 2 here
@@ -266,16 +263,16 @@ def _check_rows_to_the_limit(fam, compared):
     basis_b = [f1**fam.m1 * f2 ** (fam.m2 - j) for j in range(1, fam.m2 + 1)]
     lifts = _lift_basis(fam.m1, fam.alpha1), _lift_basis(fam.m2, fam.alpha2)
     for k in range(LIMIT_K + 1):
-        row = partial_fractions(k, fam)
-        rebuilt = _lifted(row.tilde_a, basis_a) + _lifted(row.tilde_b, basis_b)
-        assert rebuilt + Polynomial(row.tail) * full == Polynomial.monomial(k), f"k={k}"
+        row = tilde_a, tilde_b, tail = pf_row(k, fam)
+        rebuilt = _lifted(tilde_a, basis_a) + _lifted(tilde_b, basis_b)
+        assert rebuilt + Polynomial(tail) * full == Polynomial.monomial(k), f"k={k}"
         nf = monomial_integral(k, 0, fam)
-        assert nf.rad1 == _lifted(row.tilde_a, lifts[0]), f"k={k}"
-        assert nf.rad2 == _lifted(row.tilde_b, lifts[1]), f"k={k}"
-        assert nf.tail == oracle_circle_moments(row.tail), f"k={k}"
+        assert nf.rad1 == _lifted(tilde_a, lifts[0]), f"k={k}"
+        assert nf.rad2 == _lifted(tilde_b, lifts[1]), f"k={k}"
+        assert nf.tail == oracle_circle_moments(tail), f"k={k}"
         if k in compared:
             ref = oracle_partial_fractions(k, fam.alpha1, fam.m1, fam.alpha2, fam.m2)
-            assert (row.tilde_a, row.tilde_b, row.tail) == ref, f"k={k}"
+            assert row == ref, f"k={k}"
 
 
 class TestRowsAtTheSpecLimits:
@@ -301,24 +298,19 @@ class TestRowsAtTheSpecLimits:
         basis = _lift_basis(LIMIT_M, alpha)
         for k in range(LIMIT_K + 1):
             weights, tail = oracle_single_factor(k, LIMIT_M, alpha)
-            sf = monomial_power_integral(k, LIMIT_M, alpha)
-            assert sf.tail == tail, f"k={k}"
-            assert sf.rad == _lifted(weights, basis), f"k={k}"
+            rad, got_tail = single_pole(k, LIMIT_M, alpha)
+            assert got_tail == tail, f"k={k}"
+            assert rad == _lifted(weights, basis), f"k={k}"
 
 
 class TestPartialFractions:
     def test_symmetric_split(self):
         fam = SystemFamily(F(1), F(-1), 1, 1)
-        row = partial_fractions(0, fam)
-        assert row.tilde_a == (F(1, 2),)
-        assert row.tilde_b == (F(1, 2),)
-        assert row.tail == ()
+        assert pf_row(0, fam) == ((F(1, 2),), (F(1, 2),), ())
 
     def test_tail_appears_at_threshold(self):
-        row = partial_fractions(FAM_12.m1 + FAM_12.m2, FAM_12)
-        assert len(row.tail) == 1
-        row_below = partial_fractions(FAM_12.m1 + FAM_12.m2 - 1, FAM_12)
-        assert row_below.tail == ()
+        assert len(pf_row(FAM_12.m1 + FAM_12.m2, FAM_12)[2]) == 1
+        assert pf_row(FAM_12.m1 + FAM_12.m2 - 1, FAM_12)[2] == ()
 
     @pytest.mark.parametrize("m1,m2", [(1, 1), (2, 1), (3, 3)])
     def test_reconstruction_identity(self, m1, m2):
@@ -326,19 +318,15 @@ class TestPartialFractions:
         f1 = Polynomial((1, -fam.alpha1))
         f2 = Polynomial((1, -fam.alpha2))
         for k in range(0, 11):
-            row = partial_fractions(k, fam)
+            tilde_a, tilde_b, tail = pf_row(k, fam)
             rebuilt = Polynomial.zero()
-            for j, c in enumerate(row.tilde_a, start=1):
+            for j, c in enumerate(tilde_a, start=1):
                 rebuilt = rebuilt + (f1 ** (m1 - j) * f2**m2).scale(c)
-            for j, c in enumerate(row.tilde_b, start=1):
+            for j, c in enumerate(tilde_b, start=1):
                 rebuilt = rebuilt + (f1**m1 * f2 ** (m2 - j)).scale(c)
-            tail_poly = Polynomial(row.tail)
+            tail_poly = Polynomial(tail)
             rebuilt = rebuilt + tail_poly * f1**m1 * f2**m2
             assert rebuilt == Polynomial.monomial(k), f"k={k} failed"
-
-    def test_confluent_family_rejected(self):
-        with pytest.raises(AssemblyError):
-            partial_fractions(1, SystemFamily(F(1, 2), F(1, 2), 1, 1))
 
 
 class TestMonomialIntegral:
@@ -377,6 +365,24 @@ class TestMonomialIntegral:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SystemFamily(F(1, 2), F(-1, 3), 1.5, 1), "positive integers"),
+            (lambda: SystemFamily(F(1, 2), F(-1, 3), 1, F(3, 2)), "positive integers"),
+            (lambda: PerturbCoeffs(n=2.5), "degree"),
+            (lambda: theorem_bound(FAM, 2.5), "degree"),
+            (lambda: SystemFamily(0, F(1, 2), 1, 1), "nonzero"),
+        ],
+        ids=["m1=1.5", "m2=3/2", "n=2.5", "bound n=2.5", "alpha1=0"],
+    )
+    def test_invalid_family_or_degree_raises_value_error(self, build, message):
+        # exponents and degrees are integers (an integral float or Fraction
+        # would reach the assembly's ranges as a raw TypeError); the rows
+        # divide by alpha
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_zero_coefficients_give_zero_form(self):
         nf = assemble_melnikov(FAM, PerturbCoeffs(n=3))
         assert nf.is_zero
@@ -609,8 +615,9 @@ def test_point_evaluation_matches_interval_oracle():
         kind, where, nf, h, precision, bits = case
         got, want = evaluate_normal_form(nf, h, precision), oracle_point_enclosure(nf, h, precision)
         assert (got.lo, got.hi) == (want.lo, want.hi)
-        got, want = scaled_value(nf, RatInterval.point(h), bits), oracle_point_scaled(nf, h, bits)
-        assert (got.lo, got.hi) == (want.lo, want.hi)
+        (ln, ld), (hn, hd) = _point_rungs(nf, h)(bits)
+        want = oracle_point_scaled(nf, h, bits)
+        assert (F(ln, ld), F(hn, hd)) == (want.lo, want.hi)
         seen[kind] += 1
         seen[where] += 1
 
@@ -627,8 +634,8 @@ def test_perfect_square_radicand_gives_the_exact_root():
             got = evaluate_normal_form(nf, F(7, 4), precision)
             assert got == oracle_point_enclosure(nf, F(7, 4), precision)
     # the confluent value is exact before pi: a point enclosure
-    exact = scaled_value(one, RatInterval.point(F(7, 4)), 64)
-    assert exact.lo == exact.hi == one.pr.eval(F(3, 4)) / F(3, 4) ** 3
+    (ln, ld), (hn, hd) = _point_rungs(one, F(7, 4))(64)
+    assert F(ln, ld) == F(hn, hd) == one.pr.eval(F(3, 4)) / F(3, 4) ** 3
 
 
 # ------------------------------------------------- per-family cache bound
@@ -737,13 +744,6 @@ class TestEvaluation:
             evaluate_normal_form(nf, FAM.h_max, precision=10)
         with pytest.raises(ValueError):
             evaluate_normal_form(nf, F(-1, 10), precision=10)
-
-    def test_scaled_value_takes_a_point_only(self):
-        nf = assemble_melnikov(FAM, PerturbCoeffs(n=2, a={(1, 0): F(1)}, b={(0, 1): F(1, 2)}))
-        with pytest.raises(ValueError, match="point"):
-            scaled_value(nf, RatInterval(F(1, 2), F(3, 4)), 96)
-        with pytest.raises(ValueError, match="outside"):
-            scaled_value(nf, RatInterval.point(FAM.h_max), 96)
 
     def test_merged_family_evaluation_matches_quadrature(self):
         fam = SystemFamily(F(1, 2), F(-1, 2), 1, 2)

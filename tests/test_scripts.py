@@ -1,5 +1,7 @@
-"""Smoke tests: the runnable scripts still work against the library API."""
+"""Smoke tests: the runnable scripts and the README's library quick start
+still work against the library API."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -8,19 +10,23 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name), *args],
+        [sys.executable, *args],
         cwd=REPO,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return run_python(str(REPO / "scripts" / name), *args)
 
 
 def test_bound_scan_runs_on_a_tiny_sample():
@@ -45,3 +51,16 @@ def test_two_zero_demo_confirms_both_cycles():
     assert proc.returncode == 0, proc.stderr
     assert "certified count: [2, 2]" in proc.stdout
     assert "zero/cycle correspondence: confirmed" in proc.stdout
+
+
+def test_readme_quick_start_runs_as_documented():
+    section = (REPO / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    counts, labels = proc.stdout.splitlines()
+    assert counts == "2 2"
+    # two cycles at the prescribed zeros h = 1 and h = 2 (h_max = 4)
+    labels = sorted(ast.literal_eval(labels))
+    assert len(labels) == 2
+    assert all(abs(label - h) <= 5e-3 * 4 for label, h in zip(labels, (1, 2)))

@@ -1,6 +1,7 @@
 """Radical elimination, certified counting, and zero prescription."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -13,11 +14,11 @@ from melcert.melnikov import (
     MelnikovNormalForm,
     PerturbCoeffs,
     SystemFamily,
+    _point_rungs,
     assemble,
     assemble_confluent,
     assemble_melnikov,
     evaluate_normal_form,
-    scaled_value,
 )
 from melcert import polynomials, zeros
 from melcert.polynomials import (
@@ -30,7 +31,6 @@ from melcert.zeros import (
     PrescribeError,
     count_zeros,
     eliminate_radicals,
-    exact_zero_at,
     point_sign,
     prescribe_zeros,
     theorem_bound,
@@ -204,8 +204,6 @@ def _point_sign_cases():
         for f in (fam, SystemFamily(fam.alpha1, -fam.alpha1, fam.m1, fam.m2)):
             nf = assemble_melnikov(f, draw_coeffs(rng, 2))
             yield from ((nf, f.h_max * num / 8) for num in (1, 3, 7))
-        nf = assemble_confluent(draw_family(rng, 1, 2, confluent=True), draw_coeffs(rng, 2))
-        yield from ((nf, nf.family.h_max * num / 8) for num in (1, 3, 7))
     P, near = (lambda *c: Polynomial(c)), F(1, 2**40)
     # alphas (1, 1/2): r1 = 1/4 and r2 = 7/8 at 15/16, r1 = 1/2 at 3/4,
     # r2 = 15/16 at 31/64, neither rational at 1/3
@@ -225,11 +223,6 @@ def _point_sign_cases():
         (_planted(mirror, P(-1, 1), P(2, 1), F(3)), F(3)),  # r1 = 1/2
         (MelnikovNormalForm(mirror, P(-1, 1), P(), P(-5, 5)), F(1)),
     ]
-    confluent = SystemFamily(F(1, 2), F(1, 2), 1, 1)
-    planted += [
-        (ConfluentNormalForm(confluent, Polynomial.from_roots([F(1, 2), F(1)])), F(3)),
-        (ConfluentNormalForm(confluent, P(F(-7, 8), 0, 1)), F(1, 2)),
-    ]
     for nf, h0 in planted:
         yield from ((nf, h0 + dh) for dh in (-near, 0, near))
 
@@ -239,17 +232,11 @@ class TestExactZeroDecision:
         fam = SystemFamily(F(1, 2), F(1, 2), 1, 1)
         # pr(r) = (r - 1/2)(r - 1): zero at r=1/2 means h = 3/alpha^2/4 = 3
         pr = Polynomial.from_roots([F(1, 2), F(1)])
-        nf = ConfluentNormalForm(fam, pr)
-        assert exact_zero_at(nf, F(3))
-        assert not exact_zero_at(nf, F(1))
-
-    def test_confluent_irrational_component_condition(self):
-        fam = SystemFamily(F(1, 2), F(1, 2), 1, 1)
-        # pr(r) = r^2 - w0 vanishes at r = sqrt(w0) with w0 = 1 - h/4
-        h = F(1, 2)  # w0 = 7/8, not a perfect square
-        pr = Polynomial((-(1 - h / 4), 0, 1))
-        nf = ConfluentNormalForm(fam, pr)
-        assert exact_zero_at(nf, h)
+        report = count_zeros(ConfluentNormalForm(fam, pr))
+        assert report.count_lo == report.count_hi == 1
+        [zero] = report.certified
+        assert zero.interval == RatInterval(F(3), F(3))
+        assert zero.sign_verified
 
     def test_generic_no_false_zero(self):
         rng = rng_for(21)
@@ -257,7 +244,7 @@ class TestExactZeroDecision:
         for h in (F(1, 7), F(1, 2), F(3, 2), F(7, 2)):
             v = float_value(nf, float(h))
             if abs(v) > 1e-9:
-                assert not exact_zero_at(nf, h)
+                assert point_sign(nf, h) != 0
 
     def test_agrees_with_certified_sign_on_random_points(self):
         # point_sign against an independent enclosure of the value at
@@ -266,15 +253,15 @@ class TestExactZeroDecision:
         exact_zeros = 0
         for nf, h in _point_sign_cases():
             s = point_sign(nf, h)
-            assert exact_zero_at(nf, h) == (s == 0)
             exact_zeros += s == 0
-            encs = [scaled_value(nf, RatInterval.point(h), 64 << k) for k in range(7)]
+            rung = _point_rungs(nf, h)
+            encs = [RatInterval(F(*lo), F(*hi)) for lo, hi in (rung(64 << k) for k in range(7))]
             if s == 0:
                 assert all(enc.lo <= 0 <= enc.hi for enc in encs)
             else:
                 assert {enc.sign() for enc in encs} <= {s, None}
                 assert encs[-1].sign() == s
-        assert exact_zeros == 10
+        assert exact_zeros == 8
 
     def test_two_radical_balanced_pair(self):
         # at h = 27/8: u1 = 5/32 and u2 = 5/8, so r2 = 2*r1 exactly and
@@ -284,8 +271,8 @@ class TestExactZeroDecision:
             fam, Polynomial.constant(1), Polynomial.constant(-2), Polynomial.zero()
         )
         h0 = F(27, 8)
-        assert exact_zero_at(nf, h0)
-        assert not exact_zero_at(nf, F(3))
+        assert point_sign(nf, h0) == 0
+        assert point_sign(nf, F(3)) != 0
         # the certified count sees this zero too
         report = count_zeros(nf)
         assert report.count_lo >= 1
@@ -295,7 +282,7 @@ class TestExactZeroDecision:
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    kind=st.sampled_from(["two_radical", "mirror", "confluent"]),
+    kind=st.sampled_from(["two_radical", "mirror"]),
     n=st.integers(0, 4),
     t=st.fractions(0, 1, max_denominator=2**40).filter(lambda t: t < 1),
 )
@@ -303,7 +290,7 @@ def test_tree_point_sign_matches_the_value_oracle(seed, kind, n, t):
     # the sign tree walked at h against value algebra on the parts at h
     rng = rng_for(73, seed)
     m = (rng.randint(1, 3), rng.randint(1, 3))
-    fam = draw_family(rng, *m, confluent=kind == "confluent")
+    fam = draw_family(rng, *m)
     if kind == "mirror":
         fam = SystemFamily(fam.alpha1, -fam.alpha1, *m)
     nf = assemble(fam, draw_coeffs(rng, n))
@@ -755,6 +742,12 @@ class TestIntView:
         assert len(builds) == 1 and builds[0] is flipped
 
 
+def _digest(coeffs):
+    """sha256 of a prescription's exact a and b items, in key order."""
+    items = repr((sorted(coeffs.a.items()), sorted(coeffs.b.items())))
+    return hashlib.sha256(items.encode()).hexdigest()
+
+
 class TestPrescribe:
     def test_empty_targets_yield_zero_free_instance(self):
         coeffs = prescribe_zeros(FAM, 2, [])
@@ -772,6 +765,9 @@ class TestPrescribe:
         for grid in (coeffs.a, coeffs.b):
             for v in grid.values():
                 assert abs(v) <= coeffs.box
+        # the exact coefficients are pinned: the same null vector at the
+        # same rung
+        assert _digest(coeffs) == "1f306f1605b0996e2dcb5b298b8f0ad9bc43707ee2e58addc180d05763947b07"
 
     def test_rejects_target_outside_annulus(self):
         with pytest.raises(ValueError):
@@ -791,17 +787,26 @@ class TestPrescribe:
         def unreachable(*args):
             raise AssertionError("evaluated a basis form past the rank")
 
-        monkeypatch.setattr(zeros, "scaled_value", unreachable)
+        monkeypatch.setattr(zeros, "_point_rungs", unreachable)
         with pytest.raises(PrescribeError, match="rank 4: .* at most 3 zeros"):
             prescribe_zeros(FAM, 2, [FAM.h_max * i / 5 for i in range(1, 5)])
 
-    @pytest.mark.parametrize("m", [(2, 2), (1, 1)])
-    def test_rank_limit_at_degree_eight(self, m):
+    @pytest.mark.parametrize(
+        "m, digest",
+        [
+            ((2, 2), "06810bde11ad05555675fbff8e9026a49a927ed720e335880a1f293b645aead9"),
+            ((1, 1), "6fbec9e4b08c8d8f9033e36ee5ed4ab9634ae0d002aa29c74efb542ce090f5c8"),
+        ],
+        ids=["m0", "m1"],
+    )
+    def test_rank_limit_at_degree_eight(self, m, digest):
         # rank 13 at n=8, so 12 targets is the most a linear prescription
         # can place; m=(1,1) needs the second rung of the bits ladder
         fam = SystemFamily(F(1, 2), F(-1, 3), *m)
         targets = [fam.h_max * i / 13 for i in range(1, 13)]
-        report = count_zeros(assemble(fam, prescribe_zeros(fam, 8, targets)), n=8)
+        coeffs = prescribe_zeros(fam, 8, targets)
+        assert _digest(coeffs) == digest
+        report = count_zeros(assemble(fam, coeffs), n=8)
         assert [report.count_lo, report.count_hi] == [12, 12]
         for t in targets:
             assert any(z.interval.contains(t) for z in report.certified)
