@@ -45,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import FlowConfig, find_limit_cycles
+from .flow import BEYOND_DOUBLES, FlowConfig, find_limit_cycles
 from .melnikov import (
     ConfluentNormalForm,
     PerturbCoeffs,
@@ -407,6 +407,14 @@ def report_verify(spec: InstanceSpec) -> dict:
         cycles = find_limit_cycles(
             fam, spec.coeffs, FlowConfig(epsilon=eps), grid
         )
+        # a scan with no orbit inside the doubles checks nothing: it is an
+        # input the flow cannot run, not a mismatch
+        failures = cycles.failures.values()
+        if len(failures) == spec.grid and all(BEYOND_DOUBLES in msg for msg in failures):
+            raise SpecError(
+                f"every grid orbit leaves the range of a double (h_max = {h_max:g}): "
+                "verify cannot integrate a section return"
+            )
         rows, used = [], set()
         matched = 0
         for z in zr.certified:

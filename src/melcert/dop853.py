@@ -6,6 +6,11 @@ and an error estimate that blends the 5th- and 3rd-order ones.  The
 derivative at the end of a step starts the next one (FSAL), so a step costs
 12 evaluations.  The step-size control follows the same reference.
 
+One step is `_step`, generated from the tableau below at import and
+compiled once with no builtins: its stage calls and sums are straight-line
+code over the tableau's doubles, and each sum adds its terms left to right
+from 0.0.
+
 `flow` imports this module on its first section return, so the exact
 commands never compile it.
 """
@@ -161,18 +166,34 @@ def _terms(row: tuple) -> tuple:
     return tuple((j, c) for j, c in enumerate(row) if c)
 
 
-_STAGE_TERMS = tuple(map(_terms, _STAGES))
-_WEIGHT_TERMS, _ERROR5_TERMS, _ERROR3_TERMS = map(_terms, (_WEIGHTS, _ERROR5, _ERROR3))
+def _sum_source(row: tuple) -> str:
+    """Source of the sum of c * k_j over the row's nonzero terms, added left
+    to right from 0.0 in plain float arithmetic (the builtin `sum` of floats
+    is compensated from Python 3.12 on, which would make the steps depend on
+    the interpreter)."""
+    return " + ".join(["0.0"] + [f"{c!r}*k{j}" for j, c in _terms(row)])
 
 
-def _dot(terms: tuple, k: list) -> float:
-    """sum(c * k[j]) over the terms, added left to right in plain float
-    arithmetic (the builtin `sum` of floats is compensated from Python 3.12
-    on, which would make the steps depend on the interpreter)."""
-    acc = 0.0
-    for j, c in terms:
-        acc += c * k[j]
-    return acc
+def _step_source() -> str:
+    """Source of `_step(fun, t, y, f, h, t_new)`: the 12 stages of one step
+    from (t, y) with f = fun(t, y), straight-line, returning the 8th-order
+    solution at t_new = t + h, the derivative there, and the 5th- and
+    3rd-order error sums."""
+    lines = ["def _step(fun, t, y, f, h, t_new):", "    k0 = f"]
+    for i, (node, row) in enumerate(zip(_NODES, _STAGES), start=1):
+        lines.append(f"    k{i} = fun(t + {node!r}*h, y + h*({_sum_source(row)}))")
+    lines += [
+        f"    y_new = y + h*({_sum_source(_WEIGHTS)})",
+        "    f_new = fun(t_new, y_new)",
+        f"    return y_new, f_new, {_sum_source(_ERROR5)}, {_sum_source(_ERROR3)}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+_namespace = {"__builtins__": {}}
+exec(compile(_step_source(), "<dop853 step>", "exec"), _namespace)
+_step = _namespace.pop("_step")
+del _namespace
 
 
 def integrate(fun, t: float, t_end: float, atol: float, rtol: float, error: type) -> float:
@@ -192,23 +213,21 @@ def integrate(fun, t: float, t_end: float, atol: float, rtol: float, error: type
         h = t_end - t if last else step
         t_new = t_end if last else t + h
         try:
-            k = [f]
-            for node, terms in zip(_NODES, _STAGE_TERMS):
-                k.append(fun(t + node * h, y + h * _dot(terms, k)))
-            y_new = y + h * _dot(_WEIGHT_TERMS, k)
-            f_new = fun(t_new, y_new)
+            y_new, f_new, err5, err3 = _step(fun, t, y, f, h, t_new)
         except error as exc:
             stop, estimate = exc, math.inf
         else:
-            err5 = _dot(_ERROR5_TERMS, k)
-            err3 = _dot(_ERROR3_TERMS, k)
             scale = atol + rtol * max(abs(y), abs(y_new))
             if err5 == 0.0:
                 estimate = 0.0
             elif scale == 0.0:
                 estimate = math.inf
             else:
-                estimate = h * err5 * err5 / (scale * math.sqrt(err5 * err5 + 0.01 * err3 * err3))
+                denominator = scale * math.sqrt(err5 * err5 + 0.01 * err3 * err3)
+                if denominator:
+                    estimate = h * err5 * err5 / denominator
+                else:  # it underflowed: the same ratio, without the squares
+                    estimate = h * abs(err5) / scale * (abs(err5) / math.hypot(err5, 0.1 * err3))
         if estimate < 1.0:
             t, y, f = t_new, y_new, f_new
             factor = min(_MAX_FACTOR, _SAFETY * estimate**-0.125) if estimate else _MAX_FACTOR

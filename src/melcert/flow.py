@@ -18,15 +18,21 @@ The quadrature is a trapezoid rule with nested doubling: it starts at
 START_NODES nodes, accepts agreement from MIN_NODES on and raises
 QuadratureError if it has not settled at MAX_NODES.
 
-Quadrature and section returns evaluate the field through one compiled
-kernel per field, `_field_kernel`.  Its source is generated from the
-coefficient doubles: P and Q are Horner in y over rows that are Horner in x,
-and the quadrature integrand is one fused expression over them.  The source
-holds only float reprs of finite doubles, ints, x and y, and runs with no
-builtins, so `compile` turns the same doubles into straight-line bytecode
-and nothing else.  The last kernel is kept (a one-entry memo keyed on the
-doubles), because a caller evaluates one field many times: a quadrature
-ladder, or the section returns of a cycle scan.
+Quadrature and section returns each evaluate the field through a kernel
+compiled per field from source generated from the coefficient doubles: P
+and Q are Horner in y over rows that are Horner in x.  The quadrature kernel
+`level(r, nodes)` is one list comprehension over a trapezoid level's
+(sin t, cos t) pairs that returns the integrand at each node; the section
+kernel `section_rate(eps, h0)` returns the right-hand side of a return,
+P, Q, the slowing weight and all of its stops inline.  The source holds only
+float reprs of finite doubles, ints and local names, and runs with no
+builtins (the section rate sees sqrt, sin, cos and `_stop`, which raises its
+FlowError), so `compile` turns the same doubles into straight-line bytecode
+and nothing else.  Each kind keeps its last kernel (a one-entry memo keyed
+on the doubles), because a caller evaluates one field many times: a
+quadrature ladder, or the section returns of a cycle scan.  The two memos
+are apart: a quadrature compiles no section source, and quadratures of
+other fields leave a scan's rate in place.
 
 The module is pure Python: it loads no numpy, and it takes only the family
 and coefficient records from `melnikov`, so the oracle shares no arithmetic
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .melnikov import PerturbCoeffs, SystemFamily
@@ -56,6 +63,10 @@ class QuadratureError(RuntimeError):
 
 class FlowError(RuntimeError):
     pass
+
+
+# in the text of an error whose value has no double
+BEYOND_DOUBLES = "is beyond the range of a double"
 
 
 @dataclass
@@ -91,7 +102,7 @@ def _double(name: str, value) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"coefficient {name} is beyond the range of a double") from None
+        raise ValueError(f"coefficient {name} {BEYOND_DOUBLES}") from None
 
 
 def _horner(var: str, terms) -> str:
@@ -117,30 +128,100 @@ def _polynomial_source(entries) -> str:
     return _horner("y", [(j, f"({_horner('x', row)})") for j, row in sorted(rows.items())])
 
 
-def _kernel_source(terms, a1: float, m1: int, a2: float, m2: int) -> str:
-    """Source of the kernel functions `pq` and `integrand` of one field."""
-    p = _polynomial_source((i, j, a) for i, j, a, _ in terms)
-    q = _polynomial_source((i, j, b) for i, j, _, b in terms)
-    w = "*".join(
+def _weight_source(a1: float, m1: int, a2: float, m2: int) -> str:
+    """Source of (1 - a1*x)**m1 * (1 - a2*x)**m2; a power 1 is left out."""
+    return "*".join(
         f"(1.0 - {a!r}*x)" + (f"**{m}" if m > 1 else "") for a, m in ((a1, m1), (a2, m2))
     )
+
+
+def _level_source(terms, a1: float, m1: int, a2: float, m2: int) -> str:
+    """Source of `level(r, nodes)`: the quadrature integrand
+    (x*P + y*Q) / ((1 - a1*x)**m1 * (1 - a2*x)**m2) at x = r*s, y = r*c for
+    each (s, c) in nodes, as a list."""
+    p = _polynomial_source((i, j, a) for i, j, a, _ in terms)
+    q = _polynomial_source((i, j, b) for i, j, _, b in terms)
     return (
-        f"def pq(x, y):\n    return {p}, {q}\n"
-        f"def integrand(x, y):\n    return (x*({p}) + y*({q})) / ({w})\n"
+        "def level(r, nodes):\n"
+        f"    return [(x*({p}) + y*({q})) / ({_weight_source(a1, m1, a2, m2)})"
+        " for s, c in nodes for x in (r*s,) for y in (r*c,)]\n"
     )
+
+
+def _section_source(terms, a1: float, m1: int, a2: float, m2: int) -> str:
+    """Source of `section_rate(eps, h0)`, which returns `rate(theta, delta)`:
+    d(h - h0)/dtheta along the perturbed orbit, theta = atan2(x, y).
+
+    With x = sqrt(h)*sin(theta), y = sqrt(h)*cos(theta) and w the slowing
+    factor, dh/dtheta = 2*eps*h*(x*P + y*Q) / (w*h + eps*(y*P - x*Q)).  It
+    raises FlowError, through `stop`, at the center, once h is not a finite
+    double, at the singular guard (|x| <= sqrt(h) on the whole circle, so
+    one test guards every stage) and where the angle stops increasing."""
+    p = _polynomial_source((i, j, a) for i, j, a, _ in terms)
+    q = _polynomial_source((i, j, b) for i, j, _, b in terms)
+    reach = max(abs(a1), abs(a2))
+    return (
+        "def section_rate(eps, h0):\n"
+        "    def rate(theta, delta):\n"
+        "        h = h0 + delta\n"
+        f"        if h <= 0.0:\n            stop({_CENTER}, theta, h)\n"
+        f"        if not h <= {sys.float_info.max!r}:\n            stop({_RANGE}, theta, h)\n"
+        "        root = sqrt(h)\n"
+        f"        if 1.0 - {reach!r}*root < {SINGULAR_GUARD!r}:\n"
+        f"            stop({_GUARD}, theta, h)\n"
+        "        x = root*sin(theta)\n"
+        "        y = root*cos(theta)\n"
+        f"        p = {p}\n"
+        f"        q = {q}\n"
+        f"        turn = {_weight_source(a1, m1, a2, m2)}*h + eps*(y*p - x*q)\n"
+        f"        if turn <= 0.0:\n            stop({_TURN}, theta, h)\n"
+        "        return 2.0*eps*h*(x*p + y*q) / turn\n"
+        "    return rate\n"
+    )
+
+
+# What stops a section rate, by the int its source passes to `_stop`
+_CENTER, _RANGE, _GUARD, _TURN = range(4)
+_STOPS = (
+    "orbit reached the center at angle {theta:.6f}",
+    "orbit label h={h} " + BEYOND_DOUBLES + " at angle {theta:.6f}",
+    "orbit reached the singular guard at h={h:.6f}",
+    "the angle stopped increasing at angle {theta:.6f}, h={h:.6g}: "
+    "the orbit does not return to the section",
+)
+
+
+def _stop(kind: int, theta: float, h: float):
+    raise FlowError(_STOPS[kind].format(theta=theta, h=h))
+
+
+def _compile(source: str, name: str, **names):
+    """The function `name` defined by `source`, run with no builtins and
+    only `names` besides."""
+    namespace = {"__builtins__": {}, **names}
+    exec(compile(source, f"<flow {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+# Each kernel keeps the last field only (see the module docstring):
+# compiling one costs as much as some hundreds of evaluations.  Keys compare
+# as doubles, so 0.0 and -0.0 meet; both are left out of the source, which
+# is the same for either.
+@functools.lru_cache(maxsize=1)
+def _level_kernel(terms, a1: float, m1: int, a2: float, m2: int):
+    return _compile(_level_source(terms, a1, m1, a2, m2), "level")
 
 
 @functools.lru_cache(maxsize=1)
-def _compiled_kernel(terms, a1: float, m1: int, a2: float, m2: int):
-    """(pq, integrand) compiled from `_kernel_source`, with no builtins.
-
-    The memo keeps the last field only: its callers evaluate one field
-    many times in a row, and compiling one costs as much as some hundreds
-    of kernel calls.  Keys compare as doubles, so 0.0 and -0.0 meet; both are left
-    out of the source, which is the same for either."""
-    namespace = {"__builtins__": {}}
-    exec(compile(_kernel_source(terms, a1, m1, a2, m2), "<flow kernel>", "exec"), namespace)
-    return namespace["pq"], namespace["integrand"]
+def _section_kernel(terms, a1: float, m1: int, a2: float, m2: int):
+    return _compile(
+        _section_source(terms, a1, m1, a2, m2),
+        "section_rate",
+        sqrt=math.sqrt,
+        sin=math.sin,
+        cos=math.cos,
+        stop=_stop,
+    )
 
 
 def _field_terms(coeffs: PerturbCoeffs):
@@ -159,16 +240,27 @@ def _field_terms(coeffs: PerturbCoeffs):
     )
 
 
-def _field_kernel(family: SystemFamily, coeffs: PerturbCoeffs):
-    """The field's compiled float kernels (pq, integrand): pq(x, y) is
-    (P(x, y), Q(x, y)), and integrand(x, y) is the quadrature integrand
-    (x*P + y*Q) / ((1 - alpha1*x)**m1 * (1 - alpha2*x)**m2).
+def _field(family: SystemFamily, coeffs: PerturbCoeffs) -> tuple:
+    """(terms, alpha1, m1, alpha2, m2) with the alphas as doubles: what
+    the kernels of a field are compiled from, and their memo key.
 
     Every coefficient is converted before anything is compiled, so one
     that has no double value raises ValueError here."""
-    return _compiled_kernel(
-        _field_terms(coeffs), float(family.alpha1), family.m1, float(family.alpha2), family.m2
+    return _field_terms(coeffs), float(family.alpha1), family.m1, float(family.alpha2), family.m2
+
+
+def _nodes(start: int, half: int) -> tuple:
+    """(sin t, cos t) at the trapezoid nodes t = pi*j/half, for j from
+    start to 2*half in steps of 2."""
+    return tuple(
+        (math.sin(t), math.cos(t)) for t in (math.pi * j / half for j in range(start, 2 * half, 2))
     )
+
+
+# the levels that most quadratures reach are built once; larger ones, which
+# only orbits near h_max need, are built per call rather than kept
+_cached_nodes = functools.lru_cache(maxsize=None)(_nodes)
+CACHED_NODES = 1024
 
 
 def numeric_melnikov(family: SystemFamily, coeffs: PerturbCoeffs, h: float) -> float:
@@ -184,15 +276,13 @@ def numeric_melnikov(family: SystemFamily, coeffs: PerturbCoeffs, h: float) -> f
     """
     if not (0 < h < float(family.h_max)):
         raise ValueError("orbit label outside the annulus")
-    _, integrand = _field_kernel(family, coeffs)
+    kernel = _level_kernel(*_field(family, coeffs))
     root_h = math.sqrt(h)
 
-    def level(nodes, half):
-        """Sums of f and |f| over the nodes t = pi*j/half, j in nodes."""
-        values = []
-        for j in nodes:
-            t = math.pi * j / half
-            values.append(integrand(root_h * math.sin(t), root_h * math.cos(t)))
+    def level(start, half):
+        """Sums of f and |f| over the nodes t = pi*j/half, j = start, start + 2, ..."""
+        nodes = (_cached_nodes if half <= CACHED_NODES else _nodes)(start, half)
+        values = kernel(root_h, nodes)
         return math.fsum(values), math.fsum(map(abs, values))
 
     # near a zero of the integral the relative criterion can never fire, so
@@ -201,10 +291,10 @@ def numeric_melnikov(family: SystemFamily, coeffs: PerturbCoeffs, h: float) -> f
         return abs(a - b) <= tol * max(abs(a), abs(b)) or abs(a - b) <= tol * scale
 
     n = START_NODES
-    total, mass = level(range(0, 2 * n, 2), n)
+    total, mass = level(0, n)
     prev = total * (2.0 * math.pi / n)
     while True:
-        odd, odd_mass = level(range(1, 2 * n, 2), n)
+        odd, odd_mass = level(1, n)
         total, mass, n = total + odd, mass + odd_mass, 2 * n
         cur, scale = total * (2.0 * math.pi / n), mass * (2.0 * math.pi / n)
         if n >= MIN_NODES and settled(cur, prev, scale, 1e-12):
@@ -214,38 +304,6 @@ def numeric_melnikov(family: SystemFamily, coeffs: PerturbCoeffs, h: float) -> f
                 return cur
             raise QuadratureError(f"quadrature did not settle at h={h}")
         prev = cur
-
-
-def _section_rate(family: SystemFamily, coeffs: PerturbCoeffs, eps: float, h0: float):
-    """d(h - h0)/dtheta along the perturbed orbit, theta = atan2(x, y).
-
-    With x = sqrt(h)*sin(theta), y = sqrt(h)*cos(theta) and w the slowing
-    factor, dh/dtheta = 2*eps*h*(x*P + y*Q) / (w*h + eps*(y*P - x*Q)).
-    """
-    pq, _ = _field_kernel(family, coeffs)
-    a1, a2 = float(family.alpha1), float(family.alpha2)
-    m1, m2 = family.m1, family.m2
-    reach = max(abs(a1), abs(a2))
-
-    def rate(theta, delta):
-        h = h0 + delta
-        if h <= 0.0:
-            raise FlowError(f"orbit reached the center at angle {theta:.6f}")
-        root = math.sqrt(h)
-        # |x| <= sqrt(h) on the whole circle, so this guards every stage
-        if 1.0 - reach * root < SINGULAR_GUARD:
-            raise FlowError(f"orbit reached the singular guard at h={h:.6f}")
-        x, y = root * math.sin(theta), root * math.cos(theta)
-        p, q = pq(x, y)
-        turn = (1.0 - a1 * x) ** m1 * (1.0 - a2 * x) ** m2 * h + eps * (y * p - x * q)
-        if turn <= 0.0:
-            raise FlowError(
-                f"the angle stopped increasing at angle {theta:.6f}, h={h:.6g}: "
-                "the orbit does not return to the section"
-            )
-        return 2.0 * eps * h * (x * p + y * q) / turn
-
-    return rate
 
 
 def displacement(
@@ -264,7 +322,7 @@ def displacement(
 
     if not (0 < h < float(family.h_max)):
         raise ValueError("orbit label outside the annulus")
-    rate = _section_rate(family, coeffs, cfg.epsilon, h)
+    rate = _section_kernel(*_field(family, coeffs))(cfg.epsilon, h)
     atol = STEP_TOLERANCE * abs(cfg.epsilon) * h
     return dop853.integrate(rate, 0.0, 2.0 * math.pi, atol, STEP_TOLERANCE, FlowError)
 

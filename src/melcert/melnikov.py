@@ -140,7 +140,16 @@ class PerturbCoeffs:
         for name in ("a", "b"):
             grid = getattr(self, name)
             clean = {}
-            for (i, j), value in grid.items():
+            for key, value in grid.items():
+                # indices are integers, as n is (0.5 or 1/2 would reach the
+                # assembly's ranges as a raw TypeError)
+                try:
+                    i, j = key
+                    i, j = operator.index(i), operator.index(j)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{name} entry {key!r}: index is not a pair of integers"
+                    ) from None
                 value = as_rational(value)
                 if i < 0 or j < 0 or i + j > self.n:
                     raise ValueError(f"{name}[{i},{j}] outside 0 <= i+j <= {self.n}")

@@ -32,12 +32,20 @@ of int polynomials.  `oracle_row_reduce` eliminates on `Fraction` rows,
 where `melcert.zeros` runs a fraction-free elimination on ints.
 `oracle_field` evaluates the perturbation monomial by monomial from tables
 of powers of x and y, where `melcert.flow` compiles Horner source for it.
+`oracle_quadrature`, `oracle_section_rate` and `oracle_dop853` are the
+flow's loops of one call per point: a per-node integrand call with its own
+sin and cos, a rate closure over a compiled `pq`, and an integrator that
+sums each stage through a loop, where `melcert.flow` and `melcert.dop853`
+run generated straight-line kernels.  They do the same float operations in
+the same order, so the two must agree bit for bit.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
+from melcert import dop853, flow
+from melcert.flow import FlowError, QuadratureError
 from melcert.intervals import RatInterval, pi_interval, sqrt_rational
 from melcert.melnikov import ConfluentNormalForm, _u_poly
 from melcert.polynomials import Polynomial, _scaled_at
@@ -565,3 +573,158 @@ def oracle_field(coeffs):
         return p, q
 
     return pq
+
+
+def oracle_field_kernel(family, coeffs):
+    """(pq, integrand) of a field, one call per point: pq(x, y) is
+    (P(x, y), Q(x, y)) from the flow's Horner source, and integrand(x, y) is
+    (x*P + y*Q) / ((1 - alpha1*x)**m1 * (1 - alpha2*x)**m2)."""
+    terms = flow._field_terms(coeffs)
+    p = flow._polynomial_source((i, j, a) for i, j, a, _ in terms)
+    q = flow._polynomial_source((i, j, b) for i, j, _, b in terms)
+    w = "*".join(
+        f"(1.0 - {float(a)!r}*x)" + (f"**{m}" if m > 1 else "")
+        for a, m in ((family.alpha1, family.m1), (family.alpha2, family.m2))
+    )
+    namespace = {"__builtins__": {}}
+    exec(
+        f"def pq(x, y):\n    return {p}, {q}\n"
+        f"def integrand(x, y):\n    return (x*({p}) + y*({q})) / ({w})\n",
+        namespace,
+    )
+    return namespace["pq"], namespace["integrand"]
+
+
+def oracle_quadrature(family, coeffs, h):
+    """`flow.numeric_melnikov` node by node: the same ladder and the same
+    acceptance, one integrand call and one sin and cos per node."""
+    if not (0 < h < float(family.h_max)):
+        raise ValueError("orbit label outside the annulus")
+    _, integrand = oracle_field_kernel(family, coeffs)
+    root_h = math.sqrt(h)
+
+    def level(nodes, half):
+        values = []
+        for j in nodes:
+            t = math.pi * j / half
+            values.append(integrand(root_h * math.sin(t), root_h * math.cos(t)))
+        return math.fsum(values), math.fsum(map(abs, values))
+
+    def settled(a, b, scale, tol):
+        return abs(a - b) <= tol * max(abs(a), abs(b)) or abs(a - b) <= tol * scale
+
+    n = flow.START_NODES
+    total, mass = level(range(0, 2 * n, 2), n)
+    prev = total * (2.0 * math.pi / n)
+    while True:
+        odd, odd_mass = level(range(1, 2 * n, 2), n)
+        total, mass, n = total + odd, mass + odd_mass, 2 * n
+        cur, scale = total * (2.0 * math.pi / n), mass * (2.0 * math.pi / n)
+        if n >= flow.MIN_NODES and settled(cur, prev, scale, 1e-12):
+            return cur
+        if n == flow.MAX_NODES:
+            if settled(cur, prev, scale, 1e-9):
+                return cur
+            raise QuadratureError(f"quadrature did not settle at h={h}")
+        prev = cur
+
+
+def oracle_section_rate(family, coeffs, eps, h0):
+    """d(h - h0)/dtheta along the perturbed orbit as a closure over `pq`,
+    with the flow's stops and their texts."""
+    pq, _ = oracle_field_kernel(family, coeffs)
+    a1, a2 = float(family.alpha1), float(family.alpha2)
+    m1, m2 = family.m1, family.m2
+    reach = max(abs(a1), abs(a2))
+
+    def rate(theta, delta):
+        h = h0 + delta
+        if h <= 0.0:
+            raise FlowError(f"orbit reached the center at angle {theta:.6f}")
+        if not math.isfinite(h):
+            raise FlowError(f"orbit label h={h} is beyond the range of a double at angle {theta:.6f}")
+        root = math.sqrt(h)
+        if 1.0 - reach * root < flow.SINGULAR_GUARD:
+            raise FlowError(f"orbit reached the singular guard at h={h:.6f}")
+        x, y = root * math.sin(theta), root * math.cos(theta)
+        p, q = pq(x, y)
+        turn = (1.0 - a1 * x) ** m1 * (1.0 - a2 * x) ** m2 * h + eps * (y * p - x * q)
+        if turn <= 0.0:
+            raise FlowError(
+                f"the angle stopped increasing at angle {theta:.6f}, h={h:.6g}: "
+                "the orbit does not return to the section"
+            )
+        return 2.0 * eps * h * (x * p + y * q) / turn
+
+    return rate
+
+
+def _dot(terms, k):
+    """sum(c * k[j]) over the terms, added left to right from 0.0."""
+    acc = 0.0
+    for j, c in terms:
+        acc += c * k[j]
+    return acc
+
+
+def oracle_dop853(fun, t, t_end, atol, rtol, error):
+    """`dop853.integrate` with each step a loop over the stages that sums
+    each tableau row through `_dot`."""
+    stages = [dop853._terms(row) for row in dop853._STAGES]
+    weights, error5, error3 = map(dop853._terms, (dop853._WEIGHTS, dop853._ERROR5, dop853._ERROR3))
+    y, f = 0.0, fun(t, 0.0)
+    step = min(t_end - t, dop853.FIRST_STEP)
+    rejected, stop = False, None
+    while t < t_end:
+        last = step >= t_end - t
+        h = t_end - t if last else step
+        t_new = t_end if last else t + h
+        try:
+            k = [f]
+            for node, terms in zip(dop853._NODES, stages):
+                k.append(fun(t + node * h, y + h * _dot(terms, k)))
+            y_new = y + h * _dot(weights, k)
+            f_new = fun(t_new, y_new)
+        except error as exc:
+            stop, estimate = exc, math.inf
+        else:
+            err5 = _dot(error5, k)
+            err3 = _dot(error3, k)
+            scale = atol + rtol * max(abs(y), abs(y_new))
+            if err5 == 0.0:
+                estimate = 0.0
+            elif scale == 0.0:
+                estimate = math.inf
+            else:
+                denominator = scale * math.sqrt(err5 * err5 + 0.01 * err3 * err3)
+                if denominator:
+                    estimate = h * err5 * err5 / denominator
+                else:  # it underflowed: the same ratio, without the squares
+                    estimate = h * abs(err5) / scale * (abs(err5) / math.hypot(err5, 0.1 * err3))
+        if estimate < 1.0:
+            t, y, f = t_new, y_new, f_new
+            factor = (
+                min(dop853._MAX_FACTOR, dop853._SAFETY * estimate**-0.125)
+                if estimate
+                else dop853._MAX_FACTOR
+            )
+            step = h * (min(1.0, factor) if rejected else factor)
+            rejected, stop = False, None
+        else:
+            step = h * max(dop853._MIN_FACTOR, dop853._SAFETY * estimate**-0.125)
+            rejected = True
+            if step < 10 * math.ulp(t):
+                raise stop or error(
+                    f"step size fell below 10 ulp at {t:.6f}: the solution has a "
+                    "singularity or a vertical tangent there"
+                )
+    return y
+
+
+def oracle_displacement(family, coeffs, eps, h):
+    """`flow.displacement` from `oracle_section_rate` and `oracle_dop853`."""
+    if not (0 < h < float(family.h_max)):
+        raise ValueError("orbit label outside the annulus")
+    rate = oracle_section_rate(family, coeffs, eps, h)
+    atol = flow.STEP_TOLERANCE * abs(eps) * h
+    return oracle_dop853(rate, 0.0, 2.0 * math.pi, atol, flow.STEP_TOLERANCE, FlowError)

@@ -539,6 +539,30 @@ class TestCommands:
         assert captured.err == "error: coefficient a[0,0] is beyond the range of a double\n"
         assert captured.out == ""
 
+    def test_orbits_beyond_the_doubles_exit_1_in_verify(self, tmp_path, capsys):
+        # h_max = 1e300 is a double, but x*P overflows on every grid orbit
+        spec = tmp_path / "overflow.spec"
+        spec.write_text(
+            "[family]\nalpha1 = 1e-150\nalpha2 = -1e-150\nm1 = 1\nm2 = 1\n"
+            "[perturbation]\nn = 2\na_0_0 = 1\na_2_0 = -1/3\nb_0_1 = 1/5\n"
+            "[settings]\neps = 1/1000\n"
+        )
+        assert main(["verify", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: every grid orbit leaves the range of a double (h_max = 1e+300): "
+            "verify cannot integrate a section return\n"
+        )
+        assert captured.out == ""
+
+    def test_epsilon_near_the_double_floor_verifies(self, capsys):
+        # the integrator's error sums are O(eps) and their squares underflow
+        spec = str(INSTANCES / "n2_basic.spec")
+        assert main(["verify", "--spec", spec, "--eps", "1e-200"]) == 0
+        captured = capsys.readouterr()
+        assert "verdict: match" in captured.out
+        assert captured.err == ""
+
     def test_misspelt_setting_exits_1(self, tmp_path, capsys):
         spec = tmp_path / "misspelt.spec"
         spec.write_text(BASIC.replace("precision = 30", "precison = 3"))

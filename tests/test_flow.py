@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from melcert import flow
+from melcert import dop853, flow
 from melcert.dop853 import integrate
 from melcert.flow import (
     FlowConfig,
@@ -24,7 +24,13 @@ from melcert.melnikov import (
     evaluate_normal_form,
 )
 from melcert.zeros import count_zeros, prescribe_zeros
-from oracles import oracle_field
+from oracles import (
+    oracle_displacement,
+    oracle_field,
+    oracle_field_kernel,
+    oracle_quadrature,
+    oracle_section_rate,
+)
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 BASIC = PerturbCoeffs(n=2, a={(0, 0): F(1), (2, 0): F(1, 4)}, b={(0, 1): F(1, 3)})
@@ -75,15 +81,18 @@ def test_epsilon_that_is_not_small_rejected(eps):
 
 
 class TestFieldKernel:
-    """The compiled kernel against the loop `oracle_field` and exact values.
+    """The compiled kernels against the loop `oracle_field` and exact values.
 
-    Both sides are held to a bound fixed from the doubles' unit roundoff u:
-    each monomial of x**i * y**j passes through at most 4n + 4 roundings in
-    Horner's rule and n + T in the loop (T terms), so |error| <= (4n + T + 8)
-    u times the sum of |c|*|x|**i*|y|**j.  Points keep |alpha*x| <= 1/2, so
-    each factor 1 - alpha*x is rounded to within 6u relative and the
-    denominator to (6(m1 + m2) + 4)u.  Results below the normal range may
-    lose to underflow what 2**-1060 covers, after the 1/w <= 2**6 growth.
+    P and Q are read from the Horner source both kernels inline
+    (`oracle_field_kernel` compiles it alone), the integrand from the
+    quadrature kernel at r = 1.  Both sides are held to a bound fixed from
+    the doubles' unit roundoff u: each monomial of x**i * y**j passes
+    through at most 4n + 4 roundings in Horner's rule and n + T in the loop
+    (T terms), so |error| <= (4n + T + 8) u times the sum of
+    |c|*|x|**i*|y|**j.  Points keep |alpha*x| <= 1/2, so each factor
+    1 - alpha*x is rounded to within 6u relative and the denominator to
+    (6(m1 + m2) + 4)u.  Results below the normal range may lose to
+    underflow what 2**-1060 covers, after the 1/w <= 2**6 growth.
     """
 
     U = 2.0**-53
@@ -95,6 +104,13 @@ class TestFieldKernel:
     )
     ALPHA = st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(1, 4), F(3, 7), F(-1, 5)])
     POINT = st.floats(min_value=-1, max_value=1)
+    # what each generated source may name besides numbers: its arguments
+    # and locals, and for the section rate its namespace
+    LEVEL_NAMES = {"r", "nodes", "s", "c", "x", "y"}
+    SECTION_NAMES = {
+        "eps", "h0", "rate", "theta", "delta", "h", "root", "x", "y", "p", "q", "turn",
+        "sqrt", "sin", "cos", "stop",
+    }
 
     @staticmethod
     def exact(grid, x, y):
@@ -107,8 +123,18 @@ class TestFieldKernel:
             scale += abs(c) * abs(x) ** i * abs(y) ** j
         return value, scale
 
+    @staticmethod
+    def assert_arithmetic(source, names):
+        """The source is arithmetic on numbers and the given names only."""
+        tree = ast.parse(source)
+        assert {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} <= names
+        assert all(
+            type(n.value) in (float, int) for n in ast.walk(tree) if isinstance(n, ast.Constant)
+        )
+
     def check(self, fam, co, points):
-        pq, integrand = flow._field_kernel(fam, co)
+        pq, _ = oracle_field_kernel(fam, co)
+        level = flow._level_kernel(*flow._field(fam, co))
         oracle = oracle_field(co)
         terms = flow._field_terms(co)
         grid_p = {(i, j): a for i, j, a, _ in terms}
@@ -129,15 +155,12 @@ class TestFieldKernel:
             scale = (abs(F(x)) * sp + abs(F(y)) * sq) / w
             bound = (gamma + (6 * (fam.m1 + fam.m2) + 4) * self.U) * scale + self.TINY
             ref = (x * po + y * qo) / ((1.0 - a1 * x) ** fam.m1 * (1.0 - a2 * x) ** fam.m2)
-            got = integrand(x, y)
+            [got] = level(1.0, [(x, y)])
             assert abs(F(got) - want) <= bound, (x, y, got, want)
             assert abs(F(got) - F(ref)) <= 2 * bound, (x, y, got, ref)
-        # the source is arithmetic on numbers, x and y: nothing else is named
-        tree = ast.parse(flow._kernel_source(terms, a1, fam.m1, a2, fam.m2))
-        assert {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} <= {"x", "y"}
-        assert all(
-            type(n.value) in (float, int) for n in ast.walk(tree) if isinstance(n, ast.Constant)
-        )
+        field = (terms, a1, fam.m1, a2, fam.m2)
+        self.assert_arithmetic(flow._level_source(*field), self.LEVEL_NAMES)
+        self.assert_arithmetic(flow._section_source(*field), self.SECTION_NAMES)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -170,15 +193,102 @@ class TestFieldKernel:
             a={(i, j): F((-1) ** (i + j) * (i + 1), 64 * (j + 2)) for i, j in slots},
             b={(i, j): F(j - i, 97 * (i + 3)) or F(1, 5) for i, j in slots},
         )
+        fam = SystemFamily(F(1, 2), F(-1, 3), 16, 16)
         points = [(0.0, 0.0), (1.0, -1.0), (-0.75, 0.5), (0.3, 0.9), (-1.0, -1.0)]
-        self.check(SystemFamily(F(1, 2), F(-1, 3), 16, 16), co, points)
+        self.check(fam, co, points)
+        # the section rate compiles at this depth too, and runs the loop's doubles
+        rate = flow._section_kernel(*flow._field(fam, co))(1e-3, 0.5)
+        reference = oracle_section_rate(fam, co, 1e-3, 0.5)
+        for theta, delta in ((0.0, 0.0), (1.0, 1e-4), (4.0, -2e-3)):
+            assert rate(theta, delta).hex() == reference(theta, delta).hex()
+
+    def test_dop853_step_source_is_arithmetic(self):
+        self.assert_arithmetic(
+            dop853._step_source(),
+            {"fun", "t", "y", "f", "h", "t_new", "y_new", "f_new"} | {f"k{i}" for i in range(12)},
+        )
 
     def test_the_memo_keeps_the_last_field_only(self):
-        first = flow._field_kernel(FAM, BASIC)
-        assert flow._field_kernel(FAM, BASIC) is first
-        other = flow._field_kernel(FAM, PerturbCoeffs(n=1, a={(1, 0): F(1)}))
+        flow._level_kernel.cache_clear()
+        flow._section_kernel.cache_clear()
+        first = flow._level_kernel(*flow._field(FAM, BASIC))
+        assert flow._level_kernel(*flow._field(FAM, BASIC)) is first
+        other = flow._level_kernel(*flow._field(FAM, PerturbCoeffs(n=1, a={(1, 0): F(1)})))
         assert other is not first
-        assert flow._compiled_kernel.cache_info().currsize == 1
+        assert flow._level_kernel.cache_info().currsize == 1
+        # a quadrature compiles no section rate
+        numeric_melnikov(FAM, BASIC, 0.5)
+        assert flow._section_kernel.cache_info().misses == 0
+        # a scan interleaved with other fields' quadratures compiles its rate once
+        others = [PerturbCoeffs(n=1, a={(1, 0): F(1, k)}) for k in (2, 3)]
+        cfg = FlowConfig(epsilon=1e-3)
+        for k, h in enumerate((0.5, 1.0, 1.5, 2.0)):
+            displacement(FAM, BASIC, cfg, h)
+            numeric_melnikov(FAM, others[k % 2], h)
+        info = flow._section_kernel.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+class TestKernelsMatchTheLoops:
+    """The generated kernels against the per-call loops of `oracles`: the
+    same float operations in the same order, so every double and every
+    FlowError text must agree bit for bit."""
+
+    ALPHA = st.sampled_from([F(1, 2), F(-1, 2), F(-1, 3), F(1, 4), F(3, 7), F(-1, 5), F(2, 3)])
+    COEFF = st.fractions(min_value=-1, max_value=1, max_denominator=1000)
+    EPS = st.one_of(st.sampled_from([1e-3, 0.05, 0.3, -0.3]), st.floats(-0.3, 0.3))
+
+    @staticmethod
+    def outcome(run, *args):
+        try:
+            return "value", run(*args).hex()
+        except (FlowError, QuadratureError) as exc:
+            return type(exc).__name__, str(exc)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_quadrature_and_returns_are_bit_identical(self, data):
+        n = data.draw(st.integers(0, 6), label="n")
+        slots = st.sampled_from([(i, j) for i in range(n + 1) for j in range(n + 1 - i)])
+        co = PerturbCoeffs(
+            n=n,
+            a=data.draw(st.dictionaries(slots, self.COEFF, max_size=6), label="a"),
+            b=data.draw(st.dictionaries(slots, self.COEFF, max_size=6), label="b"),
+        )
+        fam = SystemFamily(
+            data.draw(self.ALPHA), data.draw(self.ALPHA),
+            data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
+        )
+        h = float(fam.h_max) * data.draw(st.floats(0.01, 0.9), label="h/h_max")
+        eps = data.draw(self.EPS, label="eps")
+        assert self.outcome(numeric_melnikov, fam, co, h) == self.outcome(
+            oracle_quadrature, fam, co, h
+        )
+        assert self.outcome(displacement, fam, co, FlowConfig(epsilon=eps), h) == self.outcome(
+            oracle_displacement, fam, co, eps, h
+        )
+
+    @pytest.mark.parametrize(
+        "fam, co, eps, h, message",
+        [
+            (FAM, PerturbCoeffs(n=0, a={(0, 0): F(-1)}), 0.9, 1e-4, "angle stopped increasing"),
+            (FAM, PerturbCoeffs(n=0, a={(0, 0): F(1)}), 0.9, 1e-4, "singular guard"),
+            (FAM, PerturbCoeffs(n=2, a={(2, 0): F(1)}), 0.5, 0.5, "10 ulp"),
+            (FAM, BASIC, 0.0, float(FAM.h_max) * (1 - 1e-9), "singular guard"),
+            (
+                SystemFamily(F(1, 10**150), F(-1, 10**150), 1, 1),
+                PerturbCoeffs(n=2, a={(0, 0): F(1), (2, 0): F(-1, 3)}, b={(0, 1): F(1, 5)}),
+                1e-3,
+                5e299,
+                "beyond the range of a double",
+            ),
+        ],
+        ids=["turn", "guard", "fold", "grazing", "overflow"],
+    )
+    def test_flow_error_texts_are_identical(self, fam, co, eps, h, message):
+        kind, text = self.outcome(displacement, fam, co, FlowConfig(epsilon=eps), h)
+        assert (kind, text) == self.outcome(oracle_displacement, fam, co, eps, h)
+        assert kind == "FlowError" and message in text
 
 
 class TestSectionReturn:
@@ -220,6 +330,15 @@ class TestDisplacement:
             value = float(evaluate_normal_form(nf, F(h), precision=20).mid)
             d = displacement(FAM, BASIC, FlowConfig(epsilon=eps), h)
             assert abs(d / (2 * eps) - value) <= 1e-5 * abs(value), h
+
+    @pytest.mark.parametrize("eps", [1e-200, -1e-300])
+    def test_error_sums_whose_squares_underflow(self, eps):
+        # the step's error sums are O(eps), so their squares underflow to
+        # 0.0; the step control still reads their ratio to the tolerance
+        nf = assemble(FAM, BASIC)
+        value = float(evaluate_normal_form(nf, F(1), precision=20).mid)
+        d = displacement(FAM, BASIC, FlowConfig(epsilon=eps), 1.0)
+        assert abs(d / (2 * eps) - value) <= 1e-5 * abs(value)
 
 
 class TestFindLimitCycles:

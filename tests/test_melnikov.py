@@ -371,15 +371,18 @@ class TestAssembly:
             (lambda: SystemFamily(F(1, 2), F(-1, 3), 1.5, 1), "positive integers"),
             (lambda: SystemFamily(F(1, 2), F(-1, 3), 1, F(3, 2)), "positive integers"),
             (lambda: PerturbCoeffs(n=2.5), "degree"),
+            (lambda: PerturbCoeffs(n=2, a={(0.5, 0): 1}), r"a entry \(0\.5, 0\): index"),
+            (lambda: PerturbCoeffs(n=2, b={(0, F(1, 2)): 1}), r"b entry \(0, Fraction\(1, 2\)\)"),
+            (lambda: PerturbCoeffs(n=2, a={(0, 0, 0): 1}), "not a pair of integers"),
             (lambda: theorem_bound(FAM, 2.5), "degree"),
             (lambda: SystemFamily(0, F(1, 2), 1, 1), "nonzero"),
         ],
-        ids=["m1=1.5", "m2=3/2", "n=2.5", "bound n=2.5", "alpha1=0"],
+        ids=["m1=1.5", "m2=3/2", "n=2.5", "a key 0.5", "b key 1/2", "key of 3", "bound n=2.5", "alpha1=0"],
     )
     def test_invalid_family_or_degree_raises_value_error(self, build, message):
-        # exponents and degrees are integers (an integral float or Fraction
-        # would reach the assembly's ranges as a raw TypeError); the rows
-        # divide by alpha
+        # exponents, degrees and coefficient indices are integers (an
+        # integral float or Fraction would reach the assembly's ranges as a
+        # raw TypeError); the rows divide by alpha
         with pytest.raises(ValueError, match=message):
             build()
 
@@ -805,22 +808,23 @@ class TestQuadratureOracle:
         return f
 
     def test_against_loop_integral_and_certified_value(self, monkeypatch):
-        # count the field evaluations of each call: toward h_max the pole
-        # nears the circle, and the ladder has to go well past the floor
+        # count the nodes each call evaluates, from the nodes handed to its
+        # level kernel: toward h_max the pole nears the circle, and the
+        # ladder has to go well past the floor
         nodes = []
-        field_kernel = flow._field_kernel
+        level_kernel = flow._level_kernel
 
-        def counted(family, coeffs):
-            pq, integrand = field_kernel(family, coeffs)
+        def counted(*field):
+            level = level_kernel(*field)
             nodes.append(0)
 
-            def evaluate(x, y):
-                nodes[-1] += 1
-                return integrand(x, y)
+            def evaluate(r, pairs):
+                nodes[-1] += len(pairs)
+                return level(r, pairs)
 
-            return pq, evaluate
+            return evaluate
 
-        monkeypatch.setattr(flow, "_field_kernel", counted)
+        monkeypatch.setattr(flow, "_level_kernel", counted)
         for confluent in (False, True):
             for k in range(3):
                 rng = rng_for(71, k)
