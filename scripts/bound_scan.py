@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from melcert.melnikov import SystemFamily, assemble
-from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
+from melcert.sampling import draw_coeffs, draw_family, rng_for
 from melcert.zeros import count_zeros, theorem_bound
 
 # (n, m1, m2); the last two have m1 + m2 > n + 1, so their forms have no tail
@@ -37,11 +37,7 @@ def survey(samples: int, seed: int):
             bound = theorem_bound(SystemFamily(half, half if confluent else -half, m1, m2), n)
             for idx in range(samples):
                 rng = rng_for(seed, idx)
-                if confluent:
-                    alpha = draw_alpha(rng)
-                    fam = SystemFamily(alpha, alpha, m1, m2)
-                else:
-                    fam = draw_family(rng, m1, m2)
+                fam = draw_family(rng, m1, m2, confluent=confluent)
                 nf = assemble(fam, draw_coeffs(rng, n, box=Fraction(1)))
                 if nf.is_zero:
                     continue

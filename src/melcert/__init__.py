@@ -16,11 +16,8 @@ from .melnikov import (
     PerturbCoeffs,
     SystemFamily,
     assemble,
-    assemble_confluent,
-    assemble_melnikov,
     circle_moment,
     evaluate_normal_form,
-    monomial_integral,
 )
 from .zeros import (
     CertifiedZero,
@@ -61,8 +58,6 @@ __all__ = [
     "FlowError",
     "QuadratureError",
     "assemble",
-    "assemble_confluent",
-    "assemble_melnikov",
     "circle_moment",
     "count_real_roots",
     "count_zeros",
@@ -71,7 +66,6 @@ __all__ = [
     "evaluate_normal_form",
     "find_limit_cycles",
     "isolate_roots",
-    "monomial_integral",
     "numeric_melnikov",
     "pi_interval",
     "prescribe_zeros",

@@ -22,8 +22,9 @@ Instance files are flat key-value text with three sections::
     seed = 1
     samples = 20
 
-Values are read as written: `%` is not interpolated, and a [DEFAULT]
-section is rejected rather than copied into the others.
+Values are read as written: `%` is not interpolated.  Any other section,
+[DEFAULT] included (it is not copied into the others), and any other
+[family] key is rejected.
 
 Subcommands: normal-form, zeros, verify, scan, sample-curve, all run from
 the one table `COMMANDS`.  Every report but sample-curve's has a JSON mirror
@@ -58,10 +59,12 @@ from .sampling import draw_coeffs, rng_for
 from .zeros import count_zeros, theorem_bound
 
 
-# Largest accepted exponents and perturbation degree.  Assembly time grows
-# steeply with both (normal-form on a 2-core Xeon, Python 3.11: 0.25 s at
-# m1 = m2 = 16, 1 s at n = 32 with a full grid, 2.3 s at both), so larger
-# specs are refused up front instead of running for minutes.
+# Largest accepted exponents and perturbation degree.  At both caps, with a
+# full grid and alphas 1/2, -1/3, a whole normal-form process takes 0.06 s
+# and zeros 0.08 s (2 vCPUs, Python 3.11, import included), but the zero
+# count grows steeply past them: count_zeros alone takes 76 s on a drawn
+# form at m1 = m2 = 32, n = 64.  Larger specs are refused up front instead
+# of running for minutes.
 MAX_M = 16
 MAX_N = 32
 # Largest accepted digit count: one sample-curve point takes about 0.1 s at
@@ -72,6 +75,11 @@ MAX_PRECISION = 1000
 class SpecError(ValueError):
     """Instance file failed to parse or validate."""
 
+
+# the sections of a spec file and the keys of its [family]: any other is
+# rejected, so a misspelt one cannot pass unnoticed
+SECTIONS = ("family", "perturbation", "settings")
+FAMILY_KEYS = ("alpha1", "alpha2", "m1", "m2")
 
 # canonical indices only: a_00_0 would silently replace a_0_0
 _COEFF_KEY = re.compile(r"^([ab])_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")
@@ -125,7 +133,8 @@ def _setting(label: str, key: str, raw: str):
 
 def parse_spec(text: str) -> InstanceSpec:
     # values are read raw (no %-interpolation), and no header can name the
-    # empty default section, so a [DEFAULT] section is an ordinary one
+    # empty default section, so a [DEFAULT] section is an ordinary one,
+    # rejected like any other section a spec file does not have
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#",), interpolation=None, default_section=""
     )
@@ -134,14 +143,18 @@ def parse_spec(text: str) -> InstanceSpec:
         parser.read_string(text)
     except configparser.Error as exc:
         raise SpecError(f"spec file is not valid key-value text: {exc}") from exc
-    if parser.has_section("DEFAULT"):
-        raise SpecError("[DEFAULT]: not a section of a spec file")
+    for name in parser.sections():
+        if name not in SECTIONS:
+            raise SpecError(f"[{name}]: not a section of a spec file")
 
     for required in ("family", "perturbation"):
         if not parser.has_section(required):
             raise SpecError(f"missing [{required}] section")
     fam_sec = parser["family"]
-    for key in ("alpha1", "alpha2", "m1", "m2"):
+    for key in fam_sec:
+        if key not in FAMILY_KEYS:
+            raise SpecError(f"[family] {key}: expected alpha1, alpha2, m1 or m2")
+    for key in FAMILY_KEYS:
         if key not in fam_sec:
             raise SpecError(f"[family] {key}: missing")
     alphas = [_value(f"[family] {key}", fam_sec[key], "rational") for key in ("alpha1", "alpha2")]

@@ -92,8 +92,6 @@ class DetectedCycle:
 @dataclass
 class CycleReport:
     cycles: list = field(default_factory=list)
-    grid: list = field(default_factory=list)
-    epsilon: float = 0.0
     failures: dict = field(default_factory=dict)  # grid index -> message
 
 
@@ -340,7 +338,7 @@ def find_limit_cycles(
     for g in grid:
         if not (0 < g < h_max):
             raise ValueError("grid must lie strictly inside the annulus")
-    report = CycleReport(grid=list(grid), epsilon=cfg.epsilon)
+    report = CycleReport()
     values = {}
     for idx, g in enumerate(grid):
         try:

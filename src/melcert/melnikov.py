@@ -18,20 +18,22 @@ fuse and the function is pr(r) / r**(2*(m1+m2)-1) for a single rational
 polynomial pr in r, and when alpha2 == -alpha1, r1 == r2.  A form holds
 only its family and its polynomials.
 
-Assembly is linear in the perturbation coefficients and runs in ints.  Per
-family (its tuple of poles), `_FamilyIntegrals` keeps the partial fractions
-of x**k over the poles' product as rows of int numerators, each row from
-the one before by x/(1-alpha*x)**j = ((1-alpha*x)**-j -
-(1-alpha*x)**-(j-1))/alpha; row 0, the weights of the denominator's
-inverse, is the only Taylor step.  Each pole's radical lifts are int lists
-over one denominator.  One pass, `_integrate`, serves every assembly: it
-rewrites the integrand, through y**2 = h - x**2, as a sum of x**k times a
-polynomial X_k(h), combines the X_k by the rows' weights into one
-polynomial per pole and power, multiplies each by its lift once, and takes
-the tail from the rows' polynomial parts; it builds one `Fraction` per
-output coefficient.  The rows and lifts of the CACHED_FAMILIES most
-recently used families stay cached; an older family's are dropped whole,
-so memory stays bounded on any stream of families.
+One entry point, `assemble`, builds every form, and it is linear in the
+perturbation coefficients and runs in ints.  `_terms` is the one map from
+coefficient slots to integrand monomials: a[i,j] weights x**(i+1)*y**j and
+b[i,j] weights x**i*y**(j+1).  Per family (its tuple of poles),
+`_FamilyIntegrals` keeps the partial fractions of x**k over the poles'
+product as rows of int numerators, each row from the one before by
+x/(1-alpha*x)**j = ((1-alpha*x)**-j - (1-alpha*x)**-(j-1))/alpha; row 0,
+the weights of the denominator's inverse, is the only Taylor step.  Each
+pole's radical lifts are int lists over one denominator.  One pass,
+`_integrate`, serves both kinds: it rewrites the integrand, through
+y**2 = h - x**2, as a sum of x**k times a polynomial X_k(h), combines the
+X_k by the rows' weights into one polynomial per pole and power, multiplies
+each by its lift once, and takes the tail from the rows' polynomial parts;
+it builds one `Fraction` per output coefficient.  The rows and lifts of the
+CACHED_FAMILIES most recently used families stay cached; an older family's
+are dropped whole, so memory stays bounded on any stream of families.
 
 Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
 for every exact reader here and in `zeros`; a two-radical form also keeps
@@ -505,32 +507,20 @@ def _poles(family: SystemFamily) -> tuple:
     return ((family.alpha1, family.m1), (family.alpha2, family.m2))
 
 
-def monomial_integral(i: int, j: int, family: SystemFamily) -> MelnikovNormalForm:
-    """Loop integral of x**i * y**j / W dt in normal form (alpha1 != alpha2)."""
-    if family.is_confluent:
-        raise AssemblyError("confluent family: use the single-radical path")
-    if i < 0 or j < 0:
-        raise ValueError("exponents must be >= 0")
-    rad1, rad2, tail = _integrate([(i, j, 1)], _poles(family))
-    return MelnikovNormalForm(family, rad1, rad2, tail)
+def assemble(family: SystemFamily, coeffs: PerturbCoeffs):
+    """Exact normal form of the first-order integral: a
+    `MelnikovNormalForm` for two distinct alphas, a `ConfluentNormalForm`
+    for alpha1 == alpha2.
 
-
-def assemble_melnikov(family: SystemFamily, coeffs: PerturbCoeffs) -> MelnikovNormalForm:
-    """Exact normal form of the first-order integral, alpha1 != alpha2."""
-    if family.is_confluent:
-        raise AssemblyError("confluent family passed to the two-radical assembly")
-    rad1, rad2, tail = _integrate(_terms(coeffs), _poles(family))
-    return MelnikovNormalForm(family, rad1, rad2, tail)
-
-
-def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> ConfluentNormalForm:
-    """Exact single-radical form for alpha1 == alpha2.
-
-    The result is pr(r)/r**(2m-1) with m = m1 + m2: polynomial-in-h parts
-    pick up the odd powers r**(2m-1) and above, the radical parts the even
-    powers below 2m-1, and pr(1) = 0 since the function vanishes at h = 0.
-    The form's constructor rejects a family with two distinct alphas.
+    The confluent integral runs over the one pole (alpha, m), m = m1 + m2,
+    and h = (1 - r**2)/alpha**2 turns it into pr(r)/r**(2m-1): the
+    polynomial-in-h parts pick up the odd powers r**(2m-1) and above, the
+    radical parts the even powers below 2m-1, and pr(1) = 0 since the
+    function vanishes at h = 0.  Uncapped: only `cli.parse_spec` limits
+    m1, m2 <= 16 and n <= 32.
     """
+    if not family.is_confluent:
+        return MelnikovNormalForm(family, *_integrate(_terms(coeffs), _poles(family)))
     alpha = family.alpha1
     m = family.m1 + family.m2
     rad, tail = _integrate(_terms(coeffs), ((alpha, m),))
@@ -538,15 +528,6 @@ def assemble_confluent(family: SystemFamily, coeffs: PerturbCoeffs) -> Confluent
     subst = Polynomial((1 / alpha**2, 0, -1 / alpha**2))
     pr = rad.compose(subst) + tail.compose(subst).shift_up(2 * m - 1)
     return ConfluentNormalForm(family, pr)
-
-
-def assemble(family: SystemFamily, coeffs: PerturbCoeffs):
-    """Dispatch to the confluent or two-radical assembly.
-
-    Uncapped: only `cli.parse_spec` limits m1, m2 <= 16 and n <= 32."""
-    if family.is_confluent:
-        return assemble_confluent(family, coeffs)
-    return assemble_melnikov(family, coeffs)
 
 
 def _radicand(alpha: Fraction, num: int, den: int) -> tuple:
@@ -640,6 +621,10 @@ def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:
     `sqrt_bracket` then bounds every root from below by 2**bits/scale.
     """
     h = as_rational(h)
+    try:
+        precision = operator.index(precision)
+    except TypeError:  # 2.5 or Fraction(7, 2): 10**precision is no integer
+        precision = 0
     if precision < 1:
         raise ValueError("precision must be a positive digit count")
     if h < 0 or h >= nf.family.h_max:

@@ -12,7 +12,8 @@ root (`_root_sign`).  No candidate is left undecided, so count_lo ==
 count_hi; the report keeps the range and its empty `undecided` list.  The
 confluent form needs no squaring and no point sign: its zeros are the roots
 of a polynomial in r on (0, 1), sign-verified where that polynomial changes
-sign.  Zero prescription reads its basis forms at the targets through
+sign.  Zero prescription builds its basis forms by `assemble`, one per
+coefficient slot set to 1 alone, and reads them at the targets through
 `melnikov._point_rungs`, one kernel per form and target.
 
 Candidates come from the Descartes root core of `polynomials`: its one
@@ -38,7 +39,6 @@ from .melnikov import (
     SystemFamily,
     _point_rungs,
     assemble,
-    monomial_integral,
 )
 from .polynomials import (
     DescartesIsolator,
@@ -308,14 +308,9 @@ def _effective_slots(n: int) -> list:
     return [("b" if j % 2 else "a", i, j) for i in range(n + 1) for j in range(n + 1 - i)]
 
 
-def _basis_forms(family: SystemFamily, slots):
-    forms = []
-    for kind, i, j in slots:
-        if kind == "a":
-            forms.append(monomial_integral(i + 1, j, family))
-        else:
-            forms.append(monomial_integral(i, j + 1, family))
-    return forms
+def _basis_forms(family: SystemFamily, slots) -> list:
+    """The form of each slot's coefficient set to 1 alone, by `assemble`."""
+    return [assemble(family, PerturbCoeffs(n=i + j, **{kind: {(i, j): 1}})) for kind, i, j in slots]
 
 
 def _row_reduce(rows):

@@ -18,8 +18,6 @@ from melcert.melnikov import (
     PerturbCoeffs,
     SystemFamily,
     assemble,
-    assemble_confluent,
-    assemble_melnikov,
     evaluate_normal_form,
 )
 from melcert.intervals import RatInterval
@@ -87,7 +85,7 @@ def bound22_instances():
             alpha = draw_alpha(rng)
             fam = SystemFamily(alpha, alpha, m1, m2)
             coeffs = draw_coeffs(rng, n, box=F(1))
-            out.append(((n, m1, m2), fam, coeffs, assemble_confluent(fam, coeffs)))
+            out.append(((n, m1, m2), fam, coeffs, assemble(fam, coeffs)))
     return out
 
 
@@ -254,7 +252,7 @@ def test_criterion_7_sturm_vs_grid_scan():
         idx += 1
         n, m1, m2 = BOUND21_CONFIGS[idx % 4][0]
         fam = draw_family(rng, m1, m2)
-        nf = assemble_melnikov(fam, draw_coeffs(rng, n, box=F(1)))
+        nf = assemble(fam, draw_coeffs(rng, n, box=F(1)))
         if nf.is_zero:
             continue
         elim = eliminate_radicals(nf)

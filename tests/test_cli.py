@@ -354,7 +354,7 @@ class TestCommands:
 
         monkeypatch.setattr(
             "melcert.cli.find_limit_cycles",
-            lambda fam, co, cfg, grid: CycleReport(cycles=[], grid=list(grid), epsilon=cfg.epsilon),
+            lambda fam, co, cfg, grid: CycleReport(),
         )
         rc = main(["verify", "--spec", str(INSTANCES / "two_zeros.spec")])
         assert rc == 2
@@ -381,9 +381,7 @@ class TestCommands:
 
         monkeypatch.setattr(
             "melcert.cli.find_limit_cycles",
-            lambda fam, co, cfg, grid: CycleReport(
-                grid=list(grid), epsilon=cfg.epsilon, failures={3: "forced"}
-            ),
+            lambda fam, co, cfg, grid: CycleReport(failures={3: "forced"}),
         )
         assert main(["verify", "--spec", str(INSTANCES / "n2_basic.spec")]) == 2
         assert "verdict: mismatch" in capsys.readouterr().out
@@ -521,6 +519,28 @@ class TestCommands:
     def test_spec_values_are_read_as_written(self, old, new, message, tmp_path, capsys):
         # no %-interpolation, and no [DEFAULT] keys copied into the sections
         spec = tmp_path / "raw.spec"
+        spec.write_text(BASIC.replace(old, new, 1))
+        assert main(["zeros", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("m2 = 1\n", "m2 = 1\nmm2 = 5\n",
+             "[family] mm2: expected alpha1, alpha2, m1 or m2"),
+            ("[perturbation]", "[setting]\neps = 5\nprecision = 3\n\n[perturbation]",
+             "[setting]: not a section of a spec file"),
+            ("[family]", "[Family]\nm1 = 2\n\n[family]",
+             "[Family]: not a section of a spec file"),
+        ],
+        ids=["family key", "settings misspelt", "section case"],
+    )
+    def test_misspelt_section_or_family_key_exits_1(self, old, new, message, tmp_path, capsys):
+        # a line the parser would otherwise ignore ends in an error, never
+        # in a count that silently left it out
+        spec = tmp_path / "misspelt.spec"
         spec.write_text(BASIC.replace(old, new, 1))
         assert main(["zeros", "--spec", str(spec)]) == 1
         captured = capsys.readouterr()

@@ -160,6 +160,9 @@ def test_public_api_resolves():
     for name in melcert.__all__:
         assert getattr(melcert, name) is not None, name
     assert "Interval" not in melcert.__all__ and not hasattr(melcert, "Interval")
+    # `assemble` is the one assembly: no second entry point is kept
+    for name in ("assemble_melnikov", "assemble_confluent", "monomial_integral"):
+        assert not hasattr(melcert, name) and not hasattr(melcert.melnikov, name), name
 
 
 def test_oracles_share_no_assembly_internals():

@@ -36,15 +36,12 @@ from melcert.melnikov import (
     _radial_numerator,
     _terms,
     assemble,
-    assemble_confluent,
-    assemble_melnikov,
     circle_moment,
     evaluate_normal_form,
-    monomial_integral,
 )
 from melcert.polynomials import Polynomial
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
-from melcert.zeros import _effective_slots, count_zeros, theorem_bound
+from melcert.zeros import _basis_forms, _effective_slots, count_zeros, theorem_bound
 from oracles import (
     oracle_circle_moments,
     oracle_integrate,
@@ -60,6 +57,13 @@ from oracles import (
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 FAM_12 = SystemFamily(F(1, 2), F(-1, 3), 1, 2)
+
+
+def monomial_form(i, j, fam):
+    """The two-radical form of the loop integral of x**i * y**j / W dt: one
+    `_integrate` term, which also reaches x**0 * y**0, a monomial that no
+    coefficient slot weights."""
+    return melnikov.MelnikovNormalForm(fam, *_integrate([(i, j, 1)], _poles(fam)))
 
 
 def single_pole(k, m, alpha):
@@ -266,7 +270,7 @@ def _check_rows_to_the_limit(fam, compared):
         row = tilde_a, tilde_b, tail = pf_row(k, fam)
         rebuilt = _lifted(tilde_a, basis_a) + _lifted(tilde_b, basis_b)
         assert rebuilt + Polynomial(tail) * full == Polynomial.monomial(k), f"k={k}"
-        nf = monomial_integral(k, 0, fam)
+        nf = monomial_form(k, 0, fam)
         assert nf.rad1 == _lifted(tilde_a, lifts[0]), f"k={k}"
         assert nf.rad2 == _lifted(tilde_b, lifts[1]), f"k={k}"
         assert nf.tail == oracle_circle_moments(tail), f"k={k}"
@@ -332,17 +336,17 @@ class TestPartialFractions:
 class TestMonomialIntegral:
     def test_odd_y_power_is_zero(self):
         for i, j in [(0, 1), (2, 3), (1, 1), (5, 5)]:
-            assert monomial_integral(i, j, FAM).is_zero
+            assert monomial_form(i, j, FAM).is_zero
 
     def test_simplest_case_shape(self):
-        nf = monomial_integral(0, 0, FAM)
+        nf = monomial_form(0, 0, FAM)
         assert nf.rad1.degree == 0 and nf.rad2.degree == 0
         assert nf.tail.is_zero
         # exact split constants: alpha1/(alpha1-alpha2) and its mirror
         assert nf.rad1 == Polynomial.constant(2 * F(1, 2) / (F(1, 2) + F(1, 3)))
 
     def test_simplest_case_against_quadrature(self):
-        nf = monomial_integral(0, 0, FAM)
+        nf = monomial_form(0, 0, FAM)
         for h in (0.3, 0.9, 1.7, 2.6, 3.4):
             oracle = loop_integral(
                 lambda t: 1.0
@@ -353,7 +357,7 @@ class TestMonomialIntegral:
     def test_tail_degree_bookkeeping(self):
         # x**4 y**2 with m1=1, m2=2: highest pure-power index is 4+2=6,
         # so the polynomial part has degree at most (6 - 3)//2 = 1
-        nf = monomial_integral(4, 2, FAM_12)
+        nf = monomial_form(4, 2, FAM_12)
         assert nf.tail.degree <= 1
         h = 0.8
         oracle = loop_integral(
@@ -387,7 +391,7 @@ class TestAssembly:
             build()
 
     def test_zero_coefficients_give_zero_form(self):
-        nf = assemble_melnikov(FAM, PerturbCoeffs(n=3))
+        nf = assemble(FAM, PerturbCoeffs(n=3))
         assert nf.is_zero
 
     def test_parity_only_coefficients_vanish(self):
@@ -397,14 +401,14 @@ class TestAssembly:
             full = draw_coeffs(rng, 3)
             a = {key: v for key, v in full.a.items() if key[1] % 2 == 1}
             b = {key: v for key, v in full.b.items() if key[1] % 2 == 0}
-            nf = assemble_melnikov(fam, PerturbCoeffs(n=3, a=a, b=b))
+            nf = assemble(fam, PerturbCoeffs(n=3, a=a, b=b))
             assert nf.is_zero
 
     def test_mirror_parts_cancel_over_the_shared_radical(self):
         # alpha2 = -alpha1: r1 = r2 = r, so the parts are compared over
         # r**(2*max(m1, m2)-1) with r**2 = 1 - h/4
         odd = PerturbCoeffs(n=2, a={(0, 0): F(1)})
-        assert assemble_melnikov(SystemFamily(F(1, 2), F(-1, 2), 1, 1), odd).is_zero
+        assert assemble(SystemFamily(F(1, 2), F(-1, 2), 1, 1), odd).is_zero
         fam = SystemFamily(F(1, 2), F(-1, 2), 2, 1)
         u = Polynomial((1, F(-1, 4)))
         nf = melnikov.MelnikovNormalForm(fam, u.scale(3), Polynomial.constant(-3), Polynomial())
@@ -413,7 +417,7 @@ class TestAssembly:
 
     def test_single_coefficient_matches_monomial(self):
         co = PerturbCoeffs(n=2, a={(0, 0): F(1)})
-        assert assemble_melnikov(FAM, co) == monomial_integral(1, 0, FAM)
+        assert assemble(FAM, co) == monomial_form(1, 0, FAM)
 
     def test_linearity_exact(self):
         rng = rng_for(77)
@@ -426,8 +430,8 @@ class TestAssembly:
             b={k: c1.b.get(k, F(0)) + lam * c2.b.get(k, F(0)) for k in set(c1.b) | set(c2.b)},
             box=F(2),
         )
-        lhs = assemble_melnikov(FAM, combo)
-        f1, f2 = assemble_melnikov(FAM, c1), assemble_melnikov(FAM, c2)
+        lhs = assemble(FAM, combo)
+        f1, f2 = assemble(FAM, c1), assemble(FAM, c2)
         for part in ("rad1", "rad2", "tail"):
             expected = getattr(f1, part) + getattr(f2, part).scale(lam)
             assert getattr(lhs, part) == expected, part
@@ -436,7 +440,7 @@ class TestAssembly:
         for seed in range(20):
             rng = rng_for(42, seed)
             fam = draw_family(rng, rng.randint(1, 3), rng.randint(1, 3))
-            nf = assemble_melnikov(fam, draw_coeffs(rng, rng.randint(0, 4)))
+            nf = assemble(fam, draw_coeffs(rng, rng.randint(0, 4)))
             assert nf.center_value() == 0
 
     def test_degree_bounds(self):
@@ -445,19 +449,16 @@ class TestAssembly:
             n = rng.randint(0, 4)
             m1, m2 = rng.randint(1, 3), rng.randint(1, 3)
             fam = draw_family(rng, m1, m2)
-            nf = assemble_melnikov(fam, draw_coeffs(rng, n))
+            nf = assemble(fam, draw_coeffs(rng, n))
             s = (n + 1) // 2
             assert nf.rad1.degree <= m1 - 1 + s
             assert nf.rad2.degree <= m2 - 1 + s
             assert nf.tail.degree <= (2 * s + 1 - m1 - m2) // 2 or nf.tail.is_zero
 
-    def test_confluent_family_rejected_by_generic_path(self):
-        with pytest.raises(AssemblyError):
-            assemble_melnikov(SystemFamily(F(1, 2), F(1, 2), 1, 1), PerturbCoeffs(n=1))
-
     def test_dispatch(self):
         conf = SystemFamily(F(1, 2), F(1, 2), 1, 1)
         assert isinstance(assemble(conf, PerturbCoeffs(n=1)), ConfluentNormalForm)
+        assert isinstance(assemble(FAM, PerturbCoeffs(n=1)), melnikov.MelnikovNormalForm)
 
     def test_form_of_the_other_kind_rejected(self):
         # the family decides the kind of form, so a constructor refuses a
@@ -467,8 +468,6 @@ class TestAssembly:
             melnikov.MelnikovNormalForm(conf, Polynomial((1,)), Polynomial(), Polynomial())
         with pytest.raises(AssemblyError, match="two distinct alphas"):
             ConfluentNormalForm(FAM, Polynomial((-1, 1)))
-        with pytest.raises(AssemblyError, match="two distinct alphas"):
-            assemble_confluent(FAM, PerturbCoeffs(n=1, a={(0, 0): F(1)}))
 
     def test_power_and_merging_are_read_from_the_family(self):
         conf = SystemFamily(F(1, 2), F(1, 2), 3, 2)
@@ -567,12 +566,13 @@ def test_integrate_matches_fraction_oracle_at_the_spec_limits(kind):
 
 
 def test_every_basis_form_matches_fraction_oracle():
-    # the one-term calls of zeros' basis at n = 8, m = (3, 3)
+    # zeros' basis at n = 8, m = (3, 3), against the monomial of each slot
+    # as mapped here: a[i,j] weights x**(i+1)*y**j, b[i,j] x**i*y**(j+1)
     fam = SystemFamily(F(3, 5), F(-2, 7), 3, 3)
     poles = ((fam.alpha1, fam.m1), (fam.alpha2, fam.m2))
-    for kind, i, j in _effective_slots(8):
+    slots = _effective_slots(8)
+    for (kind, i, j), nf in zip(slots, _basis_forms(fam, slots), strict=True):
         i, j = (i + 1, j) if kind == "a" else (i, j + 1)
-        nf = monomial_integral(i, j, fam)
         assert [nf.rad1, nf.rad2, nf.tail] == oracle_monomial_parts(i, j, poles), (i, j)
 
 
@@ -680,14 +680,14 @@ class TestFamilyCache:
 class TestConfluent:
     def test_zero_coefficients(self):
         fam = SystemFamily(F(1, 2), F(1, 2), 2, 1)
-        assert assemble_confluent(fam, PerturbCoeffs(n=2)).is_zero
+        assert assemble(fam, PerturbCoeffs(n=2)).is_zero
 
     def test_forced_root_at_one(self):
         for seed in range(50):
             rng = rng_for(5, seed)
             alpha = draw_alpha(rng)
             fam = SystemFamily(alpha, alpha, rng.randint(1, 2), rng.randint(1, 2))
-            nf = assemble_confluent(fam, draw_coeffs(rng, rng.randint(1, 4)))
+            nf = assemble(fam, draw_coeffs(rng, rng.randint(1, 4)))
             assert nf.pr.eval(1) == 0
 
     def test_term_count_bound(self):
@@ -697,7 +697,7 @@ class TestConfluent:
             n = 2 * s
             alpha = draw_alpha(rng)
             fam = SystemFamily(alpha, alpha, 1, rng.randint(1, 2))
-            nf = assemble_confluent(fam, draw_coeffs(rng, n))
+            nf = assemble(fam, draw_coeffs(rng, n))
             terms = sum(1 for c in nf.pr.coeffs if c != 0)
             assert terms <= 2 * s + 2
 
@@ -705,7 +705,7 @@ class TestConfluent:
         fam = SystemFamily(F(1, 2), F(1, 2), 2, 1)
         rng = rng_for(9)
         co = draw_coeffs(rng, 3)
-        nf = assemble_confluent(fam, co)
+        nf = assemble(fam, co)
         h = 1.3
         terms_a = [(i, j, float(v)) for (i, j), v in co.a.items()]
         terms_b = [(i, j, float(v)) for (i, j), v in co.b.items()]
@@ -725,34 +725,44 @@ class TestConfluent:
 
 class TestEvaluation:
     def test_center_is_exact_zero(self):
-        nf = assemble_melnikov(FAM, PerturbCoeffs(n=2, a={(0, 0): F(1)}))
+        nf = assemble(FAM, PerturbCoeffs(n=2, a={(0, 0): F(1)}))
         enc = evaluate_normal_form(nf, F(0), precision=25)
         assert enc.contains(0)
         assert enc.width <= F(1, 10**25)
 
     def test_zero_form_evaluates_to_exact_zero(self):
-        nf = assemble_melnikov(FAM, PerturbCoeffs(n=1))
+        nf = assemble(FAM, PerturbCoeffs(n=1))
         enc = evaluate_normal_form(nf, F(1, 3), precision=10)
         assert enc.lo == enc.hi == 0
 
     def test_requested_width_reached(self):
-        nf = assemble_melnikov(FAM, PerturbCoeffs(n=2, a={(0, 0): F(1), (2, 0): F(1, 4)}))
+        nf = assemble(FAM, PerturbCoeffs(n=2, a={(0, 0): F(1), (2, 0): F(1, 4)}))
         for precision in (10, 30, 60):
             enc = evaluate_normal_form(nf, F(7, 2), precision=precision)
             assert enc.width <= F(1, 10**precision)
 
     def test_rejects_out_of_range(self):
-        nf = assemble_melnikov(FAM, PerturbCoeffs(n=1, a={(0, 0): F(1)}))
+        nf = assemble(FAM, PerturbCoeffs(n=1, a={(0, 0): F(1)}))
         with pytest.raises(ValueError):
             evaluate_normal_form(nf, FAM.h_max, precision=10)
         with pytest.raises(ValueError):
             evaluate_normal_form(nf, F(-1, 10), precision=10)
 
+    @pytest.mark.parametrize("precision", [2.5, F(7, 2), 0, -3], ids=["2.5", "7/2", "0", "-3"])
+    def test_precision_is_a_positive_integer(self, precision):
+        # a non-integer digit count made 10**precision a float, and the
+        # width test of this form ended in a raw OverflowError
+        fam = SystemFamily(F(1, 2), F(-1, 3), 6, 6)
+        nf = assemble(fam, draw_coeffs(rng_for(17, 6), 6))
+        assert not nf.is_zero
+        with pytest.raises(ValueError, match="positive digit count"):
+            evaluate_normal_form(nf, 1, precision=precision)
+
     def test_merged_family_evaluation_matches_quadrature(self):
         fam = SystemFamily(F(1, 2), F(-1, 2), 1, 2)
         rng = rng_for(91)
         co = draw_coeffs(rng, 2)
-        nf = assemble_melnikov(fam, co)
+        nf = assemble(fam, co)
         assert nf.merged
         terms_a = [(i, j, float(v)) for (i, j), v in co.a.items()]
         terms_b = [(i, j, float(v)) for (i, j), v in co.b.items()]
@@ -773,7 +783,7 @@ class TestEvaluation:
     def test_confluent_certified_evaluation_matches_quadrature(self):
         fam = SystemFamily(F(1, 2), F(1, 2), 2, 1)
         co = PerturbCoeffs(n=2, a={(0, 0): F(1, 2), (1, 0): F(-1, 4)}, b={(0, 1): F(1, 3)})
-        nf = assemble_confluent(fam, co)
+        nf = assemble(fam, co)
         for h in (F(1, 2), F(3, 2), F(5, 2)):
             enc = evaluate_normal_form(nf, h, precision=20)
             hf = float(h)

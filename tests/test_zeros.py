@@ -16,8 +16,6 @@ from melcert.melnikov import (
     SystemFamily,
     _point_rungs,
     assemble,
-    assemble_confluent,
-    assemble_melnikov,
     evaluate_normal_form,
 )
 from melcert import polynomials, zeros
@@ -87,7 +85,7 @@ class TestEliminant:
             n = rng.randint(1, 4)
             m1, m2 = rng.randint(1, 3), rng.randint(1, 3)
             fam = draw_family(rng, m1, m2)
-            nf = assemble_melnikov(fam, draw_coeffs(rng, n))
+            nf = assemble(fam, draw_coeffs(rng, n))
             if nf.is_zero:
                 continue
             s = (n + 1) // 2
@@ -96,7 +94,7 @@ class TestEliminant:
     def test_every_float_sign_change_cell_holds_a_root(self):
         rng = rng_for(13)
         fam = draw_family(rng, 1, 2)
-        nf = assemble_melnikov(fam, draw_coeffs(rng, 3))
+        nf = assemble(fam, draw_coeffs(rng, 3))
         elim = eliminate_radicals(nf)
         h_max = float(fam.h_max)
         steps = 10**4
@@ -127,12 +125,12 @@ class TestEliminant:
 
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
-            eliminate_radicals(assemble_melnikov(FAM, PerturbCoeffs(n=1)))
+            eliminate_radicals(assemble(FAM, PerturbCoeffs(n=1)))
 
     def test_merged_family_uses_single_squaring(self):
         fam = SystemFamily(F(1, 2), F(-1, 2), 1, 1)
         rng = rng_for(14)
-        nf = assemble_melnikov(fam, draw_coeffs(rng, 2))
+        nf = assemble(fam, draw_coeffs(rng, 2))
         assert nf.merged
         # single squaring keeps the degree at most 2*max(deg) + ~1, far
         # below the double-squaring bound of 10 for n=2, m1=m2=1
@@ -202,7 +200,7 @@ def _point_sign_cases():
         rng = rng_for(71, seed)
         fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 2))
         for f in (fam, SystemFamily(fam.alpha1, -fam.alpha1, fam.m1, fam.m2)):
-            nf = assemble_melnikov(f, draw_coeffs(rng, 2))
+            nf = assemble(f, draw_coeffs(rng, 2))
             yield from ((nf, f.h_max * num / 8) for num in (1, 3, 7))
     P, near = (lambda *c: Polynomial(c)), F(1, 2**40)
     # alphas (1, 1/2): r1 = 1/4 and r2 = 7/8 at 15/16, r1 = 1/2 at 3/4,
@@ -240,7 +238,7 @@ class TestExactZeroDecision:
 
     def test_generic_no_false_zero(self):
         rng = rng_for(21)
-        nf = assemble_melnikov(FAM, draw_coeffs(rng, 2))
+        nf = assemble(FAM, draw_coeffs(rng, 2))
         for h in (F(1, 7), F(1, 2), F(3, 2), F(7, 2)):
             v = float_value(nf, float(h))
             if abs(v) > 1e-9:
@@ -322,7 +320,7 @@ class TestCountZeros:
             rng = rng_for(33, seed)
             alpha = draw_alpha(rng)
             fam = SystemFamily(alpha, alpha, 1, 1)
-            nf = assemble_confluent(fam, draw_coeffs(rng, 2))
+            nf = assemble(fam, draw_coeffs(rng, 2))
             if nf.is_zero:
                 continue
             report = count_zeros(nf, n=2)
@@ -333,7 +331,7 @@ class TestCountZeros:
         for seed in range(20):
             rng = rng_for(44, seed)
             fam = draw_family(rng, rng.randint(1, 2), rng.randint(1, 2))
-            nf = assemble_melnikov(fam, draw_coeffs(rng, rng.randint(1, 3)))
+            nf = assemble(fam, draw_coeffs(rng, rng.randint(1, 3)))
             if nf.is_zero:
                 continue
             report = count_zeros(nf)
@@ -361,7 +359,7 @@ class TestCountZeros:
     def test_merged_instance_counts(self):
         fam = SystemFamily(F(1, 2), F(-1, 2), 1, 1)
         rng = rng_for(50)
-        nf = assemble_melnikov(fam, draw_coeffs(rng, 2))
+        nf = assemble(fam, draw_coeffs(rng, 2))
         report = count_zeros(nf, n=2)
         assert report.status == "ok"
         assert report.count_hi <= theorem_bound(fam, 2)
@@ -544,7 +542,7 @@ class TestCountZeros:
 
     @staticmethod
     def _squarefree_eliminant():
-        nf = assemble_melnikov(FAM, draw_coeffs(rng_for(88, 5), 2))
+        nf = assemble(FAM, draw_coeffs(rng_for(88, 5), 2))
         reduced = Polynomial(eliminate_radicals(nf).coeffs[1:])  # one forced root at h = 0
         assert reduced.eval(0) != 0
         assert [m for _f, m in oracle_yun(reduced)] == [1]
@@ -571,7 +569,7 @@ class TestCountZeros:
         forms = []
         for k in range(5):
             rng = rng_for(1212, k)
-            forms.append(assemble_melnikov(draw_family(rng, 6, 6), draw_coeffs(rng, 8)))
+            forms.append(assemble(draw_family(rng, 6, 6), draw_coeffs(rng, 8)))
         assert all(nf.tail.is_zero and not nf.is_zero for nf in forms)
         calls = self._count_root_core_calls(monkeypatch)
         for nf in forms:
@@ -651,7 +649,7 @@ class TestCountZeros:
         # eliminants of the acceptance sweep configurations, up to degree 13
         for idx, (n, m1, m2) in enumerate([(2, 1, 1), (3, 1, 1), (2, 1, 2), (4, 2, 1)] * 3):
             rng = rng_for(303, idx)
-            nf = assemble_melnikov(draw_family(rng, m1, m2), draw_coeffs(rng, n, box=F(1)))
+            nf = assemble(draw_family(rng, m1, m2), draw_coeffs(rng, n, box=F(1)))
             if nf.is_zero:
                 continue
             elim = eliminate_radicals(nf)
@@ -680,7 +678,7 @@ class TestCountZeros:
             s = rng.randint(1, 2)
             alpha = draw_alpha(rng)
             fam = SystemFamily(alpha, alpha, rng.randint(1, 2), 1)
-            nf = assemble_confluent(fam, draw_coeffs(rng, 2 * s))
+            nf = assemble(fam, draw_coeffs(rng, 2 * s))
             if nf.is_zero:
                 continue
             quotient = nf.pr.exact_div(Polynomial((1, -1)))
