@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -333,18 +334,6 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return p.exact_div(poly_gcd(p, p.derivative()))
 
 
-def _sign_changes(values: Sequence[int]) -> int:
-    changes = 0
-    prev = 0
-    for v in values:
-        if v == 0:
-            continue
-        if prev != 0 and v != prev:
-            changes += 1
-        prev = v
-    return changes
-
-
 # The squarefree certificate: gcd(p, p') modulo the first of these primes
 # that does not divide lc(p).  They are Mersenne primes, easy to check.
 _CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
@@ -400,13 +389,19 @@ def _scaled_at(ic: list, num: int, den: int, k: int) -> int:
 
 
 def _taylor_shift(c: list, a: int) -> list:
-    """Coefficients of c(x + a), constant term first."""
-    c = list(c)
-    n = len(c) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
-    return c
+    """Coefficients of c(x + a), constant term first.
+
+    Horner's passes on the reversed list: each is the running sum r[k] +=
+    a * r[k - 1], k rising, and fixes its last entry, the next coefficient
+    of c(x + a), which leaves the list.  For a = 1 the step is
+    `operator.add`, so every pass runs in C.
+    """
+    step = operator.add if a == 1 else (lambda s, y: y + a * s)
+    r, out = c[::-1], []
+    while r:
+        r = list(itertools.accumulate(r, step))
+        out.append(r.pop())
+    return out
 
 
 def _halve(c: list) -> list:
@@ -416,13 +411,30 @@ def _halve(c: list) -> list:
 
 
 def _variations01(c: list) -> int:
-    """Descartes' bound for the roots of c in (0, 1), capped at 2.
+    """Descartes' bound for the roots of c in (0, 1), capped at 2; c is
+    not empty.
 
     Counts the sign variations of (x + 1)**d c(1/(x + 1)), whose positive
     roots are those of c in (0, 1); the count is exact when it is 0 or 1.
+    The passes of `_taylor_shift(c[::-1], 1)` run on c itself and fix that
+    polynomial's coefficients constant term first, c(1) first and c(0)
+    last, so the count stops as soon as it reaches 2.  When c(0) and c(1)
+    have one sign the count is even, and it stops at its first variation.
     """
-    t = _taylor_shift(c[::-1], 1)
-    return min(_sign_changes([(a > 0) - (a < 0) for a in t]), 2)
+    r = list(itertools.accumulate(c))
+    last = r.pop()  # c(1)
+    stop = 1 if last and c[0] and (last > 0) == (c[0] > 0) else 2
+    changes = 0
+    while r:
+        r = list(itertools.accumulate(r))
+        x = r.pop()
+        if x:
+            if last and (x > 0) != (last > 0):
+                changes += 1
+                if changes == stop:
+                    return 2
+            last = x
+    return changes
 
 
 def _count01(c: list) -> int:

@@ -3,11 +3,14 @@
 The gcd, Yun decomposition and Sturm chain here use plain rational
 arithmetic (`Fraction` Euclid and `Fraction` remainders), not the integer
 pseudo-remainder sequence of `melcert.polynomials`, so they share no
-algorithm with the code under test.  `OracleSturm` counts, isolates and
-refines roots by Sturm's theorem, where `melcert.polynomials` uses
-Descartes' rule of signs; `descartes_bound` and `cauchy_root_bound` are
-the classical bounds the tests check counts against.  The partial fractions here solve the
-dense linear system for the coefficients, and the single-factor expansion
+algorithm with the code under test.  `oracle_taylor_shift` is Horner's
+shift as the plain double loop, where `melcert.polynomials` runs each pass
+as a running sum and stops the Descartes test at two variations.
+`OracleSturm` counts, isolates and refines roots by Sturm's theorem,
+where `melcert.polynomials` uses Descartes' rule of signs;
+`descartes_bound` and `cauchy_root_bound` are the classical bounds the
+tests check counts against.  The partial fractions here solve the dense
+linear system for the coefficients, and the single-factor expansion
 substitutes x = (1 - (1-alpha*x))/alpha binomially, where `melcert.melnikov`
 steps a recurrence in k from the Taylor weights of 1/D at each pole.  The
 eliminant here squares rational polynomials in h, where `melcert.zeros`
@@ -109,9 +112,21 @@ def _sign_at(ic, q):
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(signs):
+def sign_changes(signs):
     nonzero = [s for s in signs if s]
     return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+
+
+def oracle_taylor_shift(c, a):
+    """Coefficients of c(x + a), constant term first: Horner's shift as the
+    double loop, where `melcert.polynomials` runs each pass as a running
+    sum."""
+    c = list(c)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
 
 
 def descartes_bound(p):
@@ -119,7 +134,7 @@ def descartes_bound(p):
     parity, for the number of positive roots counted with multiplicity."""
     if p.is_zero:
         raise ValueError("Descartes bound of the zero polynomial")
-    return _sign_changes([(c > 0) - (c < 0) for c in p.coeffs])
+    return sign_changes([(c > 0) - (c < 0) for c in p.coeffs])
 
 
 def cauchy_root_bound(p):
@@ -153,7 +168,7 @@ class OracleSturm:
     def count(self, lo, hi):
         if lo >= hi:
             return 0
-        variations = [_sign_changes([_sign_at(ic, x) for ic in self.chain]) for x in (lo, hi)]
+        variations = [sign_changes([_sign_at(ic, x) for ic in self.chain]) for x in (lo, hi)]
         return variations[0] - variations[1]
 
     def isolate(self, lo, hi):

@@ -20,6 +20,9 @@ from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "normal_forms.json"
 INSTANCES = HERE.parent / "instances"
+# the instance files pinned here; instances/limits_seed1.spec, an n = 32
+# form for the zero count at the spec limits, is left out
+NAMES = ("confluent_n3", "n2_basic", "two_zeros")
 SEED = 313
 
 
@@ -43,9 +46,9 @@ def _draws():
 def cases() -> dict:
     """name -> assembled normal form for the draws and the instance files."""
     out = {name: assemble(fam, co) for name, fam, co in _draws()}
-    for path in sorted(INSTANCES.glob("*.spec")):
-        spec = parse_spec(path.read_text())
-        out[path.stem + "_spec"] = assemble(spec.family, spec.coeffs)
+    for name in NAMES:
+        spec = parse_spec((INSTANCES / f"{name}.spec").read_text())
+        out[name + "_spec"] = assemble(spec.family, spec.coeffs)
     return out
 
 

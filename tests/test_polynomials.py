@@ -32,7 +32,9 @@ from oracles import (
     grid_scan_count,
     oracle_gcd,
     oracle_sturm_chain,
+    oracle_taylor_shift,
     oracle_yun,
+    sign_changes,
 )
 
 X = Polynomial.x()
@@ -527,6 +529,44 @@ def test_descartes_core_agrees_with_sturm_oracle():
     # midpoint hits inside a node with another root are the rarest draw
     assert seen.pop("exact_hit") >= 10
     assert min(seen.values()) >= 30, seen
+
+
+# ------------------------------------------ Taylor shift vs the loop reference
+
+# small entries make zero coefficients common
+_int_lists = st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-(2**300), 2**300)), max_size=40
+)
+_shifts = st.one_of(
+    st.sampled_from([0, 1, -1, 2**64, -(2**64)]), st.integers(-(2**70), 2**70)
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_int_lists, _shifts)
+def test_taylor_shift_matches_the_double_loop(c, a):
+    assert polynomials._taylor_shift(c, a) == oracle_taylor_shift(c, a)
+
+
+def test_variations01_matches_the_full_variation_count():
+    seen = dict.fromkeys(["zero", "one", "two", "stop_at_first", "root_at_1"], 0)
+
+    # half the draws get a last entry that makes c(1) = 0
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.one_of(_int_lists, _int_lists.map(lambda c: c + [-sum(c)])).filter(bool))
+    def check(c):
+        t = oracle_taylor_shift(c[::-1], 1)
+        full = sign_changes([(x > 0) - (x < 0) for x in t])
+        got = polynomials._variations01(c)
+        assert got == min(full, 2)
+        seen[("zero", "one", "two")[got]] += 1
+        # c(0) and c(1) of one sign: the count is even, the first
+        # variation already decides it
+        seen["stop_at_first"] += got == 2 and t[0] * c[0] > 0
+        seen["root_at_1"] += t[0] == 0 and got == 1
+
+    check()
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------- descartes

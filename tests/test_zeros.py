@@ -685,6 +685,30 @@ class TestCountZeros:
             assert descartes_bound(quotient) <= 2 * s
 
 
+# drawn alpha at the spec limits, n = 32 and m = (16, 16): seed -> the
+# certified intervals with sign_verified; seed 1, whose Descartes tree is
+# the deepest, runs as a CI step on instances/limits_seed1.spec
+LIMITS = {
+    0: [("202555/1552516", "50639/388129", True)],
+    2: [],
+    3: [("41387/651605", "206936/3258025", True)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LIMITS))
+def test_count_zeros_at_the_spec_limits(seed):
+    # degree-156 eliminants, the deepest trees the root core meets: the
+    # counts and exact interval ends are pinned
+    rng = rng_for(seed, 32)
+    nf = assemble(draw_family(rng, 16, 16), draw_coeffs(rng, 32))
+    report = count_zeros(nf, n=32)
+    count = len(LIMITS[seed])
+    assert (report.status, report.count_lo, report.count_hi) == ("ok", count, count)
+    assert report.eliminant_degree == 156
+    got = [(str(z.interval.lo), str(z.interval.hi), z.sign_verified) for z in report.certified]
+    assert got == LIMITS[seed]
+
+
 def _count_view_builds(monkeypatch, cls) -> list:
     """Record every build of the `ints` view of a form class."""
     prop = cls.__dict__["ints"]
