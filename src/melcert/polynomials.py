@@ -2,23 +2,20 @@
 
 `Polynomial` holds `fractions.Fraction` coefficients, and nothing in this
 module touches floating point.  The root core works in plain ints and rests
-on Descartes' rule of signs.  `squarefree_factors` is the one squarefree
-decision: `modular_squarefree` certifies a polynomial squarefree by
-gcd(p, p') modulo a prime that does not divide lc(p), and only when that
-fails is gcd(p, p') taken over Z, by `poly_gcd` on its primitive remainder
-sequence, for the squarefree part and the multiple roots.
-`DescartesIsolator` is the one root isolator: on a squarefree polynomial
-it counts roots on half-open windows, isolates them by
-Vincent-Collins-Akritas bisection with exact rational endpoints and
-refines them by bisection on int numerators over a doubling common
-denominator, with exact integer signs.  Every interval here is an
-`intervals.RatInterval`.  `squarefree_part`, `count_real_roots`,
-`isolate_roots` and `refine_root` are the one wrapper set for an arbitrary
-polynomial: the last three build one isolator through
-`squarefree_factors`.  No Yun decomposition and no count with
-multiplicity lives here; the tests keep those as references.  `_cleared`
-is the one place where `Fraction` coefficients become ints for the
-int-list helpers.
+on Descartes' rule of signs.  Its one gcd is `_int_gcd` (`poly_gcd` on
+`Polynomial`s), a modular gcd over Z with one exact certificate: a constant
+gcd modulo a prime q that does not divide l = gcd(lc a, lc b) proves a and
+b coprime, and otherwise exact division proves the gcd.  On it rests the
+one squarefree decision, `squarefree_factors`, and on that the one root
+isolator, `DescartesIsolator`: it counts roots on half-open windows,
+isolates them by Vincent-Collins-Akritas bisection with exact rational
+endpoints and refines them by bisection on int numerators over a doubling
+common denominator, with exact integer signs, each interval a
+`RatInterval`.  `squarefree_part`, `count_real_roots`, `isolate_roots` and
+`refine_root` are the one wrapper set for an arbitrary polynomial.  No Yun
+decomposition and no count with multiplicity lives here; the tests keep
+those as references.  `_cleared` is the one place where `Fraction`
+coefficients become ints for the int-list helpers.
 """
 
 from __future__ import annotations
@@ -274,55 +271,98 @@ def _sum(*terms) -> list:
     return [sum(cs) for cs in itertools.zip_longest(*terms, fillvalue=0)]
 
 
-def _neg_prem(a: list, b: list) -> list:
-    """A positive multiple of -(a mod b), computed in plain ints.
-
-    Pseudo-divides lc(b)**(d+1) * a by b, d = deg a - deg b >= 0, which
-    keeps every step integral, then multiplies by -sign(lc b)**(d+1) so
-    the result has the sign of the rational -(a mod b).  Lists run from
-    the constant term up; the zero polynomial is the empty list.
-    """
-    r = list(a)
-    lb, db = b[-1], len(b) - 1
-    steps = len(a) - db
-    for k in range(steps - 1, -1, -1):
-        # r <- lb * r - top * x**k * b, whose x**(k+db) term cancels
-        top = r.pop()
-        r = [lb * c for c in r[:k]] + [lb * c - top * bj for c, bj in zip(r[k:], b)]
-    if lb > 0 or steps % 2 == 0:
-        r = [-c for c in r]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+def _divide(a: list, b: list):
+    """a / b for int lists when b divides a over Z, else None."""
+    r, lb, db = list(a), b[-1], len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        f, rest = divmod(r[k + db], lb)
+        if rest:
+            return None
+        quot[k] = f
+        r[k : k + db + 1] = [x - f * c for x, c in zip(r[k : k + db + 1], b)]
+    return None if any(r[:db]) else quot
 
 
-def _primitive_prs(a: list, b: list) -> list:
-    """Primitive Sturm remainder sequence of a, b over Z (deg a >= deg b),
-    which `poly_gcd` runs on.
+_PRIMES = [2**61 - 1]  # the primes of `_int_gcd`: 2**61 - 1, then those below
 
-    [a, b, r2, r3, ...] with r(k+1) the primitive part of -(r(k-1) mod
-    r(k)), ending at a constant or where the next remainder vanishes: the
-    last member is gcd(a, b) up to a nonzero factor (Collins 1967; Brown
-    1971).  Every member is a primitive, positive multiple of what the
-    rational remainder sequence gives, so signs at any point agree.
-    """
-    prs = [a, b]
-    while len(prs[-1]) > 1:
-        r = _neg_prem(prs[-2], prs[-1])
-        if not r:
-            break
-        prs.append(_content_free(r))
-    return prs
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the twelve prime bases up to 37, which decides every
+    odd n > 37 below 2**64 (Sorenson & Webster, Math. Comp. 86, 2017)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    )
+
+
+def _primes():
+    """_PRIMES in order, extended downwards only when a gcd needs more."""
+    for k in itertools.count():
+        if k == len(_PRIMES):
+            q = _PRIMES[k - 1] - 2
+            while not _is_prime(q):
+                q -= 2
+            _PRIMES[k : k + 1] = [q]  # a racing thread writes the same q
+        yield _PRIMES[k]
+
+
+def _gcd_mod(a: list, b: list, q: int) -> list:
+    """Monic gcd of the int lists a and b over GF(q), by Euclid on
+    residues; q divides at most one of their leading coefficients."""
+    a, b = [c % q for c in a], [c % q for c in b]
+    while any(b):
+        while b[-1] == 0:
+            b.pop()
+        inv, db = pow(b[-1], -1, q), len(b) - 1
+        for k in range(len(a) - 1 - db, -1, -1):
+            f = a[k + db] * inv % q
+            if f:
+                for j, c in enumerate(b):
+                    a[k + j] = (a[k + j] - f * c) % q
+        a, b = b, a[:db]
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """gcd g of the primitive int lists a and b, primitive with lc > 0, by
+    the small-primes modular gcd (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, Algorithm 6.38): mod each prime q not dividing l = gcd(lc a,
+    lc b), g divides a and b and keeps its degree, so a constant gcd mod q
+    proves a and b coprime.  Images of least degree, times l, are l/lc(g) *
+    g mod q; their CRT image is g once a prime leaves it unchanged and its
+    primitive part divides a and b over Z."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    l = math.gcd(a[-1], b[-1])
+    h = m = None  # l/lc(g) * g in symmetric residues mod m
+    for q in _primes():
+        if l % q == 0:
+            continue
+        g = [c * l % q for c in _gcd_mod(a, b, q)]
+        if len(g) == 1:
+            return [1]
+        if h is None or len(g) < len(h):
+            h, m = [c - q if 2 * c > q else c for c in g], q
+        elif len(g) == len(h):  # a longer image has q dividing a resultant
+            inv = pow(m, -1, q)
+            t = [(x - y) * inv % q for x, y in zip(g, h)]
+            if not any(t):
+                cand = _content_free(h if h[-1] > 0 else [-c for c in h])
+                if _divide(a, cand) is not None and _divide(b, cand) is not None:
+                    return cand
+            h = [y + m * (s - q if 2 * s > q else s) for y, s in zip(h, t)]
+            m *= q
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor (1 for coprime, 0 only if both zero)."""
+    """Monic gcd by `_int_gcd` (1 for coprime, 0 only if both zero)."""
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    ia, ib = _primitive_ints(a), _primitive_ints(b)
-    if len(ia) < len(ib):
-        ia, ib = ib, ia
-    return Polynomial(_primitive_prs(ia, ib)[-1]).monic()
+    return Polynomial(_int_gcd(_primitive_ints(a), _primitive_ints(b))).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -332,50 +372,6 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     if p.degree == 0:
         return p
     return p.exact_div(poly_gcd(p, p.derivative()))
-
-
-# The squarefree certificate: gcd(p, p') modulo the first of these primes
-# that does not divide lc(p).  They are Mersenne primes, easy to check.
-_CERT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
-
-
-def _gcd_degree_mod(ic: list, q: int) -> int:
-    """Degree of gcd(p, p') over GF(q), by Euclid on residues; ic holds
-    p's int coefficients, constant term first."""
-    a = [c % q for c in ic]
-    b = [k * c % q for k, c in enumerate(a)][1:]
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        inv, db = pow(b[-1], -1, q), len(b) - 1
-        for k in range(len(a) - 1 - db, -1, -1):
-            f = a[k + db] * inv % q
-            if f:
-                for j, c in enumerate(b):
-                    a[k + j] = (a[k + j] - f * c) % q
-        a = a[:db]
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def modular_squarefree(p: Polynomial) -> bool:
-    """True when gcd(p, p') mod a prime q not dividing lc(p) is constant.
-
-    That certifies p squarefree over Q: a square factor g**2 of p would
-    reduce mod q to one of the same degree, since q does not divide lc(g),
-    and divide both p and p' there (von zur Gathen & Gerhard, *Modern
-    Computer Algebra*, ch. 6).  False gives no verdict: p has a multiple
-    root, or q divides its discriminant, or every prime divides lc(p).
-    """
-    if p.is_zero:
-        raise ValueError("squarefree certificate of the zero polynomial")
-    if p.degree == 0:
-        return True
-    ic = _primitive_ints(p)
-    q = next((q for q in _CERT_PRIMES if ic[-1] % q), None)
-    return q is not None and _gcd_degree_mod(ic, q) == 0
 
 
 def _scaled_at(ic: list, num: int, den: int, k: int) -> int:
@@ -466,7 +462,7 @@ class DescartesIsolator:
     1.  It returns the intervals a Sturm-chain isolator would return on
     that tree, the largest node around each root.  Refinement bisects by
     exact integer signs.  Roots at window endpoints are allowed; counting,
-    isolation and refinement need p squarefree (`modular_squarefree`).
+    isolation and refinement need p squarefree (`squarefree_factors`).
     """
 
     def __init__(self, p: Polynomial):
@@ -603,17 +599,20 @@ class DescartesIsolator:
 def squarefree_factors(p: Polynomial) -> tuple:
     """(isolator, multiple): the one squarefree decision of the root core.
 
-    When `modular_squarefree` certifies p, the isolator is built on p and
-    multiple is None.  Otherwise, with g = gcd(p, p'), it is built on the
-    squarefree part p/g, and multiple = gcd(p/g, p') = gcd(p/g, g) has the
-    multiple roots of p as simple roots: a root is multiple iff multiple
-    changes sign across an isolating interval of it with non-root ends.
+    With g = gcd(p, p') constant, p is squarefree (for a squarefree p,
+    one Euclid mod 2**61 - 1 as a rule): the isolator is built on p and
+    multiple is None.  Otherwise it is built on p/g, and multiple =
+    gcd(p/g, g) has the multiple roots of p as simple roots: a root is
+    multiple iff multiple changes sign across an isolating interval of it
+    with non-root ends.
     """
-    if modular_squarefree(p):
-        return DescartesIsolator(p), None
-    g = poly_gcd(p, p.derivative())
-    part = p.exact_div(g)
-    return DescartesIsolator(part), poly_gcd(part, g)
+    core = DescartesIsolator(p)
+    ic = core._ic
+    g = _int_gcd(ic, _content_free([k * c for k, c in enumerate(ic)][1:]))
+    if len(g) == 1:
+        return core, None
+    part = _divide(ic, g)
+    return DescartesIsolator(Polynomial(part)), Polynomial(_int_gcd(part, g))
 
 
 def count_real_roots(p: Polynomial, iv: RatInterval) -> int:

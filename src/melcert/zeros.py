@@ -17,11 +17,12 @@ coefficient slot set to 1 alone, and reads them at the targets through
 `melnikov._point_rungs`, one kernel per form and target.
 
 Candidates come from the Descartes root core of `polynomials`: its one
-squarefree decision, `squarefree_factors`, usually certifies the eliminant
-squarefree by a gcd with its derivative modulo a prime, and one
-`DescartesIsolator` on it isolates and refines every root; only when that
-fails is a gcd over Z taken, which also marks the multiple roots.  Every
-interval is a `RatInterval`.
+squarefree decision, `squarefree_factors`, takes gcd(p, p') by the one
+modular gcd, whose certificate is exact: a constant gcd modulo a prime q
+not dividing l = gcd(lc p, lc p') proves the eliminant squarefree, and
+otherwise exact division proves the gcd, which gives the squarefree part
+and marks the multiple roots.  One `DescartesIsolator` isolates and
+refines every root.  Every interval is a `RatInterval`.
 """
 
 from __future__ import annotations

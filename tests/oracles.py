@@ -1,9 +1,9 @@
 """Test-side oracles, independent of the certified machinery they check.
 
 The gcd, Yun decomposition and Sturm chain here use plain rational
-arithmetic (`Fraction` Euclid and `Fraction` remainders), not the integer
-pseudo-remainder sequence of `melcert.polynomials`, so they share no
-algorithm with the code under test.  `oracle_taylor_shift` is Horner's
+arithmetic (`Fraction` Euclid and `Fraction` remainders), not the modular
+gcd over Z of `melcert.polynomials`, so they share no algorithm with the
+code under test.  `oracle_taylor_shift` is Horner's
 shift as the plain double loop, where `melcert.polynomials` runs each pass
 as a running sum and stops the Descartes test at two variations.
 `OracleSturm` counts, isolates and refines roots by Sturm's theorem,

@@ -5,6 +5,7 @@ with exact integer arithmetic and a Sturm-chain isolator on rational
 remainders, both independent of the Descartes core they check.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -19,9 +20,9 @@ from melcert.polynomials import (
     count_real_roots,
     format_poly,
     isolate_roots,
-    modular_squarefree,
     poly_gcd,
     refine_root,
+    squarefree_factors,
     squarefree_part,
 )
 
@@ -31,7 +32,6 @@ from oracles import (
     descartes_bound,
     grid_scan_count,
     oracle_gcd,
-    oracle_sturm_chain,
     oracle_taylor_shift,
     oracle_yun,
     sign_changes,
@@ -137,7 +137,7 @@ class TestSquarefree:
         assert sorted(m for _, m in parts) == [1, 2, 3]
 
 
-# ------------------------------------------------ integer remainder sequence
+# ---------------------------------------------------------------- gcd over Z
 
 
 def _random_poly(rng, max_degree, sparse=False):
@@ -155,7 +155,7 @@ def _random_poly(rng, max_degree, sparse=False):
     return Polynomial(coeffs)
 
 
-def _prs_cases(count, seed):
+def _gcd_cases(count, seed):
     """Seeded polynomials: dense, sparse, and products with repeated factors."""
     import random
 
@@ -174,51 +174,34 @@ def _prs_cases(count, seed):
     return cases
 
 
-def _prs_of(p):
-    """The integer remainder sequence of (p, p') that poly_gcd builds."""
-    ic = polynomials._primitive_ints(p)
-    if len(ic) == 1:
-        return [ic]
-    d = polynomials._content_free([k * c for k, c in enumerate(ic)][1:])
-    return polynomials._primitive_prs(ic, d)
-
-
 class TestIntegerRemainderSequence:
-    """The integer pseudo-remainder sequence and the modular squarefree
-    certificate against the Fraction oracles."""
+    """The modular gcd over Z and the squarefree decision on it, against
+    the Fraction oracles."""
 
-    CASES = _prs_cases(360, seed=20240)
-
-    def test_chain_equals_fraction_chain(self):
-        drops = 0
-        for p in self.CASES:
-            chain = _prs_of(p)
-            assert chain == oracle_sturm_chain(p), p
-            # r(k-1) mod r(k) is taken for every non-constant r(k)
-            degrees = [len(ic) - 1 for ic in chain]
-            drops += any(a - b >= 2 for a, b in zip(degrees[1:], degrees[2:-1]))
-        assert drops >= 30  # pseudo-remainders with deg a - deg b >= 2 occur
-        assert sum(p.leading < 0 for p in self.CASES) >= 100
-        assert sum(p.degree <= 1 for p in self.CASES) >= 20
+    CASES = _gcd_cases(360, seed=20240)
 
     def test_squarefree_flag_matches_yun(self):
-        # a multiple root always denies the certificate; for these squarefree
-        # cases the first prime divides neither lc(p) nor the discriminant
+        # multiple is None exactly when the oracle finds no repeated factor,
+        # and the isolator holds the primitive squarefree part
         repeated = 0
         for p in self.CASES:
             expected = all(m == 1 for _f, m in oracle_yun(p))
-            assert modular_squarefree(p) == expected, p
+            core, multiple = squarefree_factors(p)
+            assert (multiple is None) == expected, p
+            assert Polynomial(core._ic) == squarefree_part(p).primitive(), p
             repeated += not expected
         assert repeated >= 60
+        assert sum(p.leading < 0 for p in self.CASES) >= 100
+        assert sum(p.degree <= 1 for p in self.CASES) >= 20
 
     def test_certificate_skips_a_prime_dividing_the_leading_coefficient(self):
-        q1 = polynomials._CERT_PRIMES[0]
+        q1 = polynomials._PRIMES[0]
         # (q1 x + 1)**2 reduces to the constant 1 mod q1, which would pass
         # for squarefree; the next prime sees the double root
         double = Polynomial((1, q1)) ** 2 * poly(-2, 1)
-        assert not modular_squarefree(double)
+        assert squarefree_factors(double)[1] is not None
         assert count_real_roots(double, RatInterval(-1, 3)) == 2
-        assert modular_squarefree(Polynomial((1, q1)) * poly(-2, 1))
+        assert squarefree_factors(Polynomial((1, q1)) * poly(-2, 1))[1] is None
 
     def test_gcd_equals_fraction_gcd(self):
         import random
@@ -233,6 +216,20 @@ class TestIntegerRemainderSequence:
             assert poly_gcd(a, b) == oracle_gcd(a, b), (a, b)
             wide += abs(a.degree - b.degree) >= 2
         assert wide >= 60
+        q1 = polynomials._PRIMES[0]
+        common, big = poly(1, 0, 1), 2**4001 + 1
+        edges = [
+            # mod q1 the images share x + 3 besides the common factor
+            (common * poly(3, 1), common * poly(3 + q1, 1)),
+            # q1 divides l = gcd(lc a, lc b), so the gcd skips it
+            (poly(1, q1) * poly(-5, 1), poly(1, q1) * poly(7, 2) * poly(1, 1)),
+            # 4000-bit coefficients: the CRT spans more than 60 primes
+            (poly(-(3**2600), big, 1) * poly(1, 1), poly(-(3**2600), big, 1) * poly(-5, 2)),
+            (poly(big, 3**2600) * poly(2, 0, 1), poly(big, 3**2600) * poly(-1, 7)),
+        ]
+        for a, b in edges:
+            assert poly_gcd(a, b) == oracle_gcd(a, b), (a, b)
+        assert len(polynomials._PRIMES) > 60
 
     def test_gcd_with_zero_and_constant_arguments(self):
         zero, p = Polynomial.zero(), poly(F(-2, 3), 0, -4)
@@ -240,19 +237,27 @@ class TestIntegerRemainderSequence:
         assert poly_gcd(p, zero) == poly_gcd(zero, p) == p.monic()
         assert poly_gcd(p, Polynomial.constant(-3)) == ONE
         assert poly_gcd(X, X.scale(-2)) == X
+        # the first prime is unlucky: mod q1 both are x, over Z coprime
+        q1 = polynomials._PRIMES[0]
+        assert poly_gcd(X, poly(q1, 1)) == oracle_gcd(X, poly(q1, 1)) == ONE
 
-    def test_low_degree_chains(self):
-        for p in (Polynomial.constant(F(-7, 2)), poly(3, -6), poly(F(1, 2), F(-1, 3))):
-            assert _prs_of(p) == oracle_sturm_chain(p)
-            assert modular_squarefree(p)
-        assert _prs_of(Polynomial.constant(-5)) == [[-1]]
-        assert _prs_of(poly(3, -6)) == [[1, -2], [-1]]
+    def test_gcd_primes_are_the_primes_below_the_first(self):
+        # Miller-Rabin against trial division on small odd numbers, and a
+        # strong pseudoprime to the first eleven prime bases
+        for n in range(41, 20000, 2):
+            assert polynomials._is_prime(n) == all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+        assert not polynomials._is_prime(3825123056546413051)
+        assert polynomials._is_prime(2**61 - 1) and not polynomials._is_prime(2**61 + 1)
+        primes = list(itertools.islice(polynomials._primes(), 5))
+        assert primes[0] == 2**61 - 1 and primes == sorted(primes, reverse=True)
+        for lo, hi in zip(primes[1:], primes):
+            assert not any(polynomials._is_prime(n) for n in range(lo + 2, hi, 2))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             DescartesIsolator(Polynomial.zero())
         with pytest.raises(ValueError):
-            modular_squarefree(Polynomial.zero())
+            squarefree_factors(Polynomial.zero())
 
 
 # ---------------------------------------------------------------- counting
