@@ -7,19 +7,22 @@ on Descartes' rule of signs.  Its one gcd is `_int_gcd` (`poly_gcd` on
 gcd modulo a prime q that does not divide l = gcd(lc a, lc b) proves a and
 b coprime, and otherwise exact division proves the gcd.  On it rests the
 one squarefree decision, `squarefree_factors`, and on that the one root
-isolator, `DescartesIsolator`: it counts roots on half-open windows,
+isolator, `DescartesIsolator`: it counts roots on half-open windows and
 isolates them by Vincent-Collins-Akritas bisection with exact rational
-endpoints and refines them by bisection on int numerators over a doubling
-common denominator, with exact integer signs, each interval a
-`RatInterval`.  `squarefree_part`, `count_real_roots`, `isolate_roots` and
-`refine_root` are the one wrapper set for an arbitrary polynomial.  No Yun
-decomposition and no count with multiplicity lives here; the tests keep
-those as references.  `_cleared` is the one place where `Fraction`
-coefficients become ints for the int-list helpers.
+endpoints, each node held by its Bernstein coefficients as ints and split
+by one de Casteljau pass.  It refines them by bisection on int numerators
+over a doubling common denominator, with exact integer signs, and finds
+where a run of steps to one side ends by an exponential search; each
+interval is a `RatInterval`.  `squarefree_part`, `count_real_roots`,
+`isolate_roots` and `refine_root` are the one wrapper set for an arbitrary
+polynomial.  No Yun decomposition and no count with multiplicity lives
+here; the tests keep those as references.  `_cleared` is the one place
+where `Fraction` coefficients become ints for the int-list helpers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -400,52 +403,68 @@ def _taylor_shift(c: list, a: int) -> list:
     return out
 
 
-def _halve(c: list) -> list:
-    """2**d * c(x/2): c on the left half of (0, 1), mapped onto (0, 1)."""
-    d = len(c) - 1
-    return [ck << (d - k) for k, ck in enumerate(c)]
+@functools.lru_cache(maxsize=64)
+def _lift(d: int) -> tuple:
+    """L / C(d, i) for i = 0..d, L = lcm_i C(d, i) = lcm(1..d+1) / (d+1):
+    the least int weights that clear the binomials of degree d."""
+    top = math.lcm(*range(1, d + 2)) // (d + 1)
+    return tuple(top // math.comb(d, i) for i in range(d + 1))
 
 
-def _variations01(c: list) -> int:
-    """Descartes' bound for the roots of c in (0, 1), capped at 2; c is
-    not empty.
+def _bernstein(c: list) -> list:
+    """A positive int multiple of the Bernstein coefficients of c on (0, 1).
 
-    Counts the sign variations of (x + 1)**d c(1/(x + 1)), whose positive
-    roots are those of c in (0, 1); the count is exact when it is 0 or 1.
-    The passes of `_taylor_shift(c[::-1], 1)` run on c itself and fix that
-    polynomial's coefficients constant term first, c(1) first and c(0)
-    last, so the count stops as soon as it reaches 2.  When c(0) and c(1)
-    have one sign the count is even, and it stops at its first variation.
+    (x + 1)**d c(1/(x + 1)), the reversed Taylor shift of c by 1, has
+    C(d, i) b_i as its coefficient of x**(d-i); `_lift` clears the
+    binomials.
     """
-    r = list(itertools.accumulate(c))
-    last = r.pop()  # c(1)
-    stop = 1 if last and c[0] and (last > 0) == (c[0] > 0) else 2
-    changes = 0
-    while r:
-        r = list(itertools.accumulate(r))
-        x = r.pop()
-        if x:
-            if last and (x > 0) != (last > 0):
-                changes += 1
-                if changes == stop:
-                    return 2
-            last = x
-    return changes
+    return list(map(operator.mul, reversed(_taylor_shift(c[::-1], 1)), _lift(len(c) - 1)))
 
 
-def _count01(c: list) -> int:
-    """Exact number of roots of the squarefree c in the open (0, 1): the
-    dyadic tree walked on an explicit stack, so close roots cost no
-    recursion depth."""
-    total, stack = 0, [c]
+def _variations(b: list) -> int:
+    """Sign variations of the nonzero list b, capped at 2: Descartes' bound
+    for the roots in (0, 1) of the polynomial with Bernstein coefficients
+    b, exact when it is 0 or 1."""
+    if min(b) >= 0 or max(b) <= 0:
+        return 0
+    signs = [x > 0 for x in b if x]
+    first = signs[0]
+    # one variation iff no entry after the first change has the first sign
+    return 2 if first in signs[signs.index(not first) :] else 1
+
+
+def _de_casteljau(b: list) -> tuple:
+    """(left, right): positive int multiples of the Bernstein coefficients
+    on the two halves of (0, 1), from the Bernstein list b of length d + 1.
+
+    Each pass sums neighbours, so row k holds 2**k times de Casteljau's
+    row k; left[k] is row k's first entry and right[k] row d-k's last,
+    each shifted up to the common scale 2**d.  left[d] == right[0] is the
+    apex, 2**d b(1/2).
+    """
+    d = len(b) - 1
+    firsts, lasts, r = [b[0]], [b[-1]], b
+    for _ in range(d):
+        r = list(map(operator.add, r, r[1:]))
+        firsts.append(r[0])
+        lasts.append(r[-1])
+    left = list(map(operator.lshift, firsts, range(d, -1, -1)))
+    right = list(map(operator.lshift, reversed(lasts), range(d + 1)))
+    return left, right
+
+
+def _count01(b: list) -> int:
+    """Exact number of roots in the open (0, 1) of the squarefree
+    polynomial with Bernstein list b: the dyadic tree walked on an explicit
+    stack, so close roots cost no recursion depth."""
+    total, stack = 0, [b]
     while stack:
-        c = stack.pop()
-        v = _variations01(c)
+        b = stack.pop()
+        v = _variations(b)
         if v < 2:
             total += v
             continue
-        left = _halve(c)
-        right = _taylor_shift(left, 1)
+        left, right = _de_casteljau(b)
         total += right[0] == 0
         stack += [left, right]
     return total
@@ -454,15 +473,20 @@ def _count01(c: list) -> int:
 class DescartesIsolator:
     """Real roots of a squarefree polynomial: the one root isolator.
 
-    Holds p as primitive ints.  A window (a, b) is mapped affinely onto
-    (0, 1) with integer coefficients, where Descartes' rule bounds the
-    roots and is exact for 0 or 1.  Isolation is Vincent-Collins-Akritas
-    bisection (Collins & Akritas 1976; Rouillier & Zimmermann 2004) on a
-    dyadic tree: halving is x -> x/2 and the right half a Taylor shift by
-    1.  It returns the intervals a Sturm-chain isolator would return on
-    that tree, the largest node around each root.  Refinement bisects by
-    exact integer signs.  Roots at window endpoints are allowed; counting,
-    isolation and refinement need p squarefree (`squarefree_factors`).
+    Holds p as primitive ints.  A window (a, b) is held as a positive int
+    multiple of the Bernstein coefficients of p on it, converted once from
+    p mapped affinely onto (0, 1).  Their sign variations are Descartes'
+    bound for the roots inside, exact when it is 0 or 1.  Isolation is
+    Vincent-Collins-Akritas bisection (Collins & Akritas 1976) in the
+    Bernstein basis (Rouillier & Zimmermann, J. Comput. Appl. Math. 162,
+    2004) on a dyadic tree: one de Casteljau pass gives both halves, and
+    its apex is 0 exactly when the midpoint is a root.  It returns the
+    intervals a Sturm-chain isolator would return on that tree, the
+    largest node around each root.  Refinement follows the same tree by
+    exact integer signs and skips along a run of steps to one side by an
+    exponential search (Bentley & Yao, IPL 5, 1976).  Roots at window
+    endpoints are allowed; counting, isolation and refinement need p
+    squarefree (`squarefree_factors`).
     """
 
     def __init__(self, p: Polynomial):
@@ -476,8 +500,8 @@ class DescartesIsolator:
         return (v > 0) - (v < 0)
 
     def _window(self, a: Fraction, b: Fraction) -> list:
-        """A positive int multiple of p(a + (b - a) x): p on (a, b) as a
-        polynomial on (0, 1)."""
+        """A positive int multiple of the Bernstein coefficients of p on
+        (a, b)."""
         den = math.lcm(a.denominator, b.denominator)
         return self._window_over(
             a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
@@ -487,11 +511,11 @@ class DescartesIsolator:
         """`_window` for a = na/den and b = nb/den, den > 0."""
         w = nb - na
         d = len(self._ic) - 1
-        # den**d p(x/den), shifted by na, then x -> w x
+        # den**d p(x/den), shifted by na, then x -> w x: p(a + (b - a) x)
         c = [ck * den ** (d - k) for k, ck in enumerate(self._ic)]
         if na:
             c = _taylor_shift(c, na)
-        return [ck * w**k for k, ck in enumerate(c)]
+        return _bernstein([ck * w**k for k, ck in enumerate(c)])
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in (lo, hi]; either endpoint may be a root."""
@@ -500,9 +524,9 @@ class DescartesIsolator:
         return _count01(self._window(lo, hi)) + (self.sign_at(hi) == 0)
 
     def _split(self, a: Fraction, b: Fraction, c: list) -> list:
-        """Isolating intervals for the roots in the open (a, b), c being p
-        on (a, b): the bisection tree walked depth first on an explicit
-        stack, so close roots cost no recursion depth."""
+        """Isolating intervals for the roots in the open (a, b), c being
+        p's Bernstein list on (a, b): the bisection tree walked depth first
+        on an explicit stack, so close roots cost no recursion depth."""
         found, stack = [], [(a, b, c)]
         while stack:
             a, b, c = stack.pop()
@@ -512,14 +536,13 @@ class DescartesIsolator:
                 if len(found) == c + 1:
                     found[c] = RatInterval(a, b)
                 continue
-            v = _variations01(c)
+            v = _variations(c)
             if v < 2:
                 found += [RatInterval(a, b)] * v
                 continue
             stack.append((a, b, len(found)))
             mid = (a + b) / 2
-            left = _halve(c)
-            right = _taylor_shift(left, 1)
+            left, right = _de_casteljau(c)
             if right[0]:
                 stack += [(mid, b, right), (a, mid, left)]
                 continue
@@ -560,26 +583,73 @@ class DescartesIsolator:
 
         The interval must be degenerate or hold exactly one root strictly
         inside; either endpoint may itself be a root.  A midpoint that hits
-        the root exactly comes back as a degenerate interval.  The bisection
-        runs on int numerators lo, hi over a common denominator den that
-        doubles at each step, so every midpoint is (lo + hi)/2 over 2*den.
+        the root exactly comes back as a degenerate interval.  The result
+        is the cell that holds the root on the first level of iv's
+        bisection tree whose cells are at most width wide (`_descend`).
         """
-        width = as_rational(width)
+        ratio = iv.width / as_rational(width)
+        levels = max(ratio.numerator.bit_length() - ratio.denominator.bit_length(), 0)
+        levels += ratio.numerator > ratio.denominator << levels
+        return self._descend(iv, levels) if levels else iv
+
+    def _descend(self, iv: RatInterval, levels, ends: int = 0) -> RatInterval:
+        """The cell that holds iv's root `levels` levels down its bisection
+        tree, or the degenerate interval of a midpoint that hits the root
+        on the way.  With ends (1 for iv.lo, 2 for iv.hi, 3 for both), the
+        walk stops at the first even depth by which those ends have moved.
+
+        iv is as for `refine`.  The cells are int numerators lo, hi over a
+        common denominator den that doubles at each level.  Once three
+        steps in a row have gone to one side, with neither end a root, the
+        point k levels further along that side has the sign of the end it
+        approaches iff the run lasts k more steps; probes at k = 4, 8, ...
+        and a binary search find where the run ends with O(log) signs.
+        """
         den = math.lcm(iv.lo.denominator, iv.hi.denominator)
         lo, hi = (x.numerator * (den // x.denominator) for x in (iv.lo, iv.hi))
-        deg = len(self._ic) - 1
+        ic, deg = self._ic, len(self._ic) - 1
 
         def sign(num: int, den: int) -> int:
-            v = _scaled_at(self._ic, num, den, deg)
+            v = _scaled_at(ic, num, den, deg)
             return (v > 0) - (v < 0)
 
+        def hit(num: int, den: int) -> RatInterval:
+            return RatInterval(Fraction(num, den), Fraction(num, den))
+
         s_lo, s_hi = sign(lo, den), sign(hi, den)
-        while (hi - lo) * width.denominator > width.numerator * den:
+        depth = run = moved = 0  # moved: bit 1 once lo has moved, bit 2 hi
+        left = None
+        while depth < levels and not (ends and ends & moved == ends and depth % 2 == 0):
+            if run >= 3 and s_lo and s_hi:
+                # the point k levels on is base + step over den << k
+                base, step, keep = (lo, hi - lo, s_hi) if left else (hi, lo - hi, s_lo)
+                cap = levels - depth
+                good, bad = 0, None  # the run lasts good more steps, not bad
+                while good < cap if bad is None else bad - good > 1:
+                    k = min(max(4, 2 * good), cap) if bad is None else (good + bad) // 2
+                    x = (base << k) + step
+                    s = sign(x, den << k)
+                    if not s:
+                        return hit(x, den << k)
+                    if s == keep:
+                        good = k
+                    else:
+                        bad = k
+                if bad is None:  # the run lasts down to the last level
+                    lo, hi = sorted(((base << cap) + step, base << cap))
+                    den <<= cap
+                    break
+                # bad - 1 more steps to the same side, then one to the other
+                lo, hi = sorted(((base << bad) + step, (base << bad) + 2 * step))
+                den, depth, run, left = den << bad, depth + bad, 1, not left
+                moved |= 2 if left else 1
+                continue
             lo, hi, den = 2 * lo, 2 * hi, 2 * den
             mid = (lo + hi) // 2
             s = sign(mid, den)
+            depth += 1
             if s == 0:
-                return RatInterval(Fraction(mid, den), Fraction(mid, den))
+                return hit(mid, den)
             # the simple root inside flips the sign: it lies left of mid
             # iff mid has hi's sign, or lacks lo's; with both ends roots,
             # count
@@ -589,10 +659,12 @@ class DescartesIsolator:
                 go_left = s != s_lo
             else:
                 go_left = _count01(self._window_over(lo, mid, den)) == 1
+            run = run + 1 if go_left == left else 1
+            left = go_left
             if go_left:
-                hi, s_hi = mid, s
+                hi, s_hi, moved = mid, s, moved | 2
             else:
-                lo, s_lo = mid, s
+                lo, s_lo, moved = mid, s, moved | 1
         return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
 

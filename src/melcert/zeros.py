@@ -22,7 +22,10 @@ modular gcd, whose certificate is exact: a constant gcd modulo a prime q
 not dividing l = gcd(lc p, lc p') proves the eliminant squarefree, and
 otherwise exact division proves the gcd, which gives the squarefree part
 and marks the multiple roots.  One `DescartesIsolator` isolates and
-refines every root.  Every interval is a `RatInterval`.
+refines every root, in the Bernstein basis.  `_shrink_inside` moves each
+candidate off the annulus ends in one walk down its bisection tree, which
+skips along a run of steps to one side, so a root 10**-K above h = 0 costs
+O(log K) signs, not K.  Every interval is a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -169,12 +172,13 @@ def _isolate_open(core: DescartesIsolator, lo: Fraction, hi: Fraction) -> list:
 
 
 def _shrink_inside(core: DescartesIsolator, iv: RatInterval, lo, hi) -> RatInterval:
-    """Refine until the interval sits strictly inside (lo, hi) with ends
-    that are not roots, widening an exact rational hit."""
-    width = iv.width
-    while iv.lo <= lo or iv.hi >= hi:
-        width = width / 4
-        iv = core.refine(iv, width)
+    """The cell around iv's root on the first even level of its bisection
+    tree that lies strictly inside (lo, hi), with ends that are not roots;
+    iv lies in [lo, hi].  One walk, until each end of iv at lo or hi has
+    moved; an exact rational hit is widened."""
+    ends = (iv.lo <= lo) | (iv.hi >= hi) << 1
+    if ends:
+        iv = core._descend(iv, math.inf, ends)
     if iv.lo == iv.hi:
         iv = core.widen(iv.lo, min(iv.lo - lo, hi - iv.lo) / 2)
     return iv

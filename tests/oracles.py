@@ -5,9 +5,13 @@ arithmetic (`Fraction` Euclid and `Fraction` remainders), not the modular
 gcd over Z of `melcert.polynomials`, so they share no algorithm with the
 code under test.  `oracle_taylor_shift` is Horner's
 shift as the plain double loop, where `melcert.polynomials` runs each pass
-as a running sum and stops the Descartes test at two variations.
+as a running sum.
 `OracleSturm` counts, isolates and refines roots by Sturm's theorem,
-where `melcert.polynomials` uses Descartes' rule of signs;
+where `melcert.polynomials` counts sign variations in the Bernstein basis
+and refines by bisection that skips along runs to one side;
+`oracle_shrink_inside` moves an isolating interval off the window ends by
+refine calls that each quarter its width, where `melcert.zeros` walks the
+bisection tree once;
 `descartes_bound` and `cauchy_root_bound` are the classical bounds the
 tests check counts against.  The partial fractions here solve the dense
 linear system for the coefficients, and the single-factor expansion
@@ -187,20 +191,22 @@ class OracleSturm:
                 split(mid, b)
                 return
             found.append(RatInterval(mid, mid))
-            delta = (b - a) / 4
-            while True:
-                left, right = mid - delta, mid + delta
-                if self.sign_at(left) and self.sign_at(right) and self.count(left, right) == 1:
-                    break
-                delta /= 2
-            split(a, left)
-            split(right, b)
+            near = self.widen(mid, (b - a) / 4)
+            split(a, near.lo)
+            split(near.hi, b)
 
         if lo < hi:
             split(lo, hi)
             if self.sign_at(hi) == 0:
                 found.append(RatInterval(hi, hi))
         return sorted(found, key=lambda r: (r.lo, r.hi))
+
+    def widen(self, x, delta):
+        while True:
+            lo, hi = x - delta, x + delta
+            if self.sign_at(lo) and self.sign_at(hi) and self.count(lo, hi) == 1:
+                return RatInterval(lo, hi)
+            delta /= 2
 
     def refine(self, iv, width):
         lo, hi = iv.lo, iv.hi
@@ -215,6 +221,19 @@ class OracleSturm:
             else:
                 lo = mid
         return RatInterval(lo, hi)
+
+
+def oracle_shrink_inside(core, iv, lo, hi):
+    """The cell around iv's root strictly inside (lo, hi) by refine calls
+    that each quarter the width, where `melcert.zeros` walks the bisection
+    tree once and skips along runs; an exact hit is widened."""
+    width = iv.width
+    while iv.lo <= lo or iv.hi >= hi:
+        width = width / 4
+        iv = core.refine(iv, width)
+    if iv.lo == iv.hi:
+        iv = core.widen(iv.lo, min(iv.lo - lo, hi - iv.lo) / 2)
+    return iv
 
 
 def oracle_eliminant(nf):

@@ -454,6 +454,48 @@ def test_integer_refine_matches_sturm_on_non_dyadic_windows():
     assert min(reached.values()) >= 3, reached
 
 
+def near_end_cases():
+    """(p, lo, hi, depth) with one root of p strictly inside the window
+    (lo, hi), which a bisection of the window meets only deep down: within
+    w/2**k of either end (w = hi - lo), for k in (64, 200, 400), as a
+    non-dyadic root, or as an exact dyadic hit deeper than 64 levels; each
+    in (0, 1) and in the non-dyadic window (0, 9/4).  depth is the level of
+    the hit, or k.  Some windows have roots at both ends."""
+    cases = []
+    for lo, hi in ((F(0), F(1)), (F(0), F(9, 4))):
+        w = hi - lo
+        roots = []
+        for k in (64, 200, 400):
+            roots += [(lo + w / (3 * 2**k), k), (hi - w / (3 * 2**k), k)]
+        # exact hits: next to lo, just right of the midpoint, next to hi
+        for m, j in ((1, 70), (2**79 + 1, 80), (2**100 - 3, 100), (5, 300)):
+            roots.append((lo + w * F(m, 2**j), j))
+        for r, depth in roots:
+            outside = Polynomial.from_roots([lo - w / 3, hi + w / 7]) * poly(1, 0, 1)
+            cases.append((outside * Polynomial.from_roots([r]), lo, hi, depth))
+            if depth == 200:
+                cases.append((Polynomial.from_roots([lo, r, hi]), lo, hi, depth))
+    return cases
+
+
+def test_refine_next_to_the_window_ends():
+    reached = dict.fromkeys(["hit", "stopped_short", "refined", "both_ends_roots"], 0)
+    for p, lo, hi, depth in near_end_cases():
+        core, oracle = DescartesIsolator(p), OracleSturm(p)
+        iv = RatInterval(lo, hi)
+        reached["both_ends_roots"] += p.eval(lo) == 0
+        for levels in (depth - 3, depth, depth + 1, depth + 40, 700):
+            width = (hi - lo) / 2**levels
+            out = core.refine(iv, width)
+            assert out == oracle.refine(iv, width)
+            if out.lo == out.hi:
+                reached["hit"] += 1
+            else:
+                assert out.width <= width
+                reached["stopped_short" if levels < depth else "refined"] += 1
+    assert min(reached.values()) >= 3, reached
+
+
 # ------------------------------------------ Descartes core vs Sturm oracle
 
 
@@ -553,22 +595,44 @@ def test_taylor_shift_matches_the_double_loop(c, a):
     assert polynomials._taylor_shift(c, a) == oracle_taylor_shift(c, a)
 
 
-def test_variations01_matches_the_full_variation_count():
-    seen = dict.fromkeys(["zero", "one", "two", "stop_at_first", "root_at_1"], 0)
+def _oracle_count01(c):
+    """Descartes' bound for the roots of c in (0, 1), capped at 2: the sign
+    variations of (x + 1)**d c(1/(x + 1))."""
+    t = oracle_taylor_shift(c[::-1], 1)
+    return min(sign_changes([(x > 0) - (x < 0) for x in t]), 2)
 
-    # half the draws get a last entry that makes c(1) = 0
+
+# nonzero lists of degree 0 to 40; a third of them times 2x - 1, so that
+# c(1/2) = 0, and a third with a last entry that makes c(1) = 0
+_bernstein_cases = st.one_of(
+    _int_lists,
+    _int_lists.map(lambda c: [2 * a - b for a, b in zip([0] + c, c + [0])]),
+    _int_lists.map(lambda c: c + [-sum(c)]),
+).filter(any)
+
+
+def test_bernstein_counts_match_the_power_basis():
+    seen = dict.fromkeys(["zero", "one", "two", "apex_zero", "child_two", "root_at_1"], 0)
+
     @settings(max_examples=400, derandomize=True, deadline=None)
-    @given(st.one_of(_int_lists, _int_lists.map(lambda c: c + [-sum(c)])).filter(bool))
+    @given(_bernstein_cases)
     def check(c):
-        t = oracle_taylor_shift(c[::-1], 1)
-        full = sign_changes([(x > 0) - (x < 0) for x in t])
-        got = polynomials._variations01(c)
-        assert got == min(full, 2)
+        b = polynomials._bernstein(c)
+        got = polynomials._variations(b)
+        assert got == _oracle_count01(c)
         seen[("zero", "one", "two")[got]] += 1
-        # c(0) and c(1) of one sign: the count is even, the first
-        # variation already decides it
-        seen["stop_at_first"] += got == 2 and t[0] * c[0] > 0
-        seen["root_at_1"] += t[0] == 0 and got == 1
+        seen["root_at_1"] += b[-1] == 0
+        # the halves of (0, 1): 2**d c(x/2) and the same shifted by 1
+        d = len(c) - 1
+        halved = [ck << (d - k) for k, ck in enumerate(c)]
+        left, right = polynomials._de_casteljau(b)
+        counts = polynomials._variations(left), polynomials._variations(right)
+        assert counts == (_oracle_count01(halved), _oracle_count01(oracle_taylor_shift(halved, 1)))
+        seen["child_two"] += 2 in counts
+        # the apex is 2**d b(1/2), up to the positive scale
+        assert left[-1] == right[0]
+        assert (right[0] == 0) == (sum(halved) == 0)
+        seen["apex_zero"] += right[0] == 0
 
     check()
     assert min(seen.values()) >= 10, seen

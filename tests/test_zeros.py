@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -39,12 +40,15 @@ from melcert.zeros import (
 )
 
 from oracles import (
+    OracleSturm,
     descartes_bound,
     oracle_eliminant,
     oracle_point_sign,
     oracle_row_reduce,
+    oracle_shrink_inside,
     oracle_yun,
 )
+from test_polynomials import near_end_cases
 
 FAM = SystemFamily(F(1, 2), F(-1, 3), 1, 1)
 
@@ -678,9 +682,10 @@ class TestCountZeros:
 
 # drawn alpha at the spec limits, n = 32 and m = (16, 16): seed -> the
 # certified intervals with sign_verified; seed 1, whose Descartes tree is
-# the deepest, runs as a CI step on instances/limits_seed1.spec
+# the deepest, also runs as a CI step on instances/limits_seed1.spec
 LIMITS = {
     0: [("202555/1552516", "50639/388129", True)],
+    1: [],
     2: [],
     3: [("41387/651605", "206936/3258025", True)],
 }
@@ -698,6 +703,71 @@ def test_count_zeros_at_the_spec_limits(seed):
     assert report.eliminant_degree == 156
     got = [(str(z.interval.lo), str(z.interval.hi), z.sign_verified) for z in report.certified]
     assert got == LIMITS[seed]
+
+
+def test_tiny_coefficient_at_the_window_end():
+    # b_0_1 = 10**-20000 puts an eliminant root about 10**-20000 above
+    # h = 0, some 66000 bisection levels below the window; counted in a
+    # subprocess under a time limit, so that a walk that pays per level
+    # fails here instead of stalling the suite
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")])
+    )
+    code = (
+        "from fractions import Fraction as F\n"
+        "from melcert.melnikov import PerturbCoeffs, SystemFamily, assemble\n"
+        "from melcert.zeros import count_zeros\n"
+        "coeffs = PerturbCoeffs(n=2, a={(0, 0): F(1)}, b={(0, 1): F(1, 10**20000)})\n"
+        "r = count_zeros(assemble(SystemFamily(F(1, 2), F(-1, 3), 1, 1), coeffs), n=2)\n"
+        "print((r.status, r.count_lo, r.count_hi))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "('ok', 0, 0)"
+
+
+def test_shrink_inside_next_to_the_window_ends():
+    # every isolating interval of the near-end roots, and the whole window
+    hits = 0
+    for p, lo, hi, _depth in near_end_cases():
+        core, oracle = DescartesIsolator(p), OracleSturm(p)
+        for iv in zeros._isolate_open(core, lo, hi) + [RatInterval(lo, hi)]:
+            got = zeros._shrink_inside(core, iv, lo, hi)
+            assert got == oracle_shrink_inside(oracle, iv, lo, hi)
+            assert lo < got.lo < got.hi < hi
+            hits += core.sign_at(got.mid) == 0
+    assert hits >= 3
+
+
+def _pool(name):
+    """The sweep or high_degree instance pool of perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make(name, None, None).pool()
+
+
+@pytest.mark.parametrize("name, count", [("sweep", 185), ("high_degree", 13)])
+def test_shrink_inside_on_the_benchmark_pools(name, count):
+    # every candidate of count_zeros on the pool's reduced eliminants (97
+    # and 4 of them touch 0 or h_max)
+    candidates = 0
+    for fam, coeffs in _pool(name):
+        elim = eliminate_radicals(assemble(fam, coeffs))
+        first = next(k for k, c in enumerate(elim.coeffs) if c != 0)
+        reduced = Polynomial(elim.coeffs[first:])
+        core, _multiple = polynomials.squarefree_factors(reduced)
+        oracle = OracleSturm(reduced)
+        for iv in zeros._isolate_open(core, F(0), fam.h_max):
+            got = zeros._shrink_inside(core, iv, F(0), fam.h_max)
+            assert got == oracle_shrink_inside(oracle, iv, F(0), fam.h_max)
+            candidates += 1
+    assert candidates == count
 
 
 def _planted_touching(seed, n):
