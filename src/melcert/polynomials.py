@@ -1,23 +1,23 @@
 """Exact univariate polynomial algebra over the rationals.
 
 `Polynomial` holds `fractions.Fraction` coefficients, and nothing in this
-module touches floating point.  The root core works in plain ints and rests
-on Descartes' rule of signs.  Its one gcd is `_int_gcd` (`poly_gcd` on
-`Polynomial`s), a modular gcd over Z with one exact certificate: a constant
-gcd modulo a prime q that does not divide l = gcd(lc a, lc b) proves a and
-b coprime, and otherwise exact division proves the gcd.  On it rests the
-one squarefree decision, `squarefree_factors`, and on that the one root
-isolator, `DescartesIsolator`: it counts roots on half-open windows and
-isolates them by Vincent-Collins-Akritas bisection with exact rational
-endpoints, each node held by its Bernstein coefficients as ints and split
-by one de Casteljau pass.  It refines them by bisection on int numerators
-over a doubling common denominator, with exact integer signs, and finds
-where a run of steps to one side ends by an exponential search; each
-interval is a `RatInterval`.  `squarefree_part`, `count_real_roots`,
-`isolate_roots` and `refine_root` are the one wrapper set for an arbitrary
-polynomial.  No Yun decomposition and no count with multiplicity lives
-here; the tests keep those as references.  `_cleared` is the one place
-where `Fraction` coefficients become ints for the int-list helpers.
+module touches floating point.  The root core rests on Descartes' rule of
+signs and takes one format, a primitive int list (constant term first,
+last entry nonzero).  Its one gcd is `_int_gcd`, a modular gcd over Z with
+one exact certificate: a constant gcd modulo a prime q that does not divide
+l = gcd(lc a, lc b) proves a and b coprime, and otherwise exact division
+proves the gcd.  On it rests the one squarefree decision,
+`squarefree_factors`, and on that the one root isolator,
+`DescartesIsolator`: it counts roots on half-open windows and isolates them
+by Vincent-Collins-Akritas bisection with exact rational endpoints, each
+node held by its Bernstein coefficients as ints and split by one de
+Casteljau pass.  It refines them by bisection on int numerators over a
+doubling common denominator, with exact signs (`_sign_at`, the one sign of
+an int list at a rational), and finds where a run of steps to one side
+ends by an exponential search; each interval is a `RatInterval`.
+`poly_gcd`, `squarefree_part`, `count_real_roots`, `isolate_roots` and
+`refine_root` wrap the core for a `Polynomial`, cleared once by
+`_primitive_ints` (`_cleared` is where `Fraction` coefficients become ints).
 """
 
 from __future__ import annotations
@@ -331,13 +331,13 @@ def _gcd_mod(a: list, b: list, q: int) -> list:
 
 
 def _int_gcd(a: list, b: list) -> list:
-    """gcd g of the primitive int lists a and b, primitive with lc > 0, by
-    the small-primes modular gcd (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, Algorithm 6.38): mod each prime q not dividing l = gcd(lc a,
-    lc b), g divides a and b and keeps its degree, so a constant gcd mod q
-    proves a and b coprime.  Images of least degree, times l, are l/lc(g) *
-    g mod q; their CRT image is g once a prime leaves it unchanged and its
-    primitive part divides a and b over Z."""
+    """gcd g, primitive with lc > 0, of the primitive int list a and any
+    nonzero int list b, by the small-primes modular gcd (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, Alg. 6.38): mod each prime q not
+    dividing l = gcd(lc a, lc b), g divides a and b and keeps its degree, so
+    a constant gcd mod q proves a and b coprime.  Images of least degree,
+    times l, are l/lc(g) * g mod q; their CRT image is g once a prime leaves
+    it unchanged and its primitive part divides a and b over Z."""
     if len(a) == 1 or len(b) == 1:
         return [1]
     l = math.gcd(a[-1], b[-1])
@@ -385,6 +385,12 @@ def _scaled_at(ic: list, num: int, den: int, k: int) -> int:
         acc = acc * num + c * dpow
         dpow *= den
     return acc
+
+
+def _sign_at(ic: list, num: int, den: int) -> int:
+    """Sign of the int list ic at num/den, den > 0 (0 for the empty list)."""
+    v = _scaled_at(ic, num, den, len(ic) - 1)
+    return (v > 0) - (v < 0)
 
 
 def _taylor_shift(c: list, a: int) -> list:
@@ -473,7 +479,7 @@ def _count01(b: list) -> int:
 class DescartesIsolator:
     """Real roots of a squarefree polynomial: the one root isolator.
 
-    Holds p as primitive ints.  A window (a, b) is held as a positive int
+    Holds p as the primitive int list it is given.  A window (a, b) is held as a positive int
     multiple of the Bernstein coefficients of p on it, converted once from
     p mapped affinely onto (0, 1).  Their sign variations are Descartes'
     bound for the roots inside, exact when it is 0 or 1.  Isolation is
@@ -489,15 +495,14 @@ class DescartesIsolator:
     squarefree (`squarefree_factors`).
     """
 
-    def __init__(self, p: Polynomial):
-        if p.is_zero:
-            raise ValueError("root isolation of the zero polynomial")
-        self._ic = _primitive_ints(p)
+    def __init__(self, ic: list):
+        if not ic or not ic[-1]:
+            raise ValueError("root isolation needs a nonzero last coefficient")
+        self._ic = ic
 
     def sign_at(self, x: Fraction) -> int:
         """Sign of the polynomial at x."""
-        v = _scaled_at(self._ic, x.numerator, x.denominator, len(self._ic) - 1)
-        return (v > 0) - (v < 0)
+        return _sign_at(self._ic, x.numerator, x.denominator)
 
     def _window(self, a: Fraction, b: Fraction) -> list:
         """A positive int multiple of the Bernstein coefficients of p on
@@ -607,16 +612,11 @@ class DescartesIsolator:
         """
         den = math.lcm(iv.lo.denominator, iv.hi.denominator)
         lo, hi = (x.numerator * (den // x.denominator) for x in (iv.lo, iv.hi))
-        ic, deg = self._ic, len(self._ic) - 1
-
-        def sign(num: int, den: int) -> int:
-            v = _scaled_at(ic, num, den, deg)
-            return (v > 0) - (v < 0)
 
         def hit(num: int, den: int) -> RatInterval:
             return RatInterval(Fraction(num, den), Fraction(num, den))
 
-        s_lo, s_hi = sign(lo, den), sign(hi, den)
+        s_lo, s_hi = _sign_at(self._ic, lo, den), _sign_at(self._ic, hi, den)
         depth = run = moved = 0  # moved: bit 1 once lo has moved, bit 2 hi
         left = None
         while depth < levels and not (ends and ends & moved == ends and depth % 2 == 0):
@@ -628,7 +628,7 @@ class DescartesIsolator:
                 while good < cap if bad is None else bad - good > 1:
                     k = min(max(4, 2 * good), cap) if bad is None else (good + bad) // 2
                     x = (base << k) + step
-                    s = sign(x, den << k)
+                    s = _sign_at(self._ic, x, den << k)
                     if not s:
                         return hit(x, den << k)
                     if s == keep:
@@ -646,7 +646,7 @@ class DescartesIsolator:
                 continue
             lo, hi, den = 2 * lo, 2 * hi, 2 * den
             mid = (lo + hi) // 2
-            s = sign(mid, den)
+            s = _sign_at(self._ic, mid, den)
             depth += 1
             if s == 0:
                 return hit(mid, den)
@@ -668,30 +668,30 @@ class DescartesIsolator:
         return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
 
-def squarefree_factors(p: Polynomial) -> tuple:
-    """(isolator, multiple): the one squarefree decision of the root core.
+def squarefree_factors(ic: list) -> tuple:
+    """(isolator, multiple): the one squarefree decision of the root core,
+    on p as the primitive int list ic.
 
-    With g = gcd(p, p') constant, p is squarefree (for a squarefree p,
-    one Euclid mod 2**61 - 1 as a rule): the isolator is built on p and
-    multiple is None.  Otherwise it is built on p/g, and multiple =
-    gcd(p/g, g) has the multiple roots of p as simple roots: a root is
-    multiple iff multiple changes sign across an isolating interval of it
-    with non-root ends.
+    With g = gcd(p, p') constant (p' keeps its content), p is squarefree
+    (one Euclid mod 2**61 - 1 as a rule): the isolator is built on ic and
+    multiple is None.  Otherwise it is built on p/g, and the int list
+    multiple = gcd(p/g, g) has the multiple roots of p as simple roots: a
+    root is multiple iff multiple changes sign across an isolating interval
+    of it with non-root ends.
     """
-    core = DescartesIsolator(p)
-    ic = core._ic
-    g = _int_gcd(ic, _content_free([k * c for k, c in enumerate(ic)][1:]))
+    core = DescartesIsolator(ic)
+    g = _int_gcd(ic, [k * c for k, c in enumerate(ic)][1:])
     if len(g) == 1:
         return core, None
     part = _divide(ic, g)
-    return DescartesIsolator(Polynomial(part)), Polynomial(_int_gcd(part, g))
+    return DescartesIsolator(part), _int_gcd(part, g)
 
 
 def count_real_roots(p: Polynomial, iv: RatInterval) -> int:
     """Exact number of distinct real roots of p in (iv.lo, iv.hi]."""
     if p.is_zero:
         raise ValueError("root count of the zero polynomial")
-    return squarefree_factors(p)[0].count(iv.lo, iv.hi)
+    return squarefree_factors(_primitive_ints(p))[0].count(iv.lo, iv.hi)
 
 
 def isolate_roots(p: Polynomial, iv: RatInterval) -> list:
@@ -702,7 +702,7 @@ def isolate_roots(p: Polynomial, iv: RatInterval) -> list:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return squarefree_factors(p)[0].isolate(iv.lo, iv.hi)
+    return squarefree_factors(_primitive_ints(p))[0].isolate(iv.lo, iv.hi)
 
 
 def refine_root(p: Polynomial, iv: RatInterval, width) -> RatInterval:
@@ -721,7 +721,7 @@ def refine_root(p: Polynomial, iv: RatInterval, width) -> RatInterval:
         if p.eval(iv.lo) != 0:
             raise ValueError("degenerate interval does not contain a root")
         return iv
-    core = squarefree_factors(p)[0]
+    core = squarefree_factors(_primitive_ints(p))[0]
     if core.count(iv.lo, iv.hi) != 1:
         raise ValueError("interval does not isolate exactly one root")
     if core.sign_at(iv.hi) == 0:

@@ -16,16 +16,16 @@ sign.  Zero prescription builds its basis forms by `assemble`, one per
 coefficient slot set to 1 alone, and reads them at the targets through
 `melnikov._point_rungs`, one kernel per form and target.
 
-Candidates come from the Descartes root core of `polynomials`: its one
-squarefree decision, `squarefree_factors`, takes gcd(p, p') by the one
-modular gcd, whose certificate is exact: a constant gcd modulo a prime q
-not dividing l = gcd(lc p, lc p') proves the eliminant squarefree, and
-otherwise exact division proves the gcd, which gives the squarefree part
-and marks the multiple roots.  One `DescartesIsolator` isolates and
-refines every root, in the Bernstein basis.  `_shrink_inside` moves each
-candidate off the annulus ends in one walk down its bisection tree, which
-skips along a run of steps to one side, so a root 10**-K above h = 0 costs
-O(log K) signs, not K.  Every interval is a `RatInterval`.
+Candidates come from the Descartes root core of `polynomials`, which
+takes the eliminant's primitive numerators as they are; every sign of an
+int polynomial here is `_sign_at`.  Its squarefree decision,
+`squarefree_factors`, takes gcd(p, p') by the one modular gcd, whose
+certificate is exact, and gives the squarefree part and the multiple
+roots.  One `DescartesIsolator` isolates and refines every root.
+`_shrink_inside` moves each candidate off the annulus ends in one walk
+down its bisection tree, which skips along a run of steps to one side, so
+a root 10**-K above h = 0 costs O(log K) signs, not K.  Every interval is
+a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ from .polynomials import (
     DescartesIsolator,
     Polynomial,
     _content_free,
-    _scaled_at,
-    poly_gcd,
+    _divide,
+    _int_gcd,
+    _sign_at,
     squarefree_factors,
 )
 
@@ -104,10 +105,6 @@ def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
     return elim
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
 def _sign_rule(sx: int, sy: int, diff) -> int:
     """Sign of x + y*sqrt(u), u > 0, from the signs sx of x and sy of y
     and, called only when they differ, diff(): the sign of x**2 - y**2 u."""
@@ -137,7 +134,7 @@ def point_sign(nf: MelnikovNormalForm, h) -> int:
     if not (0 <= h < nf.family.h_max):
         raise ValueError("point outside [0, h_max)")
     num, den = h.numerator, h.denominator
-    return _tree_sign(nf.sign_tree, lambda s: _sign(_scaled_at(s, num, den, len(s) - 1)))
+    return _tree_sign(nf.sign_tree, lambda s: _sign_at(s, num, den))
 
 
 @dataclass
@@ -184,16 +181,17 @@ def _shrink_inside(core: DescartesIsolator, iv: RatInterval, lo, hi) -> RatInter
     return iv
 
 
-def _changes_sign(p: Polynomial, iv: RatInterval) -> bool:
-    return p.eval(iv.lo) * p.eval(iv.hi) < 0
+def _changes_sign(ic: list, iv: RatInterval) -> bool:
+    lo, hi = (_sign_at(ic, x.numerator, x.denominator) for x in (iv.lo, iv.hi))
+    return lo * hi < 0
 
 
-def _candidates(p: Polynomial, lo: Fraction, hi: Fraction):
-    """One Descartes isolator of p's squarefree part, and (interval,
-    multiple) for every root of p strictly inside (lo, hi), each interval
-    from `_shrink_inside`; `squarefree_factors` decides multiple.
+def _candidates(ic: list, lo: Fraction, hi: Fraction):
+    """One Descartes isolator of the squarefree part of the primitive int
+    list ic, and (interval, multiple) for every root of ic strictly inside
+    (lo, hi), each from `_shrink_inside`; `squarefree_factors` decides it.
     """
-    core, multiple = squarefree_factors(p)
+    core, multiple = squarefree_factors(ic)
     out = []
     for iv in _isolate_open(core, lo, hi):
         iv = _shrink_inside(core, iv, lo, hi)
@@ -203,15 +201,18 @@ def _candidates(p: Polynomial, lo: Fraction, hi: Fraction):
 
 def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     fam = nf.family
-    pr_reduced = nf.pr.exact_div(Polynomial((1, -1)))  # forced root at r = 1
+    reduced = _divide(nf.ints[1][0], [1, -1])  # forced root at r = 1, as 1 - r
+    if reduced is None:
+        raise ValueError("confluent form without its root at r = 1")
+    reduced = _content_free(reduced)
     alpha2 = fam.alpha1**2
     report_width = Fraction(1, 1 << 20)
-    core, candidates = _candidates(pr_reduced, Fraction(0), Fraction(1))
+    core, candidates = _candidates(reduced, Fraction(0), Fraction(1))
     zeros = []
     for iv, _multiple in candidates:
         # r - 1 and r**(2m-1) keep their signs on (0, 1): the form changes
-        # sign across iv iff pr_reduced does
-        verified = _changes_sign(pr_reduced, iv)
+        # sign across iv iff reduced does
+        verified = _changes_sign(reduced, iv)
         iv = core.refine(iv, report_width)
         # map the r-interval back to h (h decreases as r grows)
         h_iv = RatInterval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
@@ -221,9 +222,9 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     return ZeroReport(
         status="ok",
         theorem_bound=bound,
-        eliminant=pr_reduced,
+        eliminant=Polynomial(reduced),
         eliminant_var="r",
-        eliminant_degree=pr_reduced.degree,
+        eliminant_degree=len(reduced) - 1,
         certified=zeros,
         count_lo=n,
         count_hi=n,
@@ -231,24 +232,24 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     )
 
 
-def _sign_at_root(g: Polynomial, core: DescartesIsolator, iv: RatInterval, s: list) -> int:
-    """Exact sign of the int polynomial s at h*, the one root of the
-    squarefree g (the polynomial of `core`) strictly inside iv.
+def _sign_at_root(core: DescartesIsolator, iv: RatInterval, s: list) -> int:
+    """Exact sign of the int list s at h*, the one root of the squarefree
+    polynomial g of `core` strictly inside iv.
 
-    gcd(g, s) divides g, so it has at most that one root in iv, a simple
-    one: s vanishes at h* iff the gcd changes sign across iv.  Otherwise
-    iv is refined until s has no root in (lo, hi], which holds h*, and the
-    sign of s itself at hi is read (its squarefree part only counts the
-    roots: its sign can differ).
+    s is cleared of its content and of zero top entries, where the sign
+    tree's sums cancel; an empty s is 0.  gcd(g, s) divides g, so it has at
+    most that one root in iv, a simple one: s vanishes at h* iff the gcd
+    changes sign across iv.  Otherwise iv is refined until s has no root in
+    (lo, hi], which holds h*, and the sign of s itself at hi is read (its
+    squarefree part only counts the roots: its sign can differ).
     """
-    p = Polynomial(s)
-    common = poly_gcd(g, p)  # g itself when s is zero
-    if _changes_sign(common, iv):
+    s = _content_free(s[: max((k + 1 for k, c in enumerate(s) if c), default=0)])
+    if not s or _changes_sign(_int_gcd(core._ic, s), iv):
         return 0
-    roots = squarefree_factors(p)[0]
+    roots = squarefree_factors(s)[0]
     while roots.count(iv.lo, iv.hi):
         iv = core.refine(iv, iv.width / 2)
-    return _sign(p.eval(iv.hi))
+    return _sign_at(s, iv.hi.numerator, iv.hi.denominator)
 
 
 def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval) -> int:
@@ -257,8 +258,7 @@ def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval)
     at h* from `_sign_at_root` (Basu, Pollack & Roy, Algorithms in Real
     Algebraic Geometry, 2006, ch. 10).
     """
-    g = Polynomial(core._ic)  # the core's squarefree polynomial, as ints
-    return _tree_sign(nf.sign_tree, lambda s: _sign_at_root(g, core, iv, s))
+    return _tree_sign(nf.sign_tree, lambda s: _sign_at_root(core, iv, s))
 
 
 def count_zeros(nf, n: int = None) -> ZeroReport:
@@ -281,8 +281,8 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
     h_max = fam.h_max
     elim = eliminate_radicals(nf)
     # the center forces a root at h = 0; strip all of them
-    first = next(k for k, c in enumerate(elim.coeffs) if c != 0)
-    reduced = Polynomial(elim.coeffs[first:])
+    ic = [c.numerator for c in elim.coeffs]
+    reduced = ic[next(k for k, c in enumerate(ic) if c) :]
     report = ZeroReport(
         status="ok",
         theorem_bound=bound,

@@ -55,7 +55,14 @@ from melcert import dop853, flow
 from melcert.flow import FlowError, QuadratureError
 from melcert.intervals import RatInterval, pi_interval, sqrt_rational
 from melcert.melnikov import ConfluentNormalForm, _u_poly
-from melcert.polynomials import Polynomial, _scaled_at
+from melcert.polynomials import Polynomial, _primitive_ints, _scaled_at
+
+
+def primitive_ints(p):
+    """p as the root core's one format, the primitive int list that the
+    public wrappers pass on; the tests build every `DescartesIsolator`,
+    `squarefree_factors` and `zeros._candidates` call on it."""
+    return _primitive_ints(p)
 
 
 def oracle_gcd(a, b):

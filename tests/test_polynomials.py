@@ -34,6 +34,7 @@ from oracles import (
     oracle_gcd,
     oracle_taylor_shift,
     oracle_yun,
+    primitive_ints,
     sign_changes,
 )
 
@@ -186,7 +187,7 @@ class TestIntegerRemainderSequence:
         repeated = 0
         for p in self.CASES:
             expected = all(m == 1 for _f, m in oracle_yun(p))
-            core, multiple = squarefree_factors(p)
+            core, multiple = squarefree_factors(primitive_ints(p))
             assert (multiple is None) == expected, p
             assert Polynomial(core._ic) == squarefree_part(p).primitive(), p
             repeated += not expected
@@ -199,9 +200,9 @@ class TestIntegerRemainderSequence:
         # (q1 x + 1)**2 reduces to the constant 1 mod q1, which would pass
         # for squarefree; the next prime sees the double root
         double = Polynomial((1, q1)) ** 2 * poly(-2, 1)
-        assert squarefree_factors(double)[1] is not None
+        assert squarefree_factors(primitive_ints(double))[1] is not None
         assert count_real_roots(double, RatInterval(-1, 3)) == 2
-        assert squarefree_factors(Polynomial((1, q1)) * poly(-2, 1))[1] is None
+        assert squarefree_factors(primitive_ints(Polynomial((1, q1)) * poly(-2, 1)))[1] is None
 
     def test_gcd_equals_fraction_gcd(self):
         import random
@@ -231,6 +232,23 @@ class TestIntegerRemainderSequence:
             assert poly_gcd(a, b) == oracle_gcd(a, b), (a, b)
         assert len(polynomials._PRIMES) > 60
 
+    def test_gcd_with_one_input_not_primitive(self):
+        # a primitive, b any nonzero int list: the gcd over Z is primitive,
+        # and exact division certifies it, whether the multiplier k is
+        # small, the first prime (b vanishes mod it) or lc a
+        import random
+
+        rng = random.Random(61)
+        for p in self.CASES:
+            common = _random_poly(rng, 3)
+            a = primitive_ints(p * common)
+            b = primitive_ints(_random_poly(rng, 5, sparse=True) * common)
+            expected = oracle_gcd(Polynomial(a), Polynomial(b))
+            for k in (6, 2**61 - 1, a[-1]):
+                g = polynomials._int_gcd(a, [k * c for c in b])
+                assert Polynomial(g).monic() == expected, (a, b, k)
+                assert g[-1] > 0 and math.gcd(*g) == 1
+
     def test_gcd_with_zero_and_constant_arguments(self):
         zero, p = Polynomial.zero(), poly(F(-2, 3), 0, -4)
         assert poly_gcd(zero, zero).is_zero
@@ -255,9 +273,13 @@ class TestIntegerRemainderSequence:
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            DescartesIsolator(Polynomial.zero())
+            DescartesIsolator(primitive_ints(Polynomial.zero()))
         with pytest.raises(ValueError):
-            squarefree_factors(Polynomial.zero())
+            squarefree_factors(primitive_ints(Polynomial.zero()))
+        # the root core's format: an int list with a nonzero last entry
+        for ic in ([], [0], [1, 0], [3, -2, 0]):
+            with pytest.raises(ValueError, match="nonzero last coefficient"):
+                DescartesIsolator(ic)
 
 
 # ---------------------------------------------------------------- counting
@@ -405,7 +427,7 @@ class TestRefinement:
     def test_refines_between_two_root_endpoints(self):
         # both ends are roots, so no endpoint sign tells the side: it counts
         p = Polynomial.from_roots([F(0), F(1, 3), F(1)])
-        core = DescartesIsolator(p)
+        core = DescartesIsolator(primitive_ints(p))
         iv, at_hi = core.isolate(F(0), F(1))
         assert (iv, at_hi) == (RatInterval(0, 1), RatInterval(1, 1))
         out = core.refine(iv, F(1, 1000))
@@ -438,7 +460,7 @@ def test_integer_refine_matches_sturm_on_non_dyadic_windows():
         ]
         widths = (F(1, 3), h_max / 2**20, h_max / 10**30)
         for p in cases:
-            core, oracle = DescartesIsolator(p), OracleSturm(p)
+            core, oracle = DescartesIsolator(primitive_ints(p)), OracleSturm(p)
             for iv in core.isolate(F(0), h_max):
                 if iv.lo == iv.hi:
                     continue
@@ -481,7 +503,7 @@ def near_end_cases():
 def test_refine_next_to_the_window_ends():
     reached = dict.fromkeys(["hit", "stopped_short", "refined", "both_ends_roots"], 0)
     for p, lo, hi, depth in near_end_cases():
-        core, oracle = DescartesIsolator(p), OracleSturm(p)
+        core, oracle = DescartesIsolator(primitive_ints(p)), OracleSturm(p)
         iv = RatInterval(lo, hi)
         reached["both_ends_roots"] += p.eval(lo) == 0
         for levels in (depth - 3, depth, depth + 1, depth + 40, 700):
@@ -551,7 +573,7 @@ def test_descartes_core_agrees_with_sturm_oracle():
         got = isolate_roots(p, iv)
         # the same dyadic tree gives the same intervals, exact endpoints
         assert got == oracle.isolate(lo, hi)
-        core, _multiple = polynomials.squarefree_factors(p)
+        core, _multiple = polynomials.squarefree_factors(primitive_ints(p))
         for r in got:
             if r.lo == r.hi:
                 assert p.eval(r.lo) == 0

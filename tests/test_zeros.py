@@ -47,6 +47,8 @@ from oracles import (
     oracle_row_reduce,
     oracle_shrink_inside,
     oracle_yun,
+    primitive_ints,
+    _sign_sqrt,
 )
 from test_polynomials import near_end_cases
 
@@ -420,6 +422,12 @@ class TestCountZeros:
         assert zero.interval.lo**2 < 2 < zero.interval.hi**2
         assert not zero.sign_verified
 
+    def test_confluent_form_without_its_root_at_r_one_is_refused(self):
+        # the form vanishes at the center (r = 1); pr = r + 1 does not
+        fam = SystemFamily(F(1, 2), F(1, 2), 1, 1)
+        with pytest.raises(ValueError, match="root at r = 1"):
+            count_zeros(ConfluentNormalForm(fam, Polynomial((1, 1))))
+
     def test_confluent_touching_zero_is_not_sign_verified(self):
         # pr(r) = (r - 1/3)**2 (r - 1): a double root at r = 1/3 where
         # pr(r)/r keeps its sign on both sides
@@ -503,11 +511,11 @@ class TestCountZeros:
     def test_sign_at_an_algebraic_root_reads_the_polynomial_itself(self):
         # at sqrt(2), a root of g isolated in (5/4, 3/2)
         g = Polynomial((-2, 0, 1)) * Polynomial((-1, 1))
-        core = DescartesIsolator(g)
+        core = DescartesIsolator(primitive_ints(g))
         [iv] = core.isolate(F(5, 4), F(3, 2))
 
         def sign(s):
-            return zeros._sign_at_root(g, core, iv, s)
+            return zeros._sign_at_root(core, iv, s)
 
         assert sign([-2, 0, 1]) == sign([]) == 0
         assert sign([-1, 1]) == 1
@@ -517,10 +525,26 @@ class TestCountZeros:
         assert sign([-99, 70]) == -1
         assert sign([-7, 5]) == 1
 
+    def test_sign_at_root_trims_zero_top_entries(self):
+        # the sign tree's sums can cancel their top coefficients, and a
+        # node's y can vanish: each s reads as the polynomial it is, and its
+        # sign at sqrt(2) is that of x + y*sqrt(2), s = x + y*h mod h**2 - 2
+        g = Polynomial((-2, 0, 1)) * Polynomial((-1, 1))
+        core = DescartesIsolator(primitive_ints(g))
+        [iv] = core.isolate(F(5, 4), F(3, 2))
+        cases = [[-1, 1, 0, 0], [6, -3, 0], [9, -6, 1, 0, 0], [-4, 0, 2, 0], [-7, 5, 0], [0, 0, 0]]
+        for s in cases + [[]]:
+            x, y = [*(Polynomial(s) % Polynomial((-2, 0, 1))).coeffs, 0, 0][:2]
+            kept = list(s)
+            assert zeros._sign_at_root(core, iv, s) == _sign_sqrt(x, y, 2), s
+            assert s == kept  # the tree's own lists stay as they are
+        assert zeros._sign_at_root(core, iv, [0, 0, 0]) == 0
+
     @staticmethod
     def _count_root_core_calls(monkeypatch):
         """Record the prime of every gcd mod q, every gcd over Z (one per
-        squarefree decision and per poly_gcd) and every root isolator."""
+        squarefree decision and per root sign, looked up in `polynomials`
+        and in `zeros`) and every root isolator."""
         calls = {"primes": [], "gcd": 0, "isolators": []}
         real_mod, real_gcd = polynomials._gcd_mod, polynomials._int_gcd
         real_init = DescartesIsolator.__init__
@@ -539,8 +563,34 @@ class TestCountZeros:
 
         monkeypatch.setattr(polynomials, "_gcd_mod", counting_mod)
         monkeypatch.setattr(polynomials, "_int_gcd", counting_gcd)
+        monkeypatch.setattr(zeros, "_int_gcd", counting_gcd)
         monkeypatch.setattr(DescartesIsolator, "__init__", counting_init)
         return calls
+
+    def test_one_clearing_per_count(self, monkeypatch):
+        # a squarefree two-radical form: the eliminant's content gcd is the
+        # only one, and its Polynomial, kept for the report, the only one
+        # built; the root core takes its numerators as they are
+        fam, coeffs = _pool("high_degree")[0]
+        nf = assemble(fam, coeffs)
+        assert nf.sign_tree  # the form's own clearing, before the count
+        calls = {"content_free": 0, "polynomials": 0}
+        real_free, real_init = polynomials._content_free, Polynomial.__init__
+
+        def counting_free(ic):
+            calls["content_free"] += 1
+            return real_free(ic)
+
+        def counting_init(p, coeffs=()):
+            calls["polynomials"] += 1
+            real_init(p, coeffs)
+
+        monkeypatch.setattr(polynomials, "_content_free", counting_free)
+        monkeypatch.setattr(zeros, "_content_free", counting_free)
+        monkeypatch.setattr(Polynomial, "__init__", counting_init)
+        report = count_zeros(nf)
+        assert report.status == "ok" and not report.multiplicity_suspected
+        assert calls == {"content_free": 1, "polynomials": 1}
 
     @staticmethod
     def _squarefree_eliminant():
@@ -562,7 +612,7 @@ class TestCountZeros:
         assert not report.multiplicity_suspected
         assert calls["primes"] == [2**61 - 1]
         assert calls["gcd"] == 1
-        assert calls["isolators"] == [reduced]
+        assert calls["isolators"] == [primitive_ints(reduced)]
 
     def test_tailless_forms_get_a_squarefree_eliminant(self, monkeypatch):
         # m1 + m2 > n + 1 leaves no tail (C = 0), so the last node's y is 0
@@ -586,9 +636,9 @@ class TestCountZeros:
         _nf, reduced = self._squarefree_eliminant()
         q1 = 2**61 - 1
         scaled = reduced * Polynomial((1, q1))
-        expected = zeros._candidates(reduced, F(0), FAM.h_max)[1]
+        expected = zeros._candidates(primitive_ints(reduced), F(0), FAM.h_max)[1]
         calls = self._count_root_core_calls(monkeypatch)
-        assert zeros._candidates(scaled, F(0), FAM.h_max)[1] == expected
+        assert zeros._candidates(primitive_ints(scaled), F(0), FAM.h_max)[1] == expected
         assert len(expected) == 3  # two zeros and one squaring artifact
         assert calls["primes"] == [polynomials._PRIMES[1]]
         assert calls["gcd"] == 1
@@ -612,9 +662,9 @@ class TestCountZeros:
         # by a second prime before its trial division
         assert calls["gcd"] == 3
         assert calls["primes"] == polynomials._PRIMES[:2] * 3
-        eliminant, core_poly = calls["isolators"][:2]
-        assert eliminant == reduced and core_poly != reduced
-        assert [m for _f, m in oracle_yun(core_poly)] == [1]
+        eliminant, core_ints = calls["isolators"][:2]
+        assert eliminant == primitive_ints(reduced) != core_ints
+        assert [m for _f, m in oracle_yun(Polynomial(core_ints))] == [1]
         assert report.multiplicity_suspected
         assert (report.count_lo, report.count_hi, report.undecided) == (1, 1, [])
         [zero] = report.certified
@@ -642,7 +692,7 @@ class TestCountZeros:
             p = Polynomial((rng.randint(1, 9),))
             for f in rng.sample(pool, rng.randint(1, 5)):
                 p = p * f ** rng.randint(1, 3)
-            core, found = zeros._candidates(p, F(-3), F(3))
+            core, found = zeros._candidates(primitive_ints(p), F(-3), F(3))
             assert len(found) == core.count(F(-3), F(3)) - (core.sign_at(F(3)) == 0)
             yun = oracle_yun(p)
             for iv, multiple in found:
@@ -734,7 +784,7 @@ def test_shrink_inside_next_to_the_window_ends():
     # every isolating interval of the near-end roots, and the whole window
     hits = 0
     for p, lo, hi, _depth in near_end_cases():
-        core, oracle = DescartesIsolator(p), OracleSturm(p)
+        core, oracle = DescartesIsolator(primitive_ints(p)), OracleSturm(p)
         for iv in zeros._isolate_open(core, lo, hi) + [RatInterval(lo, hi)]:
             got = zeros._shrink_inside(core, iv, lo, hi)
             assert got == oracle_shrink_inside(oracle, iv, lo, hi)
@@ -761,7 +811,7 @@ def test_shrink_inside_on_the_benchmark_pools(name, count):
         elim = eliminate_radicals(assemble(fam, coeffs))
         first = next(k for k, c in enumerate(elim.coeffs) if c != 0)
         reduced = Polynomial(elim.coeffs[first:])
-        core, _multiple = polynomials.squarefree_factors(reduced)
+        core, _multiple = polynomials.squarefree_factors(primitive_ints(reduced))
         oracle = OracleSturm(reduced)
         for iv in zeros._isolate_open(core, F(0), fam.h_max):
             got = zeros._shrink_inside(core, iv, F(0), fam.h_max)
