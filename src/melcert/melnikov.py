@@ -139,6 +139,7 @@ class PerturbCoeffs:
         self.box = as_rational(self.box)
         if self.box <= 0:
             raise ValueError("coefficient box bound must be positive")
+        box_num, box_den = self.box.numerator, self.box.denominator
         for name in ("a", "b"):
             grid = getattr(self, name)
             clean = {}
@@ -155,9 +156,9 @@ class PerturbCoeffs:
                 value = as_rational(value)
                 if i < 0 or j < 0 or i + j > self.n:
                     raise ValueError(f"{name}[{i},{j}] outside 0 <= i+j <= {self.n}")
-                if abs(value) > self.box:
+                if abs(value.numerator) * box_den > box_num * value.denominator:
                     raise ValueError(f"|{name}[{i},{j}]| exceeds the box bound {self.box}")
-                if value != 0:
+                if value.numerator != 0:
                     clean[(i, j)] = value
             setattr(self, name, clean)
 

@@ -287,7 +287,7 @@ def _divide(a: list, b: list):
     return None if any(r[:db]) else quot
 
 
-_PRIMES = [2**61 - 1]  # the primes of `_int_gcd`: 2**61 - 1, then those below
+_PRIMES = [2**30 - 35]  # the largest prime below 2**30, then those below: one int digit
 
 
 def _is_prime(n: int) -> bool:
@@ -302,7 +302,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes():
-    """_PRIMES in order, extended downwards only when a gcd needs more."""
+    """_PRIMES in order, extended downwards only when a lift needs more."""
     for k in itertools.count():
         if k == len(_PRIMES):
             q = _PRIMES[k - 1] - 2
@@ -312,53 +312,92 @@ def _primes():
         yield _PRIMES[k]
 
 
+def _rational(c: int, m: int):
+    """(num, den), coprime, with num = c * den mod m and |num|, 0 < den <=
+    sqrt(m/2), or None if there is none (there is at most one): Wang's half
+    extended Euclid (von zur Gathen & Gerhard, *Modern Computer Algebra*, Thm. 5.26)."""
+    n = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, c % m, 0, 1
+    while r1 > n:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if abs(t1) > n or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstructed(image, den: int):
+    """CRT of den * image(q), residue lists mod the primes q not dividing
+    den (a multiple of every denominator), as h mod m in symmetric residues;
+    a shorter list restarts it, a longer one is dropped (q is unlucky).
+    Yields per list (c, confirmed), c primitive with lc > 0 for monic images:
+    h, confirmed, if the latest prime left it unchanged; else the `_rational`
+    entries of h/den mod m times their lcm denominator, confirmed if unchanged
+    too, or nothing if one fails (and none before m has an eighth more bits)."""
+    h = m = last = None
+    for q in _primes():
+        if den % q == 0:
+            continue
+        g = [c * den % q for c in image(q)]
+        if h is None or len(g) < len(h):
+            h, m, due = [c - q if 2 * c > q else c for c in g], q, 0
+        elif len(g) > len(h):
+            continue
+        else:
+            inv = pow(m, -1, q)
+            t = [(x - y) * inv % q for x, y in zip(g, h)]
+            h, m = [y + m * (s - q if 2 * s > q else s) for y, s in zip(h, t)], m * q
+            if not any(t):
+                yield _content_free(h if h[-1] > 0 else [-c for c in h]), True
+                continue
+        if m.bit_length() < due:
+            continue
+        inv = pow(den, -1, m)
+        fracs = list(itertools.takewhile(bool, (_rational(c * inv, m) for c in h)))
+        if len(fracs) < len(h):
+            due = m.bit_length() * 9 // 8
+            continue
+        lcm = math.lcm(*(d for _num, d in fracs))
+        cand = [num * (lcm // d) for num, d in fracs]
+        yield cand, cand == last
+        last = cand
+
+
 def _gcd_mod(a: list, b: list, q: int) -> list:
-    """Monic gcd of the int lists a and b over GF(q), by Euclid on
-    residues; q divides at most one of their leading coefficients."""
+    """Monic gcd of the int lists a and b over GF(q), q dividing at most one
+    lc, by Euclid on residues; a step dropping the degree by one (the rule)
+    is one pass with no inverse, the remainder of lc(b)**2 * a by b."""
     a, b = [c % q for c in a], [c % q for c in b]
     while any(b):
         while b[-1] == 0:
             b.pop()
-        inv, db = pow(b[-1], -1, q), len(b) - 1
+        l, db = b[-1], len(b) - 1
+        if len(a) == db + 2 and db:
+            f1, f0, l = a[-1] * l % q, (a[-2] * l - a[-1] * b[-2]) % q, l * l % q
+            a, b = b, [(x * l - u * f1 - v * f0) % q for x, u, v in zip(a, [0, *b], b[:db])]
+            continue
+        inv = pow(l, -1, q)
         for k in range(len(a) - 1 - db, -1, -1):
             f = a[k + db] * inv % q
             if f:
-                for j, c in enumerate(b):
-                    a[k + j] = (a[k + j] - f * c) % q
-        a, b = b, a[:db]
+                a[k : k + db] = [x - f * c for x, c in zip(a[k : k + db], b)]
+        a, b = b, [c % q for c in a[:db]]
     inv = pow(a[-1], -1, q)
     return [c * inv % q for c in a]
 
 
 def _int_gcd(a: list, b: list) -> list:
     """gcd g, primitive with lc > 0, of the primitive int list a and any
-    nonzero int list b, by the small-primes modular gcd (von zur Gathen &
-    Gerhard, *Modern Computer Algebra*, Alg. 6.38): mod each prime q not
-    dividing l = gcd(lc a, lc b), g divides a and b and keeps its degree, so
-    a constant gcd mod q proves a and b coprime.  Images of least degree,
-    times l, are l/lc(g) * g mod q; their CRT image is g once a prime leaves
-    it unchanged and its primitive part divides a and b over Z."""
+    nonzero int list b, by the small-primes modular gcd with rational
+    reconstruction (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    Alg. 6.38 and ch. 5.10): mod a prime q not dividing l = gcd(lc a, lc b),
+    g keeps its degree, so a constant gcd mod q proves a and b coprime; else
+    g is the first confirmed lift of the monic images that divides a and b."""
     if len(a) == 1 or len(b) == 1:
         return [1]
-    l = math.gcd(a[-1], b[-1])
-    h = m = None  # l/lc(g) * g in symmetric residues mod m
-    for q in _primes():
-        if l % q == 0:
-            continue
-        g = [c * l % q for c in _gcd_mod(a, b, q)]
-        if len(g) == 1:
-            return [1]
-        if h is None or len(g) < len(h):
-            h, m = [c - q if 2 * c > q else c for c in g], q
-        elif len(g) == len(h):  # a longer image has q dividing a resultant
-            inv = pow(m, -1, q)
-            t = [(x - y) * inv % q for x, y in zip(g, h)]
-            if not any(t):
-                cand = _content_free(h if h[-1] > 0 else [-c for c in h])
-                if _divide(a, cand) is not None and _divide(b, cand) is not None:
-                    return cand
-            h = [y + m * (s - q if 2 * s > q else s) for y, s in zip(h, t)]
-            m *= q
+    for g, confirmed in _reconstructed(lambda q: _gcd_mod(a, b, q), math.gcd(a[-1], b[-1])):
+        if g == [1] or confirmed and _divide(a, g) is not None and _divide(b, g) is not None:
+            return g
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -673,7 +712,7 @@ def squarefree_factors(ic: list) -> tuple:
     on p as the primitive int list ic.
 
     With g = gcd(p, p') constant (p' keeps its content), p is squarefree
-    (one Euclid mod 2**61 - 1 as a rule): the isolator is built on ic and
+    (one Euclid mod the first prime as a rule): the isolator is built on ic and
     multiple is None.  Otherwise it is built on p/g, and the int list
     multiple = gcd(p/g, g) has the multiple roots of p as simple roots: a
     root is multiple iff multiple changes sign across an isolating interval

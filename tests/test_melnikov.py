@@ -394,6 +394,63 @@ class TestAssembly:
         nf = assemble(FAM, PerturbCoeffs(n=3))
         assert nf.is_zero
 
+    def test_coefficient_box_check_follows_the_fraction_rule(self):
+        # PerturbCoeffs tests |p/q| <= box and p != 0 on ints; the rule is
+        # abs(value) > box and value != 0 on Fractions: the same entries
+        # kept, the same stored values and the same first error, with
+        # values at |v| == box, box plus or minus 3/2**1074 or 10**-400 and
+        # those tiny values alone, under boxes other than 1
+        def fraction_rule(grids, box):
+            out = {}
+            for name, grid in grids.items():
+                out[name] = {}
+                for (i, j), value in grid.items():
+                    value = F(value)
+                    if abs(value) > box:
+                        raise ValueError(f"|{name}[{i},{j}]| exceeds the box bound {box}")
+                    if value != 0:
+                        out[name][(i, j)] = value
+            return out
+
+        tiny = [F(3, 2**1074), F(1, 10**400)]
+        seen = dict.fromkeys(["kept", "rejected", "at_box", "tiny", "dropped"], 0)
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(st.data())
+        def check(data):
+            box = data.draw(
+                st.one_of(
+                    st.sampled_from([F(2), F(1, 3), F(10**400), *tiny]),
+                    st.fractions(min_value=F(1, 10**9), max_value=10**9).filter(bool),
+                )
+            )
+            values = st.one_of(
+                st.sampled_from([box, -box, 0, box + tiny[0], -box - tiny[1]]),
+                st.sampled_from(tiny).flatmap(lambda t: st.sampled_from([t, -t, box - t])),
+                st.fractions(-2, 2, max_denominator=64).map(lambda f: f * box),
+                st.integers(-2, 2),
+            )
+            keys = st.sampled_from([(i, j) for i in range(4) for j in range(4 - i)])
+            grids = {name: data.draw(st.dictionaries(keys, values, max_size=6)) for name in "ab"}
+            try:
+                expected = fraction_rule(grids, box)
+            except ValueError as error:
+                with pytest.raises(ValueError) as got:
+                    PerturbCoeffs(n=3, box=box, **grids)
+                assert str(got.value) == str(error)
+                seen["rejected"] += 1
+                return
+            co = PerturbCoeffs(n=3, box=box, **grids)
+            assert {"a": co.a, "b": co.b} == expected
+            kept = [*co.a.values(), *co.b.values()]
+            seen["kept"] += 1
+            seen["at_box"] += any(abs(v) == box for v in kept)
+            seen["tiny"] += any(abs(v) in tiny for v in kept)
+            seen["dropped"] += sum(map(len, grids.values())) > len(kept)
+
+        check()
+        assert min(seen.values()) >= 10, seen
+
     def test_parity_only_coefficients_vanish(self):
         for seed in range(50):
             rng = rng_for(31, seed)

@@ -235,7 +235,7 @@ class TestIntegerRemainderSequence:
     def test_gcd_with_one_input_not_primitive(self):
         # a primitive, b any nonzero int list: the gcd over Z is primitive,
         # and exact division certifies it, whether the multiplier k is
-        # small, the first prime (b vanishes mod it) or lc a
+        # small, the first prime (b vanishes mod it), 2**61 - 1 or lc a
         import random
 
         rng = random.Random(61)
@@ -244,7 +244,7 @@ class TestIntegerRemainderSequence:
             a = primitive_ints(p * common)
             b = primitive_ints(_random_poly(rng, 5, sparse=True) * common)
             expected = oracle_gcd(Polynomial(a), Polynomial(b))
-            for k in (6, 2**61 - 1, a[-1]):
+            for k in (6, polynomials._PRIMES[0], 2**61 - 1, a[-1]):
                 g = polynomials._int_gcd(a, [k * c for c in b])
                 assert Polynomial(g).monic() == expected, (a, b, k)
                 assert g[-1] > 0 and math.gcd(*g) == 1
@@ -267,9 +267,57 @@ class TestIntegerRemainderSequence:
         assert not polynomials._is_prime(3825123056546413051)
         assert polynomials._is_prime(2**61 - 1) and not polynomials._is_prime(2**61 + 1)
         primes = list(itertools.islice(polynomials._primes(), 5))
-        assert primes[0] == 2**61 - 1 and primes == sorted(primes, reverse=True)
+        # the first is the largest prime below 2**30, so every residue and
+        # every reduced product is one 30-bit digit of a CPython int
+        assert primes[0] == 2**30 - 35 < 2**30 and primes == sorted(primes, reverse=True)
+        assert not any(polynomials._is_prime(n) for n in range(primes[0] + 2, 2**30, 2))
         for lo, hi in zip(primes[1:], primes):
             assert not any(polynomials._is_prime(n) for n in range(lo + 2, hi, 2))
+
+    def test_gcd_of_planted_factors_that_need_many_primes(self, monkeypatch):
+        # a small gcd under a 3000-bit l = gcd(lc a, lc b): l/lc(g) * g has
+        # the bits of l, but g/lc(g) is rebuilt as rationals from two primes;
+        # and degree-8 gcds with 500-bit coefficients, whose lift spans many
+        import random
+
+        rng = random.Random(3000)
+        calls = []
+        real = polynomials._gcd_mod
+
+        def counting(a, b, q):
+            calls.append(q)
+            return real(a, b, q)
+
+        monkeypatch.setattr(polynomials, "_gcd_mod", counting)
+        lead = 3**1900 * 7  # 3015 bits
+        small = [2, -3, 0, 1]
+        for k in range(4):
+            f1 = [rng.randint(-(2**40), 2**40) for _ in range(3 + k)] + [lead * rng.randint(1, 9)]
+            f2 = [rng.randint(-(2**40), 2**40) for _ in range(2)] + [lead * rng.randint(1, 9)]
+            a = primitive_ints(Polynomial(polynomials._prod(small, f1)))
+            b = polynomials._prod(small, f2)
+            expected = oracle_gcd(Polynomial(a), Polynomial(b))
+            calls.clear()
+            g = polynomials._int_gcd(a, b)
+            assert Polynomial(g).monic() == expected and expected.degree >= 3
+            assert g[-1] > 0 and math.gcd(*g) == 1
+            assert len(calls) <= 3, calls  # 2 as a rule; about 50 by l's bits
+        for k in range(4):
+            # gcd(a, a') for a = common**2 * f[0], or gcd(common * f[0], common * f[1])
+            common = [rng.randint(-(2**500), 2**500) for _ in range(8)] + [rng.randint(1, 2**500)]
+            f = [[rng.randint(-(2**20), 2**20) for _ in range(4)] + [lc] for lc in (1 + k, 2**300)]
+            if k % 2:
+                a = primitive_ints(Polynomial(polynomials._prod(common, f[0])))
+                b = polynomials._prod(common, f[1])
+            else:
+                a = primitive_ints(Polynomial(polynomials._prod(common, common, f[0])))
+                b = [i * c for i, c in enumerate(a)][1:]
+            expected = oracle_gcd(Polynomial(a), Polynomial(b))
+            calls.clear()
+            g = polynomials._int_gcd(a, b)
+            assert Polynomial(g).monic() == expected and expected.degree == 8
+            assert g[-1] > 0 and math.gcd(*g) == 1
+            assert len(calls) >= 17  # at least the 500 bits of g
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -280,6 +328,60 @@ class TestIntegerRemainderSequence:
         for ic in ([], [0], [1, 0], [3, -2, 0]):
             with pytest.raises(ValueError, match="nonzero last coefficient"):
                 DescartesIsolator(ic)
+
+
+def test_rational_reconstruction_round_trips_inside_the_bound():
+    # m the product of the first k primes, n = isqrt(m/2): every num/den
+    # with |num|, den <= n, coprime, comes back from num/den mod m; outside
+    # the bound the result is None or the one pair inside it congruent to
+    # c; and when (p*num, p*den) is the pair inside, p | m, there is none
+    seen = dict.fromkeys(["inside", "outside", "outside_other", "shared"], 0)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.data())
+    def check(data):
+        k = data.draw(st.integers(1, 5))
+        primes = list(itertools.islice(polynomials._primes(), k))
+        m = math.prod(primes)
+        n = math.isqrt(m // 2)
+        # (p*num, p*den) fits inside the bound once m has three primes
+        case = data.draw(st.sampled_from(["inside", "outside", "shared"][: 2 + (k >= 3)]))
+        if case == "shared":
+            p = data.draw(st.sampled_from(primes))
+            num, den = data.draw(st.integers(-(2**10), 2**10)), data.draw(st.integers(1, 2**10))
+            e = data.draw(st.integers(0, p - 1))
+            if math.gcd(num, den) != 1 or e * den % p == num % p:
+                return
+            rest = m // p
+            x = num * pow(den, -1, rest) % rest  # c: num/den mod m/p, e mod p
+            c = x + rest * ((e - x) * pow(rest, -1, p) % p)
+            assert abs(p * num) <= n and p * den <= n
+            assert polynomials._rational(c, m) is None
+            seen["shared"] += 1
+            return
+        if case == "inside":
+            num, den = data.draw(st.integers(-n, n)), data.draw(st.integers(1, n))
+        elif data.draw(st.booleans()):
+            num = data.draw(st.integers(n + 1, 4 * n)) * data.draw(st.sampled_from([1, -1]))
+            den = data.draw(st.integers(1, 4 * n))
+        else:
+            num, den = data.draw(st.integers(-4 * n, 4 * n)), data.draw(st.integers(n + 1, 4 * n))
+        if math.gcd(num, den) != 1 or math.gcd(den, m) != 1:
+            return
+        c = num * pow(den, -1, m) % m
+        got = polynomials._rational(c, m)
+        if case == "inside":
+            assert got == (num, den)
+        elif got is not None:
+            r, t = got
+            assert (r, t) != (num, den) and abs(r) <= n and 0 < t <= n
+            assert math.gcd(r, t) == 1 and (r - c * t) % m == 0
+            case = "outside_other"
+        seen[case] += 1
+
+    check()
+    assert min(seen["inside"], seen["outside"]) >= 50 and seen["shared"] >= 20, seen
+    assert seen["outside_other"] >= 5, seen  # a congruent pair inside the bound
 
 
 # ---------------------------------------------------------------- counting

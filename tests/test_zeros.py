@@ -610,7 +610,7 @@ class TestCountZeros:
         report = count_zeros(nf)
         assert report.count_lo == report.count_hi == 2
         assert not report.multiplicity_suspected
-        assert calls["primes"] == [2**61 - 1]
+        assert calls["primes"] == [polynomials._PRIMES[0]]
         assert calls["gcd"] == 1
         assert calls["isolators"] == [primitive_ints(reduced)]
 
@@ -626,7 +626,7 @@ class TestCountZeros:
         calls = self._count_root_core_calls(monkeypatch)
         for nf in forms:
             assert not count_zeros(nf, n=8).multiplicity_suspected
-        assert calls["primes"] == [2**61 - 1] * 5
+        assert calls["primes"] == [polynomials._PRIMES[0]] * 5
         assert calls["gcd"] == 5
 
     def test_certificate_moves_past_a_prime_dividing_the_leading_coefficient(self, monkeypatch):
@@ -634,7 +634,7 @@ class TestCountZeros:
         # -1/q1 outside the annulus: the second prime certifies, and the
         # candidates are those of the eliminant alone
         _nf, reduced = self._squarefree_eliminant()
-        q1 = 2**61 - 1
+        q1 = polynomials._PRIMES[0]
         scaled = reduced * Polynomial((1, q1))
         expected = zeros._candidates(primitive_ints(reduced), F(0), FAM.h_max)[1]
         calls = self._count_root_core_calls(monkeypatch)
@@ -861,6 +861,18 @@ def test_planted_touching_zero_at_the_spec_limits():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "2 2 [True, False]"
+
+
+def test_planted_touching_zero_takes_few_primes(monkeypatch):
+    # gcd(p, p') at n = 32 has degree 7 and 142-bit coefficients under an l
+    # of 3155 bits: rebuilt as rationals, the count's five gcds take 23
+    # images mod a prime in all, where scaling each image by l took 106
+    primes = []
+    real = polynomials._gcd_mod
+    monkeypatch.setattr(polynomials, "_gcd_mod", lambda a, b, q: primes.append(q) or real(a, b, q))
+    r = count_zeros(_planted_touching(0, 32), n=32)
+    assert (r.count_lo, r.count_hi, [z.sign_verified for z in r.certified]) == (2, 2, [True, False])
+    assert len(primes) <= 30
 
 
 def _count_view_builds(monkeypatch, cls) -> list:
