@@ -327,35 +327,27 @@ def _rational(c: int, m: int):
 
 
 def _reconstructed(image, den: int):
-    """CRT of den * image(q), residue lists mod the primes q not dividing
-    den (a multiple of every denominator), as h mod m in symmetric residues;
-    a shorter list restarts it, a longer one is dropped (q is unlucky).
-    Yields per list (c, confirmed), c primitive with lc > 0 for monic images:
-    h, confirmed, if the latest prime left it unchanged; else the `_rational`
-    entries of h/den mod m times their lcm denominator, confirmed if unchanged
-    too, or nothing if one fails (and none before m has an eighth more bits)."""
+    """CRT of the residue lists image(q) mod the primes q not dividing den,
+    as h mod m; a shorter list restarts it, a longer one is dropped (q is
+    unlucky).  Yields per list (c, confirmed): the `_rational` entries of h,
+    each num/d, times the lcm of the d (for a last entry 1/1, c is primitive
+    with lc > 0), confirmed if the previous prime gave the same c; or
+    nothing if an entry has no rational reading yet."""
     h = m = last = None
     for q in _primes():
         if den % q == 0:
             continue
-        g = [c * den % q for c in image(q)]
+        g = image(q)
         if h is None or len(g) < len(h):
-            h, m, due = [c - q if 2 * c > q else c for c in g], q, 0
+            h, m = g, q
         elif len(g) > len(h):
             continue
         else:
             inv = pow(m, -1, q)
-            t = [(x - y) * inv % q for x, y in zip(g, h)]
-            h, m = [y + m * (s - q if 2 * s > q else s) for y, s in zip(h, t)], m * q
-            if not any(t):
-                yield _content_free(h if h[-1] > 0 else [-c for c in h]), True
-                continue
-        if m.bit_length() < due:
-            continue
-        inv = pow(den, -1, m)
-        fracs = list(itertools.takewhile(bool, (_rational(c * inv, m) for c in h)))
+            h, m = [y + m * ((x - y) * inv % q) for x, y in zip(g, h)], m * q
+        fracs = list(itertools.takewhile(bool, (_rational(c, m) for c in h)))
         if len(fracs) < len(h):
-            due = m.bit_length() * 9 // 8
+            last = None
             continue
         lcm = math.lcm(*(d for _num, d in fracs))
         cand = [num * (lcm // d) for num, d in fracs]
