@@ -22,8 +22,9 @@ One entry point, `assemble`, builds every form, and it is linear in the
 perturbation coefficients and runs in ints.  `_terms` is the one map from
 coefficient slots to integrand monomials: a[i,j] weights x**(i+1)*y**j and
 b[i,j] weights x**i*y**(j+1).  Per family (its tuple of poles),
-`_FamilyIntegrals` keeps the partial fractions of x**k over the poles'
-product as rows of int numerators, each row from the one before by
+`_integrals` caches the partial fractions of x**k over the poles'
+product as a list of rows of int numerators, which `_integrate` extends
+as it needs them, each row from the one before by
 x/(1-alpha*x)**j = ((1-alpha*x)**-j - (1-alpha*x)**-(j-1))/alpha; row 0,
 the weights of the denominator's inverse, is the only Taylor step.  Each
 pole's radical lifts are int lists over one denominator.  One pass,
@@ -415,39 +416,12 @@ def _add_scaled(total: list, part, f: int, shift: int = 0) -> None:
         total[k] += f * c
 
 
-class _FamilyIntegrals:
-    """The int building blocks of the loop integrals over one tuple of
-    poles, memoised as they are needed.
-
-    The partial fractions of x**k over the poles' product are rows, each
-    from the one before (`_next_row`), so row k costs O(m1 + m2) int
-    operations; each pole's lifts come from `_lift`.  Both are int lists
-    over one positive denominator.
-    """
-
-    def __init__(self, poles: tuple):
-        self.poles = poles
-        self._rows, self._lifts = [_first_row(poles)], {}
-
-    def row(self, k: int) -> tuple:
-        """Partial fractions of x**k as int numerators over one positive
-        den: (den, the weights at each pole, the polynomial part)."""
-        rows = self._rows
-        while len(rows) <= k:
-            rows.append(_next_row(rows[-1], self.poles))
-        return rows[k]
-
-    def lifts(self, idx: int) -> tuple:
-        """`_lift` at pole idx."""
-        if idx not in self._lifts:
-            alpha, m = self.poles[idx]
-            self._lifts[idx] = _lift(m, alpha)
-        return self._lifts[idx]
-
-
 @lru_cache(maxsize=CACHED_FAMILIES)
-def _integrals(poles: tuple) -> _FamilyIntegrals:
-    return _FamilyIntegrals(poles)
+def _integrals(poles: tuple) -> tuple:
+    """(rows, lifts): the partial fractions of x**k over the poles' product,
+    row k at rows[k], each from the one before (`_next_row`) and appended
+    by `_integrate` as it needs them, and `_lift` at each pole."""
+    return [_first_row(poles)], [_lift(m, alpha) for alpha, m in poles]
 
 
 def _integrate(terms, poles: tuple) -> list:
@@ -469,15 +443,15 @@ def _integrate(terms, poles: tuple) -> list:
         kk, f = j // 2, v.numerator * (den // v.denominator)
         for l in range(kk + 1):
             _add_scaled(xs.setdefault(i + 2 * l, []), ((-1) ** l * math.comb(kk, l),), f, kk - l)
-    integrals = _integrals(poles)
-    rows = {k: integrals.row(k) for k in xs}
-    row_den = math.lcm(*(d for d, _w, _q in rows.values()))
+    rows, pole_lifts = _integrals(poles)
+    while len(rows) <= max(xs, default=0):
+        rows.append(_next_row(rows[-1], poles))
+    row_den = math.lcm(*(rows[k][0] for k in xs))
     # X_k scaled to the rows' common denominator, with row k's parts
-    scaled = [([c * (row_den // d) for c in xs[k]], w, q) for k, (d, w, q) in rows.items()]
+    scaled = [([c * (row_den // rows[k][0]) for c in x], *rows[k][1:]) for k, x in xs.items()]
     den *= row_den
     parts = []
-    for idx in range(len(poles)):
-        lift_den, lifts = integrals.lifts(idx)
+    for idx, (lift_den, lifts) in enumerate(pole_lifts):
         ys = [[] for _ in lifts]
         for x, weights, _q in scaled:
             for y, w in zip(ys, weights[idx]):

@@ -14,7 +14,10 @@ node held by its Bernstein coefficients as ints and split by one de
 Casteljau pass.  It refines them by bisection on int numerators over a
 doubling common denominator, with exact signs (`_sign_at`, the one sign of
 an int list at a rational), and finds where a run of steps to one side
-ends by an exponential search; each interval is a `RatInterval`.
+ends by an exponential search; each interval is a `RatInterval`.  The same
+walk moves an interval off a window's ends (`inside`), and the sign of any
+int list at a root is read from its Bernstein coefficients on the root's
+cell, once a gcd shows that it does not vanish there (`sign_at_root`).
 `poly_gcd`, `squarefree_part`, `count_real_roots`, `isolate_roots` and
 `refine_root` wrap the core for a `Polynomial`, cleared once by
 `_primitive_ints` (`_cleared` is where `Fraction` coefficients become ints).
@@ -507,6 +510,32 @@ def _count01(b: list) -> int:
     return total
 
 
+def _window(ic: list, a: Fraction, b: Fraction) -> list:
+    """A positive int multiple of the Bernstein coefficients of the int
+    list ic on (a, b)."""
+    den = math.lcm(a.denominator, b.denominator)
+    return _window_over(
+        ic, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+    )
+
+
+def _window_over(ic: list, na: int, nb: int, den: int) -> list:
+    """`_window` for a = na/den and b = nb/den, den > 0."""
+    w = nb - na
+    d = len(ic) - 1
+    # den**d p(x/den), shifted by na, then x -> w x: p(a + (b - a) x)
+    c = [ck * den ** (d - k) for k, ck in enumerate(ic)]
+    if na:
+        c = _taylor_shift(c, na)
+    return _bernstein([ck * w**k for k, ck in enumerate(c)])
+
+
+def _changes_sign(ic: list, iv: RatInterval) -> bool:
+    """Whether the int list ic has strictly opposite signs at iv's ends."""
+    lo, hi = (_sign_at(ic, x.numerator, x.denominator) for x in (iv.lo, iv.hi))
+    return lo * hi < 0
+
+
 class DescartesIsolator:
     """Real roots of a squarefree polynomial: the one root isolator.
 
@@ -535,29 +564,11 @@ class DescartesIsolator:
         """Sign of the polynomial at x."""
         return _sign_at(self._ic, x.numerator, x.denominator)
 
-    def _window(self, a: Fraction, b: Fraction) -> list:
-        """A positive int multiple of the Bernstein coefficients of p on
-        (a, b)."""
-        den = math.lcm(a.denominator, b.denominator)
-        return self._window_over(
-            a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
-        )
-
-    def _window_over(self, na: int, nb: int, den: int) -> list:
-        """`_window` for a = na/den and b = nb/den, den > 0."""
-        w = nb - na
-        d = len(self._ic) - 1
-        # den**d p(x/den), shifted by na, then x -> w x: p(a + (b - a) x)
-        c = [ck * den ** (d - k) for k, ck in enumerate(self._ic)]
-        if na:
-            c = _taylor_shift(c, na)
-        return _bernstein([ck * w**k for k, ck in enumerate(c)])
-
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in (lo, hi]; either endpoint may be a root."""
         if lo >= hi:
             return 0
-        return _count01(self._window(lo, hi)) + (self.sign_at(hi) == 0)
+        return _count01(_window(self._ic, lo, hi)) + (self.sign_at(hi) == 0)
 
     def _split(self, a: Fraction, b: Fraction, c: list) -> list:
         """Isolating intervals for the roots in the open (a, b), c being
@@ -586,7 +597,7 @@ class DescartesIsolator:
             # go on past both ends of an isolating interval around the hit
             near = self.widen(mid, (b - a) / 4)
             lo, hi = near.lo, near.hi
-            stack += [(hi, b, self._window(hi, b)), (a, lo, self._window(a, lo))]
+            stack += [(hi, b, _window(self._ic, hi, b)), (a, lo, _window(self._ic, a, lo))]
         return found
 
     def widen(self, x: Fraction, delta: Fraction) -> RatInterval:
@@ -594,7 +605,7 @@ class DescartesIsolator:
         d is delta, halved until no end is a root and x is the only one."""
         while True:
             lo, hi = x - delta, x + delta
-            if self.sign_at(lo) and self.sign_at(hi) and _count01(self._window(lo, hi)) == 1:
+            if self.sign_at(lo) and self.sign_at(hi) and _count01(_window(self._ic, lo, hi)) == 1:
                 return RatInterval(lo, hi)
             delta /= 2
 
@@ -608,7 +619,7 @@ class DescartesIsolator:
         """
         if lo >= hi:
             return []
-        found = self._split(lo, hi, self._window(lo, hi))
+        found = self._split(lo, hi, _window(self._ic, lo, hi))
         if self.sign_at(hi) == 0:
             found.append(RatInterval(hi, hi))
         found.sort(key=lambda r: (r.lo, r.hi))
@@ -627,6 +638,39 @@ class DescartesIsolator:
         levels = max(ratio.numerator.bit_length() - ratio.denominator.bit_length(), 0)
         levels += ratio.numerator > ratio.denominator << levels
         return self._descend(iv, levels) if levels else iv
+
+    def inside(self, iv: RatInterval, lo: Fraction, hi: Fraction) -> RatInterval:
+        """The cell around iv's root on the first even level of its
+        bisection tree that lies strictly inside (lo, hi), with ends that
+        are not roots; iv, from `isolate`, lies in [lo, hi].  One walk,
+        until each end of iv at lo or hi has moved; an exact rational hit
+        is widened."""
+        ends = (iv.lo <= lo) | (iv.hi >= hi) << 1
+        if ends:
+            iv = self._descend(iv, math.inf, ends)
+        if iv.lo == iv.hi:
+            iv = self.widen(iv.lo, min(iv.lo - lo, hi - iv.lo) / 2)
+        return iv
+
+    def sign_at_root(self, iv: RatInterval, s: list) -> int:
+        """Exact sign of the int list s at h*, the one root of p strictly
+        inside iv, whose ends are not roots.
+
+        Zero top entries of s, where sums cancel, are trimmed; an empty s
+        is 0.  gcd(p, s) divides p, so it has at most that one root in iv,
+        a simple one: s vanishes at h* iff the gcd changes sign across iv.
+        Otherwise iv is halved by `refine` until the Bernstein coefficients
+        of s on it share one strict sign, which s then has on all of iv;
+        they tend to s(h*) as iv shrinks to h*, so the halving ends.
+        """
+        s = s[: max((k + 1 for k, c in enumerate(s) if c), default=0)]
+        if not s or _changes_sign(_int_gcd(self._ic, s), iv):
+            return 0
+        while True:
+            b = _window(s, iv.lo, iv.hi)
+            if min(b) > 0 or max(b) < 0:
+                return 1 if b[0] > 0 else -1
+            iv = self.refine(iv, iv.width / 2)
 
     def _descend(self, iv: RatInterval, levels, ends: int = 0) -> RatInterval:
         """The cell that holds iv's root `levels` levels down its bisection
@@ -689,7 +733,7 @@ class DescartesIsolator:
             elif s_lo:
                 go_left = s != s_lo
             else:
-                go_left = _count01(self._window_over(lo, mid, den)) == 1
+                go_left = _count01(_window_over(self._ic, lo, mid, den)) == 1
             run = run + 1 if go_left == left else 1
             left = go_left
             if go_left:

@@ -21,11 +21,11 @@ takes the eliminant's primitive numerators as they are; every sign of an
 int polynomial here is `_sign_at`.  Its squarefree decision,
 `squarefree_factors`, takes gcd(p, p') by the one modular gcd, whose
 certificate is exact, and gives the squarefree part and the multiple
-roots.  One `DescartesIsolator` isolates and refines every root.
-`_shrink_inside` moves each candidate off the annulus ends in one walk
-down its bisection tree, which skips along a run of steps to one side, so
-a root 10**-K above h = 0 costs O(log K) signs, not K.  Every interval is
-a `RatInterval`.
+roots.  One `DescartesIsolator` isolates and refines every root, moves
+each candidate off the annulus ends (`inside`), and reads each sign-tree
+polynomial's sign at a multiple root from the Bernstein coefficients on
+its cell (`sign_at_root`), with no second squarefree decision.  Every
+interval is a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from .melnikov import (
 from .polynomials import (
     DescartesIsolator,
     Polynomial,
+    _changes_sign,
     _content_free,
     _divide,
-    _int_gcd,
     _sign_at,
     squarefree_factors,
 )
@@ -168,33 +168,15 @@ def _isolate_open(core: DescartesIsolator, lo: Fraction, hi: Fraction) -> list:
     return [iv for iv in core.isolate(lo, hi) if iv.lo != hi]
 
 
-def _shrink_inside(core: DescartesIsolator, iv: RatInterval, lo, hi) -> RatInterval:
-    """The cell around iv's root on the first even level of its bisection
-    tree that lies strictly inside (lo, hi), with ends that are not roots;
-    iv lies in [lo, hi].  One walk, until each end of iv at lo or hi has
-    moved; an exact rational hit is widened."""
-    ends = (iv.lo <= lo) | (iv.hi >= hi) << 1
-    if ends:
-        iv = core._descend(iv, math.inf, ends)
-    if iv.lo == iv.hi:
-        iv = core.widen(iv.lo, min(iv.lo - lo, hi - iv.lo) / 2)
-    return iv
-
-
-def _changes_sign(ic: list, iv: RatInterval) -> bool:
-    lo, hi = (_sign_at(ic, x.numerator, x.denominator) for x in (iv.lo, iv.hi))
-    return lo * hi < 0
-
-
 def _candidates(ic: list, lo: Fraction, hi: Fraction):
     """One Descartes isolator of the squarefree part of the primitive int
     list ic, and (interval, multiple) for every root of ic strictly inside
-    (lo, hi), each from `_shrink_inside`; `squarefree_factors` decides it.
+    (lo, hi), each moved there by `inside`; `squarefree_factors` decides it.
     """
     core, multiple = squarefree_factors(ic)
     out = []
     for iv in _isolate_open(core, lo, hi):
-        iv = _shrink_inside(core, iv, lo, hi)
+        iv = core.inside(iv, lo, hi)
         out.append((iv, multiple is not None and _changes_sign(multiple, iv)))
     return core, out
 
@@ -232,33 +214,13 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
     )
 
 
-def _sign_at_root(core: DescartesIsolator, iv: RatInterval, s: list) -> int:
-    """Exact sign of the int list s at h*, the one root of the squarefree
-    polynomial g of `core` strictly inside iv.
-
-    s is cleared of its content and of zero top entries, where the sign
-    tree's sums cancel; an empty s is 0.  gcd(g, s) divides g, so it has at
-    most that one root in iv, a simple one: s vanishes at h* iff the gcd
-    changes sign across iv.  Otherwise iv is refined until s has no root in
-    (lo, hi], which holds h*, and the sign of s itself at hi is read (its
-    squarefree part only counts the roots: its sign can differ).
-    """
-    s = _content_free(s[: max((k + 1 for k, c in enumerate(s) if c), default=0)])
-    if not s or _changes_sign(_int_gcd(core._ic, s), iv):
-        return 0
-    roots = squarefree_factors(s)[0]
-    while roots.count(iv.lo, iv.hi):
-        iv = core.refine(iv, iv.width / 2)
-    return _sign_at(s, iv.hi.numerator, iv.hi.denominator)
-
-
 def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval) -> int:
     """Exact sign of the two-radical form at the eliminant root h* that the
     core isolates in iv: its `sign_tree` walked with each polynomial's sign
-    at h* from `_sign_at_root` (Basu, Pollack & Roy, Algorithms in Real
+    at h* from `sign_at_root` (Basu, Pollack & Roy, Algorithms in Real
     Algebraic Geometry, 2006, ch. 10).
     """
-    return _tree_sign(nf.sign_tree, lambda s: _sign_at_root(core, iv, s))
+    return _tree_sign(nf.sign_tree, lambda s: core.sign_at_root(iv, s))
 
 
 def count_zeros(nf, n: int = None) -> ZeroReport:
@@ -309,8 +271,15 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
 
 
 def _effective_slots(n: int) -> list:
-    """Coefficient slots that can influence the integral (parity filter)."""
-    return [("b" if j % 2 else "a", i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+    """Coefficient slots that can influence the integral (parity filter),
+    one per integrand monomial: b[i,j] with i >= 1 weights x**i*y**(j+1),
+    as the earlier a[i-1,j+1] does, so it is left out."""
+    return [
+        ("b" if j % 2 else "a", i, j)
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+        if i == 0 or j % 2 == 0
+    ]
 
 
 def _basis_forms(family: SystemFamily, slots) -> list:
@@ -375,9 +344,12 @@ def _independent(forms) -> list:
 
 def _scaled_mid(ends: tuple, bits: int) -> int:
     """2**bits times the midpoint of the int-pair ends of a `_point_rungs`
-    rung, rounded half to even."""
+    rung, rounded half to even: the floor of that plus 1/2, less one at an
+    odd exact half."""
     (ln, ld), (hn, hd) = ends
-    return round(Fraction((ln * hd + hn * ld) << (bits - 1), ld * hd))
+    den = ld * hd
+    q, r = divmod(((ln * hd + hn * ld) << bits) + den, 2 * den)
+    return q - (not r and q & 1)
 
 
 def prescribe_zeros(family: SystemFamily, n: int, targets) -> PerturbCoeffs:

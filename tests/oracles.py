@@ -10,8 +10,8 @@ as a running sum.
 where `melcert.polynomials` counts sign variations in the Bernstein basis
 and refines by bisection that skips along runs to one side;
 `oracle_shrink_inside` moves an isolating interval off the window ends by
-refine calls that each quarter its width, where `melcert.zeros` walks the
-bisection tree once;
+refine calls that each quarter its width, where `DescartesIsolator.inside`
+walks the bisection tree once;
 `descartes_bound` and `cauchy_root_bound` are the classical bounds the
 tests check counts against.  The partial fractions here solve the dense
 linear system for the coefficients, and the single-factor expansion
@@ -232,8 +232,8 @@ class OracleSturm:
 
 def oracle_shrink_inside(core, iv, lo, hi):
     """The cell around iv's root strictly inside (lo, hi) by refine calls
-    that each quarter the width, where `melcert.zeros` walks the bisection
-    tree once and skips along runs; an exact hit is widened."""
+    that each quarter the width, where `DescartesIsolator.inside` walks the
+    bisection tree once and skips along runs; an exact hit is widened."""
     width = iv.width
     while iv.lo <= lo or iv.hi >= hi:
         width = width / 4

@@ -31,6 +31,7 @@ from melcert.melnikov import (
     SystemFamily,
     _integrals,
     _integrate,
+    _next_row,
     _point_rungs,
     _poles,
     _radial_numerator,
@@ -73,8 +74,13 @@ def single_pole(k, m, alpha):
 
 def pf_row(k, fam):
     """Row k of the family's partial fractions as `Fraction`s: the weights
-    at each pole, then the polynomial part."""
-    den, weights, quotient = _integrals(_poles(fam)).row(k)
+    at each pole, then the polynomial part.  The cached rows are extended
+    as `_integrate` extends them."""
+    poles = _poles(fam)
+    rows, _lifts = _integrals(poles)
+    while len(rows) <= k:
+        rows.append(_next_row(rows[-1], poles))
+    den, weights, quotient = rows[k]
     return tuple(tuple(F(c, den) for c in part) for part in (*weights, quotient))
 
 
@@ -623,14 +629,18 @@ def test_integrate_matches_fraction_oracle_at_the_spec_limits(kind):
 
 
 def test_every_basis_form_matches_fraction_oracle():
-    # zeros' basis at n = 8, m = (3, 3), against the monomial of each slot
-    # as mapped here: a[i,j] weights x**(i+1)*y**j, b[i,j] x**i*y**(j+1)
+    # every parity-filtered slot at n = 8, m = (3, 3), against the monomial
+    # of each slot as mapped here: a[i,j] weights x**(i+1)*y**j, b[i,j]
+    # x**i*y**(j+1); zeros' basis keeps the first slot of each monomial
     fam = SystemFamily(F(3, 5), F(-2, 7), 3, 3)
     poles = ((fam.alpha1, fam.m1), (fam.alpha2, fam.m2))
-    slots = _effective_slots(8)
+    slots = [("b" if j % 2 else "a", i, j) for i in range(9) for j in range(9 - i)]
+    first = {}
     for (kind, i, j), nf in zip(slots, _basis_forms(fam, slots), strict=True):
-        i, j = (i + 1, j) if kind == "a" else (i, j + 1)
-        assert [nf.rad1, nf.rad2, nf.tail] == oracle_monomial_parts(i, j, poles), (i, j)
+        mono = (i + 1, j) if kind == "a" else (i, j + 1)
+        first.setdefault(mono, (kind, i, j))
+        assert [nf.rad1, nf.rad2, nf.tail] == oracle_monomial_parts(*mono, poles), mono
+    assert _effective_slots(8) == list(first.values())
 
 
 # ------------------------------------ int point kernel vs RatInterval oracle

@@ -515,7 +515,7 @@ class TestCountZeros:
         [iv] = core.isolate(F(5, 4), F(3, 2))
 
         def sign(s):
-            return zeros._sign_at_root(core, iv, s)
+            return core.sign_at_root(iv, s)
 
         assert sign([-2, 0, 1]) == sign([]) == 0
         assert sign([-1, 1]) == 1
@@ -536,15 +536,84 @@ class TestCountZeros:
         for s in cases + [[]]:
             x, y = [*(Polynomial(s) % Polynomial((-2, 0, 1))).coeffs, 0, 0][:2]
             kept = list(s)
-            assert zeros._sign_at_root(core, iv, s) == _sign_sqrt(x, y, 2), s
+            assert core.sign_at_root(iv, s) == _sign_sqrt(x, y, 2), s
             assert s == kept  # the tree's own lists stay as they are
-        assert zeros._sign_at_root(core, iv, [0, 0, 0]) == 0
+        assert core.sign_at_root(iv, [0, 0, 0]) == 0
+
+    def test_sign_at_root_next_to_a_root_of_s(self):
+        # s with a root within 10**-k of h*, k = 1..40, simple or double,
+        # and s that vanishes at h*.  At the irrational h* = sqrt(2) the
+        # sign is that of x + y*sqrt(2), s = x + y*h mod h**2 - 2; at the
+        # rational h* = 1/3, which the first halving hits, it is s(1/3)
+        q = Polynomial((-2, 0, 1))
+        g = q * Polynomial((-1, 3))
+        core = DescartesIsolator(primitive_ints(g))
+        [sqrt2] = core.isolate(F(5, 4), F(3, 2))
+        third = core.widen(F(1, 3), F(1, 8))
+
+        def oracle_sqrt2(s):
+            return _sign_sqrt(*[*(s % q).coeffs, 0, 0][:2], 2)
+
+        def oracle_third(s):
+            v = s.eval(F(1, 3))
+            return (v > 0) - (v < 0)
+
+        signs = set()
+        for k in range(1, 41):
+            near, ten = math.isqrt(2 * 10 ** (2 * k)), 10**k  # near: ten*sqrt(2) rounded down
+            cases = [
+                (sqrt2, oracle_sqrt2, q, [(near, ten), (near + 1, ten)]),
+                (third, oracle_third, Polynomial((-1, 3)), [(ten - 1, 3 * ten), (ten + 1, 3 * ten)]),
+            ]
+            for iv, oracle, vanishing, roots in cases:
+                for num, den in roots:
+                    t = Polynomial((-num, den))
+                    for s in (t, t * Polynomial((3, 1)), t * t, -t * t * vanishing):
+                        ints = [c.numerator for c in s.coeffs]
+                        got = core.sign_at_root(iv, ints)
+                        assert got == oracle(s), (k, num, den, ints)
+                        signs.add(got)
+        assert signs == {-1, 0, 1}
+
+    @staticmethod
+    def _artifact_forms():
+        """The six forms of the artifact test above: e*(r1 + s)**2 on a
+        mirror pair's family and on FAM, each with a multiple eliminant
+        root where r1 = s and the nonzero sign e there."""
+        for fam in (SystemFamily(F(1, 2), F(-1, 2), 1, 1), FAM):
+            for s, e in [(F(1, 2), 1), (F(3, 4), -1), (F(1, 3), 1)]:
+                rad1 = Polynomial((1 + s * s, -fam.alpha1**2)).scale(e)
+                yield MelnikovNormalForm(fam, rad1, Polynomial.zero(), Polynomial.constant(2 * s * e))
+
+    def test_root_sign_needs_no_second_squarefree_decision(self, monkeypatch):
+        # one squarefree decision per count, the eliminant's, and no root
+        # count: each sign-tree polynomial's sign at the multiple root is
+        # read from its Bernstein coefficients on the root's cell
+        calls = {"squarefree": 0, "count": 0}
+        real_factors, real_count = polynomials.squarefree_factors, DescartesIsolator.count
+
+        def counting_factors(ic):
+            calls["squarefree"] += 1
+            return real_factors(ic)
+
+        def counting_count(core, lo, hi):
+            calls["count"] += 1
+            return real_count(core, lo, hi)
+
+        monkeypatch.setattr(polynomials, "squarefree_factors", counting_factors)
+        monkeypatch.setattr(zeros, "squarefree_factors", counting_factors)
+        monkeypatch.setattr(DescartesIsolator, "count", counting_count)
+        for nf in self._artifact_forms():
+            calls.update(squarefree=0, count=0)
+            report = count_zeros(nf)
+            assert report.multiplicity_suspected and report.count_lo == 0
+            assert calls == {"squarefree": 1, "count": 0}
 
     @staticmethod
     def _count_root_core_calls(monkeypatch):
         """Record the prime of every gcd mod q, every gcd over Z (one per
-        squarefree decision and per root sign, looked up in `polynomials`
-        and in `zeros`) and every root isolator."""
+        squarefree decision and per root sign, looked up in `polynomials`)
+        and every root isolator."""
         calls = {"primes": [], "gcd": 0, "isolators": []}
         real_mod, real_gcd = polynomials._gcd_mod, polynomials._int_gcd
         real_init = DescartesIsolator.__init__
@@ -563,7 +632,6 @@ class TestCountZeros:
 
         monkeypatch.setattr(polynomials, "_gcd_mod", counting_mod)
         monkeypatch.setattr(polynomials, "_int_gcd", counting_gcd)
-        monkeypatch.setattr(zeros, "_int_gcd", counting_gcd)
         monkeypatch.setattr(DescartesIsolator, "__init__", counting_init)
         return calls
 
@@ -786,7 +854,7 @@ def test_shrink_inside_next_to_the_window_ends():
     for p, lo, hi, _depth in near_end_cases():
         core, oracle = DescartesIsolator(primitive_ints(p)), OracleSturm(p)
         for iv in zeros._isolate_open(core, lo, hi) + [RatInterval(lo, hi)]:
-            got = zeros._shrink_inside(core, iv, lo, hi)
+            got = core.inside(iv, lo, hi)
             assert got == oracle_shrink_inside(oracle, iv, lo, hi)
             assert lo < got.lo < got.hi < hi
             hits += core.sign_at(got.mid) == 0
@@ -814,7 +882,7 @@ def test_shrink_inside_on_the_benchmark_pools(name, count):
         core, _multiple = polynomials.squarefree_factors(primitive_ints(reduced))
         oracle = OracleSturm(reduced)
         for iv in zeros._isolate_open(core, F(0), fam.h_max):
-            got = zeros._shrink_inside(core, iv, F(0), fam.h_max)
+            got = core.inside(iv, F(0), fam.h_max)
             assert got == oracle_shrink_inside(oracle, iv, F(0), fam.h_max)
             candidates += 1
     assert candidates == count
@@ -1011,6 +1079,31 @@ def test_basis_rank_law(alpha, m):
         assert len(basis) == 3 * (n + 1) // 2, n
 
 
+def test_rank_law_at_the_spec_limits():
+    # n = 32, m = (16, 16): 305 basis forms, one per integrand monomial, of
+    # rank 49 = 3*33//2 (about 4 s on 2 vCPUs); in a subprocess under a
+    # time limit, so that a runaway elimination fails here instead of
+    # stalling the suite
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), env.get("PYTHONPATH")])
+    )
+    code = (
+        "from fractions import Fraction as F\n"
+        "from melcert.melnikov import SystemFamily\n"
+        "from melcert import zeros\n"
+        "slots = zeros._effective_slots(32)\n"
+        "forms = zeros._basis_forms(SystemFamily(F(1, 2), F(-1, 3), 16, 16), slots)\n"
+        "print(len(slots), len(zeros._independent(forms)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "305 49"
+
+
 def _assert_elimination_matches_oracle(rows):
     reduced, pivots = zeros._row_reduce(rows)
     oracle_rows, oracle_pivots = oracle_row_reduce(rows)
@@ -1056,3 +1149,30 @@ def test_int_elimination_matches_the_fraction_oracle_on_the_rank_law_grid(monkey
 def test_int_elimination_matches_the_fraction_oracle_on_small_matrices(rows):
     # zero rows, repeated rows and columns without a pivot included
     _assert_elimination_matches_oracle(rows)
+
+
+@st.composite
+def _rung_ends(draw):
+    """(ends, bits): int-pair ends of a rung around a midpoint that is an
+    exact half at the scale 2**bits, or any rational, each end over a
+    positive denominator that need not be reduced."""
+    bits = draw(st.integers(0, 96))
+    if draw(st.booleans()):
+        mid = F(2 * draw(st.integers(-(10**6), 10**6)) + 1, 2 << bits)
+    else:
+        mid = F(draw(st.integers(-(10**40), 10**40)), draw(st.integers(1, 10**40)))
+    half = F(draw(st.integers(0, 10**12)), draw(st.integers(1, 10**12)))
+    ends = []
+    for end in (mid - half, mid + half):
+        f = draw(st.integers(1, 10**6))
+        ends.append((end.numerator * f, end.denominator * f))
+    return tuple(ends), bits
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_rung_ends())
+def test_scaled_mid_rounds_like_fraction(case):
+    # half to even, exact halves of either parity and negative ones included
+    ((ln, ld), (hn, hd)), bits = case
+    want = round(F((ln * hd + hn * ld) * 2**bits, 2 * ld * hd))
+    assert zeros._scaled_mid(((ln, ld), (hn, hd)), bits) == want
