@@ -97,6 +97,9 @@ class InstanceSpec:
     samples: int = 20
 
 
+# the digits of a decimal exponent, less its leading zeros, for `_value`
+_EXPONENT = re.compile(r"[eE][-+]?0*(\d+)")
+
 # setting -> (kind, least, most) for `_value`
 SETTINGS = {
     "eps": ("nonzero", None, None),
@@ -110,11 +113,24 @@ SETTINGS = {
 
 def _value(label: str, raw: str, kind: str, least=None, most=None):
     """One spec or flag value: an "integer", a "rational" or a "nonzero"
-    rational, within the inclusive bounds that are not None."""
+    rational, within the inclusive bounds that are not None.
+
+    Underscores are refused, since `Fraction` takes them only from Python
+    3.11 on, and so is a decimal exponent above the interpreter's digit
+    limit, `sys.get_int_max_str_digits()`, which already refuses a number
+    written out that long: `Fraction` would build 10**exponent first.  A
+    disabled limit (0) bounds neither.
+    """
+    text = raw.strip()
+    what = "an integer" if kind == "integer" else "an exact rational"
+    if "_" in text:
+        raise SpecError(f"{label}: not {what}: {raw!r}")
+    exponent, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
+    if exponent and limit and (len(exponent[1]) > len(str(limit)) or int(exponent[1]) > limit):
+        raise SpecError(f"{label}: decimal exponent exceeds the limit {limit}: {raw!r}")
     try:
-        value = int(raw.strip()) if kind == "integer" else Fraction(raw.strip())
+        value = int(text) if kind == "integer" else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        what = "an integer" if kind == "integer" else "an exact rational"
         raise SpecError(f"{label}: not {what}: {raw!r}") from exc
     if kind == "nonzero" and value == 0:
         raise SpecError(f"{label}: must be nonzero")
@@ -592,16 +608,12 @@ def report_sample_curve(spec: InstanceSpec) -> dict:
     rows = []
     for i in range(1, spec.points + 1):
         h = top * i / spec.points
-        if nf.is_zero:
-            mid, width = Fraction(0), Fraction(0)
-        else:
-            enc = evaluate_normal_form(nf, h, precision=digits)
-            mid, width = enc.mid, enc.width
+        enc = evaluate_normal_form(nf, h, precision=digits)
         rows.append(
             {
                 "h": decimal_str(h, digits),
-                "phi_mid": decimal_str(mid, digits),
-                "phi_width": sci_str(width),
+                "phi_mid": decimal_str(enc.mid, digits),
+                "phi_width": sci_str(enc.width),
             }
         )
     return {

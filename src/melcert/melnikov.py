@@ -37,8 +37,10 @@ CACHED_FAMILIES most recently used families stay cached; an older family's
 are dropped whole, so memory stays bounded on any stream of families.
 
 Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
-for every exact reader here and in `zeros`; a two-radical form also keeps
-`sign_tree`, the int polynomials whose signs decide its own.  Certified
+for every exact reader here and in `zeros`.  A two-radical form also keeps
+`sign_tree`, the int polynomials whose signs decide its own; only this
+module reads it: `tree_sign` walks it with any sign oracle, and its last
+node names the `eliminant`, whose roots hold every zero.  Certified
 evaluation, which happens only at rational points, runs on `ints` through
 one kernel, `_point_rungs`, behind `evaluate_normal_form` and zero
 prescription: the polynomials and the radicands are evaluated once per
@@ -168,6 +170,14 @@ class PerturbCoeffs:
         return not self.a and not self.b
 
 
+def _sign_rule(sx: int, sy: int, diff) -> int:
+    """Sign of x + y*sqrt(u), u > 0, from the signs sx of x and sy of y
+    and, called only when they differ, diff(): the sign of x**2 - y**2 u."""
+    if sx * sy >= 0:
+        return sx or sy
+    return sx * diff()
+
+
 IntView = namedtuple("IntView", "den rad1 rad2 tail d u1 u2 a b c")
 
 
@@ -220,25 +230,46 @@ class MelnikovNormalForm:
     @cached_property
     def sign_tree(self) -> tuple:
         """This form's sign as int polynomials in h, built once from `ints`
-        and kept on the form; `zeros` walks it at a point.
+        and kept on the form, and read by `tree_sign` alone.
 
-        A node (x, y, disc), disc = d*x**2 - y**2 U1, decides the sign of
-        x + y*r1 (r1 = sqrt(U1/d)).  The form has the sign of r2*X + B*r1,
-        X = A + C*r1: node(A, C) if B = 0 (every mirror pair), node(B, 0) if
-        X = 0, else (node(A, C), B, node(P, Q)), d**2 ((r2*X)**2 - (B*r1)**2)
-        = P + Q*r1 with P = (d A**2 + C**2 U1) U2 - d B**2 U1, Q = 2 d A C U2.
+        A node (x, y, z) decides the sign of x + y*r1 (r1 = sqrt(U1/d)):
+        z = d*x**2 - y**2 U1 if x and y are both nonzero, else the nonzero
+        one of them.  The form has the sign of r2*X + B*r1, X = A + C*r1:
+        node(A, C) if B = 0 (every mirror pair), node(B, 0) if X = 0, else
+        (node(A, C), B, node(P, Q)), d**2 ((r2*X)**2 - (B*r1)**2) = P + Q*r1
+        with P = (d A**2 + C**2 U1) U2 - d B**2 U1, Q = 2 d A C U2.
         """
         v = self.ints
         d, u1, u2, a, b, c = v.d, v.u1, v.u2, v.a, v.b, v.c
         if not (a or c):
-            return ((b, [], _prod([d], _square(b))),)
+            return ((b, [], b),)
         da2, c2u1 = _prod([d], _square(a)), _prod(_square(c), u1)
-        ac = a, c, _sum(da2, _prod([-1], c2u1))
+        ac = a, c, _sum(da2, _prod([-1], c2u1)) if a and c else a or c
         if not b:
             return (ac,)
         p = _sum(_prod(_sum(da2, c2u1), u2), _prod([-d], _square(b), u1))
         q = _prod([2 * d], a, c, u2)
-        return ac, b, (p, q, _sum(_prod([d], _square(p)), _prod([-1], _square(q), u1)))
+        pq = p, q, _sum(_prod([d], _square(p)), _prod([-1], _square(q), u1)) if p and q else p or q
+        return ac, b, pq
+
+    @property
+    def eliminant(self) -> list:
+        """The last node's z, an int list whose roots hold every zero of this
+        form: not conversely, since squaring adds roots that are not zeros.
+        Where x or y vanishes, z is the other part, not the norm of x + y*r1,
+        whose square factor would make every root look multiple."""
+        return self.sign_tree[-1][2]
+
+    def tree_sign(self, sign) -> int:
+        """Sign of this form at a point where sign(s) is the sign there of
+        each int polynomial s of its `sign_tree`: `_sign_rule` down the tree.
+        Each z is read only where its x and y have opposite signs."""
+        (x, y, z), *rest = self.sign_tree
+        s = _sign_rule(sign(x), sign(y), lambda: sign(z))
+        if not rest:
+            return s
+        b, (x, y, z) = rest
+        return _sign_rule(s, sign(b), lambda: _sign_rule(sign(x), sign(y), lambda: sign(z)))
 
     @property
     def is_zero(self) -> bool:
@@ -605,6 +636,8 @@ def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:
     if h < 0 or h >= nf.family.h_max:
         raise ValueError("evaluation point outside [0, h_max)")
     if nf.is_zero:
+        # a mirror pair's cancelling radical parts are enclosed one by one
+        # at a rung, so their sum would keep a nonzero width
         return RatInterval.point(0)
     inverse_width = 10**precision
     rung = _point_rungs(nf, h)

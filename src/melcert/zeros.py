@@ -1,11 +1,8 @@
 """Certified zero counts for assembled normal forms on the open annulus.
 
-The sign of a two-radical form is one tree of int polynomials in h, its
-`sign_tree`, built once from its `ints` (numerators A, B, C and radicands
-U1, U2 over one denominator d): each node decides the sign of x + y*r1 by
-`_sign_rule`, from the signs of x, y and d*x**2 - y**2 U1.  The last node
-gives the eliminant: that disc, or x (y) alone when y (x) vanishes.  Every
-zero is a root of it, not conversely.  `_tree_sign` walks the tree at the
+A two-radical form names its own eliminant and decides its own sign
+(`MelnikovNormalForm.eliminant` and `tree_sign`); every zero is a root of
+the eliminant, not conversely.  Here the form's sign is read at the
 rational ends of each candidate's isolating interval (`point_sign`) and,
 where the form keeps its sign across a multiple eliminant root, at that
 root (`_root_sign`).  No candidate is left undecided, so count_lo ==
@@ -22,10 +19,10 @@ int polynomial here is `_sign_at`.  Its squarefree decision,
 `squarefree_factors`, takes gcd(p, p') by the one modular gcd, whose
 certificate is exact, and gives the squarefree part and the multiple
 roots.  One `DescartesIsolator` isolates and refines every root, moves
-each candidate off the annulus ends (`inside`), and reads each sign-tree
-polynomial's sign at a multiple root from the Bernstein coefficients on
-its cell (`sign_at_root`), with no second squarefree decision.  Every
-interval is a `RatInterval`.
+each candidate off the annulus ends (`inside`), and reads the sign at a
+multiple root of each polynomial that `tree_sign` asks for from the
+Bernstein coefficients on its cell (`sign_at_root`), with no second
+squarefree decision.  Every interval is a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -83,58 +80,26 @@ def theorem_bound(family: SystemFamily, n: int):
 
 
 def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
-    """Polynomial in h whose roots contain every zero of the normal form.
-
-    The last node (x, y, disc) of the form's `sign_tree` decides its sign:
-    every zero is a root of disc = d*x**2 - y**2 U1, the product of the
-    conjugates x +- y*r1 (the form's norm over Z when B != 0), or of x (y)
-    alone when y (x) vanishes, where disc has a square factor that would
-    make every root look multiple.  Cleared of its content.
+    """Polynomial in h whose roots contain every zero of the normal form:
+    its `eliminant`, cleared of its content.
 
     Squaring is one-directional: roots that are not zeros of the original
     function are expected and filtered downstream.
     """
     if nf.is_zero:
         raise ValueError("cannot eliminate radicals of the zero form")
-    x, y, disc = nf.sign_tree[-1]
-    elim = Polynomial(_content_free(disc if x and y else x or y))
-    if elim.is_zero:
-        # cannot happen for a nonzero form: its last node keeps a nonzero
-        # part, so neither conjugate x +- y*r1 vanishes identically
-        raise AssertionError("eliminant vanished for a nonzero normal form")
-    return elim
-
-
-def _sign_rule(sx: int, sy: int, diff) -> int:
-    """Sign of x + y*sqrt(u), u > 0, from the signs sx of x and sy of y
-    and, called only when they differ, diff(): the sign of x**2 - y**2 u."""
-    if sx * sy >= 0:
-        return sx or sy
-    return sx * diff()
-
-
-def _tree_sign(tree: tuple, sign) -> int:
-    """Sign of the form whose `sign_tree` is tree at a point where sign(s)
-    is the sign of each int polynomial s: `_sign_rule` down the tree."""
-    x, y, disc = tree[0]
-    s = _sign_rule(sign(x), sign(y), lambda: sign(disc))
-    if len(tree) == 1:
-        return s
-    x, y, disc = tree[2]
-    return _sign_rule(s, sign(tree[1]), lambda: _sign_rule(sign(x), sign(y), lambda: sign(disc)))
+    return Polynomial(_content_free(nf.eliminant))
 
 
 def point_sign(nf: MelnikovNormalForm, h) -> int:
     """Exact sign (-1, 0 or +1) of the two-radical form at rational h in
-    [0, h_max): its `sign_tree` walked by `_tree_sign`, with the sign of
-    each int polynomial at h.  The value is a positive multiple of an
-    element of Q(r1, r2), so `_sign_rule` decides it.
+    [0, h_max): its `tree_sign`, with the sign of each int polynomial at h.
     """
     h = as_rational(h)
     if not (0 <= h < nf.family.h_max):
         raise ValueError("point outside [0, h_max)")
     num, den = h.numerator, h.denominator
-    return _tree_sign(nf.sign_tree, lambda s: _sign_at(s, num, den))
+    return nf.tree_sign(lambda s: _sign_at(s, num, den))
 
 
 @dataclass
@@ -216,11 +181,11 @@ def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
 
 def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval) -> int:
     """Exact sign of the two-radical form at the eliminant root h* that the
-    core isolates in iv: its `sign_tree` walked with each polynomial's sign
-    at h* from `sign_at_root` (Basu, Pollack & Roy, Algorithms in Real
-    Algebraic Geometry, 2006, ch. 10).
+    core isolates in iv: its `tree_sign`, with each polynomial's sign at h*
+    from `sign_at_root` (Basu, Pollack & Roy, Algorithms in Real Algebraic
+    Geometry, 2006, ch. 10).
     """
-    return _tree_sign(nf.sign_tree, lambda s: core.sign_at_root(iv, s))
+    return nf.tree_sign(lambda s: core.sign_at_root(iv, s))
 
 
 def count_zeros(nf, n: int = None) -> ZeroReport:

@@ -1,9 +1,12 @@
 """Spec-file parsing, report rendering, and command contracts."""
 
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -83,6 +86,40 @@ class TestParsing:
         ):
             with pytest.raises(SpecError, match=where):
                 parse_spec(family.format(m1=m1, m2=m2) + pert.format(n=n))
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("alpha1 = 1/2", "alpha1 = 1_0/30"),
+            ("m1 = 1", "m1 = 1_0"),
+            ("b_0_1 = 1/3", "b_0_1 = 0.3_3"),
+            ("eps = 1/1000", "eps = 1/1_000"),
+            ("precision = 30", "precision = 3_0"),
+        ],
+    )
+    def test_underscores_rejected_in_every_number(self, line, bad):
+        # Fraction takes PEP 515 underscores only from Python 3.11 on, int
+        # on every version: refused in both, a spec reads the same on all
+        text = BASIC.replace(line, bad)
+        assert text != BASIC
+        with pytest.raises(SpecError, match="not an (integer|exact rational): '.*_"):
+            parse_spec(text)
+
+    def test_decimal_exponent_bounded_by_the_digit_limit(self, monkeypatch):
+        # the interpreter's limit on int strings, 4300 by default, bounds
+        # the exponent too: Fraction would build 10**exponent first
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        coeff = BASIC.replace("b_0_1 = 1/3", "b_0_1 = {}")
+        assert parse_spec(coeff.format("1e-4300")).coeffs.b[(0, 1)] == F(1, 10**4300)
+        assert parse_spec(coeff.format("-2.5E-0004300")).coeffs.b[(0, 1)] == F(-25, 10**4301)
+        for raw in ("1e-4301", "1E+100000000", "2.5e-000000000000099999", "1e" + "9" * 5000):
+            with pytest.raises(SpecError, match=r"b_0_1: decimal exponent exceeds the limit 4300"):
+                parse_spec(coeff.format(raw))
+        with pytest.raises(SpecError, match=r"eps: decimal exponent exceeds the limit 4300"):
+            parse_spec(BASIC.replace("eps = 1/1000", "eps = 1e-5000"))
+        # a disabled limit (0) bounds no exponent
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert parse_spec(coeff.format("1e-4301")).coeffs.b[(0, 1)] == F(1, 10**4301)
 
     def test_oversized_precision_rejected(self):
         text = BASIC.replace("precision = 30", "precision = {}")
@@ -166,6 +203,33 @@ class TestFormatting:
     def test_scientific_beyond_string_conversion_limit(self):
         assert sci_str(F(3, 10**5000)) == "3.00e-5000"
         assert sci_str(F(-(10**5000) * 7, 3)) == "-2.33e+5000"
+
+
+@pytest.mark.parametrize(
+    "line, code, out",
+    [
+        ("b_0_1 = 1e-100000000", 1, "error: [perturbation] b_0_1: decimal exponent exceeds"),
+        ("alpha1 = 1_0/30", 1, "error: [family] alpha1: not an exact rational: '1_0/30'"),
+        ("b_0_1 = 1e-4300", 0, "status: ok"),
+    ],
+)
+def test_oversized_numbers_exit_at_once(tmp_path, line, code, out):
+    # b_0_1 = 1e-100000000 kept the parser building 10**100000000 until it
+    # was killed; each spec runs in a fresh interpreter under a time limit
+    key = line.split(" = ")[0]
+    spec = tmp_path / "spec"
+    spec.write_text(re.sub(rf"(?m)^{key} = .*$", line, BASIC))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "melcert", "zeros", "--spec", str(spec)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    first, *rest = (proc.stdout + proc.stderr).splitlines()
+    assert first.startswith(out)
+    assert not (code and rest)  # an error is one line
 
 
 class TestReports:
@@ -306,6 +370,19 @@ class TestCommands:
         assert lines[0] == "# status: identically_zero"
         for line in lines[2:]:
             assert line.split(",")[1].strip("0.-") == ""
+
+    @pytest.mark.parametrize(
+        "alpha2, coeff",
+        [("-1/3", ""), ("1/2", ""), ("-1/2", "a_0_0 = 1\n")],
+        ids=["two_radical", "confluent", "mirror_cancelling"],
+    )
+    def test_sample_curve_zero_forms_print_exact_zeros(self, alpha2, coeff):
+        text = f"[family]\nalpha1 = 1/2\nalpha2 = {alpha2}\nm1 = 1\nm2 = 1\n[perturbation]\nn = 2\n"
+        lines = curve_csv(parse_spec(text + coeff), 4).strip().splitlines()
+        assert lines[:2] == ["# status: identically_zero", "h,phi_mid,phi_width"]
+        for line in lines[2:]:
+            _h, mid, width = line.split(",")
+            assert mid.strip("0.") == "" and width == "0"
 
     def test_sample_curve_matches_numeric_oracle(self):
         spec = parse_spec(BASIC)

@@ -421,6 +421,33 @@ class TestFindLimitCycles:
         with pytest.raises(ValueError):
             find_limit_cycles(FAM, BASIC, cfg, [5.0])
 
+    def test_bisection_failure_is_recorded_without_a_cycle(self, monkeypatch):
+        # the grid values change sign on [0.5, 1.5], but the first midpoint
+        # fails: the failure is kept under the left grid index
+        def fake(family, coeffs, cfg, h):
+            if h not in (0.5, 1.5, 2.5):
+                raise FlowError(f"no return at h={h}")
+            return 1.0 - h
+
+        monkeypatch.setattr(flow, "displacement", fake)
+        report = find_limit_cycles(FAM, BASIC, FlowConfig(), [0.5, 1.5, 2.5])
+        assert report.cycles == []
+        assert report.failures == {0: "bisection: no return at h=1.0"}
+
+    @pytest.mark.parametrize("slope, stability", [(-1.0, "attracting"), (1.0, "repelling")])
+    def test_exact_zero_at_a_midpoint_ends_the_bisection(self, monkeypatch, slope, stability):
+        calls = []
+
+        def fake(family, coeffs, cfg, h):
+            calls.append(h)
+            return slope * (h - 1.0)
+
+        monkeypatch.setattr(flow, "displacement", fake)
+        report = find_limit_cycles(FAM, BASIC, FlowConfig(), [0.5, 1.5])
+        assert calls == [0.5, 1.5, 1.0]
+        assert [(c.h_label, c.stability) for c in report.cycles] == [(1.0, stability)]
+        assert report.failures == {}
+
 
 def test_singular_guard_trips_before_the_line():
     # an orbit grazing x = 1/alpha1 = 2 must abort instead of evaluating

@@ -15,18 +15,20 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SPEC = "instances/n2_basic.spec"
+# the assembly's rows, lifts and sums, its point kernels, and the sign tree
+# with its walk and its eliminant
 ASSEMBLY_INTERNALS = {
     "_integrals",
     "_integrate",
-    "_FamilyIntegrals",
     "_first_row",
     "_next_row",
     "_lift",
-    "_polynomials",
     "_point_rungs",
     "_confluent_rungs",
     "sign_tree",
-    "_tree_sign",
+    "tree_sign",
+    "_sign_rule",
+    "eliminant",
 }
 
 PRELUDE = """
@@ -179,3 +181,13 @@ def test_oracles_share_no_assembly_internals():
             names.add(node.attr)
     assert "_u_poly" in names  # the walk sees the melnikov import
     assert not names & ASSEMBLY_INTERNALS, sorted(names & ASSEMBLY_INTERNALS)
+
+
+def test_assembly_internals_all_exist():
+    # a name that no longer exists blocks nothing: every blocked name
+    # resolves in melnikov or zeros, as a module or a form attribute
+    from melcert import melnikov, zeros
+
+    places = (melnikov, zeros, melnikov.MelnikovNormalForm)
+    missing = [name for name in ASSEMBLY_INTERNALS if not any(hasattr(p, name) for p in places)]
+    assert not missing, sorted(missing)

@@ -27,6 +27,7 @@ from melcert.melnikov import (
     CACHED_FAMILIES,
     AssemblyError,
     ConfluentNormalForm,
+    MelnikovNormalForm,
     PerturbCoeffs,
     SystemFamily,
     _integrals,
@@ -921,3 +922,33 @@ class TestQuadratureOracle:
                         )
         assert min(nodes) >= flow.MIN_NODES
         assert max(nodes) > 1000
+
+
+class TestSignTree:
+    @staticmethod
+    def _squares(monkeypatch, nf):
+        """The `_square` calls of nf's tree build, after its clearing."""
+        calls = []
+        real = melnikov._square
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        nf.ints
+        monkeypatch.setattr(melnikov, "_square", counting)
+        nf.sign_tree
+        return len(calls)
+
+    def test_tree_builds_no_unread_square(self, monkeypatch):
+        # a tail-less form (C = 0) squares A, C and B for P, and its last
+        # node (P, 0) keeps P, not d*P**2; the X = 0 form keeps B, not d*B**2
+        rng = rng_for(1, 0)
+        tailless = assemble(draw_family(rng, 2, 2), draw_coeffs(rng, 2))
+        assert tailless.tail.is_zero and tailless.ints.a and tailless.ints.b
+        assert self._squares(monkeypatch, tailless) == 3
+        assert tailless.eliminant == tailless.sign_tree[2][0]
+        zero = Polynomial.zero()
+        only_rad2 = MelnikovNormalForm(FAM, zero, Polynomial((1, 2)), zero)
+        assert self._squares(monkeypatch, only_rad2) == 0
+        assert only_rad2.sign_tree == ((only_rad2.ints.b, [], only_rad2.ints.b),)

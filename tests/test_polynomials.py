@@ -319,6 +319,25 @@ class TestIntegerRemainderSequence:
             assert g[-1] > 0 and math.gcd(*g) == 1
             assert len(calls) >= 17  # at least the 500 bits of g
 
+    def test_longer_image_at_an_unlucky_prime_is_dropped(self, monkeypatch):
+        # a = (x+2)(x+1), b = (x+2)(x+1+q2): mod q2 the gcd is a itself, one
+        # degree too high, so that image is dropped and the lift goes on
+        # from the first prime's; combining it would make the CRT wrong
+        q2 = list(itertools.islice(polynomials._primes(), 2))[1]
+        a, b = [2, 3, 1], [2 * (1 + q2), 3 + q2, 1]
+        lengths = []
+        real = polynomials._gcd_mod
+
+        def counting(a, b, q):
+            g = real(a, b, q)
+            lengths.append(len(g))
+            assert len(lengths) <= 3, "the lift did not end at the third image"
+            return g
+
+        monkeypatch.setattr(polynomials, "_gcd_mod", counting)
+        assert polynomials._int_gcd(a, b) == [2, 1]
+        assert lengths == [2, 3, 2]
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             DescartesIsolator(primitive_ints(Polynomial.zero()))
