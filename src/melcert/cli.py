@@ -34,19 +34,22 @@ flag (zeros --precision, verify --eps, scan --samples/--seed, sample-curve
 the one table `SETTINGS`; an unknown setting is rejected.  Exit status is 1
 for an error (a bad spec, setting or flag value, or an unwritable --out),
 2 for a verification mismatch, and 0 otherwise.
+
+Each command imports only the modules it runs: normal-form and sample-curve
+need the assembly alone, zeros and scan add the zero counter (scan also
+the sampler), and verify the flow, which is called as `flow.find_limit_cycles`
+so that a patch of `melcert.flow` reaches it.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import BEYOND_DOUBLES, FlowConfig, find_limit_cycles
 from .melnikov import (
     ConfluentNormalForm,
     PerturbCoeffs,
@@ -55,8 +58,6 @@ from .melnikov import (
     evaluate_normal_form,
 )
 from .polynomials import format_poly
-from .sampling import draw_coeffs, rng_for
-from .zeros import count_zeros, theorem_bound
 
 
 # Largest accepted exponents and perturbation degree.  At both caps, with a
@@ -334,6 +335,8 @@ def render_normal_form(report: dict) -> str:
 
 
 def report_zeros(spec: InstanceSpec) -> dict:
+    from .zeros import count_zeros
+
     nf = assemble(spec.family, spec.coeffs)
     zr = count_zeros(nf, n=spec.coeffs.n)
     digits = min(spec.precision, 15)
@@ -411,6 +414,9 @@ def _double(name: str, q: Fraction) -> float:
 
 
 def report_verify(spec: InstanceSpec) -> dict:
+    from . import flow
+    from .zeros import count_zeros
+
     if spec.eps is None:
         raise SpecError("verify needs eps (set [settings] eps or pass --eps)")
     eps = _double("eps", spec.eps)
@@ -433,13 +439,13 @@ def report_verify(spec: InstanceSpec) -> dict:
 
     attempts = []
     for attempt in range(2):  # one halving retry
-        cycles = find_limit_cycles(
-            fam, spec.coeffs, FlowConfig(epsilon=eps), grid
+        cycles = flow.find_limit_cycles(
+            fam, spec.coeffs, flow.FlowConfig(epsilon=eps), grid
         )
         # a scan with no orbit inside the doubles checks nothing: it is an
         # input the flow cannot run, not a mismatch
         failures = cycles.failures.values()
-        if len(failures) == spec.grid and all(BEYOND_DOUBLES in msg for msg in failures):
+        if len(failures) == spec.grid and all(flow.BEYOND_DOUBLES in msg for msg in failures):
             raise SpecError(
                 f"every grid orbit leaves the range of a double (h_max = {h_max:g}): "
                 "verify cannot integrate a section return"
@@ -545,6 +551,9 @@ CURVE_FIELDS = ("h", "phi_mid", "phi_width")
 def report_scan(spec: InstanceSpec) -> dict:
     """Zero counts of spec.samples coefficient draws from the box, one row
     per draw, deterministic in spec.seed."""
+    from .sampling import draw_coeffs, rng_for
+    from .zeros import count_zeros, theorem_bound
+
     fam, n = spec.family, spec.coeffs.n
     bound = theorem_bound(fam, n)
     rows = []
@@ -629,6 +638,8 @@ def sample_curve_csv(report: dict) -> str:
 
 
 def render_json(report: dict) -> str:
+    import json
+
     return json.dumps(report, indent=2) + "\n"
 
 

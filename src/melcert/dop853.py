@@ -11,8 +11,8 @@ compiled once with no builtins: its stage calls and sums are straight-line
 code over the tableau's doubles, and each sum adds its terms left to right
 from 0.0.
 
-`flow` imports this module on its first section return, so the exact
-commands never compile it.
+`flow` imports this module on its first section return, and only the
+verify command imports `flow`, so the exact commands never load either.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ class FlowConfig:
 @dataclass
 class DetectedCycle:
     h_label: float
-    stability: str  # "attracting" | "repelling" | "undecided"
+    stability: str  # "attracting" | "repelling"
 
 
 @dataclass
@@ -226,16 +226,17 @@ def _field_terms(coeffs: PerturbCoeffs):
     """((i, j, a_ij, b_ij), ...) as doubles, sorted by (i, j).
 
     Every coefficient is converted, so one that has no double value raises
-    ValueError naming it."""
-    return tuple(
-        (
-            i,
-            j,
-            _double(f"a[{i},{j}]", coeffs.a.get((i, j), 0)),
-            _double(f"b[{i},{j}]", coeffs.b.get((i, j), 0)),
-        )
-        for i, j in sorted(coeffs.a.keys() | coeffs.b.keys())
-    )
+    ValueError naming it: the first in (i, j) order, a before b.  Names are
+    formatted only then, since a scan converts the field at every return."""
+    a, b = coeffs.a, coeffs.b
+    keys = sorted(a.keys() | b.keys())
+    try:
+        return tuple((i, j, float(a.get((i, j), 0)), float(b.get((i, j), 0))) for i, j in keys)
+    except OverflowError:
+        for i, j in keys:
+            _double(f"a[{i},{j}]", a.get((i, j), 0))
+            _double(f"b[{i},{j}]", b.get((i, j), 0))
+        raise
 
 
 def _field(family: SystemFamily, coeffs: PerturbCoeffs) -> tuple:
@@ -351,8 +352,14 @@ def find_limit_cycles(
             continue
         lo, hi = grid[idx], grid[idx + 1]
         d_lo, d_hi = values[idx], values[idx + 1]
-        if d_lo == 0.0 or d_lo * d_hi >= 0:
+        # signs are compared, not multiplied: a product of two tiny
+        # displacements can underflow to 0.0 and hide their signs
+        if d_lo == 0.0 or d_hi == 0.0 or (d_lo > 0) == (d_hi > 0):
             continue
+        # displacement returns a number or raises (dop853.integrate rejects
+        # every step with a NaN error estimate), so lo keeps d_lo's sign
+        # and hi d_hi's, and d_lo's sign alone is the stability
+        attracting = d_lo > 0
         try:
             while hi - lo > resolution:
                 mid = 0.5 * (lo + hi)
@@ -360,19 +367,14 @@ def find_limit_cycles(
                 if d_mid == 0.0:
                     lo = hi = mid
                     break
-                if d_lo * d_mid < 0:
-                    hi, d_hi = mid, d_mid
+                if (d_mid > 0) == attracting:
+                    lo = mid
                 else:
-                    lo, d_lo = mid, d_mid
+                    hi = mid
         except FlowError as exc:
             report.failures[idx] = f"bisection: {exc}"
             continue
-        if d_lo > 0 > d_hi:
-            stability = "attracting"
-        elif d_lo < 0 < d_hi:
-            stability = "repelling"
-        else:
-            stability = "undecided"
+        stability = "attracting" if attracting else "repelling"
         report.cycles.append(DetectedCycle(0.5 * (lo + hi), stability))
     report.cycles.sort(key=lambda c: c.h_label)
     return report

@@ -29,8 +29,8 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .intervals import RatInterval, as_rational
 

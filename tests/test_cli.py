@@ -12,7 +12,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from melcert import cli
 from melcert.cli import (
     MAX_M,
     MAX_N,
@@ -430,7 +429,7 @@ class TestCommands:
         from melcert.flow import CycleReport
 
         monkeypatch.setattr(
-            "melcert.cli.find_limit_cycles",
+            "melcert.flow.find_limit_cycles",
             lambda fam, co, cfg, grid: CycleReport(),
         )
         rc = main(["verify", "--spec", str(INSTANCES / "two_zeros.spec")])
@@ -457,7 +456,7 @@ class TestCommands:
         from melcert.flow import CycleReport
 
         monkeypatch.setattr(
-            "melcert.cli.find_limit_cycles",
+            "melcert.flow.find_limit_cycles",
             lambda fam, co, cfg, grid: CycleReport(failures={3: "forced"}),
         )
         assert main(["verify", "--spec", str(INSTANCES / "n2_basic.spec")]) == 2
@@ -540,7 +539,7 @@ class TestCommands:
         def fail(*_args, **_kwargs):
             raise AssertionError("the flow ran")
 
-        monkeypatch.setattr(cli, "find_limit_cycles", fail)
+        monkeypatch.setattr("melcert.flow.find_limit_cycles", fail)
 
     @pytest.mark.parametrize("eps", ["1e400", "-1e400", "1e-400"])
     def test_eps_without_a_double_exits_1_from_the_spec(self, eps, tmp_path, capsys, monkeypatch):

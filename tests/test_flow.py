@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -448,6 +449,19 @@ class TestFindLimitCycles:
         assert [(c.h_label, c.stability) for c in report.cycles] == [(1.0, stability)]
         assert report.failures == {}
 
+    @pytest.mark.parametrize("slope, stability", [(-1.0, "attracting"), (1.0, "repelling")])
+    def test_tiny_displacements_keep_their_signs(self, monkeypatch, slope, stability):
+        # the end values' product, -2.5e-401, underflows to -0.0: compared
+        # by sign, they still bracket the cycle, and d_lo's sign decides
+        def fake(family, coeffs, cfg, h):
+            return 1e-200 * slope * (h - 0.7)
+
+        monkeypatch.setattr(flow, "displacement", fake)
+        report = find_limit_cycles(FAM, BASIC, FlowConfig(), [0.2, 1.2])
+        assert [c.stability for c in report.cycles] == [stability]
+        assert abs(report.cycles[0].h_label - 0.7) < 1e-4 * float(FAM.h_max)
+        assert report.failures == {}
+
 
 def test_singular_guard_trips_before_the_line():
     # an orbit grazing x = 1/alpha1 = 2 must abort instead of evaluating
@@ -498,6 +512,28 @@ class TestRobustness:
         # so a cycle scan raises it instead of recording a failure
         with pytest.raises(ValueError, match=r"b\[1,0\]"):
             find_limit_cycles(FAM, coeffs, FlowConfig(epsilon=1e-3), [0.5, 1.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("start", [0.0, 1.0])
+    def test_non_finite_rate_ends_in_flow_error(self, value, start):
+        # from t = start on the rate has no finite value: every step there
+        # has a NaN error estimate and is rejected, so no NaN is returned
+        def rate(t, y):
+            return value if t >= start else math.cos(t)
+
+        with pytest.raises(FlowError, match="step size fell below 10 ulp"):
+            integrate(rate, 0.0, 2.0, 1e-10, 1e-10, FlowError)
+
+    @pytest.mark.parametrize(
+        "a_key, b_key, name", [((1, 0), (0, 1), "b[0,1]"), ((0, 1), (0, 1), "a[0,1]")]
+    )
+    def test_first_coefficient_without_a_double_is_named(self, a_key, b_key, name):
+        # of two coefficients beyond the doubles, the first in (i, j)
+        # order, a before b, is named
+        huge = F(10**400)
+        coeffs = PerturbCoeffs(n=1, a={a_key: huge}, b={b_key: -huge}, box=huge)
+        with pytest.raises(ValueError, match=f"coefficient {re.escape(name)} is beyond"):
+            flow._field_terms(coeffs)
 
     def test_step_floor_ends_in_flow_error(self):
         # y' = (1 + y)**2 blows up at t = 1: steps shrink to 10 ulp there

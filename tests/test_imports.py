@@ -1,4 +1,5 @@
-"""Import budget: no melcert code loads numpy or scipy, and the
+"""Import budget: `import melcert` loads no submodule, each command loads
+only the modules it runs, no melcert code loads numpy or scipy, and the
 section-return integrator loads only where a return is integrated.  The
 quadrature oracle and zero prescription are pure Python.
 
@@ -12,6 +13,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SPEC = "instances/n2_basic.spec"
@@ -31,6 +34,51 @@ ASSEMBLY_INTERNALS = {
     "eliminant",
 }
 
+# the public names, each loaded from its home module on first use
+EXPORTS = {
+    "AssemblyError",
+    "CertifiedZero",
+    "ConfluentNormalForm",
+    "CycleReport",
+    "DetectedCycle",
+    "FlowConfig",
+    "FlowError",
+    "MelnikovNormalForm",
+    "PerturbCoeffs",
+    "Polynomial",
+    "PrescribeError",
+    "QuadratureError",
+    "RatInterval",
+    "SystemFamily",
+    "ZeroReport",
+    "assemble",
+    "circle_moment",
+    "count_real_roots",
+    "count_zeros",
+    "displacement",
+    "eliminate_radicals",
+    "evaluate_normal_form",
+    "find_limit_cycles",
+    "isolate_roots",
+    "numeric_melnikov",
+    "pi_interval",
+    "prescribe_zeros",
+    "refine_root",
+    "sqrt_rational",
+    "squarefree_part",
+    "theorem_bound",
+}
+# the melcert modules each command imports: the exact commands never load
+# the flow, and only verify loads it with its integrator
+EXACT = {"melcert", "melcert.cli", "melcert.melnikov", "melcert.polynomials", "melcert.intervals"}
+COMMAND_MODULES = {
+    ("normal-form",): EXACT,
+    ("sample-curve",): EXACT,
+    ("zeros",): EXACT | {"melcert.zeros"},
+    ("scan", "--samples", "2"): EXACT | {"melcert.zeros", "melcert.sampling"},
+    ("verify",): EXACT | {"melcert.zeros", "melcert.flow", "melcert.dop853"},
+}
+
 PRELUDE = """
 import contextlib, io, json, sys
 
@@ -44,16 +92,20 @@ def run(*argv):
 """
 
 
-def _child(body: str):
-    """Run PRELUDE + body in a new interpreter; body prints one JSON line last."""
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def _child(body: str):
+    """Run PRELUDE + body in a new interpreter; body prints one JSON line last."""
     proc = subprocess.run(
         [sys.executable, "-c", PRELUDE + body],
         cwd=REPO,
-        env=env,
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -191,3 +243,79 @@ def test_assembly_internals_all_exist():
     places = (melnikov, zeros, melnikov.MelnikovNormalForm)
     missing = [name for name in ASSEMBLY_INTERNALS if not any(hasattr(p, name) for p in places)]
     assert not missing, sorted(missing)
+
+
+def test_bare_import_loads_no_submodule():
+    seen, _ = _child(
+        """
+import melcert
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("melcert."))))
+"""
+    )
+    assert seen == []
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=lambda argv: argv[0])
+def test_each_command_loads_only_its_modules(argv):
+    # -X importtime lists every module the process imports, the ones that
+    # the package's __getattr__ loads included
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "melcert", *argv, "--spec", SPEC],
+        cwd=REPO,
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {
+        line.split("|")[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {m for m in loaded if m.split(".")[0] == "melcert"} == COMMAND_MODULES[argv]
+
+
+def test_star_import_binds_every_name_from_its_home():
+    seen, _ = _child(
+        """
+import melcert
+names = {}
+exec("from melcert import *", names)
+homes = {}
+for name in melcert.__all__:
+    home = sys.modules[names[name].__module__]
+    homes[name] = [home.__name__, names[name] is getattr(home, name)]
+print(json.dumps([len(melcert.__all__), homes]))
+"""
+    )
+    count, homes = seen
+    assert count == len(EXPORTS) == 31 and set(homes) == EXPORTS
+    assert all(same for _home, same in homes.values())
+    assert {home for home, _same in homes.values()} == {
+        f"melcert.{m}" for m in ("polynomials", "intervals", "melnikov", "zeros", "flow")
+    }
+
+
+def test_dir_lists_every_name_before_any_is_loaded():
+    seen, _ = _child(
+        """
+import melcert
+listed = dir(melcert)
+print(json.dumps([listed, sorted(m for m in sys.modules if m.startswith("melcert."))]))
+"""
+    )
+    listed, loaded = seen
+    assert EXPORTS <= set(listed)
+    assert loaded == []
+
+
+def test_submodule_resolves_after_a_bare_import():
+    seen, _ = _child(
+        """
+import melcert
+count_zeros = melcert.zeros.count_zeros
+print(json.dumps([count_zeros.__module__, count_zeros is melcert.count_zeros]))
+"""
+    )
+    assert seen == ["melcert.zeros", True]
