@@ -202,8 +202,9 @@ def integrate(fun, t: float, t_end: float, atol: float, rtol: float, error: type
     Each accepted step keeps the local error estimate below
     atol + rtol*|y|.  `fun` raises `error` at a point outside its domain;
     that rejects the step like an infinite error estimate.  Once rejections
-    bring the step below 10 ulp of t, the last such exception, or else a
-    new `error`, is raised, so the loop ends on any input.
+    bring the step below 10 ulp of t, or 1 ulp of t_end if more (near t =
+    0), the last such exception, or else a new `error`, is raised, so the
+    loop ends on any input.
     """
     y, f = 0.0, fun(t, 0.0)
     step = min(t_end - t, FIRST_STEP)
@@ -236,7 +237,7 @@ def integrate(fun, t: float, t_end: float, atol: float, rtol: float, error: type
         else:
             step = h * max(_MIN_FACTOR, _SAFETY * estimate**-0.125)
             rejected = True
-            if step < 10 * math.ulp(t):
+            if step < max(10 * math.ulp(t), math.ulp(t_end)):
                 raise stop or error(
                     f"step size fell below 10 ulp at {t:.6f}: the solution has a "
                     "singularity or a vertical tangent there"

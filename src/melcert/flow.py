@@ -329,7 +329,8 @@ def displacement(
 def find_limit_cycles(
     family: SystemFamily, coeffs: PerturbCoeffs, cfg: FlowConfig, grid
 ) -> CycleReport:
-    """Scan the displacement over the grid and bisect each sign change.
+    """Scan the displacement over the grid, strictly increasing inside the
+    annulus, and bisect each sign change.
 
     Grid points where the integration fails are recorded per index and
     skipped; detection resolution is the final bisection width.
@@ -339,6 +340,8 @@ def find_limit_cycles(
     for g in grid:
         if not (0 < g < h_max):
             raise ValueError("grid must lie strictly inside the annulus")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
     report = CycleReport()
     values = {}
     for idx, g in enumerate(grid):

@@ -37,10 +37,10 @@ CACHED_FAMILIES most recently used families stay cached; an older family's
 are dropped whole, so memory stays bounded on any stream of families.
 
 Each normal form keeps `ints`, its one clearing to ints (by `_cleared`),
-for every exact reader here and in `zeros`.  A two-radical form also keeps
-`sign_tree`, the int polynomials whose signs decide its own; only this
-module reads it: `tree_sign` walks it with any sign oracle, and its last
-node names the `eliminant`, whose roots hold every zero.  Certified
+for every exact reader here and in `zeros`, and names its `eliminant`,
+whose roots hold every zero.  A two-radical form also keeps `sign_tree`,
+the int polynomials whose signs decide its own; only this module reads it:
+`tree_sign` walks it, and its last node is the eliminant.  Certified
 evaluation, which happens only at rational points, runs on `ints` through
 one kernel, `_point_rungs`, behind `evaluate_normal_form` and zero
 prescription: the polynomials and the radicands are evaluated once per
@@ -63,6 +63,7 @@ from .intervals import RatInterval, as_rational, pi_interval, sqrt_bracket
 from .polynomials import (
     Polynomial,
     _cleared,
+    _divide,
     _prod,
     _scaled_at,
     _square,
@@ -303,6 +304,15 @@ class ConfluentNormalForm:
     def ints(self) -> tuple:
         """pr cleared to ints once, (den, [numerators]), kept on the form."""
         return _cleared(self.pr)
+
+    @property
+    def eliminant(self) -> list:
+        """pr(r)/(1 - r) as an int list in r: the numerators of pr without
+        the root the center forces at r = 1; its roots on (0, 1) are zeros."""
+        reduced = _divide(self.ints[1][0], [1, -1])
+        if reduced is None:
+            raise ValueError("confluent form without its root at r = 1")
+        return reduced
 
     @property
     def is_zero(self) -> bool:

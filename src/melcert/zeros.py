@@ -1,17 +1,17 @@
 """Certified zero counts for assembled normal forms on the open annulus.
 
-A two-radical form names its own eliminant and decides its own sign
-(`MelnikovNormalForm.eliminant` and `tree_sign`); every zero is a root of
-the eliminant, not conversely.  Here the form's sign is read at the
-rational ends of each candidate's isolating interval (`point_sign`) and,
-where the form keeps its sign across a multiple eliminant root, at that
-root (`_root_sign`).  No candidate is left undecided, so count_lo ==
-count_hi; the report keeps the range and its empty `undecided` list.  The
-confluent form needs no squaring and no point sign: its zeros are the roots
-of a polynomial in r on (0, 1), sign-verified where that polynomial changes
-sign.  Zero prescription builds its basis forms by `assemble`, one per
-coefficient slot set to 1 alone, and reads them at the targets through
-`melnikov._point_rungs`, one kernel per form and target.
+Each form names its own eliminant, whose roots hold every zero, and
+`count_zeros` builds one report for both kinds around the kind's loop over
+its roots.  A two-radical form decides its own sign (`tree_sign`), read
+here at the rational ends of each candidate's isolating interval
+(`point_sign`) and, where the form keeps its sign across a multiple root,
+at that root (`_root_sign`).  A confluent form's zeros are the roots of
+its eliminant in r on (0, 1), sign-verified where it changes sign.  No
+candidate is left undecided, so count_lo == count_hi; the report keeps the
+range and its empty `undecided` list.  Zero prescription builds its basis
+forms by `assemble`, one per coefficient slot set to 1 alone, and reads
+them at the targets through `melnikov._point_rungs`, one kernel per form
+and target.
 
 Candidates come from the Descartes root core of `polynomials`, which
 takes the eliminant's primitive numerators as they are; every sign of an
@@ -46,7 +46,6 @@ from .polynomials import (
     Polynomial,
     _changes_sign,
     _content_free,
-    _divide,
     _sign_at,
     squarefree_factors,
 )
@@ -79,9 +78,9 @@ def theorem_bound(family: SystemFamily, n: int):
     return value if value >= 0 else None
 
 
-def eliminate_radicals(nf: MelnikovNormalForm) -> Polynomial:
-    """Polynomial in h whose roots contain every zero of the normal form:
-    its `eliminant`, cleared of its content.
+def eliminate_radicals(nf) -> Polynomial:
+    """The form's `eliminant`, in h (two-radical) or r (confluent), cleared
+    of its content: a polynomial whose roots contain every zero of the form.
 
     Squaring is one-directional: roots that are not zeros of the original
     function are expected and filtered downstream.
@@ -146,37 +145,20 @@ def _candidates(ic: list, lo: Fraction, hi: Fraction):
     return core, out
 
 
-def _count_confluent(nf: ConfluentNormalForm, bound) -> ZeroReport:
-    fam = nf.family
-    reduced = _divide(nf.ints[1][0], [1, -1])  # forced root at r = 1, as 1 - r
-    if reduced is None:
-        raise ValueError("confluent form without its root at r = 1")
-    reduced = _content_free(reduced)
-    alpha2 = fam.alpha1**2
+def _confluent_zeros(nf: ConfluentNormalForm, ic: list, report: ZeroReport) -> None:
+    """Add the confluent form's zeros, the roots of ic in r on (0, 1)."""
+    alpha2 = nf.family.alpha1**2
     report_width = Fraction(1, 1 << 20)
-    core, candidates = _candidates(reduced, Fraction(0), Fraction(1))
-    zeros = []
-    for iv, _multiple in candidates:
+    core, candidates = _candidates(ic, Fraction(0), Fraction(1))
+    for iv, multiple in candidates:
+        report.multiplicity_suspected |= multiple
         # r - 1 and r**(2m-1) keep their signs on (0, 1): the form changes
-        # sign across iv iff reduced does
-        verified = _changes_sign(reduced, iv)
+        # sign across iv iff ic does
+        verified = _changes_sign(ic, iv)
         iv = core.refine(iv, report_width)
         # map the r-interval back to h (h decreases as r grows)
         h_iv = RatInterval((1 - iv.hi**2) / alpha2, (1 - iv.lo**2) / alpha2)
-        zeros.append(CertifiedZero(h_iv, verified))
-    zeros.sort(key=lambda z: (z.interval.lo, z.interval.hi))
-    n = len(zeros)
-    return ZeroReport(
-        status="ok",
-        theorem_bound=bound,
-        eliminant=Polynomial(reduced),
-        eliminant_var="r",
-        eliminant_degree=len(reduced) - 1,
-        certified=zeros,
-        count_lo=n,
-        count_hi=n,
-        multiplicity_suspected=any(multiple for _iv, multiple in candidates),
-    )
+        report.certified.append(CertifiedZero(h_iv, verified))
 
 
 def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval) -> int:
@@ -188,35 +170,18 @@ def _root_sign(nf: MelnikovNormalForm, core: DescartesIsolator, iv: RatInterval)
     return nf.tree_sign(lambda s: core.sign_at_root(iv, s))
 
 
-def count_zeros(nf, n: int = None) -> ZeroReport:
-    """Certified count of zeros of the normal form on the open annulus.
+def _two_radical_zeros(nf: MelnikovNormalForm, ic: list, report: ZeroReport) -> None:
+    """Add the two-radical form's zeros among the roots of ic in h on (0, h_max).
 
     One rule decides each eliminant root on its isolating interval, whose
     ends are not roots: an exact sign change of the form across it is a
     zero (sign_verified); without one, a multiple root where the form's
     exact sign is 0 is a touching zero (not sign_verified); anything else
-    is an artifact.  Only zeros are refined to the report width.  Every
-    candidate is decided: count_lo == count_hi, `undecided` stays empty.
+    is an artifact.  Only zeros are refined to the report width.
     """
-    fam = nf.family
-    bound = theorem_bound(fam, n) if n is not None else None
-    if nf.is_zero:
-        return ZeroReport(status="identically_zero", theorem_bound=bound)
-    if isinstance(nf, ConfluentNormalForm):
-        return _count_confluent(nf, bound)
-
-    h_max = fam.h_max
-    elim = eliminate_radicals(nf)
+    h_max = nf.family.h_max
     # the center forces a root at h = 0; strip all of them
-    ic = [c.numerator for c in elim.coeffs]
     reduced = ic[next(k for k, c in enumerate(ic) if c) :]
-    report = ZeroReport(
-        status="ok",
-        theorem_bound=bound,
-        eliminant=elim,
-        eliminant_var="h",
-        eliminant_degree=elim.degree,
-    )
     report_width = h_max / Fraction(1 << 20)
 
     core, candidates = _candidates(reduced, Fraction(0), h_max)
@@ -230,6 +195,23 @@ def count_zeros(nf, n: int = None) -> ZeroReport:
             iv = core.refine(iv, min(iv.width / 16, report_width))
             report.certified.append(CertifiedZero(iv, verified))
 
+
+def count_zeros(nf, n: int = None) -> ZeroReport:
+    """Certified count of zeros of the normal form on the open annulus.
+
+    One report for both kinds, around the kind's loop over the roots of
+    `eliminate_radicals`.  Every candidate is decided: count_lo ==
+    count_hi, `undecided` stays empty.
+    """
+    bound = theorem_bound(nf.family, n) if n is not None else None
+    if nf.is_zero:
+        return ZeroReport(status="identically_zero", theorem_bound=bound)
+    elim = eliminate_radicals(nf)
+    confluent = isinstance(nf, ConfluentNormalForm)
+    var = "r" if confluent else "h"
+    report = ZeroReport("ok", bound, elim, eliminant_var=var, eliminant_degree=elim.degree)
+    ic = [c.numerator for c in elim.coeffs]
+    (_confluent_zeros if confluent else _two_radical_zeros)(nf, ic, report)
     report.certified.sort(key=lambda z: (z.interval.lo, z.interval.hi))
     report.count_lo = report.count_hi = len(report.certified)
     return report

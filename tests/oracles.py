@@ -754,7 +754,7 @@ def oracle_dop853(fun, t, t_end, atol, rtol, error):
         else:
             step = h * max(dop853._MIN_FACTOR, dop853._SAFETY * estimate**-0.125)
             rejected = True
-            if step < 10 * math.ulp(t):
+            if step < max(10 * math.ulp(t), math.ulp(t_end)):
                 raise stop or error(
                     f"step size fell below 10 ulp at {t:.6f}: the solution has a "
                     "singularity or a vertical tangent there"

@@ -382,6 +382,13 @@ class TestFindLimitCycles:
             lo, hi = float(zero.interval.lo), float(zero.interval.hi)
             assert lo - tol <= cycle.h_label <= hi + tol
 
+    @pytest.mark.parametrize("grid", [[1.5, 1.0, 0.5], [0.5, 1.0, 1.0, 1.5]])
+    def test_grid_not_strictly_increasing_is_refused(self, grid):
+        # bisection reads the stability from the left end of each pair, so
+        # a reversed grid would flip it; the scan refuses before any orbit
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            find_limit_cycles(FAM, BASIC, FlowConfig(epsilon=1e-3), grid)
+
     def test_confluent_one_zero_one_cycle(self):
         # seed picked so the single-radical instance has exactly one
         # certified zero comfortably inside the annulus
@@ -523,6 +530,13 @@ class TestRobustness:
 
         with pytest.raises(FlowError, match="step size fell below 10 ulp"):
             integrate(rate, 0.0, 2.0, 1e-10, 1e-10, FlowError)
+
+    def test_huge_finite_rate_ends_in_flow_error(self):
+        # the stage round-off of y' = 1e307 shrinks the steps to about
+        # 1e-273 near t = 0, below any floor relative to t alone; the floor
+        # relative to t_end stops them
+        with pytest.raises(FlowError, match="step size fell below 10 ulp"):
+            integrate(lambda _t, _y: 1e307, 0.0, 2.0, 1e-10, 1e-10, FlowError)
 
     @pytest.mark.parametrize(
         "a_key, b_key, name", [((1, 0), (0, 1), "b[0,1]"), ((0, 1), (0, 1), "a[0,1]")]

@@ -441,6 +441,28 @@ class TestCountZeros:
         # h = (1 - r**2)/alpha**2 = 32/9 at r = 1/3
         assert zero.interval.contains(F(32, 9))
 
+    def test_confluent_eliminant_is_the_reports(self):
+        # either kind names its eliminant: the confluent one is pr/(1 - r)
+        # in r, and eliminate_radicals clears it as count_zeros reports it
+        for seed in range(20):
+            rng = rng_for(94, seed)
+            fam = draw_family(rng, 1 + seed % 2, 1, confluent=True)
+            nf = assemble(fam, draw_coeffs(rng, 2 + seed % 4))
+            report = count_zeros(nf)
+            assert eliminate_radicals(nf) == report.eliminant
+            assert report.eliminant_var == "r"
+            assert report.eliminant_degree == report.eliminant.degree
+            assert Polynomial((1, -1)) * Polynomial(nf.eliminant) == Polynomial(nf.ints[1][0])
+
+    def test_confluent_form_without_its_root_at_r_one_names_it(self):
+        fam = SystemFamily(F(1, 2), F(1, 2), 1, 1)
+        nf = ConfluentNormalForm(fam, Polynomial((1, 1)))
+        text = "^confluent form without its root at r = 1$"
+        with pytest.raises(ValueError, match=text):
+            count_zeros(nf)
+        with pytest.raises(ValueError, match=text):
+            eliminate_radicals(nf)
+
     def test_squared_factor_adds_one_touching_zero(self):
         # q**2 F with q = h**2 - 2 and F = s/r1**3 + t/r2 + u keeps its sign
         # across the multiple eliminant root sqrt(2); wherever F(sqrt(2))
