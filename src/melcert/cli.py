@@ -68,8 +68,9 @@ from .polynomials import format_poly
 # of running for minutes.
 MAX_M = 16
 MAX_N = 32
-# Largest accepted digit count: one sample-curve point takes about 0.1 s at
-# 1000 digits and about 1.6 s at 4000 (same machine).
+# Largest accepted digit count: one sample-curve point on
+# instances/two_zeros.spec takes about 7 ms at 1000 digits and about 0.15 s
+# at 4000 (same machine).
 MAX_PRECISION = 1000
 
 
@@ -101,14 +102,22 @@ class InstanceSpec:
 # the digits of a decimal exponent, less its leading zeros, for `_value`
 _EXPONENT = re.compile(r"[eE][-+]?0*(\d+)")
 
-# setting -> (kind, least, most) for `_value`
+# setting -> (kind, least, most) for `_value`.  Each count is capped so a
+# command ends in bounded time: grid, points and samples of 10**5 or more
+# ran until they were killed.  The times are whole processes on
+# instances/two_zeros.spec at the cap, its other settings kept (2 vCPUs,
+# Python 3.11, import included).
 SETTINGS = {
     "eps": ("nonzero", None, None),
     "precision": ("integer", 1, MAX_PRECISION),
-    "points": ("integer", 2, None),
-    "grid": ("integer", 8, None),
+    # sample-curve: 0.3 s at precision 30, 16 s at MAX_PRECISION (41 s on
+    # instances/confluent_n3.spec); its rows are held in memory
+    "points": ("integer", 2, 2000),
+    # verify: one section return per grid point, 4.5 s at eps = 1/1000
+    "grid": ("integer", 8, 10000),
     "seed": ("integer", None, None),
-    "samples": ("integer", 1, None),
+    # scan: one zero count per sample, 4.0 s
+    "samples": ("integer", 1, 10000),
 }
 
 

@@ -204,7 +204,10 @@ def integrate(fun, t: float, t_end: float, atol: float, rtol: float, error: type
     that rejects the step like an infinite error estimate.  Once rejections
     bring the step below 10 ulp of t, or 1 ulp of t_end if more (near t =
     0), the last such exception, or else a new `error`, is raised, so the
-    loop ends on any input.
+    loop ends on any input.  The new error names the floor that tripped:
+    below 10 ulp of t the solution likely has a singularity or a vertical
+    tangent at t; the floor of 1 ulp of t_end names no cause, since steps
+    near t = 0 also shrink from the round-off of huge stage values.
     """
     y, f = 0.0, fun(t, 0.0)
     step = min(t_end - t, FIRST_STEP)
@@ -239,7 +242,9 @@ def integrate(fun, t: float, t_end: float, atol: float, rtol: float, error: type
             rejected = True
             if step < max(10 * math.ulp(t), math.ulp(t_end)):
                 raise stop or error(
-                    f"step size fell below 10 ulp at {t:.6f}: the solution has a "
+                    f"step size fell below 1 ulp of t_end={t_end} at t={t:.6f}"
+                    if math.ulp(t_end) > 10 * math.ulp(t)
+                    else f"step size fell below 10 ulp at {t:.6f}: the solution has a "
                     "singularity or a vertical tangent there"
                 )
     return y

@@ -44,10 +44,12 @@ the int polynomials whose signs decide its own; only this module reads it:
 evaluation, which happens only at rational points, runs on `ints` through
 one kernel, `_point_rungs`, behind `evaluate_normal_form` and zero
 prescription: the polynomials and the radicands are evaluated once per
-point, by homogeneous Horner; each rung of the bit ladder then takes one
-`sqrt_bracket` per radical and picks every endpoint by sign, as int pairs.
-Its endpoints are those of `RatInterval` arithmetic with `sqrt_rational` at
-the same bits.
+point, by homogeneous Horner, and a mirror pair's two radical parts are
+combined there into one part over the lower power of their one radical;
+each rung of the bit ladder then takes one `sqrt_bracket` per distinct
+radicand and picks every endpoint by sign, as int pairs.  Its endpoints are
+those of `RatInterval` arithmetic with `sqrt_rational` at the same bits, and
+a zero form of any kind gets the exact point 0 with no special case.
 """
 
 from __future__ import annotations
@@ -560,11 +562,15 @@ def _point_rungs(nf, h: Fraction):
     The exact parts (the polynomials at h and the radicands) are formed
     once, from `nf.ints`; each call `rung(bits)` returns the endpoints as
     int pairs ((lo_num, lo_den), (hi_num, hi_den)), denominators positive.
-    They are the endpoints that interval arithmetic on `RatInterval`
-    gives with `sqrt_rational` at the same bits: every radical factor
-    here is positive, so each endpoint takes the root bound that the
-    known sign of its partner calls for, where `RatInterval` takes the
-    min and max of four products.
+    Each rung takes one `sqrt_bracket` per distinct radicand: a mirror
+    pair (`nf.merged`, r1 == r2) is first combined exactly into one part
+    over the lower power of r, so parts that cancel at h leave no width,
+    and a zero form of any kind gives the exact point 0.  The endpoints
+    are those that interval arithmetic on `RatInterval` gives with
+    `sqrt_rational` at the same bits, on the same parts: every radical
+    factor here is positive, so each endpoint takes the root bound that
+    the known sign of its partner calls for, where `RatInterval` takes
+    the min and max of four products.
     """
     fam = nf.family
     num, den = h.numerator, h.denominator
@@ -574,15 +580,21 @@ def _point_rungs(nf, h: Fraction):
     # every part at h is an int over one d = ints.den * den**j
     j = max(len(ints.rad1), len(ints.rad2), len(ints.tail), 1) - 1
     d = ints.den * den**j
-    tail = _scaled_at(ints.tail, num, den, j), d
-    parts = []
-    for rad, alpha, m in ((ints.rad1, fam.alpha1, fam.m1), (ints.rad2, fam.alpha2, fam.m2)):
-        v = _scaled_at(rad, num, den, j)
-        if v:
-            parts.append((v, _radicand(alpha, num, den), 2 * m - 1))
+    tail = _scaled_at(ints.tail, num, den, j)
+    parts = [
+        (_scaled_at(rad, num, den, j), _radicand(alpha, num, den), 2 * m - 1)
+        for rad, (alpha, m) in zip((ints.rad1, ints.rad2), _poles(fam))
+    ]
+    if nf.merged:
+        # one radicand u = un/ud, and r**(k + 2*delta) = u**delta * r**k:
+        # the pair is (v_lo*un**delta + v_hi*ud**delta) / (d*un**delta * r**k)
+        (v_lo, u, k), (v_hi, _, k_hi) = sorted(parts, key=lambda part: part[2])
+        un, ud = (x ** ((k_hi - k) // 2) for x in u)
+        parts, tail, d = [(v_lo * un + v_hi * ud, u, k)], tail * un, d * un
+    parts = [part for part in parts if part[0]]
 
     def rung(bits: int) -> tuple:
-        (ln, ld), (hn, hd) = tail, tail
+        (ln, ld), (hn, hd) = (tail, d), (tail, d)
         for v, u, k in parts:
             # (v/d) / r**k with r in [s, t]/scale: r = t gives the end
             # nearer zero, r = s the farther one
@@ -630,9 +642,11 @@ def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:
     of width at most 10**-precision.
 
     The bits double from 64 until the enclosure is narrow enough.  Each
-    rung runs in ints (`_point_rungs`), multiplies by `pi_interval` the
-    same way and tests the width by cross-multiplication; only the
-    returned interval is built from `Fraction`s.  No rung can divide by
+    rung runs in ints (`_point_rungs`, one `sqrt_bracket` per distinct
+    radicand), multiplies by `pi_interval` the same way and tests the
+    width by cross-multiplication; only the returned interval is built
+    from `Fraction`s.  A zero form needs no special case: its parts
+    vanish, so the first rung is the exact point 0.  No rung can divide by
     zero, so none is retried: a radicand u = n/d > 0 has n*d >= 1, and
     `sqrt_bracket` then bounds every root from below by 2**bits/scale.
     """
@@ -645,10 +659,6 @@ def evaluate_normal_form(nf, h, precision: int = 30) -> RatInterval:
         raise ValueError("precision must be a positive digit count")
     if h < 0 or h >= nf.family.h_max:
         raise ValueError("evaluation point outside [0, h_max)")
-    if nf.is_zero:
-        # a mirror pair's cancelling radical parts are enclosed one by one
-        # at a rung, so their sum would keep a nonzero width
-        return RatInterval.point(0)
     inverse_width = 10**precision
     rung = _point_rungs(nf, h)
     bits = 64

@@ -29,7 +29,10 @@ The radial numerators here follow the integration-by-parts recurrence in
 `oracle_point_enclosure` encloses the normal form at a point in
 `RatInterval` arithmetic (exact polynomial values, `sqrt_interval`,
 reciprocal powers, times `pi_interval`), where `melcert.melnikov` runs the
-same rungs on int numerators and picks each endpoint by sign.  The
+same rungs on int numerators and picks each endpoint by sign; a mirror
+pair is summed exactly at the point first in both, and
+`oracle_point_split`, which encloses its two parts one by one, is the
+reference its width is checked against.  The
 interval helpers it needs beyond `RatInterval`'s own ring operations
 (`sqrt_interval`, `poly_range`, `ipow`, `reciprocal`, `divide`) live here,
 since nothing in melcert encloses a value over a whole interval.
@@ -505,7 +508,30 @@ def ipow(iv, n):
 
 def oracle_point_scaled(nf, h, bits):
     """The normal form over pi at the point h, by `RatInterval` arithmetic
-    with the radicals enclosed to 2**-bits."""
+    with the radicals enclosed to 2**-bits.
+
+    A mirror pair (r1 == r2 = r) is first summed exactly at h into one
+    part over the lower power r**k of the two, the other part divided by
+    u**delta for r**(k + 2*delta) = u**delta * r**k, u = r**2; every other
+    form is `oracle_point_split`.
+    """
+    fam = nf.family
+    if not fam.is_mirror:
+        return oracle_point_split(nf, h, bits)
+    point = RatInterval.point(h)
+    u = _u_poly(fam.alpha1).eval(h)
+    (low, k), (high, k_high) = sorted(
+        ((nf.rad1, 2 * fam.m1 - 1), (nf.rad2, 2 * fam.m2 - 1)), key=lambda part: part[1]
+    )
+    value = low.eval(h) + high.eval(h) / u ** ((k_high - k) // 2)
+    r = sqrt_interval(RatInterval.point(u), bits)
+    return poly_range(nf.tail, point) + divide(RatInterval.point(value), ipow(r, k))
+
+
+def oracle_point_split(nf, h, bits):
+    """`oracle_point_scaled` with each radical part enclosed on its own,
+    a mirror pair's two parts as two radicals: the reference that the
+    merged enclosure of a mirror pair is never wider than."""
     fam = nf.family
     point = RatInterval.point(h)
     if isinstance(nf, ConfluentNormalForm):
@@ -525,8 +551,6 @@ def oracle_point_enclosure(nf, h, precision):
     """The integral value (pi included) at h: the bits double from 64 until
     `oracle_point_scaled` times `pi_interval` is at most 10**-precision
     wide."""
-    if nf.is_zero:
-        return RatInterval.point(0)
     target = Fraction(1, 10**precision)
     bits = 64
     while True:
@@ -756,7 +780,9 @@ def oracle_dop853(fun, t, t_end, atol, rtol, error):
             rejected = True
             if step < max(10 * math.ulp(t), math.ulp(t_end)):
                 raise stop or error(
-                    f"step size fell below 10 ulp at {t:.6f}: the solution has a "
+                    f"step size fell below 1 ulp of t_end={t_end} at t={t:.6f}"
+                    if math.ulp(t_end) > 10 * math.ulp(t)
+                    else f"step size fell below 10 ulp at {t:.6f}: the solution has a "
                     "singularity or a vertical tangent there"
                 )
     return y

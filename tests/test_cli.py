@@ -16,6 +16,7 @@ from melcert.cli import (
     MAX_M,
     MAX_N,
     MAX_PRECISION,
+    SETTINGS,
     SpecError,
     build_parser,
     decimal_str,
@@ -229,6 +230,40 @@ def test_oversized_numbers_exit_at_once(tmp_path, line, code, out):
     first, *rest = (proc.stdout + proc.stderr).splitlines()
     assert first.startswith(out)
     assert not (code and rest)  # an error is one line
+
+
+@pytest.mark.parametrize(
+    "command, key, flag",
+    [
+        ("sample-curve", "points", None),
+        ("sample-curve", "points", "--points"),
+        ("verify", "grid", None),
+        ("scan", "samples", None),
+        ("scan", "samples", "--samples"),
+    ],
+)
+def test_oversized_settings_exit_at_once(tmp_path, command, key, flag):
+    # grid, points and samples of 10**5 or more ran until they were
+    # killed; one past the cap is refused before any work, from the spec
+    # file or from the flag, so no oversized value is ever run here
+    cap = SETTINGS[key][2]
+    assert getattr(parse_spec(re.sub(rf"(?m)^{key} = .*$", f"{key} = {cap}", TWO_ZEROS)), key) == cap
+    spec = tmp_path / "spec"
+    if flag:
+        spec.write_text(TWO_ZEROS)
+        args, label = [flag, str(cap + 1)], flag
+    else:
+        spec.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {cap + 1}", TWO_ZEROS))
+        args, label = [], f"[settings] {key}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "melcert", command, "--spec", str(spec), *args],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {label}: {cap + 1} exceeds the limit {cap}\n"
 
 
 class TestReports:

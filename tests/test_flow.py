@@ -27,6 +27,7 @@ from melcert.melnikov import (
 from melcert.zeros import count_zeros, prescribe_zeros
 from oracles import (
     oracle_displacement,
+    oracle_dop853,
     oracle_field,
     oracle_field_kernel,
     oracle_quadrature,
@@ -524,19 +525,24 @@ class TestRobustness:
     @pytest.mark.parametrize("start", [0.0, 1.0])
     def test_non_finite_rate_ends_in_flow_error(self, value, start):
         # from t = start on the rate has no finite value: every step there
-        # has a NaN error estimate and is rejected, so no NaN is returned
+        # has a NaN error estimate and is rejected, so no NaN is returned;
+        # at t = 0 one ulp of t_end is the larger floor, and it is named
         def rate(t, y):
             return value if t >= start else math.cos(t)
 
-        with pytest.raises(FlowError, match="step size fell below 10 ulp"):
+        floor = "10 ulp at 1.0" if start else re.escape("1 ulp of t_end=2.0 at t=0.000000")
+        with pytest.raises(FlowError, match=f"step size fell below {floor}"):
             integrate(rate, 0.0, 2.0, 1e-10, 1e-10, FlowError)
 
     def test_huge_finite_rate_ends_in_flow_error(self):
         # the stage round-off of y' = 1e307 shrinks the steps to about
         # 1e-273 near t = 0, below any floor relative to t alone; the floor
-        # relative to t_end stops them
-        with pytest.raises(FlowError, match="step size fell below 10 ulp"):
-            integrate(lambda _t, _y: 1e307, 0.0, 2.0, 1e-10, 1e-10, FlowError)
+        # relative to t_end stops them, and the message names that floor
+        # with no guess at a singularity
+        text = re.escape("step size fell below 1 ulp of t_end=2.0 at t=0.000000")
+        for run in (integrate, oracle_dop853):
+            with pytest.raises(FlowError, match=f"^{text}$"):
+                run(lambda _t, _y: 1e307, 0.0, 2.0, 1e-10, 1e-10, FlowError)
 
     @pytest.mark.parametrize(
         "a_key, b_key, name", [((1, 0), (0, 1), "b[0,1]"), ((0, 1), (0, 1), "a[0,1]")]

@@ -43,7 +43,13 @@ from melcert.melnikov import (
 )
 from melcert.polynomials import Polynomial
 from melcert.sampling import draw_alpha, draw_coeffs, draw_family, rng_for
-from melcert.zeros import _basis_forms, _effective_slots, count_zeros, theorem_bound
+from melcert.zeros import (
+    _basis_forms,
+    _effective_slots,
+    count_zeros,
+    point_sign,
+    theorem_bound,
+)
 from oracles import (
     oracle_circle_moments,
     oracle_integrate,
@@ -52,6 +58,7 @@ from oracles import (
     oracle_partial_fractions,
     oracle_point_enclosure,
     oracle_point_scaled,
+    oracle_point_split,
     oracle_power_moment,
     oracle_radial_numerator,
     oracle_single_factor,
@@ -546,15 +553,16 @@ class TestAssembly:
 
 
 @st.composite
-def _assembly_cases(draw):
+def _assembly_cases(draw, kinds=("two_radical", "mirror", "confluent")):
     """(kind, coeffs, poles) as the assembly sums them: two distinct
     poles, a mirror pair alpha2 = -alpha1, or the confluent single pole of
-    power m1 + m2.  Coefficient denominators run over 1..12, a grid is
-    full or sparse, and a quarter of the draws hold only pairs a[i,j],
-    b[i+1,j-1] = v, -v on the same monomial, which cancel."""
+    power m1 + m2, one of `kinds`.  m1 and m2 are drawn apart, so a mirror
+    pair has m1 == m2 or not.  Coefficient denominators run over 1..12, a
+    grid is full or sparse, and a quarter of the draws hold only pairs
+    a[i,j], b[i+1,j-1] = v, -v on the same monomial, which cancel."""
     rational = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
     alpha = rational.filter(bool)
-    kind = draw(st.sampled_from(["two_radical", "mirror", "confluent"]))
+    kind = draw(st.sampled_from(kinds))
     alpha1, m1, m2 = draw(alpha), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     if kind == "two_radical":
         alpha2 = draw(alpha.filter(lambda a: a not in (alpha1, -alpha1)))
@@ -648,11 +656,11 @@ def test_every_basis_form_matches_fraction_oracle():
 
 
 @st.composite
-def _point_cases(draw):
+def _point_cases(draw, kinds=("two_radical", "mirror", "confluent")):
     """(kind, where, nf, h, precision, bits): a form of `_assembly_cases`,
     and h at the center, 1e-8 below h_max, inside, or where the radicand
     of the pole nearest the center is a rational square s**2."""
-    kind, coeffs, poles = draw(_assembly_cases())
+    kind, coeffs, poles = draw(_assembly_cases(kinds))
     if kind == "confluent":
         (alpha, m), = poles
         family = SystemFamily(alpha, alpha, 1, m - 1)
@@ -694,6 +702,60 @@ def test_point_evaluation_matches_interval_oracle():
 
     check()
     assert min(seen.values()) >= 20, seen
+
+
+def test_mirror_enclosure_is_never_wider_than_the_split_one():
+    # a mirror pair is summed exactly at h into one part: at the same bits
+    # its enclosure lies inside the one that encloses the two parts one by
+    # one, it holds the exact value (it holds the split enclosure at
+    # 4*bits + 256, or is a point inside it), wherever it excludes 0 it has
+    # the exact sign of the form, and a zero form is the exact point 0
+    seen = dict.fromkeys(["equal_m", "unequal_m", "narrower", "signed", "zero_form"], 0)
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(_point_cases(kinds=("mirror",)))
+    def check(case):
+        _kind, _where, nf, h, _precision, bits = case
+        (ln, ld), (hn, hd) = _point_rungs(nf, h)(bits)
+        lo, hi = F(ln, ld), F(hn, hd)
+        split = oracle_point_split(nf, h, bits)
+        assert split.lo <= lo <= hi <= split.hi
+        fine = oracle_point_split(nf, h, 4 * bits + 256)
+        assert lo <= fine.lo <= fine.hi <= hi or fine.lo <= lo == hi <= fine.hi
+        sign = point_sign(nf, h)
+        if lo > 0 or hi < 0:
+            assert sign == (1 if lo > 0 else -1)
+        if lo == hi == 0 or nf.is_zero:
+            assert lo == hi == sign == 0
+        seen["equal_m" if nf.family.m1 == nf.family.m2 else "unequal_m"] += 1
+        seen["narrower"] += hi - lo < split.width
+        seen["signed"] += lo > 0 or hi < 0
+        seen["zero_form"] += nf.is_zero
+
+    check()
+    assert seen["equal_m"] + seen["unequal_m"] >= 200, seen
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 2), (3, 1)])
+def test_cancelling_mirror_pair_with_unequal_powers_is_exactly_zero(m1, m2):
+    # rad_hi = -rad_lo*u**delta over r**(2m_lo - 1 + 2delta), u = r**2 =
+    # 1 - alpha**2 h, is -rad_lo over r**(2m_lo - 1): the two parts cancel
+    # at every h, every rung of the kernel is the exact point 0 with no
+    # zero test, and the split enclosure keeps a false width
+    fam = SystemFamily(F(2, 3), F(-2, 3), m1, m2)
+    rad = Polynomial((F(1, 2), F(-3), F(5, 7)))
+    rest = -rad * Polynomial((1, -fam.alpha1**2)) ** abs(m1 - m2)
+    parts = (rad, rest) if m1 < m2 else (rest, rad)
+    nf = MelnikovNormalForm(fam, *parts, Polynomial())
+    assert nf.is_zero
+    for h in (F(0), F(1, 3), F(3, 2), fam.h_max * (1 - F(1, 10**7))):
+        (ln, _), (hn, _) = _point_rungs(nf, h)(64)
+        assert ln == hn == 0
+        for precision in (1, 30):
+            assert evaluate_normal_form(nf, h, precision) == RatInterval.point(0)
+        assert oracle_point_enclosure(nf, h, 30) == RatInterval.point(0)
+        assert h == 0 or oracle_point_split(nf, h, 64).width > 0
 
 
 def test_perfect_square_radicand_gives_the_exact_root():
